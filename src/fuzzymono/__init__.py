@@ -3,7 +3,7 @@ monopole sectors, plus a verification harness for its identities."""
 
 __version__ = "0.1.0"
 
-from .fock import FockBasis, LadderMatrix, build_basis, interior_projector, ladder
+from .fock import FockBasis, build_basis, interior_projector, ladder
 from .liouville import Space, SuperOp, anticommutator, commutator, get_space
 from .ncspace import NcCoordinates, build_coordinates, verify_coordinate_algebra
 from .sector import (
@@ -18,7 +18,6 @@ from .sector import (
 
 __all__ = [
     "FockBasis",
-    "LadderMatrix",
     "build_basis",
     "interior_projector",
     "ladder",

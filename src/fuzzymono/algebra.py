@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .liouville import Space, SuperOp, commutator
-from .ncspace import PAULI
+from .liouville import Space, SuperOp, commutator, linear_combination
+from .ncspace import PAULI, nonzero_entries
 from .su22 import ETA, GAMMA, PAIRS, generator_matrix
 
 
@@ -104,16 +104,6 @@ def radial_annihilator(f: RadialFunction) -> RadialFunction:
     )
 
 
-def pole_window(f: RadialFunction, extra_shifts: tuple[int, ...] = (0,)) -> tuple[float, ...]:
-    """Block radii (units of lam) a comparison must exclude when f appears
-    shifted by the given steps."""
-    out = set()
-    for p in f.poles:
-        for s in extra_shifts:
-            out.add(p - s)
-    return tuple(sorted(out))
-
-
 # ---------------------------------------------------------------------------
 # word builders
 # ---------------------------------------------------------------------------
@@ -177,15 +167,9 @@ class OperatorAlgebra:
         return self._get(("gen", A, B), lambda: self._bilinear(GAMMA @ generator_matrix(A, B)))
 
     def _bilinear(self, m: np.ndarray) -> SuperOp:
-        terms = None
-        for a in range(4):
-            for b in range(4):
-                if m[a, b] != 0:
-                    t = complex(m[a, b]) * (self.avec_dag(a) @ self.avec(b))
-                    terms = t if terms is None else terms + t
-        if terms is None:
-            return 0.0 * self.space.identity()
-        return terms
+        return linear_combination(
+            (complex(c) * (self.avec_dag(a) @ self.avec(b)) for (a, b), c in nonzero_entries(m)),
+            self.space)
 
     def center(self) -> SuperOp:
         """Central element, in the ordering exact on every admissible block.
@@ -213,18 +197,9 @@ class OperatorAlgebra:
         def build() -> SuperOp:
             sp = self.space
             if a == 4:
-                return sum(
-                    (sp.lmul_adag(al) @ sp.rmul_a(al) for al in (1, 2)),
-                    start=0.0 * sp.identity(),
-                )
-            terms = None
-            for al in range(2):
-                for be in range(2):
-                    c = PAULI[a - 1, al, be]
-                    if c != 0:
-                        t = complex(c) * (sp.lmul_adag(al + 1) @ sp.rmul_a(be + 1))
-                        terms = t if terms is None else terms + t
-            return terms
+                return linear_combination(sp.lmul_adag(al) @ sp.rmul_a(al) for al in (1, 2))
+            return linear_combination(complex(c) * (sp.lmul_adag(al + 1) @ sp.rmul_a(be + 1))
+                                      for (al, be), c in nonzero_entries(PAULI[a - 1]))
 
         return self._get(("raise", a), build)
 
@@ -233,18 +208,9 @@ class OperatorAlgebra:
         def build() -> SuperOp:
             sp = self.space
             if a == 4:
-                return sum(
-                    (sp.rmul_adag(al) @ sp.lmul_a(al) for al in (1, 2)),
-                    start=0.0 * sp.identity(),
-                )
-            terms = None
-            for al in range(2):
-                for be in range(2):
-                    c = PAULI[a - 1, al, be]
-                    if c != 0:
-                        t = complex(c) * (sp.rmul_adag(al + 1) @ sp.lmul_a(be + 1))
-                        terms = t if terms is None else terms + t
-            return terms
+                return linear_combination(sp.rmul_adag(al) @ sp.lmul_a(al) for al in (1, 2))
+            return linear_combination(complex(c) * (sp.rmul_adag(al + 1) @ sp.lmul_a(be + 1))
+                                      for (al, be), c in nonzero_entries(PAULI[a - 1]))
 
         return self._get(("lower", a), build)
 
@@ -277,11 +243,8 @@ class OperatorAlgebra:
         ident = self.space.identity()
         for a in range(4):
             for b in range(4):
-                twisted = None
-                for c in range(4):
-                    if GAMMA[b, c] != 0:
-                        t = complex(GAMMA[b, c]) * self.avec_dag(c)
-                        twisted = t if twisted is None else twisted + t
+                twisted = linear_combination(complex(g) * self.avec_dag(c)
+                                             for (c,), g in nonzero_entries(GAMMA[b]))
                 lhs = commutator(self.avec(a), twisted)
                 rhs = (1.0 if a == b else 0.0) * ident
                 out = graded_residual(lhs, rhs, sec, guard)
@@ -292,21 +255,16 @@ class OperatorAlgebra:
 
 def su22_bracket_rhs(alg: OperatorAlgebra, a: int, b: int, c: int, d: int) -> SuperOp:
     """Operator-level bracket target i*(eta.S - ...) for [S_AB, S_CD]."""
-    terms = []
-    for coeff, (x, y) in (
+    terms = (
         (ETA[a, c], (b, d)),
         (-ETA[b, c], (a, d)),
         (-ETA[a, d], (b, c)),
         (ETA[b, d], (a, c)),
-    ):
-        if coeff != 0 and x != y:
-            terms.append(complex(1j * coeff) * alg.generator(x, y))
-    if not terms:
-        return 0.0 * alg.space.identity()
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    )
+    return linear_combination(
+        (complex(1j * coeff) * alg.generator(x, y) for coeff, (x, y) in terms
+         if coeff != 0 and x != y),
+        alg.space)
 
 
 __all__ = [
@@ -325,7 +283,6 @@ __all__ = [
     "first_difference",
     "second_difference",
     "radial_annihilator",
-    "pole_window",
     "su22_bracket_rhs",
     "PAIRS",
 ]

@@ -61,16 +61,7 @@ def build_basis(n_max: int) -> FockBasis:
     return basis
 
 
-@dataclass(frozen=True)
-class LadderMatrix:
-    """Matrix of a single-mode ladder operator on a FockBasis."""
-
-    kind: str  # "annihilate" | "create"
-    mode: int  # 1 or 2
-    matrix: sparse.csr_matrix
-
-
-def ladder(basis: FockBasis, mode: int, kind: str) -> LadderMatrix:
+def ladder(basis: FockBasis, mode: int, kind: str) -> sparse.csr_matrix:
     """Ladder matrix with the standard sqrt factors; creation past n_max is cut to zero."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
@@ -92,19 +83,18 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> LadderMatrix:
         rows.append(basis.index[tuple(occ)])
         cols.append(i)
         vals.append(amp)
-    mat = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.array(vals, dtype=np.complex128), (rows, cols)),
         shape=(basis.dim, basis.dim),
     )
-    return LadderMatrix(kind=kind, mode=mode, matrix=mat)
 
 
 def annihilator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
-    return ladder(basis, mode, "annihilate").matrix
+    return ladder(basis, mode, "annihilate")
 
 
 def creator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
-    return ladder(basis, mode, "create").matrix
+    return ladder(basis, mode, "create")
 
 
 def number_operator(basis: FockBasis) -> sparse.csr_matrix:

@@ -18,7 +18,7 @@ truncation bookkeeping can be checked against the sparse support.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -43,7 +43,6 @@ class SuperOp:
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
     drow, dcol : net row/col level shifts (None once a sum mixes shifts).
-    letters : ladder letters consumed building the operator (word length).
     """
 
     space: "Space"
@@ -51,7 +50,6 @@ class SuperOp:
     grade: int = 0
     drow: Optional[int] = 0
     dcol: Optional[int] = 0
-    letters: int = 0
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
         if self.space is not other.space:
@@ -62,7 +60,6 @@ class SuperOp:
             grade=self.grade + other.grade,
             drow=_merge_shift(self.drow, other.drow),
             dcol=_merge_shift(self.dcol, other.dcol),
-            letters=self.letters + other.letters,
         )
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
@@ -76,7 +73,6 @@ class SuperOp:
             grade=self.grade,
             drow=self.drow if self.drow == other.drow else None,
             dcol=self.dcol if self.dcol == other.dcol else None,
-            letters=max(self.letters, other.letters),
         )
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
@@ -87,7 +83,7 @@ class SuperOp:
 
     def __mul__(self, scalar: complex) -> "SuperOp":
         return SuperOp(self.space, (scalar * self.mat).tocsr(),
-                       self.grade, self.drow, self.dcol, self.letters)
+                       self.grade, self.drow, self.dcol)
 
     __rmul__ = __mul__
 
@@ -99,7 +95,6 @@ class SuperOp:
             grade=-self.grade,
             drow=None if self.drow is None else -self.drow,
             dcol=None if self.dcol is None else -self.dcol,
-            letters=self.letters,
         )
 
     def weighted_adjoint(self) -> "SuperOp":
@@ -107,7 +102,7 @@ class SuperOp:
         sp = self.space
         adj = self.plain_adjoint()
         mat = (sp._winv_diag @ adj.mat @ sp._w_diag).tocsr()
-        return SuperOp(sp, mat, adj.grade, adj.drow, adj.dcol, adj.letters)
+        return SuperOp(sp, mat, adj.grade, adj.drow, adj.dcol)
 
     def apply_matrix(self, psi: np.ndarray) -> np.ndarray:
         """Apply to a D x D state given as a dense matrix."""
@@ -159,13 +154,13 @@ class Space:
     def identity(self) -> SuperOp:
         return SuperOp(self, sparse.identity(self.dim**2, dtype=np.complex128, format="csr"))
 
-    def left_mul(self, mat: sparse.spmatrix, drow: int, letters: int = 1) -> SuperOp:
+    def left_mul(self, mat: sparse.spmatrix, drow: int) -> SuperOp:
         return SuperOp(self, sparse.kron(mat, self._eye, format="csr"),
-                       grade=drow, drow=drow, dcol=0, letters=letters)
+                       grade=drow, drow=drow, dcol=0)
 
-    def right_mul(self, mat: sparse.spmatrix, dcol: int, letters: int = 1) -> SuperOp:
+    def right_mul(self, mat: sparse.spmatrix, dcol: int) -> SuperOp:
         return SuperOp(self, sparse.kron(self._eye, mat.T, format="csr"),
-                       grade=-dcol, drow=0, dcol=dcol, letters=letters)
+                       grade=-dcol, drow=0, dcol=dcol)
 
     def lmul_a(self, alpha: int) -> SuperOp:
         """Left multiplication by a_alpha (grade -1)."""
@@ -231,6 +226,23 @@ def commutator(a: SuperOp, b: SuperOp) -> SuperOp:
 
 def anticommutator(a: SuperOp, b: SuperOp) -> SuperOp:
     return a @ b + b @ a
+
+
+def linear_combination(terms: Iterable[SuperOp], space: Optional[Space] = None) -> SuperOp:
+    """Sum of grade-homogeneous terms, folded left to right with +.
+
+    An empty sum is the zero superoperator on space; without a space it is
+    an error.
+    """
+    it = iter(terms)
+    total = next(it, None)
+    if total is None:
+        if space is None:
+            raise ValueError("empty linear combination needs a space")
+        return 0.0 * space.identity()
+    for t in it:
+        total = total + t
+    return total
 
 
 _SPACES: dict[tuple[int, float], Space] = {}

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, RF_MONOPOLE
-from .liouville import Space, SuperOp, commutator
-from .ncspace import PAULI
+from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q
+from .liouville import Space, SuperOp, commutator, linear_combination
+from .ncspace import PAULI, nonzero_entries
 
 
 class VelocityFamily:
@@ -54,31 +54,15 @@ class VelocityFamily:
 
     def sigma_u(self, k: int) -> SuperOp:
         """sigma^k_{ab} U_ab."""
-        def build() -> SuperOp:
-            terms = None
-            for al in range(2):
-                for be in range(2):
-                    c = PAULI[k - 1, al, be]
-                    if c != 0:
-                        t = complex(c) * self.u(al + 1, be + 1)
-                        terms = t if terms is None else terms + t
-            return terms
-
-        return self._get(("sigu", k), build)
+        return self._get(("sigu", k), lambda: linear_combination(
+            complex(c) * self.u(al + 1, be + 1)
+            for (al, be), c in nonzero_entries(PAULI[k - 1])))
 
     def sigma_u_dag(self, k: int) -> SuperOp:
         """conj(sigma^k)_{ab} U+_ab."""
-        def build() -> SuperOp:
-            terms = None
-            for al in range(2):
-                for be in range(2):
-                    c = np.conj(PAULI[k - 1, al, be])
-                    if c != 0:
-                        t = complex(c) * self.u_dag(al + 1, be + 1)
-                        terms = t if terms is None else terms + t
-            return terms
-
-        return self._get(("sigud", k), build)
+        return self._get(("sigud", k), lambda: linear_combination(
+            complex(c) * self.u_dag(al + 1, be + 1)
+            for (al, be), c in nonzero_entries(np.conj(PAULI[k - 1]))))
 
     def trace_u(self) -> SuperOp:
         return self._get(("tru",), lambda: self.u(1, 1) + self.u(2, 2))
@@ -99,8 +83,7 @@ class VelocityFamily:
 
     def q_factor(self) -> SuperOp:
         """Block-diagonal exchange factor (r-l)/(r+l)."""
-        sp = self.space
-        return self._get(("q",), lambda: sp.radial(lambda w: (w - sp.lam) / (w + sp.lam)))
+        return self._get(("q",), lambda: RF_Q.to_superop(self.space))
 
 
 # rotation-flow signs: exp(i w S_05) conjugation sends velocity(a) to
@@ -178,16 +161,20 @@ def monopole_profile_op(vel: VelocityFamily, k4: tuple[int, int]) -> SuperOp:
     return -1j * sp.lam * (rho @ vel.alg.generator(*k4))
 
 
-def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2) -> float | None:
+def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,
+               exclude_ws: tuple[float, ...] = RF_MONOPOLE.poles) -> float | None:
     """Least-squares coefficient of [V_1, V_2] against the unit-charge
-    closed form with S_34; equals kappa/2 in the frozen conventions."""
+    closed form with S_34; equals kappa/2 in the frozen conventions.
+
+    The fit skips the blocks at the block radii exclude_ws (units of lam),
+    by default the poles of the monopole profile."""
     from .sector import build_sector
 
     sp = vel.space
     sec = build_sector(kappa, sp.n_max, sp.lam)
     if sec.is_empty:
         return None
-    mask, _ = sec.guard_window(guard, exclude_ws=(0.0, 1.0))
+    mask, _ = sec.guard_window(guard, exclude_ws)
     cols = sec.packed[mask]
     if cols.size == 0:
         return None

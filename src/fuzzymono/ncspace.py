@@ -8,6 +8,7 @@ x^2 = r^2 - lam^2 holds, which the verification suite checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,25 @@ PAULI = np.array(
     ],
     dtype=np.complex128,
 )
+
+
+def levi_civita(n: int) -> np.ndarray:
+    """The rank-n Levi-Civita tensor, +1 on the identity permutation."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        eps[perm] = -1.0 if inversions % 2 else 1.0
+    return eps
+
+
+EPS3 = levi_civita(3)
+
+
+def nonzero_entries(t: np.ndarray):
+    """(index tuple, value) of every nonzero entry of t, in row-major order."""
+    for idx in zip(*np.nonzero(t)):
+        idx = tuple(int(i) for i in idx)
+        yield idx, t[idx]
 
 
 @dataclass(frozen=True)
@@ -54,7 +74,8 @@ def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
     return NcCoordinates(lam=lam, x=(xs[0], xs[1], xs[2]), r=r, pauli=PAULI)
 
 
-def _rel(delta: sparse.spmatrix, *sides: sparse.spmatrix) -> float:
+def relative_norm(delta: sparse.spmatrix, *sides: sparse.spmatrix) -> float:
+    """||delta||_F / max(1, ||side||_F for each side)."""
     num = sparse.linalg.norm(delta) if delta.nnz else 0.0
     den = max([1.0] + [sparse.linalg.norm(s) for s in sides if s.nnz])
     return float(num / den)
@@ -67,10 +88,6 @@ def verify_coordinate_algebra(nc: NcCoordinates) -> dict[str, float]:
     whole truncated space with no guard.
     """
     x, r, lam = nc.x, nc.r, nc.lam
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps[i, j, k] = 1.0
-        eps[j, i, k] = -1.0
 
     res_comm = 0.0
     for i in range(3):
@@ -78,16 +95,17 @@ def verify_coordinate_algebra(nc: NcCoordinates) -> dict[str, float]:
             lhs = x[i] @ x[j] - x[j] @ x[i]
             rhs = sparse.csr_matrix(x[0].shape, dtype=np.complex128)
             for k in range(3):
-                if eps[i, j, k] != 0:
-                    rhs = rhs + 2j * lam * eps[i, j, k] * x[k]
-            res_comm = max(res_comm, _rel((lhs - rhs).tocsr(), lhs.tocsr(), rhs.tocsr()))
+                if EPS3[i, j, k] != 0:
+                    rhs = rhs + 2j * lam * EPS3[i, j, k] * x[k]
+            res_comm = max(res_comm, relative_norm((lhs - rhs).tocsr(), lhs.tocsr(), rhs.tocsr()))
 
-    res_radius = max(_rel((x[i] @ r - r @ x[i]).tocsr(), (x[i] @ r).tocsr()) for i in range(3))
+    res_radius = max(relative_norm((x[i] @ r - r @ x[i]).tocsr(), (x[i] @ r).tocsr())
+                     for i in range(3))
 
     x2 = sum(x[i] @ x[i] for i in range(3))
     r2 = r @ r
     ident = sparse.identity(r.shape[0], dtype=np.complex128, format="csr")
-    res_square = _rel((x2 - r2 + lam**2 * ident).tocsr(), x2.tocsr(), r2.tocsr())
+    res_square = relative_norm((x2 - r2 + lam**2 * ident).tocsr(), x2.tocsr(), r2.tocsr())
 
     return {
         "coord-comm": res_comm,

@@ -20,16 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ncspace import PAULI
+from .ncspace import EPS3, PAULI
 
 GAMMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
 GAMMA_ADJOINT_SIGN = +1.0
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_j, _i, _k] = -1.0
 
 
 def _block(tl, tr, bl, br) -> np.ndarray:
@@ -44,8 +39,8 @@ def _build_upper() -> dict[tuple[int, int], np.ndarray]:
         for j in range(i + 1, 3):
             m = np.zeros((4, 4), dtype=np.complex128)
             for k in range(3):
-                if _EPS3[i, j, k] != 0:
-                    m += 0.5 * _EPS3[i, j, k] * _block(PAULI[k], z, z, PAULI[k])
+                if EPS3[i, j, k] != 0:
+                    m += 0.5 * EPS3[i, j, k] * _block(PAULI[k], z, z, PAULI[k])
             s[(i + 1, j + 1)] = m
     for k in range(3):
         s[(k + 1, 4)] = 0.5 * _block(PAULI[k], z, z, -PAULI[k])

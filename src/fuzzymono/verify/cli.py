@@ -79,6 +79,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--guard must be >= 0, got {args.guard}")
     if args.tol < 0:
         parser.error(f"--tol must be >= 0, got {args.tol}")
+    if args.jobs < 0:
+        parser.error(f"--jobs must be >= 0, got {args.jobs}")
 
     config = RunConfig(
         suite=args.suite,
@@ -91,6 +93,11 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         jobs=args.jobs,
     )
+    try:
+        config.resolved_jobs()
+    except ValueError as exc:
+        print(f"fuzzymono: {exc}", file=sys.stderr)
+        return 2
     report = run_suite(config)
     payload = report.emit(config.fmt)
     if config.out:

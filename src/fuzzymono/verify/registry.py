@@ -6,7 +6,18 @@ the deeper side), the block radii its closed form must exclude (in units of
 lam, already expanded by the word's shifts), and an optional tolerance
 override for round-off-exact relations.
 
-Builders return (residual, excluded_blocks) or None when the identity has no
+An identity is one of two kinds:
+
+  * a pair function, ctx -> [(lhs, rhs), ...]: the superoperator pairs whose
+    equality the identity states, built from the context alone.
+    IdentityRecord.evaluate compares them on the guarded window of the
+    requested sector, without the record's pole blocks; it is the only code
+    that takes their residuals.
+  * a scalar check, (ctx, kappa, guard, exclude_ws) -> outcome, for the
+    identities that are not superoperator equalities (matrix-level Fock and
+    coordinate relations, fits, block-wise bounds, the scaling suite).
+
+Both give (residual, excluded_blocks), or None when the identity has no
 guarded window at the requested truncation (reported as skipped).
 """
 
@@ -27,20 +38,29 @@ from ..algebra import (
     RF_ONE,
     RF_R,
     RF_R2,
+    RadialFunction,
     first_difference,
     radial_annihilator,
     second_difference,
     su22_bracket_rhs,
 )
 from ..fock import annihilator, creator, interior_projector, number_operator
-from ..liouville import anticommutator, commutator, get_space
+from ..liouville import SuperOp, anticommutator, commutator, get_space, linear_combination
 from ..monopole import (
     FLOW_SIGNS,
     VelocityFamily,
     charge_fit,
     monopole_profile_op,
 )
-from ..ncspace import PAULI, build_coordinates, verify_coordinate_algebra
+from ..ncspace import (
+    EPS3,
+    PAULI,
+    build_coordinates,
+    levi_civita,
+    nonzero_entries,
+    relative_norm,
+    verify_coordinate_algebra,
+)
 from ..sector import (
     SectorVector,
     build_sector,
@@ -54,13 +74,25 @@ from ..su22 import (
 )
 
 Outcome = Optional[tuple[float, list[int]]]
-
-EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    EPS3[_i, _j, _k] = 1.0
-    EPS3[_j, _i, _k] = -1.0
+Pair = tuple[SuperOp, SuperOp]
 
 U_INDEX = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+# radial coefficients of the [U, U+] rewrites
+RF_INV_R2ML = RadialFunction(
+    "1/(r^2-l^2)", lambda w, lam: 1.0 / (w * w - lam**2), poles=(1.0, -1.0))
+RF_RHO_L = RadialFunction(
+    "l/(r(r^2-l^2))", lambda w, lam: lam / (w * (w * w - lam**2)), poles=(0.0, 1.0, -1.0))
+RF_MUL_M = RadialFunction(
+    "l(r-l)/(r^2-l^2)", lambda w, lam: lam * (w - lam) / (w * w - lam**2), poles=(1.0, -1.0))
+RF_MUL_P = RadialFunction(
+    "l(r+l)/(r^2-l^2)", lambda w, lam: lam * (w + lam) / (w * w - lam**2), poles=(1.0, -1.0))
+RF_C_L2 = RadialFunction(
+    "l^2/(r^2-l^2)", lambda w, lam: lam**2 / (w * w - lam**2), poles=(1.0, -1.0))
+RF_C_LR = RadialFunction(
+    "lr/(r^2-l^2)", lambda w, lam: lam * w / (w * w - lam**2), poles=(1.0, -1.0))
+RF_Q_CORR = RadialFunction(
+    "1/(r(r+l))", lambda w, lam: 1.0 / (w * (w + lam)), poles=(0.0, -1.0))
 
 
 class EngineContext:
@@ -72,7 +104,6 @@ class EngineContext:
         self.space = get_space(n_max, lam)
         self.alg = OperatorAlgebra(self.space)
         self.vel = VelocityFamily(self.alg)
-        self.floor = 1.0  # residual denominator floor; 0 for pure-relative
         self._extra: dict[tuple, object] = {}
 
     def cached(self, key: tuple, builder: Callable[[], object]):
@@ -80,42 +111,23 @@ class EngineContext:
             self._extra[key] = builder()
         return self._extra[key]
 
+    def radial(self, f: RadialFunction) -> SuperOp:
+        """The multiplier f(r_hat), built once per context (keyed by f.name)."""
+        return self.cached(("rf", f.name), lambda: f.to_superop(self.space))
+
     def sector(self, kappa: int):
         return build_sector(kappa, self.n_max, self.lam)
-
-    def pairs_residual(self, pairs, kappa: int, guard: int,
-                       exclude_ws: tuple[float, ...] = ()) -> Outcome:
-        """Max residual over (lhs, rhs) superoperator pairs on one window."""
-        sec = self.sector(kappa)
-        worst = None
-        excluded: list[int] = []
-        for lhs, rhs in pairs:
-            out = graded_residual(lhs, rhs, sec, guard, exclude_ws, floor=self.floor)
-            if out is None:
-                continue
-            r, excl = out
-            worst = r if worst is None else max(worst, r)
-            excluded = excl
-        if worst is None:
-            return None
-        return worst, excluded
 
     def one_sided_sigma(self, k: int, side: str):
         """sigma^k-contracted number bilinear on one multiplication side."""
         def build():
             sp = self.space
-            terms = None
-            for al in range(2):
-                for be in range(2):
-                    c = PAULI[k - 1, al, be]
-                    if c == 0:
-                        continue
-                    if side == "left":
-                        t = complex(c) * (sp.lmul_adag(al + 1) @ sp.lmul_a(be + 1))
-                    else:
-                        t = complex(c) * (sp.rmul_adag(al + 1) @ sp.rmul_a(be + 1))
-                    terms = t if terms is None else terms + t
-            return terms
+            if side == "left":
+                adag, a = sp.lmul_adag, sp.lmul_a
+            else:
+                adag, a = sp.rmul_adag, sp.rmul_a
+            return linear_combination(complex(c) * (adag(al + 1) @ a(be + 1))
+                                      for (al, be), c in nonzero_entries(PAULI[k - 1]))
 
         return self.cached(("one_sided_sigma", k, side), build)
 
@@ -130,40 +142,67 @@ def get_context(n_max: int, lam: float) -> EngineContext:
     return _CONTEXTS[key]
 
 
+PairFunction = Callable[[EngineContext], list[Pair]]
+Check = Callable[[EngineContext, Optional[int], int, tuple[float, ...]], Outcome]
+
+
 @dataclass(frozen=True)
 class IdentityRecord:
+    """One identity: a pair function (pairs) or a scalar check (check).
+
+    builder(ctx, kappa, guard) is what the runner calls for each job. It
+    defaults to evaluate; a tool that wraps each job (a tracer) passes its
+    wrapper through dataclasses.replace.
+    """
+
     id: str
     suite: str
     formula: str  # relation in engine notation, or "plumbing"
-    builder: Callable[[EngineContext, Optional[int], int], Outcome] = field(compare=False)
+    pairs: Optional[PairFunction] = field(default=None, compare=False)
+    check: Optional[Check] = field(default=None, compare=False)
     guard: int = 0
     tol: Optional[float] = None  # None: use the run's global tolerance
     exclude_ws: tuple[float, ...] = ()
     per_kappa: bool = True
+    builder: Optional[Callable[[EngineContext, Optional[int], int], Outcome]] = field(
+        default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if (self.pairs is None) == (self.check is None):
+            raise ValueError(f"{self.id}: give exactly one of pairs and check")
+        if self.builder is None:
+            object.__setattr__(self, "builder", self.evaluate)
+
+    def evaluate(self, ctx: EngineContext, kappa: Optional[int], guard: int,
+                 floor: float = 1.0) -> Outcome:
+        """Outcome on sector kappa; floor is the residual denominator floor
+        of a pair identity (graded_residual), unused by a scalar check."""
+        if self.check is not None:
+            return self.check(ctx, kappa, guard, self.exclude_ws)
+        sec = ctx.sector(kappa)
+        outs = [graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
+                for lhs, rhs in self.pairs(ctx)]
+        if outs[0] is None:  # every pair has the same window
+            return None
+        return max(r for r, _ in outs), outs[0][1]
 
 
 # ---------------------------------------------------------------------------
 # fock / coords (kappa-independent, matrix level)
 # ---------------------------------------------------------------------------
 
-def _fock_rel(delta, *sides) -> float:
-    num = sparse.linalg.norm(delta) if delta.nnz else 0.0
-    den = max([1.0] + [sparse.linalg.norm(s) for s in sides if s.nnz])
-    return float(num / den)
-
-
-def _fock_null_comm(ctx: EngineContext, kappa, guard) -> Outcome:
+def _fock_null_comm(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
     a = [annihilator(basis, 1), annihilator(basis, 2)]
     ad = [creator(basis, 1), creator(basis, 2)]
     worst = 0.0
     for x, y in itertools.combinations_with_replacement(range(2), 2):
-        worst = max(worst, _fock_rel((a[x] @ a[y] - a[y] @ a[x]).tocsr()))
-        worst = max(worst, _fock_rel((ad[x] @ ad[y] - ad[y] @ ad[x]).tocsr()))
+        worst = max(worst, relative_norm((a[x] @ a[y] - a[y] @ a[x]).tocsr()))
+        worst = max(worst, relative_norm((ad[x] @ ad[y] - ad[y] @ ad[x]).tocsr()))
     return worst, []
 
 
-def _fock_canonical(ctx: EngineContext, kappa, guard) -> Outcome:
+def _fock_canonical(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
     proj = interior_projector(basis, 1)
     eye = sparse.identity(basis.dim, dtype=np.complex128, format="csr")
@@ -174,43 +213,43 @@ def _fock_canonical(ctx: EngineContext, kappa, guard) -> Outcome:
             ad = creator(basis, y + 1)
             comm = a @ ad - ad @ a
             delta = (comm - (1.0 if x == y else 0.0) * eye) @ proj
-            worst = max(worst, _fock_rel(delta.tocsr(), (comm @ proj).tocsr()))
+            worst = max(worst, relative_norm(delta.tocsr(), (comm @ proj).tocsr()))
     return worst, [basis.n_max]
 
 
-def _fock_number(ctx: EngineContext, kappa, guard) -> Outcome:
+def _fock_number(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
     total = sum(
         creator(basis, m) @ annihilator(basis, m) for m in (1, 2)
     )
     delta = (total - number_operator(basis)).tocsr()
-    return _fock_rel(delta, total.tocsr()), []
+    return relative_norm(delta, total.tocsr()), []
 
 
-def _coords(which: str):
-    def build(ctx: EngineContext, kappa, guard) -> Outcome:
+def _coords(which: str) -> Check:
+    def check(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
         res = ctx.cached(
             ("coords",),
             lambda: verify_coordinate_algebra(build_coordinates(ctx.space.basis, ctx.lam)),
         )
         return res[which], []
 
-    return build
+    return check
 
 
 # ---------------------------------------------------------------------------
 # su22 suite
 # ---------------------------------------------------------------------------
 
-def _matrix_gamma(ctx, kappa, guard) -> Outcome:
+def _matrix_gamma(ctx, kappa, guard, exclude_ws) -> Outcome:
     return matrix_gamma_residual(), []
 
 
-def _matrix_closure(ctx, kappa, guard) -> Outcome:
+def _matrix_closure(ctx, kappa, guard, exclude_ws) -> Outcome:
     return matrix_closure_residual(), []
 
 
-def _canonical_pairing(ctx: EngineContext, kappa, guard) -> Outcome:
+def _canonical_pairing(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     sec = ctx.sector(kappa)
     if sec.is_empty:
         return None
@@ -218,7 +257,7 @@ def _canonical_pairing(ctx: EngineContext, kappa, guard) -> Outcome:
     return r, []
 
 
-def _cross_side(ctx: EngineContext, kappa, guard) -> Outcome:
+def _cross_side(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
     pairs = []
     for al in (1, 2):
@@ -226,36 +265,34 @@ def _cross_side(ctx: EngineContext, kappa, guard) -> Outcome:
             for left in (sp.lmul_a(al), sp.lmul_adag(al)):
                 for right in (sp.rmul_a(be), sp.rmul_adag(be)):
                     pairs.append((left @ right, right @ left))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _op_closure(ctx: EngineContext, kappa, guard) -> Outcome:
+def _op_closure(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for (a, b), (c, d) in itertools.combinations(PAIRS, 2):
         lhs = commutator(ctx.alg.generator(a, b), ctx.alg.generator(c, d))
         rhs = su22_bracket_rhs(ctx.alg, a, b, c, d)
         pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _central(ctx: EngineContext, kappa, guard) -> Outcome:
-    lhs = ctx.alg.center() + 2.0 * ctx.space.identity()
-    rhs = float(kappa) * ctx.space.identity()
-    return ctx.pairs_residual([(lhs, rhs)], kappa, guard)
+def _central(ctx: EngineContext) -> list[Pair]:
+    """C + 2 against the grade operator, which is kappa on sector kappa."""
+    sp = ctx.space
+    return [(ctx.alg.center() + 2.0 * sp.identity(), sp.radial_values(sp.pair_grade))]
 
 
-def _central_ordering(ctx: EngineContext, kappa, guard) -> Outcome:
+def _central_ordering(ctx: EngineContext) -> list[Pair]:
     """Literal-ordered central element agrees away from the top block."""
-    return ctx.pairs_residual([(ctx.alg.center_naive(), ctx.alg.center())], kappa, guard)
+    return [(ctx.alg.center_naive(), ctx.alg.center())]
 
 
-def _radius_s05(ctx: EngineContext, kappa, guard) -> Outcome:
-    lhs = ctx.space.radius_op()
-    rhs = ctx.lam * ctx.alg.generator(0, 5)
-    return ctx.pairs_residual([(lhs, rhs)], kappa, guard)
+def _radius_s05(ctx: EngineContext) -> list[Pair]:
+    return [(ctx.space.radius_op(), ctx.lam * ctx.alg.generator(0, 5))]
 
 
-def _radius_s05_ordered(ctx: EngineContext, kappa, guard) -> Outcome:
+def _radius_s05_ordered(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
 
     def build():
@@ -264,16 +301,14 @@ def _radius_s05_ordered(ctx: EngineContext, kappa, guard) -> Outcome:
         return 0.5 * (left + right)
 
     s05_alt = ctx.cached(("s05_alt",), build)
-    lhs = sp.radius_op()
-    rhs = ctx.lam * (s05_alt + sp.identity())
-    return ctx.pairs_residual([(lhs, rhs)], kappa, guard)
+    return [(sp.radius_op(), ctx.lam * (s05_alt + sp.identity()))]
 
 
 # ---------------------------------------------------------------------------
 # radial suite: sector structure and shift calculus
 # ---------------------------------------------------------------------------
 
-def _sector_grading(ctx: EngineContext, kappa, guard) -> Outcome:
+def _sector_grading(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     sec = ctx.sector(kappa)
     if sec.is_empty:
         return None
@@ -284,7 +319,7 @@ def _sector_grading(ctx: EngineContext, kappa, guard) -> Outcome:
     return worst, []
 
 
-def _sector_gram(ctx: EngineContext, kappa, guard) -> Outcome:
+def _sector_gram(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     """Gram matrix of a block-spanning basis sample: diagonal and positive."""
     sec = ctx.sector(kappa)
     if sec.is_empty:
@@ -303,60 +338,56 @@ def _sector_gram(ctx: EngineContext, kappa, guard) -> Outcome:
     return max(rel, positivity), []
 
 
-def _radius_def(ctx: EngineContext, kappa, guard) -> Outcome:
+def _radius_def(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
-    r_mat = ctx.cached(("r_matrix",), lambda: sp.lam * sparse.diags(
-        (sp.level + 1).astype(np.complex128)).tocsr())
-    direct = 0.5 * (sp.left_mul(r_mat, drow=0, letters=0)
-                    + sp.right_mul(r_mat, dcol=0, letters=0))
-    return ctx.pairs_residual([(sp.radius_op(), direct)], kappa, guard)
+    r_mat = sp.lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
+    direct = 0.5 * (sp.left_mul(r_mat, drow=0) + sp.right_mul(r_mat, dcol=0))
+    return [(sp.radius_op(), direct)]
 
 
 _SHIFT_FAMILY = (RF_R, RF_R2, RF_INV_R)
 
 
-def _shift_rule(ctx: EngineContext, kappa, guard) -> Outcome:
+def _shift_rule(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for f in _SHIFT_FAMILY:
-        fr = ctx.cached(("rf", f.name), lambda f=f: f.to_superop(ctx.space))
-        frp = ctx.cached(("rf+", f.name), lambda f=f: f.shifted(+1).to_superop(ctx.space))
-        frm = ctx.cached(("rf-", f.name), lambda f=f: f.shifted(-1).to_superop(ctx.space))
+        fr, frp, frm = ctx.radial(f), ctx.radial(f.shifted(+1)), ctx.radial(f.shifted(-1))
         for al, be in U_INDEX:
             u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(al, be)
             pairs.append((fr @ u, u @ frp))
             pairs.append((fr @ ud, ud @ frm))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["shift-rule"])
+    return pairs
 
 
-def _twin(which: str):
-    def build(ctx: EngineContext, kappa, guard) -> Outcome:
+def _twin(which: str) -> PairFunction:
+    def pair_function(ctx: EngineContext) -> list[Pair]:
         pairs = []
         for f in _SHIFT_FAMILY:
-            dd = ctx.cached(("dd", f.name), lambda f=f: second_difference(f).to_superop(ctx.space))
-            d1 = ctx.cached(("d1", f.name), lambda f=f: first_difference(f).to_superop(ctx.space))
-            fop = ctx.cached(("rf", f.name), lambda f=f: f.to_superop(ctx.space))
+            dd = ctx.radial(second_difference(f))
+            d1 = ctx.radial(first_difference(f))
+            fop = ctx.radial(f)
             for a in (1, 2, 3, 4):
                 w, z = ctx.alg.w_op(a), ctx.alg.zeta(a)
                 if which == "w":
                     pairs.append((commutator(w, fop), 0.5 * (dd @ w) + ctx.lam * (d1 @ z)))
                 else:
                     pairs.append((commutator(z, fop), 0.5 * (dd @ z) + ctx.lam * (d1 @ w)))
-        return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["shift-comm"])
+        return pairs
 
-    return build
+    return pair_function
 
 
-def _zeta_w_radius(ctx: EngineContext, kappa, guard) -> Outcome:
+def _zeta_w_radius(ctx: EngineContext) -> list[Pair]:
     pairs = []
     r = ctx.space.radius_op()
     for a in (1, 2, 3, 4):
         w, z = ctx.alg.w_op(a), ctx.alg.zeta(a)
         pairs.append((commutator(w, r), ctx.lam * z))
         pairs.append((commutator(z, r), ctx.lam * w))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard) -> Outcome:
+def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     """The first-order radial combination annihilates 1/r on every block."""
     sec = ctx.sector(kappa)
     if sec.is_empty:
@@ -364,7 +395,7 @@ def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard) -> Outcome:
     d_inv_r = radial_annihilator(RF_INV_R)
     wv = sec.r_hat_eigen
     keep = np.ones(len(wv), dtype=bool)
-    for p in _REC_EXCLUDE["radial-annihilator"]:
+    for p in exclude_ws:
         keep &= np.abs(wv / ctx.lam - p) > 1e-9
     excluded = [int(n) for n, k in zip(sec.blocks, keep) if not k]
     if not keep.any():
@@ -374,114 +405,96 @@ def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard) -> Outcome:
     return float(np.max(np.abs(vals)) / scale), excluded
 
 
-def _master_pair_comm(ctx: EngineContext, kappa, guard) -> Outcome:
+def _master_pair_comm(ctx: EngineContext) -> list[Pair]:
     """epsilon-contracted commutator of radial-dressed antisymmetric boosts."""
     pairs = []
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
     for f in (RF_ONE, RF_INV_R, RF_INV_R2):
-        fop = ctx.cached(("rf", f.name), lambda f=f: f.to_superop(ctx.space))
-        dfop = ctx.cached(("Df", f.name),
-                          lambda f=f: radial_annihilator(f).to_superop(ctx.space))
-        d1op = ctx.cached(("d1", f.name),
-                          lambda f=f: first_difference(f).to_superop(ctx.space))
+        fop = ctx.radial(f)
+        dfop = ctx.radial(radial_annihilator(f))
+        d1op = ctx.radial(first_difference(f))
         for k in range(3):
-            lhs = None
-            rot = None
-            for i in range(3):
-                for j in range(3):
-                    if EPS3[i, j, k] == 0:
-                        continue
-                    t = EPS3[i, j, k] * commutator(
-                        fop @ ctx.alg.w_op(i + 1), fop @ ctx.alg.w_op(j + 1))
-                    lhs = t if lhs is None else lhs + t
-                    s = EPS3[i, j, k] * (4j) * (fop @ dfop @ ctx.alg.generator(i + 1, j + 1))
-                    rot = s if rot is None else rot + s
+            eps = list(nonzero_entries(EPS3[:, :, k]))
+            lhs = linear_combination(
+                e * commutator(fop @ ctx.alg.w_op(i + 1), fop @ ctx.alg.w_op(j + 1))
+                for (i, j), e in eps)
+            rot = linear_combination(
+                e * (4j) * (fop @ dfop @ ctx.alg.generator(i + 1, j + 1)) for (i, j), e in eps)
             rhs = rot + 4j * ctx.lam * (fop @ d1op @ ctx.alg.generator(4, k + 1) @ c2)
             pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["w-pair-master"])
+    return pairs
 
 
 # ---------------------------------------------------------------------------
 # velocity suite
 # ---------------------------------------------------------------------------
 
-def _u_weighted_adjoint(ctx: EngineContext, kappa, guard) -> Outcome:
-    pairs = [(ctx.vel.u_dag(al, be), ctx.vel.u(al, be).weighted_adjoint())
-             for al, be in U_INDEX]
-    return ctx.pairs_residual(pairs, kappa, guard)
+def _u_weighted_adjoint(ctx: EngineContext) -> list[Pair]:
+    return [(ctx.vel.u_dag(al, be), ctx.vel.u(al, be).weighted_adjoint())
+            for al, be in U_INDEX]
 
 
-def _velocity_selfadjoint(ctx: EngineContext, kappa, guard) -> Outcome:
+def _velocity_selfadjoint(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for a in (1, 2, 3, 4):
         v, vt = ctx.vel.velocity(a), ctx.vel.dual_velocity(a)
         pairs.append((v, v.weighted_adjoint()))
         pairs.append((vt, vt.weighted_adjoint()))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _velocity_from_generators(ctx: EngineContext, kappa, guard) -> Outcome:
+def _velocity_from_generators(ctx: EngineContext) -> list[Pair]:
     rinv = ctx.space.radius_inv()
     pairs = []
     for a in (1, 2, 3, 4):
         pairs.append((ctx.vel.velocity(a), rinv @ ctx.alg.generator(0, a)))
         dual_slot = (a, 5) if a < 4 else (5, 4)
         pairs.append((ctx.vel.dual_velocity(a), rinv @ ctx.alg.generator(*dual_slot)))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _u_null_comm(ctx: EngineContext, kappa, guard) -> Outcome:
+def _u_null_comm(ctx: EngineContext) -> list[Pair]:
     pairs = []
     zero = 0.0 * ctx.space.identity()
     for (x, y) in itertools.combinations(U_INDEX, 2):
         pairs.append((commutator(ctx.vel.u(*x), ctx.vel.u(*y)), zero))
         pairs.append((commutator(ctx.vel.u_dag(*x), ctx.vel.u_dag(*y)), zero))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
 def _bare_words(ctx: EngineContext, al: int, be: int, ga: int, de: int):
     sp = ctx.space
     raise_w = sp.lmul_adag(al) @ sp.rmul_a(be)
     lower_w = sp.rmul_adag(de) @ sp.lmul_a(ga)
-    x = 0.0 * sp.identity()
+    x = []
     if be == de:
-        x = x + (sp.lmul_adag(al) @ sp.lmul_a(ga))
+        x.append(sp.lmul_adag(al) @ sp.lmul_a(ga))
     if ga == al:
-        x = x + (sp.rmul_adag(de) @ sp.rmul_a(be))
-    return raise_w, lower_w, x
+        x.append(sp.rmul_adag(de) @ sp.rmul_a(be))
+    return raise_w, lower_w, linear_combination(x, sp)
 
 
-def _u_ladder_comm(ctx: EngineContext, kappa, guard) -> Outcome:
+def _u_ladder_comm(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w, lower_w, x = _bare_words(ctx, al, be, ga, de)
         pairs.append((commutator(raise_w, lower_w), -1.0 * x))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _u_split(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    inv_sq = ctx.cached(("inv_r2ml",), lambda: sp.radial(
-        lambda w: 1.0 / (w * w - sp.lam**2), poles=(1.0, -1.0)))
-    rho_l = ctx.cached(("rho_l",), lambda: sp.radial(
-        lambda w: sp.lam / (w * (w * w - sp.lam**2)), poles=(0.0, 1.0, -1.0)))
+def _u_split(ctx: EngineContext) -> list[Pair]:
+    inv_sq, rho_l = ctx.radial(RF_INV_R2ML), ctx.radial(RF_RHO_L)
     pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w, lower_w, _ = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         rhs = inv_sq @ commutator(raise_w, lower_w) + rho_l @ anticommutator(raise_w, lower_w)
         pairs.append((commutator(u, ud), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["u-split"])
+    return pairs
 
 
-def _u_anticomm_rewrite(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    rho_l = ctx.cached(("rho_l",), lambda: sp.radial(
-        lambda w: sp.lam / (w * (w * w - sp.lam**2)), poles=(0.0, 1.0, -1.0)))
-    mul_m = ctx.cached(("mul_m",), lambda: sp.radial(
-        lambda w: sp.lam * (w - sp.lam) / (w * w - sp.lam**2), poles=(1.0, -1.0)))
-    mul_p = ctx.cached(("mul_p",), lambda: sp.radial(
-        lambda w: sp.lam * (w + sp.lam) / (w * w - sp.lam**2), poles=(1.0, -1.0)))
+def _u_anticomm_rewrite(ctx: EngineContext) -> list[Pair]:
+    rho_l, mul_m, mul_p = ctx.radial(RF_RHO_L), ctx.radial(RF_MUL_M), ctx.radial(RF_MUL_P)
     pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w, lower_w, _ = _bare_words(ctx, al, be, ga, de)
@@ -489,17 +502,11 @@ def _u_anticomm_rewrite(ctx: EngineContext, kappa, guard) -> Outcome:
         lhs = rho_l @ anticommutator(raise_w, lower_w)
         rhs = mul_m @ (u @ ud) + mul_p @ (ud @ u)
         pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["u-anticomm"])
+    return pairs
 
 
-def _u_pre_extraction(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    inv_sq = ctx.cached(("inv_r2ml",), lambda: sp.radial(
-        lambda w: 1.0 / (w * w - sp.lam**2), poles=(1.0, -1.0)))
-    c_l2 = ctx.cached(("c_l2",), lambda: sp.radial(
-        lambda w: sp.lam**2 / (w * w - sp.lam**2), poles=(1.0, -1.0)))
-    c_lr = ctx.cached(("c_lr",), lambda: sp.radial(
-        lambda w: sp.lam * w / (w * w - sp.lam**2), poles=(1.0, -1.0)))
+def _u_pre_extraction(ctx: EngineContext) -> list[Pair]:
+    inv_sq, c_l2, c_lr = ctx.radial(RF_INV_R2ML), ctx.radial(RF_C_L2), ctx.radial(RF_C_LR)
     pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         _, _, x = _bare_words(ctx, al, be, ga, de)
@@ -507,36 +514,32 @@ def _u_pre_extraction(ctx: EngineContext, kappa, guard) -> Outcome:
         comm = commutator(u, ud)
         rhs = -1.0 * (inv_sq @ x) - c_l2 @ comm + c_lr @ anticommutator(u, ud)
         pairs.append((comm, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["u-pre-extraction"])
+    return pairs
 
 
-def _u_closed_comm(ctx: EngineContext, kappa, guard) -> Outcome:
+def _u_closed_comm(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
-    rinv = sp.radius_inv()
-    rinv2 = ctx.cached(("rinv2",), lambda: sp.radial(lambda w: 1.0 / w**2))
+    rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
     pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         _, _, x = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         rhs = -1.0 * (rinv2 @ x) + sp.lam * (rinv @ anticommutator(u, ud))
         pairs.append((commutator(u, ud), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _q_order(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    q = ctx.vel.q_factor()
-    corr = ctx.cached(("q_corr",), lambda: sp.radial(
-        lambda w: 1.0 / (w * (w + sp.lam)), poles=(0.0, -1.0)))
+def _q_order(ctx: EngineContext) -> list[Pair]:
+    q, corr = ctx.vel.q_factor(), ctx.radial(RF_Q_CORR)
     pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         _, _, x = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         pairs.append((ud @ u, q @ (u @ ud) + corr @ x))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _q_limit(ctx: EngineContext, kappa, guard) -> Outcome:
+def _q_limit(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     """Block-wise |Q - 1| <= 2*lam/r, the commutative-limit envelope."""
     sec = ctx.sector(kappa)
     if sec.is_empty:
@@ -547,7 +550,7 @@ def _q_limit(ctx: EngineContext, kappa, guard) -> Outcome:
     return max(0.0, float(overshoot.max())), []
 
 
-def _rotation_flow(ctx: EngineContext, kappa, guard) -> Outcome:
+def _rotation_flow(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
     pairs = []
     for omega in (0.0, np.pi / 2, 0.37):
@@ -558,56 +561,43 @@ def _rotation_flow(ctx: EngineContext, kappa, guard) -> Outcome:
             lhs = phase @ v @ phase_inv
             rhs = float(np.cos(omega)) * v + float(np.sin(omega) * FLOW_SIGNS[a]) * vt
             pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
 def _sig_sig_comm(ctx: EngineContext, i: int, j: int):
-    def build():
-        terms = None
-        for al, be, ga, de in itertools.product((1, 2), repeat=4):
-            c = PAULI[i - 1, al - 1, be - 1] * np.conj(PAULI[j - 1, ga - 1, de - 1])
-            if c != 0:
-                t = complex(c) * commutator(ctx.vel.u(al, be), ctx.vel.u_dag(ga, de))
-                terms = t if terms is None else terms + t
-        return terms
-
-    return ctx.cached(("sig_sig_comm", i, j), build)
+    coeffs = np.multiply.outer(PAULI[i - 1], np.conj(PAULI[j - 1]))  # [al, be, ga, de]
+    return ctx.cached(("sig_sig_comm", i, j), lambda: linear_combination(
+        complex(c) * commutator(ctx.vel.u(al + 1, be + 1), ctx.vel.u_dag(ga + 1, de + 1))
+        for (al, be, ga, de), c in nonzero_entries(coeffs)))
 
 
 def _sig_trace_comm(ctx: EngineContext, k: int):
-    def build():
-        terms = None
-        for al, be in itertools.product((1, 2), repeat=2):
-            c = PAULI[k - 1, al - 1, be - 1]
-            if c != 0:
-                t = complex(c) * commutator(ctx.vel.u(al, be), ctx.vel.trace_u_dag())
-                terms = t if terms is None else terms + t
-        return terms
-
-    return ctx.cached(("sig_trace_comm", k), build)
+    return ctx.cached(("sig_trace_comm", k), lambda: linear_combination(
+        complex(c) * commutator(ctx.vel.u(al + 1, be + 1), ctx.vel.trace_u_dag())
+        for (al, be), c in nonzero_entries(PAULI[k - 1])))
 
 
-def _vv_u_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_u_spatial(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         t = _sig_sig_comm(ctx, i, j)
         rhs = 0.25 * (t - t.weighted_adjoint())
         pairs.append((commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)), rhs))
         pairs.append((commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_u_mixed(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_u_mixed(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for k in (1, 2, 3):
         d = _sig_trace_comm(ctx, k)
         rhs = 0.25j * (d + d.weighted_adjoint())
         pairs.append((commutator(ctx.vel.velocity(k), ctx.vel.velocity(4)), rhs))
         pairs.append((-1.0 * commutator(ctx.vel.dual_velocity(k), ctx.vel.dual_velocity(4)), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_u_cross(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_u_cross(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -615,30 +605,29 @@ def _vv_u_cross(ctx: EngineContext, kappa, guard) -> Outcome:
             rhs = 0.25j * (t + t.weighted_adjoint())
             pairs.append((commutator(ctx.vel.velocity(i), ctx.vel.dual_velocity(j)), rhs))
             pairs.append((-1.0 * commutator(ctx.vel.dual_velocity(i), ctx.vel.velocity(j)), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_u_cross_4(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_u_cross_4(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for k in (1, 2, 3):
         d = _sig_trace_comm(ctx, k)
         rhs = 0.25 * (d - d.weighted_adjoint())
         pairs.append((commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)), rhs))
         pairs.append((commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_u_dual(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_u_dual(ctx: EngineContext) -> list[Pair]:
     t = commutator(ctx.vel.trace_u(), ctx.vel.trace_u_dag())
     lhs = commutator(ctx.vel.velocity(4), ctx.vel.dual_velocity(4))
-    return ctx.pairs_residual([(lhs, -0.5j * t)], kappa, guard)
+    return [(lhs, -0.5j * t)]
 
 
-def _u_contract_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
+def _u_contract_spatial(ctx: EngineContext) -> list[Pair]:
     """sigma-sigma contraction of the mixed ladder commutator, closed form."""
     sp = ctx.space
-    rinv = sp.radius_inv()
-    rinv2 = ctx.cached(("rinv2",), lambda: sp.radial(lambda w: 1.0 / w**2))
+    rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
     pairs = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -650,13 +639,12 @@ def _u_contract_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
             if i == j:
                 rhs = rhs - (2.0 / ctx.lam) * rinv
             pairs.append((_sig_sig_comm(ctx, i, j), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_spatial(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
-    rinv = sp.radius_inv()
-    rinv2 = ctx.cached(("rinv2",), lambda: sp.radial(lambda w: 1.0 / w**2))
+    rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
     pairs = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         v_i, v_j = ctx.vel.velocity(i), ctx.vel.velocity(j)
@@ -665,13 +653,12 @@ def _vv_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
                + 0.5j * ctx.lam * (rinv @ (anticommutator(vt_i, v_j) - anticommutator(vt_j, v_i))))
         pairs.append((commutator(v_i, v_j), rhs))
         pairs.append((commutator(vt_i, vt_j), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_mixed_4(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_mixed_4(ctx: EngineContext) -> list[Pair]:
     sp = ctx.space
-    rinv = sp.radius_inv()
-    rinv2 = ctx.cached(("rinv2",), lambda: sp.radial(lambda w: 1.0 / w**2))
+    rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
     pairs = []
     for k in (1, 2, 3):
         v_k, v4 = ctx.vel.velocity(k), ctx.vel.velocity(4)
@@ -680,12 +667,11 @@ def _vv_mixed_4(ctx: EngineContext, kappa, guard) -> Outcome:
                + 0.5j * ctx.lam * (rinv @ (anticommutator(vt_k, v4) + anticommutator(v_k, vt4))))
         pairs.append((commutator(v_k, v4), rhs))
         pairs.append((-1.0 * commutator(vt_k, vt4), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_cross(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    rinv = sp.radius_inv()
+def _vv_cross(ctx: EngineContext) -> list[Pair]:
+    rinv = ctx.space.radius_inv()
     pairs = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
@@ -696,13 +682,12 @@ def _vv_cross(ctx: EngineContext, kappa, guard) -> Outcome:
                 rhs = rhs - (1j / ctx.lam) * rinv
             pairs.append((commutator(v_i, vt_j), rhs))
             pairs.append((-1.0 * commutator(vt_i, v_j), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_cross_4(ctx: EngineContext, kappa, guard) -> Outcome:
+def _vv_cross_4(ctx: EngineContext) -> list[Pair]:
     """Mixed scalar-spatial cross commutator; overall sign fixed numerically."""
-    sp = ctx.space
-    rinv = sp.radius_inv()
+    rinv = ctx.space.radius_inv()
     pairs = []
     for k in (1, 2, 3):
         v_k, v4 = ctx.vel.velocity(k), ctx.vel.velocity(4)
@@ -710,208 +695,145 @@ def _vv_cross_4(ctx: EngineContext, kappa, guard) -> Outcome:
         rhs = 0.5j * ctx.lam * (rinv @ (anticommutator(vt_k, vt4) - anticommutator(v_k, v4)))
         pairs.append((commutator(v_k, vt4), rhs))
         pairs.append((commutator(vt_k, v4), rhs))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _vv_dual_4(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    rinv = sp.radius_inv()
+def _vv_dual_4(ctx: EngineContext) -> list[Pair]:
+    rinv = ctx.space.radius_inv()
     v4, vt4 = ctx.vel.velocity(4), ctx.vel.dual_velocity(4)
     rhs = (1j / ctx.lam) * rinv - 1j * ctx.lam * (rinv @ (v4 @ v4 + vt4 @ vt4))
-    return ctx.pairs_residual([(commutator(v4, vt4), rhs)], kappa, guard)
+    return [(commutator(v4, vt4), rhs)]
 
 
-def _vv_duality(ctx: EngineContext, kappa, guard) -> Outcome:
-    pairs = []
-    for i, j in [(1, 2), (1, 3), (2, 3)]:
-        pairs.append((
-            commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)),
-            commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)),
-        ))
-    return ctx.pairs_residual(pairs, kappa, guard)
+def _vv_duality(ctx: EngineContext) -> list[Pair]:
+    return [(commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)),
+             commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)))
+            for i, j in [(1, 2), (1, 3), (2, 3)]]
 
 
 # ---------------------------------------------------------------------------
 # monopole suite
 # ---------------------------------------------------------------------------
 
-def _field_closed_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
+def _field_closed_spatial(ctx: EngineContext) -> list[Pair]:
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
     pairs = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         lhs = commutator(ctx.vel.velocity(i), ctx.vel.velocity(j))
-        rhs = None
-        for k in range(3):
-            if EPS3[i - 1, j - 1, k] != 0:
-                t = (0.5 * EPS3[i - 1, j - 1, k]) * (
-                    monopole_profile_op(ctx.vel, (k + 1, 4)) @ c2)
-                rhs = t if rhs is None else rhs + t
+        rhs = linear_combination(
+            (0.5 * e) * (monopole_profile_op(ctx.vel, (k + 1, 4)) @ c2)
+            for (k,), e in nonzero_entries(EPS3[i - 1, j - 1]))
         pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["field-closed"])
+    return pairs
 
 
-def _field_so4(ctx: EngineContext, kappa, guard) -> Outcome:
+def _field_so4(ctx: EngineContext) -> list[Pair]:
     """Antisymmetric extension over all six index pairs; coefficient (C+2)/4."""
-    eps4 = ctx.cached(("eps4",), lambda: _levi_civita4())
+    eps4 = levi_civita(4)
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
     pairs = []
     for a, b in itertools.combinations((1, 2, 3, 4), 2):
         lhs = commutator(ctx.vel.velocity(a), ctx.vel.velocity(b))
-        rhs = None
-        for c in (1, 2, 3, 4):
-            for d in (1, 2, 3, 4):
-                if c >= d or eps4[a - 1, b - 1, c - 1, d - 1] == 0:
-                    continue
-                coeff = 2.0 * eps4[a - 1, b - 1, c - 1, d - 1] * 0.25
-                t = coeff * (monopole_profile_op(ctx.vel, (c, d)) @ c2)
-                rhs = t if rhs is None else rhs + t
+        rhs = linear_combination(
+            2.0 * e * 0.25 * (monopole_profile_op(ctx.vel, (c + 1, d + 1)) @ c2)
+            for (c, d), e in nonzero_entries(eps4[a - 1, b - 1]) if c < d)
         pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["field-closed"])
+    return pairs
 
 
-def _levi_civita4() -> np.ndarray:
-    eps = np.zeros((4, 4, 4, 4))
-    for perm in itertools.permutations(range(4)):
-        sign = 1.0
-        p = list(perm)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-def _monopole_charge(ctx: EngineContext, kappa, guard) -> Outcome:
-    fit = charge_fit(ctx.vel, kappa, guard)
+def _monopole_charge(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+    fit = charge_fit(ctx.vel, kappa, guard, exclude_ws)
     if fit is None:
         return None
-    sec = ctx.sector(kappa)
-    _, excluded = sec.guard_window(guard, _REC_EXCLUDE["field-closed"])
+    _, excluded = ctx.sector(kappa).guard_window(guard, exclude_ws)
     return abs(fit - kappa / 2.0), excluded
 
 
-def _g_symmetric_spatial(ctx: EngineContext, kappa, guard) -> Outcome:
+def _g_symmetric_spatial(ctx: EngineContext) -> list[Pair]:
     pairs = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         g_ij = -1j * commutator(ctx.vel.velocity(i), ctx.vel.dual_velocity(j))
         g_ji = -1j * commutator(ctx.vel.velocity(j), ctx.vel.dual_velocity(i))
         pairs.append((g_ij, g_ji))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return pairs
 
 
-def _g_exchange_mixed(ctx: EngineContext, kappa, guard) -> Outcome:
+def _g_exchange_mixed(ctx: EngineContext) -> list[Pair]:
     """Mixed components pair by swapping which vector carries the dual."""
-    pairs = []
-    for k in (1, 2, 3):
-        pairs.append((
-            commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)),
-            commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)),
-        ))
-    return ctx.pairs_residual(pairs, kappa, guard)
+    return [(commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)),
+             commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)))
+            for k in (1, 2, 3)]
 
 
-def _sigma_contract(side: str):
-    def build(ctx: EngineContext, kappa, guard) -> Outcome:
-        sp = ctx.space
-        rho = ctx.cached(("rho",), lambda: RF_MONOPOLE.to_superop(sp))
-        c2 = ctx.alg.center() + 2.0 * sp.identity()
+def _sigma_contract(side: str) -> PairFunction:
+    def pair_function(ctx: EngineContext) -> list[Pair]:
+        vel = ctx.vel
+        if side == "left":
+            def comm(al, be, de):
+                return commutator(vel.u(al, de), vel.u_dag(be, de))
+        else:
+            def comm(al, be, de):
+                return commutator(vel.u(de, be), vel.u_dag(de, al))
+        rho = ctx.radial(RF_MONOPOLE)
+        c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
+        sign = -1.0 if side == "left" else 1.0
         pairs = []
         for k in (1, 2, 3):
-            lhs = None
-            for al, be, de in itertools.product((1, 2), repeat=3):
-                c = PAULI[k - 1, al - 1, be - 1]
-                if c == 0:
-                    continue
-                if side == "left":
-                    t = complex(c) * commutator(ctx.vel.u(al, de), ctx.vel.u_dag(be, de))
-                else:
-                    t = complex(c) * commutator(ctx.vel.u(de, be), ctx.vel.u_dag(de, al))
-                lhs = t if lhs is None else lhs + t
-            sign = -1.0 if side == "left" else 1.0
+            lhs = linear_combination(complex(c) * comm(al + 1, be + 1, de)
+                                     for (al, be), c in nonzero_entries(PAULI[k - 1])
+                                     for de in (1, 2))
             rhs = sign * ctx.lam * (rho @ ctx.one_sided_sigma(k, side) @ c2)
             pairs.append((lhs, rhs))
-        return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["field-closed"])
+        return pairs
 
-    return build
+    return pair_function
 
 
-def _field_from_center(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    rho = ctx.cached(("rho",), lambda: RF_MONOPOLE.to_superop(sp))
-    c2 = ctx.alg.center() + 2.0 * sp.identity()
+def _field_from_center(ctx: EngineContext) -> list[Pair]:
+    rho = ctx.radial(RF_MONOPOLE)
+    c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
     pairs = []
     for k in (1, 2, 3):
-        lhs = None
-        for i in range(3):
-            for j in range(3):
-                if EPS3[i, j, k - 1] != 0:
-                    t = EPS3[i, j, k - 1] * commutator(
-                        ctx.vel.velocity(i + 1), ctx.vel.velocity(j + 1))
-                    lhs = t if lhs is None else lhs + t
+        lhs = linear_combination(
+            e * commutator(ctx.vel.velocity(i + 1), ctx.vel.velocity(j + 1))
+            for (i, j), e in nonzero_entries(EPS3[:, :, k - 1]))
         rhs = -1j * ctx.lam * (rho @ ctx.alg.generator(k, 4) @ c2)
         pairs.append((lhs, rhs))
-    return ctx.pairs_residual(pairs, kappa, guard, _REC_EXCLUDE["field-closed"])
+    return pairs
 
 
-def _associator(ctx: EngineContext, kappa, guard) -> Outcome:
-    def build():
-        lhs = None
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if EPS3[i, j, k] != 0:
-                        t = EPS3[i, j, k] * commutator(
-                            ctx.vel.velocity(i + 1),
-                            commutator(ctx.vel.velocity(j + 1), ctx.vel.velocity(k + 1)))
-                        lhs = t if lhs is None else lhs + t
-        return lhs
-
-    lhs = ctx.cached(("associator",), build)
-    return ctx.pairs_residual([(lhs, 0.0 * ctx.space.identity())], kappa, guard)
+def _associator(ctx: EngineContext) -> list[Pair]:
+    v = ctx.vel.velocity
+    lhs = ctx.cached(("associator",), lambda: linear_combination(
+        e * commutator(v(i + 1), commutator(v(j + 1), v(k + 1)))
+        for (i, j, k), e in nonzero_entries(EPS3)))
+    return [(lhs, 0.0 * ctx.space.identity())]
 
 
-def _associator_baseline(ctx: EngineContext, kappa, guard) -> Outcome:
-    def build():
-        lhs = None
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    if EPS3[i, j, k] != 0:
-                        t = EPS3[i, j, k] * commutator(
-                            ctx.alg.generator(0, i + 1),
-                            commutator(ctx.alg.generator(0, j + 1), ctx.alg.generator(0, k + 1)))
-                        lhs = t if lhs is None else lhs + t
-        return lhs
-
-    lhs = ctx.cached(("associator-baseline",), build)
-    return ctx.pairs_residual([(lhs, 0.0 * ctx.space.identity())], kappa, guard)
+def _associator_baseline(ctx: EngineContext) -> list[Pair]:
+    g = ctx.alg.generator
+    lhs = ctx.cached(("associator-baseline",), lambda: linear_combination(
+        e * commutator(g(0, i + 1), commutator(g(0, j + 1), g(0, k + 1)))
+        for (i, j, k), e in nonzero_entries(EPS3)))
+    return [(lhs, 0.0 * ctx.space.identity())]
 
 
-def _radial_shift_piece(ctx: EngineContext, kappa, guard) -> Outcome:
+def _radial_shift_piece(ctx: EngineContext) -> list[Pair]:
     """Commuting the monopole profile through the velocities (A-chain piece)."""
-    sp = ctx.space
-    rho = ctx.cached(("rho",), lambda: RF_MONOPOLE.to_superop(sp))
-    lhs = None
-    for i in (1, 2, 3):
-        t = commutator(ctx.vel.velocity(i), rho) @ ctx.alg.generator(i, 4)
-        lhs = t if lhs is None else lhs + t
-    rhs = 3j * (rho @ ctx.vel.velocity(4))
-    return ctx.pairs_residual([(lhs, rhs)], kappa, guard, _REC_EXCLUDE["radial-shift-piece"])
+    rho = ctx.radial(RF_MONOPOLE)
+    lhs = linear_combination(commutator(ctx.vel.velocity(i), rho) @ ctx.alg.generator(i, 4)
+                             for i in (1, 2, 3))
+    return [(lhs, 3j * (rho @ ctx.vel.velocity(4)))]
 
 
-def _rotation_piece(ctx: EngineContext, kappa, guard) -> Outcome:
-    sp = ctx.space
-    rho = ctx.cached(("rho",), lambda: RF_MONOPOLE.to_superop(sp))
-    lhs = None
-    for i in (1, 2, 3):
-        t = rho @ commutator(ctx.vel.velocity(i), ctx.alg.generator(i, 4))
-        lhs = t if lhs is None else lhs + t
-    rhs = -3j * (rho @ ctx.vel.velocity(4))
-    return ctx.pairs_residual([(lhs, rhs)], kappa, guard, _REC_EXCLUDE["field-closed"])
+def _rotation_piece(ctx: EngineContext) -> list[Pair]:
+    rho = ctx.radial(RF_MONOPOLE)
+    lhs = linear_combination(rho @ commutator(ctx.vel.velocity(i), ctx.alg.generator(i, 4))
+                             for i in (1, 2, 3))
+    return [(lhs, -3j * (rho @ ctx.vel.velocity(4)))]
 
 
-def _fierz(ctx, kappa, guard) -> Outcome:
+def _fierz(ctx, kappa, guard, exclude_ws) -> Outcome:
     """Two-point epsilon-sigma contraction over all 48 components."""
     worst = 0.0
     for k in range(3):
@@ -926,7 +848,7 @@ def _fierz(ctx, kappa, guard) -> Outcome:
     return float(worst), []
 
 
-def _field_trend(ctx: EngineContext, kappa, guard) -> Outcome:
+def _field_trend(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     """Fitted radial profile of the spatial field decays like 1/r^3."""
     if kappa == 0:
         return None  # no field to fit
@@ -961,177 +883,162 @@ def _field_trend(ctx: EngineContext, kappa, guard) -> Outcome:
 # power-of-two rescalings of lam (bit-identical in floating point)
 # ---------------------------------------------------------------------------
 
-def _scaling(base_id: str):
-    def build(ctx: EngineContext, kappa, guard) -> Outcome:
-        rec = BY_ID[base_id]
+def _scaling(base: IdentityRecord) -> Check:
+    def check(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
         vals = []
         for lam in (0.5, 1.0, 2.0):
-            sub = get_context(ctx.n_max, lam)
-            saved = sub.floor
-            sub.floor = 0.0  # pure-relative metric: exact under 2^k rescaling
-            try:
-                out = rec.builder(sub, kappa, guard if guard else rec.guard)
-            finally:
-                sub.floor = saved
+            # floor 0: the purely relative metric, exact under 2^k rescaling
+            out = base.evaluate(get_context(ctx.n_max, lam), kappa,
+                                guard if guard else base.guard, floor=0.0)
             if out is None:
                 return None
             vals.append(out[0])
         return max(vals) - min(vals), []
 
-    return build
-
-
-_REC_EXCLUDE = {
-    "shift-rule": (0.0, 1.0),
-    "shift-comm": (0.0, 1.0, 2.0),
-    "radial-annihilator": (1.0,),
-    "w-pair-master": (0.0, 1.0),
-    "u-split": (0.0, 1.0),
-    "u-anticomm": (0.0, 1.0),
-    "u-pre-extraction": (0.0, 1.0),
-    "field-closed": (0.0, 1.0),
-    "radial-shift-piece": (0.0, 1.0, 2.0),
-}
-
-
-def _rec(id, suite, formula, builder, guard=0, tol=None, exclude_ws=(), per_kappa=True):
-    return IdentityRecord(id=id, suite=suite, formula=formula, builder=builder,
-                          guard=guard, tol=tol, exclude_ws=tuple(exclude_ws),
-                          per_kappa=per_kappa)
+    return check
 
 
 REGISTRY: list[IdentityRecord] = [
     # fock
-    _rec("ladder-null-comm", "fock", "[a_a,a_b]=0=[a+_a,a+_b]",
-         _fock_null_comm, tol=1e-15, per_kappa=False),
-    _rec("ladder-canonical", "fock", "[a_a,a+_b]=delta_ab on interior",
-         _fock_canonical, guard=1, tol=1e-13, per_kappa=False),
-    _rec("number-level", "fock", "sum_a a+_a a_a = n per level",
-         _fock_number, tol=1e-13, per_kappa=False),
+    IdentityRecord("ladder-null-comm", "fock", "[a_a,a_b]=0=[a+_a,a+_b]",
+                   check=_fock_null_comm, tol=1e-15, per_kappa=False),
+    IdentityRecord("ladder-canonical", "fock", "[a_a,a+_b]=delta_ab on interior",
+                   check=_fock_canonical, guard=1, tol=1e-13, per_kappa=False),
+    IdentityRecord("number-level", "fock", "sum_a a+_a a_a = n per level",
+                   check=_fock_number, tol=1e-13, per_kappa=False),
     # coords
-    _rec("coord-comm", "coords", "[x_i,x_j] = 2i*lam*eps_ijk x_k",
-         _coords("coord-comm"), tol=1e-13, per_kappa=False),
-    _rec("coord-radius-comm", "coords", "[x_i,r] = 0",
-         _coords("coord-radius-comm"), tol=1e-14, per_kappa=False),
-    _rec("coord-radius-square", "coords", "x^2 = r^2 - lam^2",
-         _coords("coord-radius-square"), tol=1e-13, per_kappa=False),
+    IdentityRecord("coord-comm", "coords", "[x_i,x_j] = 2i*lam*eps_ijk x_k",
+                   check=_coords("coord-comm"), tol=1e-13, per_kappa=False),
+    IdentityRecord("coord-radius-comm", "coords", "[x_i,r] = 0",
+                   check=_coords("coord-radius-comm"), tol=1e-14, per_kappa=False),
+    IdentityRecord("coord-radius-square", "coords", "x^2 = r^2 - lam^2",
+                   check=_coords("coord-radius-square"), tol=1e-13, per_kappa=False),
     # su22
-    _rec("su22-matrix-adjoint", "su22", "S+_AB = Gamma S_AB Gamma",
-         _matrix_gamma, tol=1e-15, per_kappa=False),
-    _rec("su22-matrix-closure", "su22", "[S_AB,S_CD] = i(eta.S - ...)",
-         _matrix_closure, tol=1e-15, per_kappa=False),
-    _rec("canonical-pairing", "su22", "[A_a, Gamma_bc A+_c] = delta_ab",
-         _canonical_pairing, guard=1, tol=1e-13),
-    _rec("cross-side-comm", "su22", "left and right multiplications commute",
-         _cross_side, guard=0, tol=1e-15),
-    _rec("su22-op-closure", "su22", "[S_AB,S_CD] = i(eta.S - ...) as superoperators",
-         _op_closure, guard=2, tol=1e-12),
-    _rec("central-element", "su22", "(C+2) Psi = kappa Psi",
-         _central, guard=0, tol=1e-13),
-    _rec("central-ordering", "su22", "literal-order C agrees on the interior",
-         _central_ordering, guard=1, tol=1e-13),
-    _rec("radius-s05", "su22", "r = lam*S_05",
-         _radius_s05, guard=1, tol=1e-13),
-    _rec("radius-s05-ordered", "su22", "r = lam*(S_05+1), normal-ordered right factor",
-         _radius_s05_ordered, guard=0, tol=1e-13),
+    IdentityRecord("su22-matrix-adjoint", "su22", "S+_AB = Gamma S_AB Gamma",
+                   check=_matrix_gamma, tol=1e-15, per_kappa=False),
+    IdentityRecord("su22-matrix-closure", "su22", "[S_AB,S_CD] = i(eta.S - ...)",
+                   check=_matrix_closure, tol=1e-15, per_kappa=False),
+    IdentityRecord("canonical-pairing", "su22", "[A_a, Gamma_bc A+_c] = delta_ab",
+                   check=_canonical_pairing, guard=1, tol=1e-13),
+    IdentityRecord("cross-side-comm", "su22", "left and right multiplications commute",
+                   pairs=_cross_side, guard=0, tol=1e-15),
+    IdentityRecord("su22-op-closure", "su22", "[S_AB,S_CD] = i(eta.S - ...) as superoperators",
+                   pairs=_op_closure, guard=2, tol=1e-12),
+    IdentityRecord("central-element", "su22", "(C+2) Psi = kappa Psi",
+                   pairs=_central, guard=0, tol=1e-13),
+    IdentityRecord("central-ordering", "su22", "literal-order C agrees on the interior",
+                   pairs=_central_ordering, guard=1, tol=1e-13),
+    IdentityRecord("radius-s05", "su22", "r = lam*S_05",
+                   pairs=_radius_s05, guard=1, tol=1e-13),
+    IdentityRecord("radius-s05-ordered", "su22", "r = lam*(S_05+1), normal-ordered right factor",
+                   pairs=_radius_s05_ordered, guard=0, tol=1e-13),
     # radial
-    _rec("sector-grading", "radial", "Psi(e^{-it}a+, e^{it}a) = e^{-it*kappa} Psi",
-         _sector_grading, guard=0, tol=1e-13),
-    _rec("sector-gram", "radial", "basis Gram is diagonal positive",
-         _sector_gram, guard=0, tol=1e-13),
-    _rec("radius-def", "radial", "r_hat Psi = (r Psi + Psi r)/2",
-         _radius_def, guard=0, tol=1e-14),
-    _rec("shift-rule", "radial", "f(r) U = U f(r+lam); f(r) U+ = U+ f(r-lam)",
-         _shift_rule, guard=1, tol=1e-12, exclude_ws=_REC_EXCLUDE["shift-rule"]),
-    _rec("w-shift-comm", "radial", "[w_a,f(r)] = dd(f)/2 w_a + d(f) lam zeta_a",
-         _twin("w"), guard=1, tol=1e-11, exclude_ws=_REC_EXCLUDE["shift-comm"]),
-    _rec("zeta-shift-comm", "radial", "[zeta_a,f(r)] = dd(f)/2 zeta_a + d(f) lam w_a",
-         _twin("zeta"), guard=1, tol=1e-11, exclude_ws=_REC_EXCLUDE["shift-comm"]),
-    _rec("zeta-w-radius", "radial", "[w_a,r] = lam zeta_a; [zeta_a,r] = lam w_a",
-         _zeta_w_radius, guard=1, tol=1e-12),
-    _rec("radial-annihilator", "radial", "(1 + dd/2 + r d)(1/r) = 0 per block",
-         _radial_annihilator_blocks, guard=0, tol=1e-14,
-         exclude_ws=_REC_EXCLUDE["radial-annihilator"]),
-    _rec("w-pair-master", "radial", "eps[fw,fw] = 4i f D(f) eps S + 4i lam f d(f) S_4k (C+2)",
-         _master_pair_comm, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["w-pair-master"]),
+    IdentityRecord("sector-grading", "radial", "Psi(e^{-it}a+, e^{it}a) = e^{-it*kappa} Psi",
+                   check=_sector_grading, guard=0, tol=1e-13),
+    IdentityRecord("sector-gram", "radial", "basis Gram is diagonal positive",
+                   check=_sector_gram, guard=0, tol=1e-13),
+    IdentityRecord("radius-def", "radial", "r_hat Psi = (r Psi + Psi r)/2",
+                   pairs=_radius_def, guard=0, tol=1e-14),
+    IdentityRecord("shift-rule", "radial", "f(r) U = U f(r+lam); f(r) U+ = U+ f(r-lam)",
+                   pairs=_shift_rule, guard=1, tol=1e-12, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("w-shift-comm", "radial", "[w_a,f(r)] = dd(f)/2 w_a + d(f) lam zeta_a",
+                   pairs=_twin("w"), guard=1, tol=1e-11, exclude_ws=(0.0, 1.0, 2.0)),
+    IdentityRecord("zeta-shift-comm", "radial", "[zeta_a,f(r)] = dd(f)/2 zeta_a + d(f) lam w_a",
+                   pairs=_twin("zeta"), guard=1, tol=1e-11, exclude_ws=(0.0, 1.0, 2.0)),
+    IdentityRecord("zeta-w-radius", "radial", "[w_a,r] = lam zeta_a; [zeta_a,r] = lam w_a",
+                   pairs=_zeta_w_radius, guard=1, tol=1e-12),
+    IdentityRecord("radial-annihilator", "radial", "(1 + dd/2 + r d)(1/r) = 0 per block",
+                   check=_radial_annihilator_blocks, guard=0, tol=1e-14, exclude_ws=(1.0,)),
+    IdentityRecord("w-pair-master", "radial",
+                   "eps[fw,fw] = 4i f D(f) eps S + 4i lam f d(f) S_4k (C+2)",
+                   pairs=_master_pair_comm, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
     # velocity
-    _rec("u-weighted-adjoint", "velocity", "U+_ab is the weighted adjoint of U_ab",
-         _u_weighted_adjoint, guard=1, tol=1e-12),
-    _rec("velocity-selfadjoint", "velocity", "V_a, Vt_a weighted-self-adjoint",
-         _velocity_selfadjoint, guard=1, tol=1e-12),
-    _rec("velocity-from-generators", "velocity", "V_a = (1/r) S_0a; Vt = (1/r)(S_k5, S_54)",
-         _velocity_from_generators, guard=1, tol=1e-13),
-    _rec("u-null-comm", "velocity", "[U,U] = 0 = [U+,U+]",
-         _u_null_comm, guard=2, tol=1e-13),
-    _rec("u-ladder-comm", "velocity", "[a+() a, a()+ a] bare-word commutator",
-         _u_ladder_comm, guard=2, tol=1e-12),
-    _rec("u-split", "velocity", "[U,U+] split into commutator + anticommutator parts",
-         _u_split, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["u-split"]),
-    _rec("u-anticomm-rewrite", "velocity", "bare anticommutator to UU+ ordering",
-         _u_anticomm_rewrite, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["u-anticomm"]),
-    _rec("u-pre-extraction", "velocity", "[U,U+] with the commutator on both sides",
-         _u_pre_extraction, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["u-pre-extraction"]),
-    _rec("u-closed-comm", "velocity", "[U,U+] = -(1/r^2)(...) + (lam/r){U,U+}",
-         _u_closed_comm, guard=2, tol=1e-11),
-    _rec("q-order", "velocity", "U+U = Q UU+ + (1/(r(r+lam)))(...)",
-         _q_order, guard=2),
-    _rec("q-limit", "velocity", "|Q-1| <= 2 lam / r per block",
-         _q_limit, guard=0, tol=0.0),
-    _rec("rotation-flow", "velocity", "exp(iwS05) V exp(-iwS05) = cos(w)V + sin(w)s_a Vt",
-         _rotation_flow, guard=1, tol=1e-11),
-    _rec("vv-u-spatial", "velocity", "[V_i,V_j] = (ss*[U,U+] - h.c.)/4",
-         _vv_u_spatial, guard=2),
-    _rec("vv-u-mixed", "velocity", "[V_k,V_4] = i(s[U,trU+] + h.c.)/4",
-         _vv_u_mixed, guard=2),
-    _rec("vv-u-cross", "velocity", "[V_i,Vt_j] = i(ss*[U,U+] + h.c.)/4",
-         _vv_u_cross, guard=2),
-    _rec("vv-u-cross-4", "velocity", "[V_k,Vt_4] = (s[U,trU+] - h.c.)/4",
-         _vv_u_cross_4, guard=2),
-    _rec("vv-u-dual", "velocity", "[V_4,Vt_4] = -i[trU,trU+]/2",
-         _vv_u_dual, guard=2),
-    _rec("u-contract-spatial", "velocity", "sigma-sigma contraction closed form",
-         _u_contract_spatial, guard=2, tol=1e-11),
-    _rec("vv-spatial", "velocity", "[V_i,V_j] = -(i/r^2)S_ij + (i lam/2r)({Vt,V} - ...)",
-         _vv_spatial, guard=2),
-    _rec("vv-mixed-4", "velocity", "[V_k,V_4] = -(i/r^2)S_k4 + (i lam/2r)({Vt_k,V_4}+{V_k,Vt_4})",
-         _vv_mixed_4, guard=2),
-    _rec("vv-cross", "velocity", "[V_i,Vt_j] = -(i/lam r)d_ij + (i lam/2r)({Vt,Vt}+{V,V})",
-         _vv_cross, guard=2),
-    _rec("vv-cross-4", "velocity", "[V_k,Vt_4] = +(i lam/2r)({Vt_k,Vt_4}-{V_k,V_4})",
-         _vv_cross_4, guard=2),
-    _rec("vv-dual-4", "velocity", "[V_4,Vt_4] = i/(lam r) - (i lam/r)(V_4^2+Vt_4^2)",
-         _vv_dual_4, guard=2),
-    _rec("vv-duality", "velocity", "[Vt_i,Vt_j] = [V_i,V_j]",
-         _vv_duality, guard=2, tol=1e-11),
+    IdentityRecord("u-weighted-adjoint", "velocity", "U+_ab is the weighted adjoint of U_ab",
+                   pairs=_u_weighted_adjoint, guard=1, tol=1e-12),
+    IdentityRecord("velocity-selfadjoint", "velocity", "V_a, Vt_a weighted-self-adjoint",
+                   pairs=_velocity_selfadjoint, guard=1, tol=1e-12),
+    IdentityRecord("velocity-from-generators", "velocity",
+                   "V_a = (1/r) S_0a; Vt = (1/r)(S_k5, S_54)",
+                   pairs=_velocity_from_generators, guard=1, tol=1e-13),
+    IdentityRecord("u-null-comm", "velocity", "[U,U] = 0 = [U+,U+]",
+                   pairs=_u_null_comm, guard=2, tol=1e-13),
+    IdentityRecord("u-ladder-comm", "velocity", "[a+() a, a()+ a] bare-word commutator",
+                   pairs=_u_ladder_comm, guard=2, tol=1e-12),
+    IdentityRecord("u-split", "velocity", "[U,U+] split into commutator + anticommutator parts",
+                   pairs=_u_split, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("u-anticomm-rewrite", "velocity", "bare anticommutator to UU+ ordering",
+                   pairs=_u_anticomm_rewrite, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("u-pre-extraction", "velocity", "[U,U+] with the commutator on both sides",
+                   pairs=_u_pre_extraction, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("u-closed-comm", "velocity", "[U,U+] = -(1/r^2)(...) + (lam/r){U,U+}",
+                   pairs=_u_closed_comm, guard=2, tol=1e-11),
+    IdentityRecord("q-order", "velocity", "U+U = Q UU+ + (1/(r(r+lam)))(...)",
+                   pairs=_q_order, guard=2),
+    IdentityRecord("q-limit", "velocity", "|Q-1| <= 2 lam / r per block",
+                   check=_q_limit, guard=0, tol=0.0),
+    IdentityRecord("rotation-flow", "velocity",
+                   "exp(iwS05) V exp(-iwS05) = cos(w)V + sin(w)s_a Vt",
+                   pairs=_rotation_flow, guard=1, tol=1e-11),
+    IdentityRecord("vv-u-spatial", "velocity", "[V_i,V_j] = (ss*[U,U+] - h.c.)/4",
+                   pairs=_vv_u_spatial, guard=2),
+    IdentityRecord("vv-u-mixed", "velocity", "[V_k,V_4] = i(s[U,trU+] + h.c.)/4",
+                   pairs=_vv_u_mixed, guard=2),
+    IdentityRecord("vv-u-cross", "velocity", "[V_i,Vt_j] = i(ss*[U,U+] + h.c.)/4",
+                   pairs=_vv_u_cross, guard=2),
+    IdentityRecord("vv-u-cross-4", "velocity", "[V_k,Vt_4] = (s[U,trU+] - h.c.)/4",
+                   pairs=_vv_u_cross_4, guard=2),
+    IdentityRecord("vv-u-dual", "velocity", "[V_4,Vt_4] = -i[trU,trU+]/2",
+                   pairs=_vv_u_dual, guard=2),
+    IdentityRecord("u-contract-spatial", "velocity", "sigma-sigma contraction closed form",
+                   pairs=_u_contract_spatial, guard=2, tol=1e-11),
+    IdentityRecord("vv-spatial", "velocity",
+                   "[V_i,V_j] = -(i/r^2)S_ij + (i lam/2r)({Vt,V} - ...)",
+                   pairs=_vv_spatial, guard=2),
+    IdentityRecord("vv-mixed-4", "velocity",
+                   "[V_k,V_4] = -(i/r^2)S_k4 + (i lam/2r)({Vt_k,V_4}+{V_k,Vt_4})",
+                   pairs=_vv_mixed_4, guard=2),
+    IdentityRecord("vv-cross", "velocity",
+                   "[V_i,Vt_j] = -(i/lam r)d_ij + (i lam/2r)({Vt,Vt}+{V,V})",
+                   pairs=_vv_cross, guard=2),
+    IdentityRecord("vv-cross-4", "velocity", "[V_k,Vt_4] = +(i lam/2r)({Vt_k,Vt_4}-{V_k,V_4})",
+                   pairs=_vv_cross_4, guard=2),
+    IdentityRecord("vv-dual-4", "velocity", "[V_4,Vt_4] = i/(lam r) - (i lam/r)(V_4^2+Vt_4^2)",
+                   pairs=_vv_dual_4, guard=2),
+    IdentityRecord("vv-duality", "velocity", "[Vt_i,Vt_j] = [V_i,V_j]",
+                   pairs=_vv_duality, guard=2, tol=1e-11),
     # monopole
-    _rec("field-closed-spatial", "monopole", "[V_i,V_j] = -(i lam (C+2)/2) rho eps_ijk S_k4",
-         _field_closed_spatial, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("field-so4", "monopole", "[V_a,V_b] = -(i lam (C+2)/4) rho eps_abcd S_cd",
-         _field_so4, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("monopole-charge", "monopole", "fitted field coefficient equals kappa/2",
-         _monopole_charge, guard=2, tol=1e-8, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("g-symmetric-spatial", "monopole", "G_ij = G_ji on the spatial block",
-         _g_symmetric_spatial, guard=2, tol=1e-11),
-    _rec("g-exchange-mixed", "monopole", "[V_k,Vt_4] = [Vt_k,V_4]",
-         _g_exchange_mixed, guard=2, tol=1e-11),
-    _rec("sigma-contract-left", "monopole", "sigma[U_ad,U+_bd] = -lam rho sigma(a+a) (C+2)",
-         _sigma_contract("left"), guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("sigma-contract-right", "monopole", "sigma[U_db,U+_da] = +lam rho sigma(b+b) (C+2)",
-         _sigma_contract("right"), guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("field-from-center", "monopole", "eps_ijk[V_i,V_j] = -i lam rho S_k4 (C+2)",
-         _field_from_center, guard=2, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("associator", "monopole", "eps_ijk[V_i,[V_j,V_k]] = 0",
-         _associator, guard=3),
-    _rec("associator-baseline", "monopole", "eps_ijk[S_0i,[S_0j,S_0k]] = 0",
-         _associator_baseline, guard=3, tol=1e-12),
-    _rec("radial-shift-piece", "monopole", "sum_i [V_i, rho] S_i4 = 3i rho V_4",
-         _radial_shift_piece, guard=2, exclude_ws=_REC_EXCLUDE["radial-shift-piece"]),
-    _rec("rotation-piece", "monopole", "rho sum_i [V_i, S_i4] = -3i rho V_4",
-         _rotation_piece, guard=2, tol=1e-11, exclude_ws=_REC_EXCLUDE["field-closed"]),
-    _rec("fierz", "monopole", "eps_ijk s^i_ab s^j_dg = i(s^k_ag d_db - s^k_db d_ag)",
-         _fierz, tol=1e-15, per_kappa=False),
-    _rec("field-trend", "monopole", "fitted field profile decays as 1/r^3",
-         _field_trend, guard=2, tol=0.1),
+    IdentityRecord("field-closed-spatial", "monopole",
+                   "[V_i,V_j] = -(i lam (C+2)/2) rho eps_ijk S_k4",
+                   pairs=_field_closed_spatial, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("field-so4", "monopole", "[V_a,V_b] = -(i lam (C+2)/4) rho eps_abcd S_cd",
+                   pairs=_field_so4, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("monopole-charge", "monopole", "fitted field coefficient equals kappa/2",
+                   check=_monopole_charge, guard=2, tol=1e-8, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("g-symmetric-spatial", "monopole", "G_ij = G_ji on the spatial block",
+                   pairs=_g_symmetric_spatial, guard=2, tol=1e-11),
+    IdentityRecord("g-exchange-mixed", "monopole", "[V_k,Vt_4] = [Vt_k,V_4]",
+                   pairs=_g_exchange_mixed, guard=2, tol=1e-11),
+    IdentityRecord("sigma-contract-left", "monopole",
+                   "sigma[U_ad,U+_bd] = -lam rho sigma(a+a) (C+2)",
+                   pairs=_sigma_contract("left"), guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("sigma-contract-right", "monopole",
+                   "sigma[U_db,U+_da] = +lam rho sigma(b+b) (C+2)",
+                   pairs=_sigma_contract("right"), guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("field-from-center", "monopole", "eps_ijk[V_i,V_j] = -i lam rho S_k4 (C+2)",
+                   pairs=_field_from_center, guard=2, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("associator", "monopole", "eps_ijk[V_i,[V_j,V_k]] = 0",
+                   pairs=_associator, guard=3),
+    IdentityRecord("associator-baseline", "monopole", "eps_ijk[S_0i,[S_0j,S_0k]] = 0",
+                   pairs=_associator_baseline, guard=3, tol=1e-12),
+    IdentityRecord("radial-shift-piece", "monopole", "sum_i [V_i, rho] S_i4 = 3i rho V_4",
+                   pairs=_radial_shift_piece, guard=2, exclude_ws=(0.0, 1.0, 2.0)),
+    IdentityRecord("rotation-piece", "monopole", "rho sum_i [V_i, S_i4] = -3i rho V_4",
+                   pairs=_rotation_piece, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
+    IdentityRecord("fierz", "monopole",
+                   "eps_ijk s^i_ab s^j_dg = i(s^k_ag d_db - s^k_db d_ag)",
+                   check=_fierz, tol=1e-15, per_kappa=False),
+    IdentityRecord("field-trend", "monopole", "fitted field profile decays as 1/r^3",
+                   check=_field_trend, guard=2, tol=0.1),
 ]
 
 # scaling suite assembled from homogeneous base identities
@@ -1143,10 +1050,9 @@ BY_ID: dict[str, IdentityRecord] = {r.id: r for r in REGISTRY}
 for _base in _SCALING_BASES:
     _b = BY_ID[_base]
     REGISTRY.append(
-        _rec(f"scale:{_base}", "scaling",
-             "residual invariance under power-of-two lam rescaling",
-             _scaling(_base), guard=_b.guard, tol=1e-15,
-             exclude_ws=_b.exclude_ws, per_kappa=_b.per_kappa)
+        IdentityRecord(f"scale:{_base}", "scaling",
+                       "residual invariance under power-of-two lam rescaling",
+                       check=_scaling(_b), guard=_b.guard, tol=1e-15, per_kappa=_b.per_kappa)
     )
 
 BY_ID = {r.id: r for r in REGISTRY}

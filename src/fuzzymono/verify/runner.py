@@ -36,7 +36,10 @@ class RunConfig:
             return self.jobs
         env = os.environ.get(JOBS_ENV, "")
         if env.strip():
-            return max(1, int(env))
+            try:
+                return max(1, int(env))
+            except ValueError:
+                raise ValueError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
         return os.cpu_count() or 1
 
 

@@ -305,6 +305,26 @@ def test_grade_mismatch_rejected(ctx9):
         _ = sp.lmul_a(1) + sp.lmul_adag(1)
 
 
+def test_linear_combination_is_the_pairwise_fold(ctx9):
+    """Bit for bit the + fold, also of a sum started from the zero operator."""
+    from fuzzymono.liouville import linear_combination
+
+    sp = ctx9.space
+    terms = [(1 - 2j) * (sp.lmul_adag(1) @ sp.rmul_a(2)), sp.lmul_adag(2) @ sp.rmul_a(1),
+             0.5j * (sp.lmul_adag(1) @ sp.rmul_a(1))]
+    got = linear_combination(iter(terms))
+    for expected in (terms[0] + terms[1] + terms[2],
+                     0.0 * sp.identity() + terms[0] + terms[1] + terms[2]):
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got.mat, attr), getattr(expected.mat, attr))
+    assert linear_combination([terms[1]]) is terms[1]
+    assert linear_combination([], sp).mat.count_nonzero() == 0
+    with pytest.raises(ValueError):
+        linear_combination([])
+    with pytest.raises(ValueError):
+        linear_combination([terms[0], sp.lmul_a(1)])
+
+
 def test_word_actions(ctx9, rng):
     """Left words apply in order; right words reverse composition order."""
     from fuzzymono.algebra import left_action, right_action

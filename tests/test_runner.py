@@ -140,7 +140,7 @@ def test_cli_text_to_stdout(capsys):
     assert "ladder-canonical" in captured.out
 
 
-def test_cli_usage_errors_exit_2(capsys):
+def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "bogus"])
     assert exc.value.code == 2
@@ -153,6 +153,31 @@ def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--lambda", "0"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "-3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    monkeypatch.setenv("FUZZYMONO_JOBS", "abc")
+    assert main(["--suite", "fock", "--n-max", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "FUZZYMONO_JOBS" in err
+
+
+def test_excluded_blocks_are_the_record_pole_window():
+    """Every windowed per-kappa row reports exactly its record's pole blocks."""
+    from fuzzymono.sector import build_sector
+    from fuzzymono.verify.registry import BY_ID
+
+    rep = run_suite(RunConfig(suite="all", kappas=tuple(range(-3, 4)), n_max=8, jobs=2))
+    checked = 0
+    for row in rep.results:
+        rec = BY_ID[row.id]
+        if not (rec.per_kappa and rec.exclude_ws) or row.residual is None:
+            continue
+        expected = build_sector(row.kappa, 8).guard_window(row.guard, rec.exclude_ws)[1]
+        assert row.excluded_blocks == expected, (row.id, row.kappa)
+        checked += bool(expected)
+    assert checked > 20
 
 
 def test_cli_unwritable_output(tmp_path):

@@ -59,7 +59,7 @@ def test_radius_eigenvalues_against_direct_symmetrization():
         sec = build_sector(kappa, n_max, lam)
         sp = sec.space
         r_mat = lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
-        direct = 0.5 * (sp.left_mul(r_mat, 0, letters=0) + sp.right_mul(r_mat, 0, letters=0))
+        direct = 0.5 * (sp.left_mul(r_mat, 0) + sp.right_mul(r_mat, 0))
         for pos, n in enumerate(sec.blocks):
             i = int(sec.block_offsets[pos])
             psi = SectorVector.basis_element(sec, i)
