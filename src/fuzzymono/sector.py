@@ -181,13 +181,9 @@ def sector_matrix(op: SuperOp, sector: MonopoleSector, dense: bool = False):
     return sub.toarray() if dense else sub.tocsr()
 
 
-def _col_restricted_norm(mat: sparse.spmatrix, cols: np.ndarray) -> float:
-    if cols.size == 0:
-        return 0.0
-    sub = mat.tocsc()[:, cols]
-    if sub.nnz == 0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.abs(sub.data) ** 2)))
+def _window_norm(mat: sparse.csr_matrix, in_window: np.ndarray) -> float:
+    """Frobenius norm of the columns of a CSR matrix that in_window marks."""
+    return float(np.sqrt(np.sum(np.abs(mat.data[in_window[mat.indices]]) ** 2)))
 
 
 def graded_residual(
@@ -202,21 +198,24 @@ def graded_residual(
 
     ||L - R||_F / max(floor, ||L||_F, ||R||_F), with columns restricted to
     the guarded, pole-free input blocks and all rows kept (grading leakage
-    would show up as extra rows).  The default floor of 1 keeps the ratio
-    defined for vanishing sides; floor=0 gives the purely relative metric,
-    which is exactly invariant under power-of-two rescalings of lam.
-    Returns None when the window is empty (the identity is skipped at this
-    truncation).
+    would show up as extra rows).  Each norm sums the stored CSR entries
+    whose column is in the window, read through a boolean mask over the D^2
+    columns, so no matrix is copied or sliced.  The default floor of 1
+    keeps the ratio defined for vanishing sides; floor=0 gives the purely
+    relative metric, which is exactly invariant under power-of-two
+    rescalings of lam.  Returns None when the window is empty (the identity
+    is skipped at this truncation).
     """
     if sector.is_empty:
         return None
     mask, excluded = sector.guard_window(guard, exclude_ws)
-    cols = sector.packed[mask]
-    if cols.size == 0:
+    if not mask.any():
         return None
-    nl = _col_restricted_norm(lhs.mat, cols)
-    nr = _col_restricted_norm(rhs.mat, cols)
-    nd = _col_restricted_norm((lhs.mat - rhs.mat).tocsr(), cols)
+    in_window = np.zeros(lhs.mat.shape[1], dtype=bool)
+    in_window[sector.packed[mask]] = True
+    nl = _window_norm(lhs.mat, in_window)
+    nr = _window_norm(rhs.mat, in_window)
+    nd = _window_norm(lhs.mat - rhs.mat, in_window)
     den = max(floor, nl, nr)
     if den == 0.0:
         return (0.0 if nd == 0.0 else float("inf")), excluded

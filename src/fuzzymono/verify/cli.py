@@ -7,6 +7,7 @@ fails, 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .runner import RunConfig, exit_code, run_suite
@@ -73,12 +74,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     if args.n_max < 0:
         parser.error(f"--n-max must be >= 0, got {args.n_max}")
-    if args.lam <= 0:
-        parser.error(f"--lambda must be positive, got {args.lam}")
+    if not (math.isfinite(args.lam) and args.lam > 0):
+        parser.error(f"--lambda must be a positive finite number, got {args.lam}")
     if args.guard is not None and args.guard < 0:
         parser.error(f"--guard must be >= 0, got {args.guard}")
-    if args.tol < 0:
-        parser.error(f"--tol must be >= 0, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        parser.error(f"--tol must be a finite number >= 0, got {args.tol}")
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
 
@@ -98,7 +99,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"fuzzymono: {exc}", file=sys.stderr)
         return 2
-    report = run_suite(config)
+    try:
+        report = run_suite(config)
+    except (OverflowError, ZeroDivisionError) as exc:
+        print(f"fuzzymono: --lambda {args.lam!r} is out of range at n_max {args.n_max} "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 2
+    passed, failed, skipped = report.counts
+    if passed == failed == 0:
+        print(f"fuzzymono: warning: all {skipped} rows were skipped at n_max {args.n_max}, "
+              f"--kappa {args.kappa}; nothing was checked", file=sys.stderr)
     payload = report.emit(config.fmt)
     if config.out:
         try:

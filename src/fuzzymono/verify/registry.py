@@ -8,11 +8,13 @@ override for round-off-exact relations.
 
 An identity is one of two kinds:
 
-  * a pair function, ctx -> [(lhs, rhs), ...]: the superoperator pairs whose
-    equality the identity states, built from the context alone.
-    IdentityRecord.evaluate compares them on the guarded window of the
-    requested sector, without the record's pole blocks; it is the only code
-    that takes their residuals.
+  * a pair function, ctx -> (lhs, rhs), ...: a generator that yields, one
+    at a time, the superoperator pairs whose equality the identity states,
+    built from the context alone. IdentityRecord.evaluate compares each pair
+    on the guarded window of the requested sector, without the record's pole
+    blocks, as it arrives; it is the only code that takes their residuals.
+    A pair is dropped before the next one is built, so only the operators
+    the context caches stay resident.
   * a scalar check, (ctx, kappa, guard, exclude_ws) -> outcome, for the
     identities that are not superoperator equalities (matrix-level Fock and
     coordinate relations, fits, block-wise bounds, the scaling suite).
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy import sparse
@@ -142,7 +144,7 @@ def get_context(n_max: int, lam: float) -> EngineContext:
     return _CONTEXTS[key]
 
 
-PairFunction = Callable[[EngineContext], list[Pair]]
+PairFunction = Callable[[EngineContext], Iterator[Pair]]
 Check = Callable[[EngineContext, Optional[int], int, tuple[float, ...]], Outcome]
 
 
@@ -180,11 +182,13 @@ class IdentityRecord:
         if self.check is not None:
             return self.check(ctx, kappa, guard, self.exclude_ws)
         sec = ctx.sector(kappa)
-        outs = [graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
-                for lhs, rhs in self.pairs(ctx)]
-        if outs[0] is None:  # every pair has the same window
-            return None
-        return max(r for r, _ in outs), outs[0][1]
+        outcome = None
+        for lhs, rhs in self.pairs(ctx):
+            out = graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
+            if out is None:  # every pair has the same window
+                return None
+            outcome = out if outcome is None else (max(outcome[0], out[0]), out[1])
+        return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -257,42 +261,38 @@ def _canonical_pairing(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return r, []
 
 
-def _cross_side(ctx: EngineContext) -> list[Pair]:
+def _cross_side(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
-    pairs = []
     for al in (1, 2):
         for be in (1, 2):
             for left in (sp.lmul_a(al), sp.lmul_adag(al)):
                 for right in (sp.rmul_a(be), sp.rmul_adag(be)):
-                    pairs.append((left @ right, right @ left))
-    return pairs
+                    yield left @ right, right @ left
 
 
-def _op_closure(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _op_closure(ctx: EngineContext) -> Iterator[Pair]:
     for (a, b), (c, d) in itertools.combinations(PAIRS, 2):
         lhs = commutator(ctx.alg.generator(a, b), ctx.alg.generator(c, d))
         rhs = su22_bracket_rhs(ctx.alg, a, b, c, d)
-        pairs.append((lhs, rhs))
-    return pairs
+        yield lhs, rhs
 
 
-def _central(ctx: EngineContext) -> list[Pair]:
+def _central(ctx: EngineContext) -> Iterator[Pair]:
     """C + 2 against the grade operator, which is kappa on sector kappa."""
     sp = ctx.space
-    return [(ctx.alg.center() + 2.0 * sp.identity(), sp.radial_values(sp.pair_grade))]
+    yield ctx.alg.center() + 2.0 * sp.identity(), sp.radial_values(sp.pair_grade)
 
 
-def _central_ordering(ctx: EngineContext) -> list[Pair]:
+def _central_ordering(ctx: EngineContext) -> Iterator[Pair]:
     """Literal-ordered central element agrees away from the top block."""
-    return [(ctx.alg.center_naive(), ctx.alg.center())]
+    yield ctx.alg.center_naive(), ctx.alg.center()
 
 
-def _radius_s05(ctx: EngineContext) -> list[Pair]:
-    return [(ctx.space.radius_op(), ctx.lam * ctx.alg.generator(0, 5))]
+def _radius_s05(ctx: EngineContext) -> Iterator[Pair]:
+    yield ctx.space.radius_op(), ctx.lam * ctx.alg.generator(0, 5)
 
 
-def _radius_s05_ordered(ctx: EngineContext) -> list[Pair]:
+def _radius_s05_ordered(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
 
     def build():
@@ -301,7 +301,7 @@ def _radius_s05_ordered(ctx: EngineContext) -> list[Pair]:
         return 0.5 * (left + right)
 
     s05_alt = ctx.cached(("s05_alt",), build)
-    return [(sp.radius_op(), ctx.lam * (s05_alt + sp.identity()))]
+    yield sp.radius_op(), ctx.lam * (s05_alt + sp.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +338,27 @@ def _sector_gram(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return max(rel, positivity), []
 
 
-def _radius_def(ctx: EngineContext) -> list[Pair]:
+def _radius_def(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
     r_mat = sp.lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
     direct = 0.5 * (sp.left_mul(r_mat, drow=0) + sp.right_mul(r_mat, dcol=0))
-    return [(sp.radius_op(), direct)]
+    yield sp.radius_op(), direct
 
 
 _SHIFT_FAMILY = (RF_R, RF_R2, RF_INV_R)
 
 
-def _shift_rule(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _shift_rule(ctx: EngineContext) -> Iterator[Pair]:
     for f in _SHIFT_FAMILY:
         fr, frp, frm = ctx.radial(f), ctx.radial(f.shifted(+1)), ctx.radial(f.shifted(-1))
         for al, be in U_INDEX:
             u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(al, be)
-            pairs.append((fr @ u, u @ frp))
-            pairs.append((fr @ ud, ud @ frm))
-    return pairs
+            yield fr @ u, u @ frp
+            yield fr @ ud, ud @ frm
 
 
 def _twin(which: str) -> PairFunction:
-    def pair_function(ctx: EngineContext) -> list[Pair]:
-        pairs = []
+    def pair_function(ctx: EngineContext) -> Iterator[Pair]:
         for f in _SHIFT_FAMILY:
             dd = ctx.radial(second_difference(f))
             d1 = ctx.radial(first_difference(f))
@@ -369,22 +366,19 @@ def _twin(which: str) -> PairFunction:
             for a in (1, 2, 3, 4):
                 w, z = ctx.alg.w_op(a), ctx.alg.zeta(a)
                 if which == "w":
-                    pairs.append((commutator(w, fop), 0.5 * (dd @ w) + ctx.lam * (d1 @ z)))
+                    yield commutator(w, fop), 0.5 * (dd @ w) + ctx.lam * (d1 @ z)
                 else:
-                    pairs.append((commutator(z, fop), 0.5 * (dd @ z) + ctx.lam * (d1 @ w)))
-        return pairs
+                    yield commutator(z, fop), 0.5 * (dd @ z) + ctx.lam * (d1 @ w)
 
     return pair_function
 
 
-def _zeta_w_radius(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _zeta_w_radius(ctx: EngineContext) -> Iterator[Pair]:
     r = ctx.space.radius_op()
     for a in (1, 2, 3, 4):
         w, z = ctx.alg.w_op(a), ctx.alg.zeta(a)
-        pairs.append((commutator(w, r), ctx.lam * z))
-        pairs.append((commutator(z, r), ctx.lam * w))
-    return pairs
+        yield commutator(w, r), ctx.lam * z
+        yield commutator(z, r), ctx.lam * w
 
 
 def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
@@ -405,9 +399,8 @@ def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard, exclude_ws) -> 
     return float(np.max(np.abs(vals)) / scale), excluded
 
 
-def _master_pair_comm(ctx: EngineContext) -> list[Pair]:
+def _master_pair_comm(ctx: EngineContext) -> Iterator[Pair]:
     """epsilon-contracted commutator of radial-dressed antisymmetric boosts."""
-    pairs = []
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
     for f in (RF_ONE, RF_INV_R, RF_INV_R2):
         fop = ctx.radial(f)
@@ -421,45 +414,38 @@ def _master_pair_comm(ctx: EngineContext) -> list[Pair]:
             rot = linear_combination(
                 e * (4j) * (fop @ dfop @ ctx.alg.generator(i + 1, j + 1)) for (i, j), e in eps)
             rhs = rot + 4j * ctx.lam * (fop @ d1op @ ctx.alg.generator(4, k + 1) @ c2)
-            pairs.append((lhs, rhs))
-    return pairs
+            yield lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # velocity suite
 # ---------------------------------------------------------------------------
 
-def _u_weighted_adjoint(ctx: EngineContext) -> list[Pair]:
-    return [(ctx.vel.u_dag(al, be), ctx.vel.u(al, be).weighted_adjoint())
-            for al, be in U_INDEX]
+def _u_weighted_adjoint(ctx: EngineContext) -> Iterator[Pair]:
+    for al, be in U_INDEX:
+        yield ctx.vel.u_dag(al, be), ctx.vel.u(al, be).weighted_adjoint()
 
 
-def _velocity_selfadjoint(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _velocity_selfadjoint(ctx: EngineContext) -> Iterator[Pair]:
     for a in (1, 2, 3, 4):
         v, vt = ctx.vel.velocity(a), ctx.vel.dual_velocity(a)
-        pairs.append((v, v.weighted_adjoint()))
-        pairs.append((vt, vt.weighted_adjoint()))
-    return pairs
+        yield v, v.weighted_adjoint()
+        yield vt, vt.weighted_adjoint()
 
 
-def _velocity_from_generators(ctx: EngineContext) -> list[Pair]:
+def _velocity_from_generators(ctx: EngineContext) -> Iterator[Pair]:
     rinv = ctx.space.radius_inv()
-    pairs = []
     for a in (1, 2, 3, 4):
-        pairs.append((ctx.vel.velocity(a), rinv @ ctx.alg.generator(0, a)))
+        yield ctx.vel.velocity(a), rinv @ ctx.alg.generator(0, a)
         dual_slot = (a, 5) if a < 4 else (5, 4)
-        pairs.append((ctx.vel.dual_velocity(a), rinv @ ctx.alg.generator(*dual_slot)))
-    return pairs
+        yield ctx.vel.dual_velocity(a), rinv @ ctx.alg.generator(*dual_slot)
 
 
-def _u_null_comm(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _u_null_comm(ctx: EngineContext) -> Iterator[Pair]:
     zero = 0.0 * ctx.space.identity()
     for (x, y) in itertools.combinations(U_INDEX, 2):
-        pairs.append((commutator(ctx.vel.u(*x), ctx.vel.u(*y)), zero))
-        pairs.append((commutator(ctx.vel.u_dag(*x), ctx.vel.u_dag(*y)), zero))
-    return pairs
+        yield commutator(ctx.vel.u(*x), ctx.vel.u(*y)), zero
+        yield commutator(ctx.vel.u_dag(*x), ctx.vel.u_dag(*y)), zero
 
 
 def _bare_words(ctx: EngineContext, al: int, be: int, ga: int, de: int):
@@ -474,69 +460,57 @@ def _bare_words(ctx: EngineContext, al: int, be: int, ga: int, de: int):
     return raise_w, lower_w, linear_combination(x, sp)
 
 
-def _u_ladder_comm(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _u_ladder_comm(ctx: EngineContext) -> Iterator[Pair]:
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w, lower_w, x = _bare_words(ctx, al, be, ga, de)
-        pairs.append((commutator(raise_w, lower_w), -1.0 * x))
-    return pairs
+        yield commutator(raise_w, lower_w), -1.0 * x
 
 
-def _u_split(ctx: EngineContext) -> list[Pair]:
+def _u_split(ctx: EngineContext) -> Iterator[Pair]:
     inv_sq, rho_l = ctx.radial(RF_INV_R2ML), ctx.radial(RF_RHO_L)
-    pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w, lower_w, _ = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         rhs = inv_sq @ commutator(raise_w, lower_w) + rho_l @ anticommutator(raise_w, lower_w)
-        pairs.append((commutator(u, ud), rhs))
-    return pairs
+        yield commutator(u, ud), rhs
 
 
-def _u_anticomm_rewrite(ctx: EngineContext) -> list[Pair]:
+def _u_anticomm_rewrite(ctx: EngineContext) -> Iterator[Pair]:
     rho_l, mul_m, mul_p = ctx.radial(RF_RHO_L), ctx.radial(RF_MUL_M), ctx.radial(RF_MUL_P)
-    pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w, lower_w, _ = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         lhs = rho_l @ anticommutator(raise_w, lower_w)
         rhs = mul_m @ (u @ ud) + mul_p @ (ud @ u)
-        pairs.append((lhs, rhs))
-    return pairs
+        yield lhs, rhs
 
 
-def _u_pre_extraction(ctx: EngineContext) -> list[Pair]:
+def _u_pre_extraction(ctx: EngineContext) -> Iterator[Pair]:
     inv_sq, c_l2, c_lr = ctx.radial(RF_INV_R2ML), ctx.radial(RF_C_L2), ctx.radial(RF_C_LR)
-    pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         _, _, x = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         comm = commutator(u, ud)
         rhs = -1.0 * (inv_sq @ x) - c_l2 @ comm + c_lr @ anticommutator(u, ud)
-        pairs.append((comm, rhs))
-    return pairs
+        yield comm, rhs
 
 
-def _u_closed_comm(ctx: EngineContext) -> list[Pair]:
+def _u_closed_comm(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
     rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
-    pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         _, _, x = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
         rhs = -1.0 * (rinv2 @ x) + sp.lam * (rinv @ anticommutator(u, ud))
-        pairs.append((commutator(u, ud), rhs))
-    return pairs
+        yield commutator(u, ud), rhs
 
 
-def _q_order(ctx: EngineContext) -> list[Pair]:
+def _q_order(ctx: EngineContext) -> Iterator[Pair]:
     q, corr = ctx.vel.q_factor(), ctx.radial(RF_Q_CORR)
-    pairs = []
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         _, _, x = _bare_words(ctx, al, be, ga, de)
         u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
-        pairs.append((ud @ u, q @ (u @ ud) + corr @ x))
-    return pairs
+        yield ud @ u, q @ (u @ ud) + corr @ x
 
 
 def _q_limit(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
@@ -550,9 +524,8 @@ def _q_limit(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return max(0.0, float(overshoot.max())), []
 
 
-def _rotation_flow(ctx: EngineContext) -> list[Pair]:
+def _rotation_flow(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
-    pairs = []
     for omega in (0.0, np.pi / 2, 0.37):
         phase = sp.radial_phase(omega)
         phase_inv = sp.radial_phase(-omega)
@@ -560,8 +533,7 @@ def _rotation_flow(ctx: EngineContext) -> list[Pair]:
             v, vt = ctx.vel.velocity(a), ctx.vel.dual_velocity(a)
             lhs = phase @ v @ phase_inv
             rhs = float(np.cos(omega)) * v + float(np.sin(omega) * FLOW_SIGNS[a]) * vt
-            pairs.append((lhs, rhs))
-    return pairs
+            yield lhs, rhs
 
 
 def _sig_sig_comm(ctx: EngineContext, i: int, j: int):
@@ -577,58 +549,49 @@ def _sig_trace_comm(ctx: EngineContext, k: int):
         for (al, be), c in nonzero_entries(PAULI[k - 1])))
 
 
-def _vv_u_spatial(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _vv_u_spatial(ctx: EngineContext) -> Iterator[Pair]:
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         t = _sig_sig_comm(ctx, i, j)
         rhs = 0.25 * (t - t.weighted_adjoint())
-        pairs.append((commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)), rhs))
-        pairs.append((commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)), rhs))
-    return pairs
+        yield commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)), rhs
+        yield commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)), rhs
 
 
-def _vv_u_mixed(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _vv_u_mixed(ctx: EngineContext) -> Iterator[Pair]:
     for k in (1, 2, 3):
         d = _sig_trace_comm(ctx, k)
         rhs = 0.25j * (d + d.weighted_adjoint())
-        pairs.append((commutator(ctx.vel.velocity(k), ctx.vel.velocity(4)), rhs))
-        pairs.append((-1.0 * commutator(ctx.vel.dual_velocity(k), ctx.vel.dual_velocity(4)), rhs))
-    return pairs
+        yield commutator(ctx.vel.velocity(k), ctx.vel.velocity(4)), rhs
+        yield -1.0 * commutator(ctx.vel.dual_velocity(k), ctx.vel.dual_velocity(4)), rhs
 
 
-def _vv_u_cross(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _vv_u_cross(ctx: EngineContext) -> Iterator[Pair]:
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             t = _sig_sig_comm(ctx, i, j)
             rhs = 0.25j * (t + t.weighted_adjoint())
-            pairs.append((commutator(ctx.vel.velocity(i), ctx.vel.dual_velocity(j)), rhs))
-            pairs.append((-1.0 * commutator(ctx.vel.dual_velocity(i), ctx.vel.velocity(j)), rhs))
-    return pairs
+            yield commutator(ctx.vel.velocity(i), ctx.vel.dual_velocity(j)), rhs
+            yield -1.0 * commutator(ctx.vel.dual_velocity(i), ctx.vel.velocity(j)), rhs
 
 
-def _vv_u_cross_4(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _vv_u_cross_4(ctx: EngineContext) -> Iterator[Pair]:
     for k in (1, 2, 3):
         d = _sig_trace_comm(ctx, k)
         rhs = 0.25 * (d - d.weighted_adjoint())
-        pairs.append((commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)), rhs))
-        pairs.append((commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)), rhs))
-    return pairs
+        yield commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)), rhs
+        yield commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)), rhs
 
 
-def _vv_u_dual(ctx: EngineContext) -> list[Pair]:
+def _vv_u_dual(ctx: EngineContext) -> Iterator[Pair]:
     t = commutator(ctx.vel.trace_u(), ctx.vel.trace_u_dag())
     lhs = commutator(ctx.vel.velocity(4), ctx.vel.dual_velocity(4))
-    return [(lhs, -0.5j * t)]
+    yield lhs, -0.5j * t
 
 
-def _u_contract_spatial(ctx: EngineContext) -> list[Pair]:
+def _u_contract_spatial(ctx: EngineContext) -> Iterator[Pair]:
     """sigma-sigma contraction of the mixed ladder commutator, closed form."""
     sp = ctx.space
     rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
-    pairs = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             v_i, v_j = ctx.vel.velocity(i), ctx.vel.velocity(j)
@@ -638,41 +601,35 @@ def _u_contract_spatial(ctx: EngineContext) -> list[Pair]:
                    - 2j * (rinv2 @ ctx.alg.generator(i, j)))
             if i == j:
                 rhs = rhs - (2.0 / ctx.lam) * rinv
-            pairs.append((_sig_sig_comm(ctx, i, j), rhs))
-    return pairs
+            yield _sig_sig_comm(ctx, i, j), rhs
 
 
-def _vv_spatial(ctx: EngineContext) -> list[Pair]:
+def _vv_spatial(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
     rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
-    pairs = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         v_i, v_j = ctx.vel.velocity(i), ctx.vel.velocity(j)
         vt_i, vt_j = ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)
         rhs = (-1j * (rinv2 @ ctx.alg.generator(i, j))
                + 0.5j * ctx.lam * (rinv @ (anticommutator(vt_i, v_j) - anticommutator(vt_j, v_i))))
-        pairs.append((commutator(v_i, v_j), rhs))
-        pairs.append((commutator(vt_i, vt_j), rhs))
-    return pairs
+        yield commutator(v_i, v_j), rhs
+        yield commutator(vt_i, vt_j), rhs
 
 
-def _vv_mixed_4(ctx: EngineContext) -> list[Pair]:
+def _vv_mixed_4(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
     rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
-    pairs = []
     for k in (1, 2, 3):
         v_k, v4 = ctx.vel.velocity(k), ctx.vel.velocity(4)
         vt_k, vt4 = ctx.vel.dual_velocity(k), ctx.vel.dual_velocity(4)
         rhs = (-1j * (rinv2 @ ctx.alg.generator(k, 4))
                + 0.5j * ctx.lam * (rinv @ (anticommutator(vt_k, v4) + anticommutator(v_k, vt4))))
-        pairs.append((commutator(v_k, v4), rhs))
-        pairs.append((-1.0 * commutator(vt_k, vt4), rhs))
-    return pairs
+        yield commutator(v_k, v4), rhs
+        yield -1.0 * commutator(vt_k, vt4), rhs
 
 
-def _vv_cross(ctx: EngineContext) -> list[Pair]:
+def _vv_cross(ctx: EngineContext) -> Iterator[Pair]:
     rinv = ctx.space.radius_inv()
-    pairs = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             v_i, v_j = ctx.vel.velocity(i), ctx.vel.velocity(j)
@@ -680,65 +637,58 @@ def _vv_cross(ctx: EngineContext) -> list[Pair]:
             rhs = 0.5j * ctx.lam * (rinv @ (anticommutator(vt_i, vt_j) + anticommutator(v_i, v_j)))
             if i == j:
                 rhs = rhs - (1j / ctx.lam) * rinv
-            pairs.append((commutator(v_i, vt_j), rhs))
-            pairs.append((-1.0 * commutator(vt_i, v_j), rhs))
-    return pairs
+            yield commutator(v_i, vt_j), rhs
+            yield -1.0 * commutator(vt_i, v_j), rhs
 
 
-def _vv_cross_4(ctx: EngineContext) -> list[Pair]:
+def _vv_cross_4(ctx: EngineContext) -> Iterator[Pair]:
     """Mixed scalar-spatial cross commutator; overall sign fixed numerically."""
     rinv = ctx.space.radius_inv()
-    pairs = []
     for k in (1, 2, 3):
         v_k, v4 = ctx.vel.velocity(k), ctx.vel.velocity(4)
         vt_k, vt4 = ctx.vel.dual_velocity(k), ctx.vel.dual_velocity(4)
         rhs = 0.5j * ctx.lam * (rinv @ (anticommutator(vt_k, vt4) - anticommutator(v_k, v4)))
-        pairs.append((commutator(v_k, vt4), rhs))
-        pairs.append((commutator(vt_k, v4), rhs))
-    return pairs
+        yield commutator(v_k, vt4), rhs
+        yield commutator(vt_k, v4), rhs
 
 
-def _vv_dual_4(ctx: EngineContext) -> list[Pair]:
+def _vv_dual_4(ctx: EngineContext) -> Iterator[Pair]:
     rinv = ctx.space.radius_inv()
     v4, vt4 = ctx.vel.velocity(4), ctx.vel.dual_velocity(4)
     rhs = (1j / ctx.lam) * rinv - 1j * ctx.lam * (rinv @ (v4 @ v4 + vt4 @ vt4))
-    return [(commutator(v4, vt4), rhs)]
+    yield commutator(v4, vt4), rhs
 
 
-def _vv_duality(ctx: EngineContext) -> list[Pair]:
-    return [(commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)),
-             commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)))
-            for i, j in [(1, 2), (1, 3), (2, 3)]]
+def _vv_duality(ctx: EngineContext) -> Iterator[Pair]:
+    for i, j in [(1, 2), (1, 3), (2, 3)]:
+        yield (commutator(ctx.vel.dual_velocity(i), ctx.vel.dual_velocity(j)),
+               commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)))
 
 
 # ---------------------------------------------------------------------------
 # monopole suite
 # ---------------------------------------------------------------------------
 
-def _field_closed_spatial(ctx: EngineContext) -> list[Pair]:
+def _field_closed_spatial(ctx: EngineContext) -> Iterator[Pair]:
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
-    pairs = []
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         lhs = commutator(ctx.vel.velocity(i), ctx.vel.velocity(j))
         rhs = linear_combination(
             (0.5 * e) * (monopole_profile_op(ctx.vel, (k + 1, 4)) @ c2)
             for (k,), e in nonzero_entries(EPS3[i - 1, j - 1]))
-        pairs.append((lhs, rhs))
-    return pairs
+        yield lhs, rhs
 
 
-def _field_so4(ctx: EngineContext) -> list[Pair]:
+def _field_so4(ctx: EngineContext) -> Iterator[Pair]:
     """Antisymmetric extension over all six index pairs; coefficient (C+2)/4."""
     eps4 = levi_civita(4)
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
-    pairs = []
     for a, b in itertools.combinations((1, 2, 3, 4), 2):
         lhs = commutator(ctx.vel.velocity(a), ctx.vel.velocity(b))
         rhs = linear_combination(
             2.0 * e * 0.25 * (monopole_profile_op(ctx.vel, (c + 1, d + 1)) @ c2)
             for (c, d), e in nonzero_entries(eps4[a - 1, b - 1]) if c < d)
-        pairs.append((lhs, rhs))
-    return pairs
+        yield lhs, rhs
 
 
 def _monopole_charge(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
@@ -749,24 +699,22 @@ def _monopole_charge(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return abs(fit - kappa / 2.0), excluded
 
 
-def _g_symmetric_spatial(ctx: EngineContext) -> list[Pair]:
-    pairs = []
+def _g_symmetric_spatial(ctx: EngineContext) -> Iterator[Pair]:
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         g_ij = -1j * commutator(ctx.vel.velocity(i), ctx.vel.dual_velocity(j))
         g_ji = -1j * commutator(ctx.vel.velocity(j), ctx.vel.dual_velocity(i))
-        pairs.append((g_ij, g_ji))
-    return pairs
+        yield g_ij, g_ji
 
 
-def _g_exchange_mixed(ctx: EngineContext) -> list[Pair]:
+def _g_exchange_mixed(ctx: EngineContext) -> Iterator[Pair]:
     """Mixed components pair by swapping which vector carries the dual."""
-    return [(commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)),
-             commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)))
-            for k in (1, 2, 3)]
+    for k in (1, 2, 3):
+        yield (commutator(ctx.vel.velocity(k), ctx.vel.dual_velocity(4)),
+               commutator(ctx.vel.dual_velocity(k), ctx.vel.velocity(4)))
 
 
 def _sigma_contract(side: str) -> PairFunction:
-    def pair_function(ctx: EngineContext) -> list[Pair]:
+    def pair_function(ctx: EngineContext) -> Iterator[Pair]:
         vel = ctx.vel
         if side == "left":
             def comm(al, be, de):
@@ -777,60 +725,56 @@ def _sigma_contract(side: str) -> PairFunction:
         rho = ctx.radial(RF_MONOPOLE)
         c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
         sign = -1.0 if side == "left" else 1.0
-        pairs = []
         for k in (1, 2, 3):
             lhs = linear_combination(complex(c) * comm(al + 1, be + 1, de)
                                      for (al, be), c in nonzero_entries(PAULI[k - 1])
                                      for de in (1, 2))
             rhs = sign * ctx.lam * (rho @ ctx.one_sided_sigma(k, side) @ c2)
-            pairs.append((lhs, rhs))
-        return pairs
+            yield lhs, rhs
 
     return pair_function
 
 
-def _field_from_center(ctx: EngineContext) -> list[Pair]:
+def _field_from_center(ctx: EngineContext) -> Iterator[Pair]:
     rho = ctx.radial(RF_MONOPOLE)
     c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
-    pairs = []
     for k in (1, 2, 3):
         lhs = linear_combination(
             e * commutator(ctx.vel.velocity(i + 1), ctx.vel.velocity(j + 1))
             for (i, j), e in nonzero_entries(EPS3[:, :, k - 1]))
         rhs = -1j * ctx.lam * (rho @ ctx.alg.generator(k, 4) @ c2)
-        pairs.append((lhs, rhs))
-    return pairs
+        yield lhs, rhs
 
 
-def _associator(ctx: EngineContext) -> list[Pair]:
+def _associator(ctx: EngineContext) -> Iterator[Pair]:
     v = ctx.vel.velocity
     lhs = ctx.cached(("associator",), lambda: linear_combination(
         e * commutator(v(i + 1), commutator(v(j + 1), v(k + 1)))
         for (i, j, k), e in nonzero_entries(EPS3)))
-    return [(lhs, 0.0 * ctx.space.identity())]
+    yield lhs, 0.0 * ctx.space.identity()
 
 
-def _associator_baseline(ctx: EngineContext) -> list[Pair]:
+def _associator_baseline(ctx: EngineContext) -> Iterator[Pair]:
     g = ctx.alg.generator
     lhs = ctx.cached(("associator-baseline",), lambda: linear_combination(
         e * commutator(g(0, i + 1), commutator(g(0, j + 1), g(0, k + 1)))
         for (i, j, k), e in nonzero_entries(EPS3)))
-    return [(lhs, 0.0 * ctx.space.identity())]
+    yield lhs, 0.0 * ctx.space.identity()
 
 
-def _radial_shift_piece(ctx: EngineContext) -> list[Pair]:
+def _radial_shift_piece(ctx: EngineContext) -> Iterator[Pair]:
     """Commuting the monopole profile through the velocities (A-chain piece)."""
     rho = ctx.radial(RF_MONOPOLE)
     lhs = linear_combination(commutator(ctx.vel.velocity(i), rho) @ ctx.alg.generator(i, 4)
                              for i in (1, 2, 3))
-    return [(lhs, 3j * (rho @ ctx.vel.velocity(4)))]
+    yield lhs, 3j * (rho @ ctx.vel.velocity(4))
 
 
-def _rotation_piece(ctx: EngineContext) -> list[Pair]:
+def _rotation_piece(ctx: EngineContext) -> Iterator[Pair]:
     rho = ctx.radial(RF_MONOPOLE)
     lhs = linear_combination(rho @ commutator(ctx.vel.velocity(i), ctx.alg.generator(i, 4))
                              for i in (1, 2, 3))
-    return [(lhs, -3j * (rho @ ctx.vel.velocity(4)))]
+    yield lhs, -3j * (rho @ ctx.vel.velocity(4))
 
 
 def _fierz(ctx, kappa, guard, exclude_ws) -> Outcome:

@@ -7,8 +7,11 @@ The JSON layout is stable and part of the tool's interface:
                   "tolerance", "pass", "excluded_blocks", "wall_time_ms"}]}
 
 Skipped identities (empty sector or empty window at this truncation) carry
-residual = null and pass = null; they never affect the exit code.  CSV
-flattens the same fields; excluded_blocks is a semicolon-joined list there.
+residual = null and pass = null; they never affect the exit code.  A
+residual that is not a finite number (an overflow at an extreme lambda) is a
+failure: it carries residual = null and pass = false, so the JSON stays
+strict.  CSV flattens the same fields; excluded_blocks is a semicolon-joined
+list there.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -73,7 +77,8 @@ class VerificationReport:
                     "paper_ref": r.paper_ref,
                     "kappa": r.kappa,
                     "guard": r.guard,
-                    "residual": r.residual,
+                    "residual": (r.residual if r.residual is None or math.isfinite(r.residual)
+                                 else None),
                     "tolerance": r.tolerance,
                     "pass": r.passed,
                     "excluded_blocks": list(r.excluded_blocks),
@@ -84,7 +89,7 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -97,7 +102,9 @@ class VerificationReport:
                     paper_ref=row["paper_ref"],
                     kappa=row["kappa"],
                     guard=row["guard"],
-                    residual=row["residual"],
+                    # null with pass false: a residual that was not finite
+                    residual=(math.nan if row["residual"] is None and row["pass"] is False
+                              else row["residual"]),
                     tolerance=row["tolerance"],
                     excluded_blocks=list(row["excluded_blocks"]),
                     wall_time_ms=row["wall_time_ms"],

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -89,3 +90,36 @@ def test_text_table():
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
         sample_report().emit("yaml")
+
+
+def test_nonfinite_residual_round_trip():
+    """A non-finite residual is written as null with pass false (strict JSON)
+    and read back as a failure, distinct from a skip."""
+    rep = sample_report()
+    for residual in (math.nan, math.inf):
+        rep.results.append(IdentityResult(
+            id="su22-op-closure", paper_ref="[S_AB,S_CD] = i(eta.S - ...) as superoperators",
+            kappa=0, guard=2, residual=residual, tolerance=1e-12,
+            excluded_blocks=[], wall_time_ms=1.0))
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    text = rep.to_json()
+    raw = json.loads(text, parse_constant=reject)
+    for row in raw["results"]:
+        assert set(row.keys()) == SCHEMA_ROW_KEYS
+    assert [(row["residual"], row["pass"]) for row in raw["results"][3:]] == [(None, False)] * 2
+    assert raw["results"][1]["residual"] is None and raw["results"][1]["pass"] is None
+
+    again = VerificationReport.from_json(text)
+    assert [r.passed for r in again.results] == [True, None, False, False, False]
+    assert all(math.isnan(r.residual) for r in again.results[3:])
+    assert again.counts == (1, 3, 1) and not again.all_passed
+    assert again.to_json() == text
+
+
+def test_to_json_refuses_nonfinite_fields():
+    rep = VerificationReport(suite="fock", lam=math.inf, n_max=4)
+    with pytest.raises(ValueError):
+        rep.to_json()

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
 from fuzzymono.verify.cli import main, parse_kappas
-from fuzzymono.verify.registry import REGISTRY, records_for_suite
+from fuzzymono.sector import graded_residual
+from fuzzymono.verify.registry import BY_ID, REGISTRY, get_context, records_for_suite
 from fuzzymono.verify.runner import RunConfig, exit_code, run_suite
 
 
@@ -140,6 +143,7 @@ def test_cli_text_to_stdout(capsys):
     assert "ladder-canonical" in captured.out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "bogus"])
@@ -156,7 +160,23 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "-3"])
     assert exc.value.code == 2
+    for bad in ("nan", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--lambda", bad])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol", "nan"])
+    assert exc.value.code == 2
     capsys.readouterr()
+    # an overflow (1e200) or an underflow to zero (1e-200) inside the run
+    for extreme in ("1e200", "1e-200"):
+        code = main(["--suite", "all", "--n-max", "3", "--kappa", "0",
+                     "--lambda", extreme, "--jobs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        ours = [line for line in captured.err.splitlines() if line.startswith("fuzzymono:")]
+        assert len(ours) == 1 and "--lambda" in ours[0] and "Traceback" not in captured.err
     monkeypatch.setenv("FUZZYMONO_JOBS", "abc")
     assert main(["--suite", "fock", "--n-max", "2"]) == 2
     err = capsys.readouterr().err
@@ -166,7 +186,6 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
 def test_excluded_blocks_are_the_record_pole_window():
     """Every windowed per-kappa row reports exactly its record's pole blocks."""
     from fuzzymono.sector import build_sector
-    from fuzzymono.verify.registry import BY_ID
 
     rep = run_suite(RunConfig(suite="all", kappas=tuple(range(-3, 4)), n_max=8, jobs=2))
     checked = 0
@@ -193,3 +212,56 @@ def test_cli_entrypoint_subprocess():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert re.search(r"coord-comm\s+", proc.stdout)
+
+
+def test_all_skipped_warns_and_exits_0(capsys):
+    assert main(["--suite", "velocity", "--n-max", "3", "--kappa", "40", "--jobs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "passed 0  failed 0  skipped 24" in captured.out
+    assert captured.err.count("\n") == 1 and "warning" in captured.err
+    assert main(["--suite", "fock", "--n-max", "3", "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_nonfinite_residual_is_strict_json_failure(capsys):
+    """An overflowing residual is a failure, written as null, not NaN."""
+    code = main(["--suite", "su22", "--n-max", "3", "--lambda", "1e200",
+                 "--format", "json", "--jobs", "1"])
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    raw = json.loads(capsys.readouterr().out, parse_constant=reject)
+    failed = [row for row in raw["results"] if row["pass"] is False]
+    assert failed and all(row["residual"] is None for row in failed)
+
+
+def test_op_closure_pairs_stream():
+    """Evaluating su22-op-closure keeps at most two of its 105 pairs alive."""
+    rec = BY_ID["su22-op-closure"]
+    ctx = get_context(6, 1.0)
+    refs: list[weakref.ref] = []
+    peak = 0
+
+    def counted(ctx):
+        nonlocal peak
+        for lhs, rhs in rec.pairs(ctx):
+            refs.extend((weakref.ref(lhs), weakref.ref(rhs)))
+            alive = sum(1 for i in range(0, len(refs), 2)
+                        if refs[i]() is not None or refs[i + 1]() is not None)
+            peak = max(peak, alive)
+            yield lhs, rhs
+
+    out = dataclasses.replace(rec, pairs=counted).evaluate(ctx, 0, rec.guard)
+    assert len(refs) == 2 * 105 and 1 <= peak <= 2
+
+    # the same fold over a materialised list: equal outcome, every pair alive
+    refs.clear()
+    peak = 0
+    pairs = list(counted(ctx))
+    assert peak == 105
+    outs = [graded_residual(lhs, rhs, ctx.sector(0), rec.guard, rec.exclude_ws)
+            for lhs, rhs in pairs]
+    assert out == (max(r for r, _ in outs), outs[0][1])

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from fuzzymono.fock import build_basis
-from fuzzymono.liouville import get_space
+from fuzzymono.liouville import SuperOp, get_space
 from fuzzymono.sector import (
     SectorVector,
     apply_superop,
     build_sector,
+    graded_residual,
     inner_product,
     sector_matrix,
     weighted_adjoint,
@@ -200,3 +204,65 @@ def test_materialized_matches_apply(rng):
             scale = max(1.0, np.linalg.norm(packed))
             assert np.linalg.norm(direct.data - packed) / scale <= 1e-13
             assert direct.sector.kappa == out_sec.kappa
+
+
+def _sliced_residual(lhs, rhs, sector, guard, exclude_ws, floor):
+    """Reference: the windowed norms from CSC copies sliced to the window columns."""
+    mask, excluded = sector.guard_window(guard, exclude_ws)
+    cols = sector.packed[mask]
+    if sector.is_empty or cols.size == 0:
+        return None
+
+    def norm(mat):
+        sub = mat.tocsc()[:, cols]
+        return float(np.sqrt(np.sum(np.abs(sub.data) ** 2))) if sub.nnz else 0.0
+
+    nl, nr, nd = norm(lhs.mat), norm(rhs.mat), norm((lhs.mat - rhs.mat).tocsr())
+    den = max(floor, nl, nr)
+    if den == 0.0:
+        return (0.0 if nd == 0.0 else float("inf")), excluded
+    return nd / den, excluded
+
+
+def _messy_csr(rng, n, density, scale):
+    """Random complex CSR with unsorted column indices and explicit zeros."""
+    indptr, indices = [0], []
+    for _ in range(n):
+        cols = rng.choice(n, size=rng.binomial(n, density), replace=False)  # unsorted
+        indices.extend(cols.tolist())
+        indptr.append(len(indices))
+    nnz = len(indices)
+    data = scale * (rng.standard_normal(nnz) + 1j * rng.standard_normal(nnz))
+    data[rng.random(nnz) < 0.2] = 0.0
+    return sparse.csr_matrix((data, np.array(indices, dtype=np.int32), np.array(indptr)),
+                             shape=(n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n_max=st.integers(1, 3),
+       kappa=st.integers(-4, 4),
+       guard=st.integers(0, 3),
+       exclude_ws=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=3),
+       floor=st.sampled_from([0.0, 1e-3, 1.0, 10.0]),
+       density=st.floats(0.0, 0.5),
+       log_scale=st.integers(-3, 3),
+       same=st.booleans())
+def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, guard, exclude_ws,
+                                                floor, density, log_scale, same):
+    sp = get_space(n_max, 1.0)
+    sec = build_sector(kappa, n_max)
+    rng = np.random.default_rng(seed)
+    d2 = sp.dim ** 2
+    lhs = SuperOp(sp, _messy_csr(rng, d2, density, 10.0 ** log_scale))
+    rhs = lhs if same else SuperOp(sp, _messy_csr(rng, d2, density, 10.0 ** log_scale))
+    got = graded_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor=floor)
+    want = _sliced_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and got[1] == want[1]
+    if np.isinf(want[0]):
+        assert got[0] == want[0]
+    else:
+        assert abs(got[0] - want[0]) <= 1e-15 * abs(want[0])
