@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .liouville import Space, SuperOp, commutator, linear_combination
+from .liouville import Space, SuperOp, cache_get, commutator, linear_combination
 from .ncspace import PAULI, nonzero_entries
 from .su22 import ETA, GAMMA, PAIRS, generator_matrix
 
@@ -147,9 +147,7 @@ class OperatorAlgebra:
         self._cache: dict[tuple, SuperOp] = {}
 
     def _get(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        return cache_get(self._cache, key, builder)
 
     # the 8-component ladder pair: (a1, a2, b1, b2) and daggers
     def avec(self, a: int) -> SuperOp:

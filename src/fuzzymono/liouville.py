@@ -1,9 +1,8 @@
 """Sparse superoperator engine on the vectorized truncated Fock space.
 
 States of the graded Hilbert spaces are D x D complex matrices on the
-truncated Fock basis (D = dim F).  Superoperators are sparse matrices on the
-D^2-dimensional vectorization (row-major: matrix entry (r, c) sits at index
-r*D + c).  The three primitive families are
+truncated Fock basis (D = dim F), vectorized row-major: matrix entry (r, c)
+sits at index r*D + c of a D^2 vector.  The three primitive families are
 
   * left multiplication by a ladder matrix,
   * right multiplication by a ladder matrix,
@@ -11,13 +10,34 @@ r*D + c).  The three primitive families are
     f(lam*(level_r + level_c + 2)/2), the functional calculus of the
     symmetrized radius.
 
-Every superoperator carries its net row/col level shift so grading and
-truncation bookkeeping can be checked against the sparse support.
+Every superoperator is grade-homogeneous: it maps the charge-grade sector
+k (entries with row level - col level = k) into sector k + grade.  So it is
+read one block at a time: block(k) is the |S_{k+grade}| x |S_k| CSR matrix
+from sector k into sector k + grade, on the packed sector bases
+(Space.packed, the order of MonopoleSector.packed).
+
+  * Leaves.  A ladder primitive keeps its D^2 x D^2 kron matrix `mat` and
+    slices its blocks out of it; the identity and the radial multipliers
+    keep their value per pair, `values`.
+  * Composed nodes.  @, +, -, scalar *, plain_adjoint and weighted_adjoint
+    build a node that computes its blocks from its operands' blocks on
+    demand: (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).  A
+    composed node has no `mat`.
+  * Memoisation.  Only an operator that enters a cache through cache_get
+    keeps the blocks it has computed: the ladder primitives of a Space, the
+    named operators of OperatorAlgebra and VelocityFamily, and what the
+    registry's EngineContext caches.  A transient operator keeps nothing
+    once it is dropped.
+
+to_csr() assembles the full D^2 x D^2 matrix from the blocks of every
+sector.  The engine never needs it; tests and the support checks
+(measured_grades, measured_col_shifts) do.  Every superoperator also
+carries its net row/col level shift so the truncation bookkeeping can be
+checked against that support.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -29,6 +49,8 @@ from .fock import FockBasis, annihilator, build_basis, creator
 # whose eigenvalue sits this close to a pole).
 POLE_TOL = 1e-9
 
+BlockRule = Callable[[int], sparse.csr_matrix]
+
 
 def _merge_shift(x: Optional[int], y: Optional[int]) -> Optional[int]:
     if x is None or y is None:
@@ -36,44 +58,106 @@ def _merge_shift(x: Optional[int], y: Optional[int]) -> Optional[int]:
     return x + y
 
 
-@dataclass
+def _diag(values: np.ndarray) -> sparse.csr_matrix:
+    return sparse.diags(values.astype(np.complex128), format="csr")
+
+
 class SuperOp:
-    """A linear map on vectorized operator-valued states.
+    """A grade-homogeneous linear map on vectorized operator-valued states.
+
+    SuperOp(space, mat, grade) is a leaf given by its full sparse matrix,
+    whose support must have grade `grade`; SuperOp(space, values=v) is the
+    diagonal leaf with value v[i] on pair i.  Compositions are made with the
+    operators below, never by hand.
 
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
     drow, dcol : net row/col level shifts (None once a sum mixes shifts).
     """
 
-    space: "Space"
-    mat: sparse.csr_matrix
-    grade: int = 0
-    drow: Optional[int] = 0
-    dcol: Optional[int] = 0
+    def __init__(self, space: "Space", mat: Optional[sparse.spmatrix] = None,
+                 grade: int = 0, drow: Optional[int] = 0, dcol: Optional[int] = 0, *,
+                 values: Optional[np.ndarray] = None, rule: Optional[BlockRule] = None):
+        if (mat is None) + (values is None) + (rule is None) != 2:
+            raise ValueError("give exactly one of mat, values and rule")
+        self.space = space
+        self.mat = mat
+        self.values = values
+        self.grade = grade
+        self.drow = drow
+        self.dcol = dcol
+        self._rule = rule
+        self._blocks: Optional[dict[int, sparse.csr_matrix]] = None
+        if mat is not None:
+            coo = mat.tocoo()
+            nz = coo.data != 0
+            g = space.pair_grade
+            found = set((g[coo.row[nz]] - g[coo.col[nz]]).tolist())
+            if found - {grade}:
+                raise ValueError(f"support has grades {sorted(found)}, not {grade}")
+
+    def _check_space(self, other: "SuperOp") -> None:
+        if self.space is not other.space:
+            raise ValueError("superoperators live on different spaces")
+
+    # -- blocks ---------------------------------------------------------------
+
+    def memoise(self) -> None:
+        """Keep every block computed from now on (for cached operators)."""
+        if self._blocks is None:
+            self._blocks = {}
+
+    def block(self, k: int) -> sparse.csr_matrix:
+        """The map from sector k into sector k + grade, on packed bases."""
+        memo = self._blocks
+        if memo is not None and k in memo:
+            return memo[k]
+        sp = self.space
+        if self._rule is not None:
+            blk = self._rule(k)
+        elif self.values is not None:
+            blk = _diag(self.values[sp.packed(k)])
+        else:
+            blk = self.mat[sp.packed(k + self.grade)][:, sp.packed(k)]
+        if memo is not None:
+            memo[k] = blk
+        return blk
+
+    def to_csr(self) -> sparse.csr_matrix:
+        """The full D^2 x D^2 matrix, assembled from the blocks of every sector."""
+        if self.mat is not None:
+            return self.mat.tocsr()
+        sp = self.space
+        if self.values is not None:
+            return _diag(self.values)
+        rows, cols, data = [], [], []
+        for k in range(-sp.n_max, sp.n_max + 1):
+            blk = self.block(k).tocoo()
+            rows.append(sp.packed(k + self.grade)[blk.row])
+            cols.append(sp.packed(k)[blk.col])
+            data.append(blk.data)
+        n = sp.dim ** 2
+        return sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n, n))
+
+    # -- composition ----------------------------------------------------------
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
-        if self.space is not other.space:
-            raise ValueError("superoperators live on different spaces")
-        return SuperOp(
-            self.space,
-            (self.mat @ other.mat).tocsr(),
-            grade=self.grade + other.grade,
-            drow=_merge_shift(self.drow, other.drow),
-            dcol=_merge_shift(self.dcol, other.dcol),
-        )
+        self._check_space(other)
+        a, b = self, other
+        return SuperOp(self.space, grade=a.grade + b.grade, drow=_merge_shift(a.drow, b.drow),
+                       dcol=_merge_shift(a.dcol, b.dcol),
+                       rule=lambda k: a.block(k + b.grade) @ b.block(k))
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
-        if self.space is not other.space:
-            raise ValueError("superoperators live on different spaces")
+        self._check_space(other)
         if self.grade != other.grade:
             raise ValueError(f"grade mismatch in sum: {self.grade} vs {other.grade}")
-        return SuperOp(
-            self.space,
-            (self.mat + other.mat).tocsr(),
-            grade=self.grade,
-            drow=self.drow if self.drow == other.drow else None,
-            dcol=self.dcol if self.dcol == other.dcol else None,
-        )
+        a, b = self, other
+        return SuperOp(self.space, grade=a.grade, drow=a.drow if a.drow == b.drow else None,
+                       dcol=a.dcol if a.dcol == b.dcol else None,
+                       rule=lambda k: a.block(k) + b.block(k))
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
         return self + (-1.0) * other
@@ -82,41 +166,40 @@ class SuperOp:
         return (-1.0) * self
 
     def __mul__(self, scalar: complex) -> "SuperOp":
-        return SuperOp(self.space, (scalar * self.mat).tocsr(),
-                       self.grade, self.drow, self.dcol)
+        return SuperOp(self.space, grade=self.grade, drow=self.drow, dcol=self.dcol,
+                       rule=lambda k: scalar * self.block(k))
 
     __rmul__ = __mul__
 
     def plain_adjoint(self) -> "SuperOp":
         """Adjoint for the unweighted Frobenius pairing."""
-        return SuperOp(
-            self.space,
-            self.mat.conj().T.tocsr(),
-            grade=-self.grade,
-            drow=None if self.drow is None else -self.drow,
-            dcol=None if self.dcol is None else -self.dcol,
-        )
+        return SuperOp(self.space, grade=-self.grade,
+                       drow=None if self.drow is None else -self.drow,
+                       dcol=None if self.dcol is None else -self.dcol,
+                       rule=lambda k: self.block(k - self.grade).conj().T.tocsr())
 
     def weighted_adjoint(self) -> "SuperOp":
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
-        sp = self.space
         adj = self.plain_adjoint()
-        mat = (sp._winv_diag @ adj.mat @ sp._w_diag).tocsr()
-        return SuperOp(sp, mat, adj.grade, adj.drow, adj.dcol)
+        sp = self.space
+        w = sp.pair_w
 
-    def apply_matrix(self, psi: np.ndarray) -> np.ndarray:
-        """Apply to a D x D state given as a dense matrix."""
-        d = self.space.dim
-        return (self.mat @ psi.reshape(d * d)).reshape(d, d)
+        def rule(k: int) -> sparse.csr_matrix:
+            w_out, w_in = w[sp.packed(k + adj.grade)], w[sp.packed(k)]
+            return _diag(1.0 / w_out) @ adj.block(k) @ _diag(w_in)
+
+        return SuperOp(sp, grade=adj.grade, drow=adj.drow, dcol=adj.dcol, rule=rule)
+
+    # -- support checks -------------------------------------------------------
 
     def measured_grades(self) -> set[int]:
         """Grade shifts actually present in the sparse support."""
-        coo = self.mat.tocoo()
+        coo = self.to_csr().tocoo()
         g = self.space.pair_grade
         return set((g[coo.row] - g[coo.col]).tolist())
 
     def measured_col_shifts(self) -> set[int]:
-        coo = self.mat.tocoo()
+        coo = self.to_csr().tocoo()
         lc = self.space.col_level
         return set((lc[coo.row] - lc[coo.col]).tolist())
 
@@ -141,18 +224,33 @@ class Space:
         # symmetrized radius eigenvalue on each pair
         self.pair_w = self.lam * (self.row_level + self.col_level + 2) / 2.0
 
-        self._w_diag = sparse.diags(self.pair_w.astype(np.complex128)).tocsr()
-        self._winv_diag = sparse.diags((1.0 / self.pair_w).astype(np.complex128)).tocsr()
-
         self._a = [annihilator(self.basis, 1), annihilator(self.basis, 2)]
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
         self._eye = sparse.identity(d, dtype=np.complex128, format="csr")
         self._cache: dict[tuple, SuperOp] = {}
+        self._packed: dict[int, np.ndarray] = {}
+
+    def packed(self, kappa: int) -> np.ndarray:
+        """Vec indices of the grade-kappa sector, block-major by input level.
+
+        Within the block of input level n, columns (level n) run outer and
+        rows (level n + kappa) inner.  Empty when no level pair has grade
+        kappa.
+        """
+        if kappa not in self._packed:
+            d = self.dim
+            parts = [np.zeros(0, dtype=np.int64)]
+            for n in range(max(0, -kappa), min(self.n_max, self.n_max - kappa) + 1):
+                cols, rows = self.basis.level_slice(n), self.basis.level_slice(n + kappa)
+                parts.append((np.arange(rows.start, rows.stop)[None, :] * d
+                              + np.arange(cols.start, cols.stop)[:, None]).ravel())
+            self._packed[kappa] = np.concatenate(parts)
+        return self._packed[kappa]
 
     # -- primitives ---------------------------------------------------------
 
     def identity(self) -> SuperOp:
-        return SuperOp(self, sparse.identity(self.dim**2, dtype=np.complex128, format="csr"))
+        return SuperOp(self, values=np.ones(self.dim**2, dtype=np.complex128))
 
     def left_mul(self, mat: sparse.spmatrix, drow: int) -> SuperOp:
         return SuperOp(self, sparse.kron(mat, self._eye, format="csr"),
@@ -179,14 +277,12 @@ class Space:
         return self._cached(("rad", alpha), lambda: self.right_mul(self._adag[alpha - 1], dcol=-1))
 
     def _cached(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        return cache_get(self._cache, key, builder)
 
     # -- radial calculus ----------------------------------------------------
 
     def radial_values(self, values: np.ndarray) -> SuperOp:
-        return SuperOp(self, sparse.diags(values.astype(np.complex128)).tocsr())
+        return SuperOp(self, values=values.astype(np.complex128))
 
     def radial(self, fn: Callable[[np.ndarray], np.ndarray],
                poles: tuple[float, ...] = ()) -> SuperOp:
@@ -218,6 +314,20 @@ class Space:
     def grading_twist(self, tau: float) -> SuperOp:
         """Phase substitution a -> e^{i tau} a, a+ -> e^{-i tau} a+ on states."""
         return self.radial_values(np.exp(-1j * tau * self.pair_grade))
+
+
+def cache_get(cache: dict, key, builder: Callable[[], object]):
+    """cache[key], built on first use.
+
+    A superoperator that enters a cache memoises its blocks; this is the
+    only place that turns memoisation on.
+    """
+    if key not in cache:
+        value = builder()
+        if isinstance(value, SuperOp):
+            value.memoise()
+        cache[key] = value
+    return cache[key]
 
 
 def commutator(a: SuperOp, b: SuperOp) -> SuperOp:

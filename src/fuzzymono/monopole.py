@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q
-from .liouville import Space, SuperOp, commutator, linear_combination
+from .liouville import Space, SuperOp, cache_get, commutator, linear_combination
 from .ncspace import PAULI, nonzero_entries
 
 
@@ -32,9 +32,7 @@ class VelocityFamily:
         self._cache: dict[tuple, SuperOp] = {}
 
     def _get(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+        return cache_get(self._cache, key, builder)
 
     def u(self, alpha: int, beta: int) -> SuperOp:
         """(1/r) a+_alpha (.) a_beta : raises every block by one."""
@@ -175,11 +173,11 @@ def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,
     if sec.is_empty:
         return None
     mask, _ = sec.guard_window(guard, exclude_ws)
-    cols = sec.packed[mask]
+    cols = np.flatnonzero(mask)
     if cols.size == 0:
         return None
-    lhs = commutator(vel.velocity(1), vel.velocity(2)).mat.tocsc()[:, cols]
-    k = monopole_profile_op(vel, (3, 4)).mat.tocsc()[:, cols]
+    lhs = commutator(vel.velocity(1), vel.velocity(2)).block(kappa)[:, cols]
+    k = monopole_profile_op(vel, (3, 4)).block(kappa)[:, cols]
     denom = (k.conj().multiply(k)).sum()
     if denom == 0:
         return None

@@ -89,27 +89,16 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
     if key in _SECTORS:
         return _SECTORS[key]
     space = get_space(n_max, lam)
-    d = space.dim
     blocks = [n for n in range(n_max + 1) if 0 <= n + kappa <= n_max]
-    packed: list[int] = []
-    offsets = [0]
-    block_of: list[int] = []
-    for pos, n in enumerate(blocks):
-        cols = space.basis.level_slice(n)
-        rows = space.basis.level_slice(n + kappa)
-        for c in range(cols.start, cols.stop):
-            for r in range(rows.start, rows.stop):
-                packed.append(r * d + c)
-                block_of.append(pos)
-        offsets.append(len(packed))
+    sizes = [(n + 1) * (n + kappa + 1) for n in blocks]
     sector = MonopoleSector(
         kappa=kappa,
         n_max=n_max,
         lam=float(lam),
         blocks=tuple(blocks),
-        packed=np.array(packed, dtype=np.int64),
-        block_offsets=np.array(offsets, dtype=np.int64),
-        block_of=np.array(block_of, dtype=np.int64),
+        packed=space.packed(kappa),
+        block_offsets=np.cumsum([0, *sizes], dtype=np.int64),
+        block_of=np.repeat(np.arange(len(blocks), dtype=np.int64), sizes),
         space=space,
     )
     _SECTORS[key] = sector
@@ -167,18 +156,13 @@ def apply_superop(op: SuperOp, psi: SectorVector) -> SectorVector:
     """Apply a superoperator; the result lives in the grade-shifted sector."""
     sec = psi.sector
     out_sector = build_sector(sec.kappa + op.grade, sec.n_max, sec.lam)
-    d = sec.space.dim
-    vec = np.zeros(d * d, dtype=np.complex128)
-    vec[sec.packed] = psi.data
-    out = op.mat @ vec
-    return SectorVector(out_sector, out[out_sector.packed])
+    return SectorVector(out_sector, op.block(sec.kappa) @ psi.data)
 
 
 def sector_matrix(op: SuperOp, sector: MonopoleSector, dense: bool = False):
     """Materialize a superoperator as a matrix on the packed sector basis."""
-    out_sector = build_sector(sector.kappa + op.grade, sector.n_max, sector.lam)
-    sub = op.mat.tocsc()[:, sector.packed].tocsr()[out_sector.packed, :]
-    return sub.toarray() if dense else sub.tocsr()
+    sub = op.block(sector.kappa)
+    return sub.toarray() if dense else sub.copy()
 
 
 def _window_norm(mat: sparse.csr_matrix, in_window: np.ndarray) -> float:
@@ -196,26 +180,27 @@ def graded_residual(
 ) -> tuple[float, list[int]] | None:
     """Scale-free residual of lhs == rhs on the guarded window of a sector.
 
-    ||L - R||_F / max(floor, ||L||_F, ||R||_F), with columns restricted to
-    the guarded, pole-free input blocks and all rows kept (grading leakage
-    would show up as extra rows).  Each norm sums the stored CSR entries
-    whose column is in the window, read through a boolean mask over the D^2
-    columns, so no matrix is copied or sliced.  The default floor of 1
+    ||L - R||_F / max(floor, ||L||_F, ||R||_F) over the blocks of lhs and
+    rhs out of this sector, with columns restricted to the guarded,
+    pole-free input blocks.  Each norm sums the stored CSR entries whose
+    column the packed guard_window mask keeps, so no block is copied or
+    sliced.  Both sides must have the same grade.  The default floor of 1
     keeps the ratio defined for vanishing sides; floor=0 gives the purely
     relative metric, which is exactly invariant under power-of-two
     rescalings of lam.  Returns None when the window is empty (the identity
     is skipped at this truncation).
     """
+    if lhs.grade != rhs.grade:
+        raise ValueError(f"grade mismatch: {lhs.grade} vs {rhs.grade}")
     if sector.is_empty:
         return None
     mask, excluded = sector.guard_window(guard, exclude_ws)
     if not mask.any():
         return None
-    in_window = np.zeros(lhs.mat.shape[1], dtype=bool)
-    in_window[sector.packed[mask]] = True
-    nl = _window_norm(lhs.mat, in_window)
-    nr = _window_norm(rhs.mat, in_window)
-    nd = _window_norm(lhs.mat - rhs.mat, in_window)
+    left, right = lhs.block(sector.kappa), rhs.block(sector.kappa)
+    nl = _window_norm(left, mask)
+    nr = _window_norm(right, mask)
+    nd = _window_norm(left - right, mask)
     den = max(floor, nl, nr)
     if den == 0.0:
         return (0.0 if nd == 0.0 else float("inf")), excluded

@@ -47,7 +47,14 @@ from ..algebra import (
     su22_bracket_rhs,
 )
 from ..fock import annihilator, creator, interior_projector, number_operator
-from ..liouville import SuperOp, anticommutator, commutator, get_space, linear_combination
+from ..liouville import (
+    SuperOp,
+    anticommutator,
+    cache_get,
+    commutator,
+    get_space,
+    linear_combination,
+)
 from ..monopole import (
     FLOW_SIGNS,
     VelocityFamily,
@@ -109,9 +116,7 @@ class EngineContext:
         self._extra: dict[tuple, object] = {}
 
     def cached(self, key: tuple, builder: Callable[[], object]):
-        if key not in self._extra:
-            self._extra[key] = builder()
-        return self._extra[key]
+        return cache_get(self._extra, key, builder)
 
     def radial(self, f: RadialFunction) -> SuperOp:
         """The multiplier f(r_hat), built once per context (keyed by f.name)."""
@@ -314,7 +319,7 @@ def _sector_grading(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
         return None
     worst = 0.0
     for tau in (np.pi / 7, 1.0, 2.5):
-        vals = ctx.space.grading_twist(tau).mat.diagonal()[sec.packed]
+        vals = ctx.space.grading_twist(tau).block(kappa).diagonal()
         worst = max(worst, float(np.max(np.abs(vals - np.exp(-1j * tau * kappa)))))
     return worst, []
 
@@ -799,14 +804,14 @@ def _field_trend(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     sec = ctx.sector(kappa)
     if sec.is_empty:
         return None
-    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).mat.tocsc()
-    gen = ctx.alg.generator(3, 4).mat.tocsc()
+    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).block(kappa)
+    gen = ctx.alg.generator(3, 4).block(kappa)
     ws, cs = [], []
     lo, hi = sec.blocks[0], sec.blocks[-1]
     for pos, n in enumerate(sec.blocks):
         if not (lo + guard <= n <= hi - guard) or n < ctx.n_max / 2:
             continue
-        cols = sec.packed[int(sec.block_offsets[pos]):int(sec.block_offsets[pos + 1])]
+        cols = slice(int(sec.block_offsets[pos]), int(sec.block_offsets[pos + 1]))
         kb = gen[:, cols]
         den = (kb.conj().multiply(kb)).sum()
         if den == 0:

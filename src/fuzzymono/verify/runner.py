@@ -3,12 +3,18 @@
 Jobs are independent and may run in a process pool; results are placed back
 in a deterministic (suite, id, kappa) order regardless of completion order,
 so repeated runs emit byte-identical reports (wall times aside).
+
+Each job records the warnings it raises instead of printing them, in a pool
+worker as in the main process. run_suite re-issues them, each distinct one
+once, only after every job has returned: a run that ends in an exception
+(an overflowing --lambda) leaves that exception as its only message.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -43,18 +49,21 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
-def _eval_job(args: tuple) -> tuple[float | None, list[int], float]:
+def _eval_job(args: tuple) -> tuple[float | None, list[int], float, list[tuple]]:
+    """(residual, excluded blocks, wall ms, warnings as warn_explicit arguments)."""
     record_id, kappa, n_max, lam, guard_override = args
     rec = BY_ID[record_id]
-    ctx = get_context(n_max, lam)
-    guard = rec.guard if guard_override is None else guard_override
-    t0 = time.perf_counter()
-    out = rec.builder(ctx, kappa, guard)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    with warnings.catch_warnings(record=True) as caught:
+        ctx = get_context(n_max, lam)
+        guard = rec.guard if guard_override is None else guard_override
+        t0 = time.perf_counter()
+        out = rec.builder(ctx, kappa, guard)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+    raised = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
     if out is None:
-        return None, [], wall_ms
+        return None, [], wall_ms, raised
     residual, excluded = out
-    return float(residual), [int(b) for b in excluded], wall_ms
+    return float(residual), [int(b) for b in excluded], wall_ms, raised
 
 
 def run_suite(config: RunConfig) -> VerificationReport:
@@ -75,8 +84,11 @@ def run_suite(config: RunConfig) -> VerificationReport:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             outcomes = list(pool.map(_eval_job, jobs, chunksize=4))
 
+    for raised in dict.fromkeys(w for *_, job_warnings in outcomes for w in job_warnings):
+        warnings.warn_explicit(*raised)
+
     report = VerificationReport(suite=config.suite, lam=config.lam, n_max=config.n_max)
-    for (rec, kappa), (residual, excluded, wall_ms) in zip(meta, outcomes):
+    for (rec, kappa), (residual, excluded, wall_ms, _) in zip(meta, outcomes):
         guard = rec.guard if config.guard is None else config.guard
         report.results.append(
             IdentityResult(

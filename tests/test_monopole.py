@@ -256,9 +256,9 @@ def test_so4_extension_coefficient_is_quarter(ctx9):
     sec = ctx9.sector(2)
     mask, _ = sec.guard_window(2, (0.0, 1.0))
     cols = sec.packed[mask]
-    lhs = commutator(ctx9.vel.velocity(1), ctx9.vel.velocity(4)).mat.tocsc()[:, cols]
+    lhs = commutator(ctx9.vel.velocity(1), ctx9.vel.velocity(4)).to_csr().tocsc()[:, cols]
     base = (monopole_profile_op(ctx9.vel, (2, 3)) @ (2.0 * ctx9.space.identity()))
-    k = base.mat.tocsc()[:, cols]
+    k = base.to_csr().tocsc()[:, cols]
     coeff = np.real((k.conj().multiply(lhs)).sum() / (k.conj().multiply(k)).sum())
     assert coeff == pytest.approx(2.0 / 4.0, abs=1e-10)
 
@@ -292,7 +292,7 @@ def test_field_strength_tensors(ctx9):
     for a in (1, 2, 3, 4):
         for b in (1, 2, 3, 4):
             delta = fs.f[(a, b)] + fs.f[(b, a)]
-            assert delta.mat.nnz == 0 or abs(delta.mat.data).max() == 0.0
+            assert delta.to_csr().nnz == 0 or abs(delta.to_csr().data).max() == 0.0
     # spatial block of the symmetric tensor
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         assert res(ctx9, fs.g[(i, j)], fs.g[(j, i)], 2, 2) <= 1e-11

@@ -177,6 +177,16 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
         assert captured.out == ""
         ours = [line for line in captured.err.splitlines() if line.startswith("fuzzymono:")]
         assert len(ours) == 1 and "--lambda" in ours[0] and "Traceback" not in captured.err
+        # the same run as a command: that line is all of stderr, also when
+        # pool workers raised numpy warnings before the run failed
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fuzzymono.verify.cli", "--suite", "all", "--n-max", "3",
+                 "--kappa", "0", "--lambda", extreme, "--jobs", jobs],
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 2 and proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fuzzymono: --lambda"), proc.stderr
     monkeypatch.setenv("FUZZYMONO_JOBS", "abc")
     assert main(["--suite", "fock", "--n-max", "2"]) == 2
     err = capsys.readouterr().err
@@ -236,6 +246,38 @@ def test_nonfinite_residual_is_strict_json_failure(capsys):
     raw = json.loads(capsys.readouterr().out, parse_constant=reject)
     failed = [row for row in raw["results"] if row["pass"] is False]
     assert failed and all(row["residual"] is None for row in failed)
+
+
+def test_warnings_of_a_finished_run_reach_stderr():
+    """A run that ends still shows the warnings its pool workers raised, once each."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fuzzymono.verify.cli", "--suite", "su22", "--n-max", "3",
+         "--lambda", "1e200", "--format", "json", "--jobs", "2"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr.count("RuntimeWarning: overflow encountered in square") == 1
+
+
+def test_run_reads_only_blocks(monkeypatch):
+    """No full D^2 x D^2 matrix is assembled in a run: the same rows without to_csr."""
+    from fuzzymono import liouville, sector
+    from fuzzymono.verify import registry
+
+    def fresh_rows():
+        monkeypatch.setattr(liouville, "_SPACES", {})
+        monkeypatch.setattr(sector, "_SECTORS", {})
+        monkeypatch.setattr(registry, "_CONTEXTS", {})
+        report = run_suite(RunConfig(suite="all", kappas=(2,), n_max=6, jobs=1))
+        return [(r.id, r.kappa, r.guard, r.tolerance, r.residual, r.excluded_blocks)
+                for r in report.results]
+
+    plain = fresh_rows()
+
+    def refuse(self):
+        raise AssertionError("full matrix assembled during a run")
+
+    monkeypatch.setattr(liouville.SuperOp, "to_csr", refuse)
+    assert fresh_rows() == plain
 
 
 def test_op_closure_pairs_stream():

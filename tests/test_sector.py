@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from fuzzymono.fock import build_basis
+from fuzzymono.fock import annihilator, build_basis, creator
 from fuzzymono.liouville import SuperOp, get_space
 from fuzzymono.sector import (
     SectorVector,
@@ -84,7 +84,7 @@ def test_grading_phase():
     for kappa in (-3, 0, 2):
         sec = build_sector(kappa, 6)
         for tau in (np.pi / 7, 1.0, 2.5):
-            vals = sec.space.grading_twist(tau).mat.diagonal()[sec.packed]
+            vals = sec.space.grading_twist(tau).block(kappa).diagonal()
             np.testing.assert_allclose(vals, np.exp(-1j * tau * kappa), atol=1e-13)
 
 
@@ -161,10 +161,10 @@ def test_weighted_adjoint_properties(rng):
     sec = build_sector(1, 6)
     # adjoint of the radius is the radius
     r = sp.radius_op()
-    assert (r.weighted_adjoint().mat - r.mat).nnz == 0
+    assert (r.weighted_adjoint().to_csr() - r.to_csr()).nnz == 0
     # involution on a composite
     op = sp.lmul_adag(1) @ sp.rmul_a(2) + 0.3j * sp.radius_inv()
-    delta = op.weighted_adjoint().weighted_adjoint().mat - op.mat
+    delta = op.weighted_adjoint().weighted_adjoint().to_csr() - op.to_csr()
     assert abs(delta.toarray()).max() <= 1e-14
     # defining property against the weighted inner product, on random vectors
     op2 = sp.radius_inv() @ (sp.lmul_adag(1) @ sp.rmul_a(1))
@@ -224,11 +224,14 @@ def _sliced_residual(lhs, rhs, sector, guard, exclude_ws, floor):
     return nd / den, excluded
 
 
-def _messy_csr(rng, n, density, scale):
-    """Random complex CSR with unsorted column indices and explicit zeros."""
+def _messy_csr(rng, sp, grade, density, scale):
+    """Random complex CSR of one grade with unsorted column indices and explicit zeros."""
+    n = sp.dim ** 2
     indptr, indices = [0], []
-    for _ in range(n):
-        cols = rng.choice(n, size=rng.binomial(n, density), replace=False)  # unsorted
+    for row in range(n):
+        allowed = np.flatnonzero(sp.pair_grade == sp.pair_grade[row] - grade)
+        cols = rng.choice(allowed, size=rng.binomial(allowed.size, density),
+                          replace=False)  # unsorted
         indices.extend(cols.tolist())
         indptr.append(len(indices))
     nnz = len(indices)
@@ -242,20 +245,21 @@ def _messy_csr(rng, n, density, scale):
 @given(seed=st.integers(0, 2**32 - 1),
        n_max=st.integers(1, 3),
        kappa=st.integers(-4, 4),
+       grade=st.integers(-2, 2),
        guard=st.integers(0, 3),
        exclude_ws=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]), max_size=3),
        floor=st.sampled_from([0.0, 1e-3, 1.0, 10.0]),
        density=st.floats(0.0, 0.5),
        log_scale=st.integers(-3, 3),
        same=st.booleans())
-def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, guard, exclude_ws,
+def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, grade, guard, exclude_ws,
                                                 floor, density, log_scale, same):
     sp = get_space(n_max, 1.0)
     sec = build_sector(kappa, n_max)
     rng = np.random.default_rng(seed)
-    d2 = sp.dim ** 2
-    lhs = SuperOp(sp, _messy_csr(rng, d2, density, 10.0 ** log_scale))
-    rhs = lhs if same else SuperOp(sp, _messy_csr(rng, d2, density, 10.0 ** log_scale))
+    lhs = SuperOp(sp, _messy_csr(rng, sp, grade, density, 10.0 ** log_scale), grade)
+    rhs = lhs if same else SuperOp(
+        sp, _messy_csr(rng, sp, grade, density, 10.0 ** log_scale), grade)
     got = graded_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor=floor)
     want = _sliced_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor)
     if want is None:
@@ -266,3 +270,112 @@ def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, guard, exclu
         assert got[0] == want[0]
     else:
         assert abs(got[0] - want[0]) <= 1e-15 * abs(want[0])
+
+
+def test_superop_refuses_support_of_another_grade():
+    """A leaf's matrix must have the grade it is declared with."""
+    sp = get_space(3, 1.0)
+    raising = sp.lmul_adag(1).mat
+    assert SuperOp(sp, raising, 1).grade == 1
+    with pytest.raises(ValueError, match="grade"):
+        SuperOp(sp, raising, 0)
+    with pytest.raises(ValueError, match="grade"):
+        SuperOp(sp, (raising + sp.lmul_a(1).mat).tocsr(), 1)
+    with pytest.raises(ValueError):
+        SuperOp(sp, raising, 1, values=np.ones(sp.dim ** 2))
+
+
+# ---------------------------------------------------------------------------
+# blocks against the eager formula: random words, each built twice, once as
+# a lazy superoperator and once from full kron/diags matrices
+# ---------------------------------------------------------------------------
+
+def _leaf(data, sp):
+    """(superoperator, full matrix, full matrix of absolute values) of one leaf."""
+    d = sp.dim
+    eye = sparse.identity(d, dtype=np.complex128, format="csr")
+    kind = data.draw(st.sampled_from(["la", "lad", "ra", "rad", "radial", "inv_r", "one"]))
+    mode = data.draw(st.sampled_from([1, 2]))
+    if kind in ("la", "lad", "ra", "rad"):
+        ladder = (annihilator if kind in ("la", "ra") else creator)(sp.basis, mode)
+        prim = {"la": sp.lmul_a, "lad": sp.lmul_adag, "ra": sp.rmul_a, "rad": sp.rmul_adag}
+        op = prim[kind](mode)
+        full = sparse.kron(ladder, eye) if kind[0] == "l" else sparse.kron(eye, ladder.T)
+    elif kind == "radial":
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
+        values[rng.random(d * d) < 0.1] = 0.0
+        op, full = sp.radial_values(values), sparse.diags(values)
+    elif kind == "inv_r":
+        op, full = sp.radius_inv(), sparse.diags(1.0 / sp.pair_w)
+    else:
+        op, full = sp.identity(), sparse.identity(d * d)
+    full = sparse.csr_matrix(full, dtype=np.complex128)
+    return op, full, abs(full)
+
+
+def _regrade(sp, word, grade):
+    """Left-multiply by a_1 or a+_1 until the word has the given grade."""
+    op, full, mag = word
+    eye = sparse.identity(sp.dim, dtype=np.complex128, format="csr")
+    while op.grade != grade:
+        step = sp.lmul_adag if op.grade < grade else sp.lmul_a
+        ladder = (creator if op.grade < grade else annihilator)(sp.basis, 1)
+        k = sparse.kron(ladder, eye, format="csr")
+        op, full, mag = step(1) @ op, k @ full, abs(k) @ mag
+    return op, full, mag
+
+
+def _word(data, sp, depth):
+    """A random word of primitives, radial multipliers and the identity."""
+    if depth == 0 or data.draw(st.booleans()):
+        return _leaf(data, sp)
+    kind = data.draw(st.sampled_from(["matmul", "add", "sub", "scale", "plain", "weighted"]))
+    a, fa, ma = _word(data, sp, depth - 1)
+    if kind in ("matmul", "add", "sub"):
+        b, fb, mb = _word(data, sp, depth - 1)
+        if kind == "matmul":
+            return a @ b, fa @ fb, ma @ mb
+        b, fb, mb = _regrade(sp, (b, fb, mb), a.grade)
+        if kind == "add":
+            return a + b, fa + fb, ma + mb
+        return a - b, fa - fb, ma + mb
+    if kind == "scale":
+        c = complex(data.draw(st.sampled_from([2.0, -0.5, 1j, 0.3 - 1.2j, 0.0])))
+        return c * a, c * fa, abs(c) * ma
+    if kind == "plain":
+        return a.plain_adjoint(), fa.conj().T.tocsr(), ma.T.tocsr()
+    w = sparse.diags(sp.pair_w.astype(np.complex128))
+    winv = sparse.diags((1.0 / sp.pair_w).astype(np.complex128))
+    return a.weighted_adjoint(), winv @ fa.conj().T @ w, abs(winv) @ ma.T @ abs(w)
+
+
+def _fro(mat):
+    return float(np.sqrt(np.sum(np.abs(mat.data) ** 2)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), n_max=st.integers(1, 4), lam=st.sampled_from([1.0, 0.5, 3.0]))
+def test_blocks_match_the_eager_formula(data, n_max, lam):
+    sp = get_space(n_max, lam)
+    op, full, mag = _word(data, sp, depth=3)
+    scale = max(1.0, _fro(mag))
+
+    # every block, assembled, is the eager full matrix
+    assert _fro(op.to_csr() - full) <= 1e-15 * scale
+
+    # applying a block is multiplying by the full matrix
+    kappa = data.draw(st.integers(-n_max, n_max))
+    sec = build_sector(kappa, n_max, lam)
+    psi = SectorVector.random(sec, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    got = apply_superop(op, psi)
+    assert got.sector.kappa == kappa + op.grade
+    want = full @ psi.to_matrix().reshape(-1)
+    bound = np.linalg.norm(mag @ np.abs(psi.to_matrix().reshape(-1)))
+    assert np.linalg.norm(got.to_matrix().reshape(-1) - want) <= 1e-14 * max(1.0, bound)
+
+    # the weighted adjoint is an involution
+    twice = op.weighted_adjoint().weighted_adjoint()
+    assert twice.grade == op.grade
+    assert _fro(twice.to_csr() - op.to_csr()) <= 1e-15 * scale
