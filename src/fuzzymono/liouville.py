@@ -29,6 +29,24 @@ from sector k into sector k + grade, on the packed sector bases
     registry's EngineContext caches.  A transient operator keeps nothing
     once it is dropped.
 
+Inside the engine a block is a _Block: CSR arrays with int32 indptr and
+indices and complex128 data, which are never mutated once made.  A leaf
+converts its block once; every rule and every memo then holds _Blocks, and
+block(k) wraps one as a scipy csr_matrix for readers outside the engine.
+The default run does tens of thousands of small block products and sums,
+and scipy's csr_matrix spends about three times as long in its Python
+layer (format checks, index-dtype choice, pruning) as in the C kernels
+that do the arithmetic.  So _Block calls those kernels itself, from the
+private scipy.sparse._sparsetools module: csr_matmat_maxnnz/csr_matmat,
+csr_plus_csr, csr_minus_csr and csr_tocsc are the functions csr_matrix's
+own @, +, - and transpose-to-CSR call, and every result is trimmed as
+csr_matrix trims it, so a block comes out bit for bit as the scipy
+expression would give it.  tests/test_liouville.py holds them to that over
+random matrices, which also guards against the kernels' signatures
+drifting between scipy releases.  Indices stay int32, as scipy picks them
+at these sizes; a block dimension or a result size past the int32 limit
+raises ValueError instead of overflowing.
+
 to_csr() assembles the full D^2 x D^2 matrix from the blocks of every
 sector.  The engine never needs it; tests and the support checks
 (measured_grades, measured_col_shifts) do.  Every superoperator also
@@ -42,6 +60,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .fock import FockBasis, annihilator, build_basis, creator
 
@@ -49,7 +68,8 @@ from .fock import FockBasis, annihilator, build_basis, creator
 # whose eigenvalue sits this close to a pole).
 POLE_TOL = 1e-9
 
-BlockRule = Callable[[int], sparse.csr_matrix]
+# Largest block dimension or stored-entry count the int32 indices can hold.
+_INDEX_MAX = int(np.iinfo(np.int32).max)
 
 
 def _merge_shift(x: Optional[int], y: Optional[int]) -> Optional[int]:
@@ -58,8 +78,107 @@ def _merge_shift(x: Optional[int], y: Optional[int]) -> Optional[int]:
     return x + y
 
 
-def _diag(values: np.ndarray) -> sparse.csr_matrix:
-    return sparse.diags(values.astype(np.complex128), format="csr")
+def _check_index(n: int) -> None:
+    if n > _INDEX_MAX:
+        raise ValueError(f"a block of {n} rows, columns or entries passes "
+                         f"the int32 index limit {_INDEX_MAX}")
+
+
+def _run_kernel(kernel, dims: tuple[int, int], operands: tuple, shape: tuple[int, int],
+                maxnnz: int) -> "_Block":
+    """kernel(*dims, *operands, indptr, indices, data) into fresh arrays.
+
+    The arrays are sized for maxnnz entries, as csr_matrix sizes them, and
+    trimmed to the entries the kernel stored as csr_matrix.prune trims them:
+    the slice is copied when it is under half of the array.
+    """
+    _check_index(maxnnz)
+    indptr = np.empty(shape[0] + 1, dtype=np.int32)
+    indices = np.empty(maxnnz, dtype=np.int32)
+    data = np.empty(maxnnz, dtype=np.complex128)
+    kernel(*dims, *operands, indptr, indices, data)
+    nnz = int(indptr[-1])
+    indices, data = indices[:nnz], data[:nnz]
+    if nnz < maxnnz // 2:
+        indices, data = indices.copy(), data.copy()
+    return _Block(indptr, indices, data, shape)
+
+
+class _Block:
+    """One CSR block of a superoperator; its arrays are never mutated."""
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]):
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.shape = shape
+
+    @classmethod
+    def from_csr(cls, mat: sparse.csr_matrix) -> "_Block":
+        _check_index(max(*mat.shape, mat.nnz))
+        return cls(mat.indptr.astype(np.int32, copy=False),
+                   mat.indices.astype(np.int32, copy=False),
+                   mat.data.astype(np.complex128, copy=False), mat.shape)
+
+    @classmethod
+    def diagonal(cls, values: np.ndarray) -> "_Block":
+        """diag(values), without the zero entries (as sparse.diags drops them)."""
+        n = values.size
+        _check_index(n)
+        keep = values != 0
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(keep, out=indptr[1:])
+        return cls(indptr, np.flatnonzero(keep).astype(np.int32),
+                   values[keep].astype(np.complex128), (n, n))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def _arrays(self) -> tuple:
+        return self.indptr, self.indices, self.data
+
+    def tocsr(self) -> sparse.csr_matrix:
+        """A scipy copy, free for the reader to change."""
+        return sparse.csr_matrix((self.data.copy(), self.indices.copy(), self.indptr.copy()),
+                                 shape=self.shape)
+
+    def __matmul__(self, other: "_Block") -> "_Block":
+        (m, inner), (inner_b, n) = self.shape, other.shape
+        if inner != inner_b:
+            raise ValueError(f"block shapes {self.shape} and {other.shape} do not chain")
+        maxnnz = _sparsetools.csr_matmat_maxnnz(m, n, self.indptr, self.indices,
+                                                other.indptr, other.indices)
+        return _run_kernel(_sparsetools.csr_matmat, (m, n),
+                           self._arrays() + other._arrays(), (m, n), maxnnz)
+
+    def _binop(self, other: "_Block", kernel) -> "_Block":
+        if self.shape != other.shape:
+            raise ValueError(f"block shapes {self.shape} and {other.shape} differ")
+        return _run_kernel(kernel, self.shape, self._arrays() + other._arrays(),
+                           self.shape, self.nnz + other.nnz)
+
+    def __add__(self, other: "_Block") -> "_Block":
+        return self._binop(other, _sparsetools.csr_plus_csr)
+
+    def __sub__(self, other: "_Block") -> "_Block":
+        return self._binop(other, _sparsetools.csr_minus_csr)
+
+    def scale(self, scalar: complex) -> "_Block":
+        return _Block(self.indptr, self.indices, self.data * scalar, self.shape)
+
+    def adjoint(self) -> "_Block":
+        """The conjugate transpose."""
+        m, n = self.shape
+        out = _run_kernel(_sparsetools.csr_tocsc, (m, n), self._arrays(), (n, m), self.nnz)
+        np.conj(out.data, out=out.data)
+        return out
+
+
+BlockRule = Callable[[int], _Block]
 
 
 class SuperOp:
@@ -87,7 +206,7 @@ class SuperOp:
         self.drow = drow
         self.dcol = dcol
         self._rule = rule
-        self._blocks: Optional[dict[int, sparse.csr_matrix]] = None
+        self._blocks: Optional[dict[int, _Block]] = None
         if mat is not None:
             coo = mat.tocoo()
             nz = coo.data != 0
@@ -109,6 +228,10 @@ class SuperOp:
 
     def block(self, k: int) -> sparse.csr_matrix:
         """The map from sector k into sector k + grade, on packed bases."""
+        return self.raw_block(k).tocsr()
+
+    def raw_block(self, k: int) -> _Block:
+        """block(k) as the engine holds it; its arrays must not be changed."""
         memo = self._blocks
         if memo is not None and k in memo:
             return memo[k]
@@ -116,9 +239,9 @@ class SuperOp:
         if self._rule is not None:
             blk = self._rule(k)
         elif self.values is not None:
-            blk = _diag(self.values[sp.packed(k)])
+            blk = _Block.diagonal(self.values[sp.packed(k)])
         else:
-            blk = self.mat[sp.packed(k + self.grade)][:, sp.packed(k)]
+            blk = _Block.from_csr(self.mat[sp.packed(k + self.grade)][:, sp.packed(k)])
         if memo is not None:
             memo[k] = blk
         return blk
@@ -129,7 +252,7 @@ class SuperOp:
             return self.mat.tocsr()
         sp = self.space
         if self.values is not None:
-            return _diag(self.values)
+            return _Block.diagonal(self.values).tocsr()
         rows, cols, data = [], [], []
         for k in range(-sp.n_max, sp.n_max + 1):
             blk = self.block(k).tocoo()
@@ -148,7 +271,7 @@ class SuperOp:
         a, b = self, other
         return SuperOp(self.space, grade=a.grade + b.grade, drow=_merge_shift(a.drow, b.drow),
                        dcol=_merge_shift(a.dcol, b.dcol),
-                       rule=lambda k: a.block(k + b.grade) @ b.block(k))
+                       rule=lambda k: a.raw_block(k + b.grade) @ b.raw_block(k))
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
         self._check_space(other)
@@ -157,7 +280,7 @@ class SuperOp:
         a, b = self, other
         return SuperOp(self.space, grade=a.grade, drow=a.drow if a.drow == b.drow else None,
                        dcol=a.dcol if a.dcol == b.dcol else None,
-                       rule=lambda k: a.block(k) + b.block(k))
+                       rule=lambda k: a.raw_block(k) + b.raw_block(k))
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
         return self + (-1.0) * other
@@ -167,7 +290,7 @@ class SuperOp:
 
     def __mul__(self, scalar: complex) -> "SuperOp":
         return SuperOp(self.space, grade=self.grade, drow=self.drow, dcol=self.dcol,
-                       rule=lambda k: scalar * self.block(k))
+                       rule=lambda k: self.raw_block(k).scale(scalar))
 
     __rmul__ = __mul__
 
@@ -176,7 +299,7 @@ class SuperOp:
         return SuperOp(self.space, grade=-self.grade,
                        drow=None if self.drow is None else -self.drow,
                        dcol=None if self.dcol is None else -self.dcol,
-                       rule=lambda k: self.block(k - self.grade).conj().T.tocsr())
+                       rule=lambda k: self.raw_block(k - self.grade).adjoint())
 
     def weighted_adjoint(self) -> "SuperOp":
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
@@ -184,9 +307,9 @@ class SuperOp:
         sp = self.space
         w = sp.pair_w
 
-        def rule(k: int) -> sparse.csr_matrix:
+        def rule(k: int) -> _Block:
             w_out, w_in = w[sp.packed(k + adj.grade)], w[sp.packed(k)]
-            return _diag(1.0 / w_out) @ adj.block(k) @ _diag(w_in)
+            return _Block.diagonal(1.0 / w_out) @ adj.raw_block(k) @ _Block.diagonal(w_in)
 
         return SuperOp(sp, grade=adj.grade, drow=adj.drow, dcol=adj.dcol, rule=rule)
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .liouville import POLE_TOL, Space, SuperOp, get_space
+from .liouville import POLE_TOL, Space, SuperOp, _Block, get_space
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,8 @@ def sector_matrix(op: SuperOp, sector: MonopoleSector, dense: bool = False):
     return sub.toarray() if dense else sub.copy()
 
 
-def _window_norm(mat: sparse.csr_matrix, in_window: np.ndarray) -> float:
-    """Frobenius norm of the columns of a CSR matrix that in_window marks."""
+def _window_norm(mat: _Block, in_window: np.ndarray) -> float:
+    """Frobenius norm of the columns of a CSR block that in_window marks."""
     return float(np.sqrt(np.sum(np.abs(mat.data[in_window[mat.indices]]) ** 2)))
 
 
@@ -197,7 +196,7 @@ def graded_residual(
     mask, excluded = sector.guard_window(guard, exclude_ws)
     if not mask.any():
         return None
-    left, right = lhs.block(sector.kappa), rhs.block(sector.kappa)
+    left, right = lhs.raw_block(sector.kappa), rhs.raw_block(sector.kappa)
     nl = _window_norm(left, mask)
     nr = _window_norm(right, mask)
     nd = _window_norm(left - right, mask)

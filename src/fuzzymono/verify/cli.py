@@ -14,15 +14,31 @@ from .runner import RunConfig, exit_code, run_suite
 
 
 def parse_kappas(text: str) -> tuple[int, ...]:
-    """Parse '-4..4' ranges or comma lists like '0,2,-3'."""
+    """Parse '-4..4' ranges or comma lists like '0,2,-3' into distinct grades.
+
+    Raises ValueError, naming --kappa, for a token that is no integer, an
+    empty range or list, and a grade given twice.
+    """
+    def grade(token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ValueError(f"--kappa: {token.strip()!r} is not an integer") from None
+
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = grade(lo_s), grade(hi_s)
         if hi < lo:
-            raise ValueError(f"empty kappa range {text!r}")
+            raise ValueError(f"--kappa: empty range {text!r}")
         return tuple(range(lo, hi + 1))
-    return tuple(int(part) for part in text.split(",") if part.strip())
+    kappas = tuple(grade(part) for part in text.split(",") if part.strip())
+    if not kappas:
+        raise ValueError(f"--kappa: {text!r} names no grade")
+    repeated = sorted({k for k in kappas if kappas.count(k) > 1})
+    if repeated:
+        raise ValueError(f"--kappa: {text!r} repeats {', '.join(map(str, repeated))}")
+    return kappas
 
 
 def build_parser() -> argparse.ArgumentParser:

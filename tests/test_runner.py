@@ -103,6 +103,9 @@ def test_parse_kappas():
     assert parse_kappas("5") == (5,)
     with pytest.raises(ValueError):
         parse_kappas("4..-4")
+    for bad in ("", ",", "1,1", "abc", "2..2x"):
+        with pytest.raises(ValueError, match="--kappa"):
+            parse_kappas(bad)
 
 
 def test_cli_accepts_leading_dash_kappa(tmp_path):
@@ -151,6 +154,17 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--kappa", "4..-4"])
     assert exc.value.code == 2
+    # no grade, a repeated grade, and tokens that are not integers: each
+    # message names --kappa and what is wrong with the value
+    for value, named in ((",", "names no grade"), ("1,1", "repeats 1"),
+                         ("0,2,-1,2,0", "repeats 0, 2"), ("abc", "'abc'"),
+                         ("2..2x", "'2x'"), ("x..3", "'x'")):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([f"--kappa={value}"])
+        assert exc.value.code == 2, value
+        err = capsys.readouterr().err
+        assert "--kappa" in err and named in err and "base 10" not in err, (value, err)
     with pytest.raises(SystemExit) as exc:
         main(["--n-max", "-3"])
     assert exc.value.code == 2
@@ -191,6 +205,17 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
     assert main(["--suite", "fock", "--n-max", "2"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "FUZZYMONO_JOBS" in err
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 4, 8])
+def test_truncation_sweep_passes_or_skips(n_max):
+    """Small truncations give empty sectors and zero-size blocks; nothing
+    may crash and nothing may fail.  (associator-baseline fails from n_max
+    14 on, a known defect of its scale, so the sweep stops below that.)"""
+    report = run_suite(RunConfig(n_max=n_max, kappas=tuple(range(-4, 5)), jobs=1))
+    assert report.results
+    failed = [(r.id, r.kappa, r.residual) for r in report.results if r.passed is False]
+    assert not failed
 
 
 def test_excluded_blocks_are_the_record_pole_window():
