@@ -16,13 +16,21 @@ read one block at a time: block(k) is the |S_{k+grade}| x |S_k| CSR matrix
 from sector k into sector k + grade, on the packed sector bases
 (Space.packed, the order of MonopoleSector.packed).
 
-  * Leaves.  A ladder primitive keeps its D^2 x D^2 kron matrix `mat` and
-    slices its blocks out of it; the identity and the radial multipliers
-    keep their value per pair, `values`.
+  * Leaves.  In the fuzzy space the radius is a function of the Fock level,
+    so no leaf needs anything D^2 long.  A radial multiplier (and the
+    identity) is constant on each (row level, col level) block of pairs: it
+    keeps an (n_max+1) x (n_max+1) table, and block(k) repeats table[n+k, n]
+    over the (n+1)(n+k+1) pairs of input-level block n.  Left or right
+    multiplication keeps its D x D Fock matrix M, which must shift the level
+    by a fixed step, and block(k) is a kron of its level slices on each
+    input-level block n: left multiplication acts on the rows of the block,
+    kron(I_{n+1}, M[level n+k+drow, level n+k]) into block n of sector
+    k+drow; right multiplication on its columns,
+    kron(M[level n, level n+dcol]^T, I_{n+k+1}) into block n+dcol of sector
+    k-dcol.
   * Composed nodes.  @, +, -, scalar *, plain_adjoint and weighted_adjoint
     build a node that computes its blocks from its operands' blocks on
-    demand: (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).  A
-    composed node has no `mat`.
+    demand: (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).
   * Memoisation.  Only an operator that enters a cache through cache_get
     keeps the blocks it has computed: the ladder primitives of a Space, the
     named operators of OperatorAlgebra and VelocityFamily, and what the
@@ -30,8 +38,8 @@ from sector k into sector k + grade, on the packed sector bases
     once it is dropped.
 
 Inside the engine a block is a _Block: CSR arrays with int32 indptr and
-indices and complex128 data, which are never mutated once made.  A leaf
-converts its block once; every rule and every memo then holds _Blocks, and
+indices and complex128 data, which are never mutated once made.  Leaves
+build their blocks as _Blocks, every rule and every memo holds them, and
 block(k) wraps one as a scipy csr_matrix for readers outside the engine.
 The default run does tens of thousands of small block products and sums,
 and scipy's csr_matrix spends about three times as long in its Python
@@ -39,7 +47,8 @@ layer (format checks, index-dtype choice, pruning) as in the C kernels
 that do the arithmetic.  So _Block calls those kernels itself, from the
 private scipy.sparse._sparsetools module: csr_matmat_maxnnz/csr_matmat,
 csr_plus_csr, csr_minus_csr and csr_tocsc are the functions csr_matrix's
-own @, +, - and transpose-to-CSR call, and every result is trimmed as
+own @, +, - and transpose-to-CSR call, and coo_tocsr the one its COO
+conversion calls (for the Fock leaves).  Every result is trimmed as
 csr_matrix trims it, so a block comes out bit for bit as the scipy
 expression would give it.  tests/test_liouville.py holds them to that over
 random matrices, which also guards against the kernels' signatures
@@ -49,7 +58,9 @@ raises ValueError instead of overflowing.
 
 to_csr() assembles the full D^2 x D^2 matrix from the blocks of every
 sector.  The engine never needs it; tests and the support checks
-(measured_grades, measured_col_shifts) do.  Every superoperator also
+(measured_grades, measured_col_shifts) do, and so do the per-pair arrays
+Space.row_level, col_level, pair_grade and pair_w, which are computed on
+each access for them.  Every superoperator also
 carries its net row/col level shift so the truncation bookkeeping can be
 checked against that support.
 """
@@ -117,11 +128,22 @@ class _Block:
         self.shape = shape
 
     @classmethod
-    def from_csr(cls, mat: sparse.csr_matrix) -> "_Block":
-        _check_index(max(*mat.shape, mat.nnz))
-        return cls(mat.indptr.astype(np.int32, copy=False),
-                   mat.indices.astype(np.int32, copy=False),
-                   mat.data.astype(np.complex128, copy=False), mat.shape)
+    def from_coo(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]) -> "_Block":
+        """The CSR form of distinct (row, col, value) entries.
+
+        Entries keep their given order within a row, so they come out with
+        sorted indices when each row's entries are given by ascending column.
+        """
+        m, n = shape
+        _check_index(max(m, n, data.size))
+        indptr = np.empty(m + 1, dtype=np.int32)
+        indices = np.empty(data.size, dtype=np.int32)
+        values = np.empty(data.size, dtype=np.complex128)
+        _sparsetools.coo_tocsr(m, n, data.size, rows.astype(np.int32, copy=False),
+                               cols.astype(np.int32, copy=False),
+                               data.astype(np.complex128, copy=False), indptr, indices, values)
+        return cls(indptr, indices, values, shape)
 
     @classmethod
     def diagonal(cls, values: np.ndarray) -> "_Block":
@@ -184,36 +206,23 @@ BlockRule = Callable[[int], _Block]
 class SuperOp:
     """A grade-homogeneous linear map on vectorized operator-valued states.
 
-    SuperOp(space, mat, grade) is a leaf given by its full sparse matrix,
-    whose support must have grade `grade`; SuperOp(space, values=v) is the
-    diagonal leaf with value v[i] on pair i.  Compositions are made with the
-    operators below, never by hand.
+    SuperOp(space, grade, drow, dcol, rule=rule) reads block(k) as rule(k),
+    which must map sector k into sector k + grade.  Leaves come from Space
+    and compositions from the operators below, never by hand.
 
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
     drow, dcol : net row/col level shifts (None once a sum mixes shifts).
     """
 
-    def __init__(self, space: "Space", mat: Optional[sparse.spmatrix] = None,
-                 grade: int = 0, drow: Optional[int] = 0, dcol: Optional[int] = 0, *,
-                 values: Optional[np.ndarray] = None, rule: Optional[BlockRule] = None):
-        if (mat is None) + (values is None) + (rule is None) != 2:
-            raise ValueError("give exactly one of mat, values and rule")
+    def __init__(self, space: "Space", grade: int = 0, drow: Optional[int] = 0,
+                 dcol: Optional[int] = 0, *, rule: BlockRule):
         self.space = space
-        self.mat = mat
-        self.values = values
         self.grade = grade
         self.drow = drow
         self.dcol = dcol
         self._rule = rule
         self._blocks: Optional[dict[int, _Block]] = None
-        if mat is not None:
-            coo = mat.tocoo()
-            nz = coo.data != 0
-            g = space.pair_grade
-            found = set((g[coo.row[nz]] - g[coo.col[nz]]).tolist())
-            if found - {grade}:
-                raise ValueError(f"support has grades {sorted(found)}, not {grade}")
 
     def _check_space(self, other: "SuperOp") -> None:
         if self.space is not other.space:
@@ -235,24 +244,18 @@ class SuperOp:
         memo = self._blocks
         if memo is not None and k in memo:
             return memo[k]
-        sp = self.space
-        if self._rule is not None:
-            blk = self._rule(k)
-        elif self.values is not None:
-            blk = _Block.diagonal(self.values[sp.packed(k)])
-        else:
-            blk = _Block.from_csr(self.mat[sp.packed(k + self.grade)][:, sp.packed(k)])
+        blk = self._rule(k)
+        dims = self.space.sector_dims
+        if blk.shape != (dims.get(k + self.grade, 0), dims.get(k, 0)):
+            raise ValueError(f"a {blk.shape} block does not map sector {k} into sector "
+                             f"{k + self.grade}: its support has another grade")
         if memo is not None:
             memo[k] = blk
         return blk
 
     def to_csr(self) -> sparse.csr_matrix:
         """The full D^2 x D^2 matrix, assembled from the blocks of every sector."""
-        if self.mat is not None:
-            return self.mat.tocsr()
         sp = self.space
-        if self.values is not None:
-            return _Block.diagonal(self.values).tocsr()
         rows, cols, data = [], [], []
         for k in range(-sp.n_max, sp.n_max + 1):
             blk = self.block(k).tocoo()
@@ -304,14 +307,10 @@ class SuperOp:
     def weighted_adjoint(self) -> "SuperOp":
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
         adj = self.plain_adjoint()
-        sp = self.space
-        w = sp.pair_w
-
-        def rule(k: int) -> _Block:
-            w_out, w_in = w[sp.packed(k + adj.grade)], w[sp.packed(k)]
-            return _Block.diagonal(1.0 / w_out) @ adj.raw_block(k) @ _Block.diagonal(w_in)
-
-        return SuperOp(sp, grade=adj.grade, drow=adj.drow, dcol=adj.dcol, rule=rule)
+        w, w_inv = self.space.radius_op(), self.space.radius_inv()
+        return SuperOp(self.space, grade=adj.grade, drow=adj.drow, dcol=adj.dcol,
+                       rule=lambda k: w_inv.raw_block(k + adj.grade) @ adj.raw_block(k)
+                       @ w.raw_block(k))
 
     # -- support checks -------------------------------------------------------
 
@@ -337,21 +336,53 @@ class Space:
         self.lam = float(lam)
         self.basis: FockBasis = build_basis(n_max)
         self.dim = self.basis.dim
-        d = self.dim
         self.level = self.basis.levels
 
-        # row/col levels of each vectorized pair index (row-major)
-        self.row_level = np.repeat(self.level, d)
-        self.col_level = np.tile(self.level, d)
-        self.pair_grade = self.row_level - self.col_level
-        # symmetrized radius eigenvalue on each pair
-        self.pair_w = self.lam * (self.row_level + self.col_level + 2) / 2.0
+        # (row level, col level) tables: symmetrized radius and grade
+        n = np.arange(n_max + 1)
+        self.level_w = self.lam * (n[:, None] + n[None, :] + 2) / 2.0
+        self.level_grade = n[:, None] - n[None, :]
 
         self._a = [annihilator(self.basis, 1), annihilator(self.basis, 2)]
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
-        self._eye = sparse.identity(d, dtype=np.complex128, format="csr")
         self._cache: dict[tuple, SuperOp] = {}
         self._packed: dict[int, np.ndarray] = {}
+        self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # dimension of every nonempty sector
+        self.sector_dims = {k: int(self.sector_levels(k)[1][-1])
+                            for k in range(-n_max, n_max + 1)}
+
+    # -- per-pair arrays, D^2 long: for to_csr() readers and tests only -------
+
+    @property
+    def row_level(self) -> np.ndarray:
+        """Row level of each vectorized pair index (row-major)."""
+        return np.repeat(self.level, self.dim)
+
+    @property
+    def col_level(self) -> np.ndarray:
+        return np.tile(self.level, self.dim)
+
+    @property
+    def pair_grade(self) -> np.ndarray:
+        return self.row_level - self.col_level
+
+    @property
+    def pair_w(self) -> np.ndarray:
+        """Symmetrized radius eigenvalue on each pair."""
+        return self.lam * (self.row_level + self.col_level + 2) / 2.0
+
+    # -- sectors --------------------------------------------------------------
+
+    def sector_levels(self, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+        """Input levels of the grade-kappa sector, ascending, and the offsets
+        of their blocks in the packed order (one entry more than levels)."""
+        if kappa not in self._sectors:
+            n = np.arange(max(0, -kappa), min(self.n_max, self.n_max - kappa) + 1)
+            offsets = np.zeros(n.size + 1, dtype=np.int64)
+            np.cumsum((n + 1) * (n + kappa + 1), out=offsets[1:])
+            self._sectors[kappa] = (n, offsets)
+        return self._sectors[kappa]
 
     def packed(self, kappa: int) -> np.ndarray:
         """Vec indices of the grade-kappa sector, block-major by input level.
@@ -363,7 +394,7 @@ class Space:
         if kappa not in self._packed:
             d = self.dim
             parts = [np.zeros(0, dtype=np.int64)]
-            for n in range(max(0, -kappa), min(self.n_max, self.n_max - kappa) + 1):
+            for n in self.sector_levels(kappa)[0]:
                 cols, rows = self.basis.level_slice(n), self.basis.level_slice(n + kappa)
                 parts.append((np.arange(rows.start, rows.stop)[None, :] * d
                               + np.arange(cols.start, cols.stop)[:, None]).ravel())
@@ -373,15 +404,68 @@ class Space:
     # -- primitives ---------------------------------------------------------
 
     def identity(self) -> SuperOp:
-        return SuperOp(self, values=np.ones(self.dim**2, dtype=np.complex128))
+        return self._cached(("one",), lambda: self.radial_values(np.ones(self.level_w.shape)))
 
     def left_mul(self, mat: sparse.spmatrix, drow: int) -> SuperOp:
-        return SuperOp(self, sparse.kron(mat, self._eye, format="csr"),
-                       grade=drow, drow=drow, dcol=0)
+        """Psi -> mat Psi; every nonzero entry of mat raises the level by drow."""
+        return self._fock_leaf(mat, drow, rows=True)
 
     def right_mul(self, mat: sparse.spmatrix, dcol: int) -> SuperOp:
-        return SuperOp(self, sparse.kron(self._eye, mat.T, format="csr"),
-                       grade=-dcol, drow=0, dcol=dcol)
+        """Psi -> Psi mat; every nonzero entry of mat raises the level by dcol
+        from its row to its column."""
+        return self._fock_leaf(mat.T, dcol, rows=False)
+
+    def _fock_leaf(self, factor: sparse.spmatrix, shift: int, rows: bool) -> SuperOp:
+        """Multiplication of each input-level block by level slices of factor.
+
+        factor maps level L to level L + shift.  It acts on the rows of the
+        block (left multiplication, factor = mat) or on its columns (right
+        multiplication, factor = mat^T).
+        """
+        f = sparse.csr_matrix(factor, dtype=np.complex128, copy=True)
+        f.sum_duplicates()
+        f.eliminate_zeros()
+        f = f.tocoo()  # row-major, ascending columns within a row
+        lo, li = self.level[f.row], self.level[f.col]
+        if np.any(lo - li != shift):
+            raise ValueError(f"the matrix has entries that do not shift the level by {shift}")
+        offs = self.basis.level_offsets
+        out_rel, in_rel = f.row - offs[lo], f.col - offs[li]
+        # the entries of each input level, in row-major order
+        order = np.argsort(li, kind="stable")
+        bounds = np.searchsorted(li[order], np.arange(self.n_max + 2))
+        slices = [order[bounds[lvl]:bounds[lvl + 1]] for lvl in range(self.n_max + 1)]
+        grade = shift if rows else -shift
+        empty = np.zeros(0, dtype=np.int64)
+
+        def rule(k: int) -> _Block:
+            ns, in_offs = self.sector_levels(k)
+            out_ns, out_offs = self.sector_levels(k + grade)
+            parts = [(empty, empty, empty)]
+            for pos, n in enumerate(ns.tolist()):
+                # the level the factor reads, and the output block's input level
+                lvl, out_n = (n + k, n) if rows else (n, n + shift)
+                if not 0 <= lvl + shift <= self.n_max:
+                    continue
+                # kron(I_{n+1}, slice) on the rows of the block: slice entries
+                # step 1, copies step by the slice's size; kron(slice,
+                # I_{n+k+1}) on its columns: entries step n+k+1, copies 1.
+                # Each output row gets the entries of one copy, in order.
+                if rows:
+                    step, copies, out_copy, in_copy = 1, n + 1, lvl + shift + 1, lvl + 1
+                else:
+                    step = copies = n + k + 1
+                    out_copy = in_copy = 1
+                e, i = slices[lvl], np.arange(copies)[:, None]
+                parts.append((out_offs[out_n - out_ns[0]] + out_rel[e] * step + i * out_copy,
+                              in_offs[pos] + in_rel[e] * step + i * in_copy,
+                              np.broadcast_to(f.data[e], (copies, e.size))))
+            return _Block.from_coo(*(np.concatenate([a.ravel() for a in arrays])
+                                     for arrays in zip(*parts)),
+                                   (int(out_offs[-1]), int(in_offs[-1])))
+
+        return SuperOp(self, grade=grade, drow=shift if rows else 0,
+                       dcol=0 if rows else shift, rule=rule)
 
     def lmul_a(self, alpha: int) -> SuperOp:
         """Left multiplication by a_alpha (grade -1)."""
@@ -404,8 +488,18 @@ class Space:
 
     # -- radial calculus ----------------------------------------------------
 
-    def radial_values(self, values: np.ndarray) -> SuperOp:
-        return SuperOp(self, values=values.astype(np.complex128))
+    def radial_values(self, table: np.ndarray) -> SuperOp:
+        """The diagonal multiplier with value table[row level, col level] on
+        every pair of those levels."""
+        table = np.asarray(table).astype(np.complex128)
+        if table.shape != self.level_w.shape:
+            raise ValueError(f"a radial table has shape {self.level_w.shape}, not {table.shape}")
+
+        def rule(k: int) -> _Block:
+            ns, offsets = self.sector_levels(k)
+            return _Block.diagonal(np.repeat(table[ns + k, ns], np.diff(offsets)))
+
+        return SuperOp(self, rule=rule)
 
     def radial(self, fn: Callable[[np.ndarray], np.ndarray],
                poles: tuple[float, ...] = ()) -> SuperOp:
@@ -414,7 +508,7 @@ class Space:
         poles are given in units of lam.  Zeroed pairs must be excluded from
         any comparison window by the caller (the registry tracks this).
         """
-        w = self.pair_w
+        w = self.level_w
         mask = np.zeros(w.shape, dtype=bool)
         for p in poles:
             mask |= np.abs(w / self.lam - p) < POLE_TOL
@@ -425,18 +519,18 @@ class Space:
 
     def radius_op(self) -> SuperOp:
         """Multiplication by the symmetrized radius."""
-        return self.radial_values(self.pair_w)
+        return self.radial_values(self.level_w)
 
     def radius_inv(self) -> SuperOp:
-        return self.radial_values(1.0 / self.pair_w)
+        return self.radial_values(1.0 / self.level_w)
 
     def radial_phase(self, omega: float) -> SuperOp:
         """exp(i*omega*r_hat/lam): exponential of the diagonal radius generator."""
-        return self.radial_values(np.exp(1j * omega * self.pair_w / self.lam))
+        return self.radial_values(np.exp(1j * omega * self.level_w / self.lam))
 
     def grading_twist(self, tau: float) -> SuperOp:
         """Phase substitution a -> e^{i tau} a, a+ -> e^{-i tau} a+ on states."""
-        return self.radial_values(np.exp(-1j * tau * self.pair_grade))
+        return self.radial_values(np.exp(-1j * tau * self.level_grade))
 
 
 def cache_get(cache: dict, key, builder: Callable[[], object]):

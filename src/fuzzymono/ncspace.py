@@ -74,10 +74,18 @@ def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
     return NcCoordinates(lam=lam, x=(xs[0], xs[1], xs[2]), r=r, pauli=PAULI)
 
 
+def frobenius_norm(mat: sparse.spmatrix) -> float:
+    """||mat||_F as scipy.sparse.linalg.norm computes it (duplicates summed,
+    then the norm of the stored values), without importing scipy.linalg."""
+    mat = sparse.csr_matrix(mat, copy=True)
+    mat.sum_duplicates()
+    return float(np.linalg.norm(mat.data))
+
+
 def relative_norm(delta: sparse.spmatrix, *sides: sparse.spmatrix) -> float:
     """||delta||_F / max(1, ||side||_F for each side)."""
-    num = sparse.linalg.norm(delta) if delta.nnz else 0.0
-    den = max([1.0] + [sparse.linalg.norm(s) for s in sides if s.nnz])
+    num = frobenius_norm(delta) if delta.nnz else 0.0
+    den = max([1.0] + [frobenius_norm(s) for s in sides if s.nnz])
     return float(num / den)
 
 

@@ -13,6 +13,7 @@ lam*(n + 1 + kappa/2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,11 @@ from .liouville import POLE_TOL, Space, SuperOp, _Block, get_space
 
 @dataclass(frozen=True)
 class MonopoleSector:
-    """Truncated graded sector: admissible blocks and their radial weights."""
+    """Truncated graded sector: admissible blocks and their radial weights.
+
+    The arrays are read-only: build_sector hands the same sector to every
+    caller.
+    """
 
     kappa: int
     n_max: int
@@ -30,7 +35,9 @@ class MonopoleSector:
     packed: np.ndarray = field(compare=False)  # vec indices, block-major
     block_offsets: np.ndarray = field(compare=False)
     block_of: np.ndarray = field(compare=False)  # packed idx -> position in blocks
+    r_hat_eigen: np.ndarray = field(compare=False)  # symmetrized radius per block
     space: Space = field(compare=False, repr=False)
+    _windows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -45,18 +52,16 @@ class MonopoleSector:
         """Monopole charge carried by the sector."""
         return -self.kappa / 2.0
 
-    @property
-    def r_hat_eigen(self) -> np.ndarray:
-        """Symmetrized-radius eigenvalue per admissible block."""
-        n = np.array(self.blocks, dtype=np.float64)
-        return self.lam * (n + 1.0 + self.kappa / 2.0)
-
     def block_dim(self, n: int) -> int:
         return (n + 1) * (n + self.kappa + 1)
 
     def packed_weights(self) -> np.ndarray:
-        """Radial weight per packed coefficient."""
-        return self.r_hat_eigen[self.block_of]
+        """Radial weight per packed coefficient (read-only)."""
+        return self._packed_weights
+
+    @cached_property
+    def _packed_weights(self) -> np.ndarray:
+        return _read_only(self.r_hat_eigen[self.block_of])
 
     def guard_window(self, guard: int, exclude_ws: tuple[float, ...] = ()) -> tuple[np.ndarray, list[int]]:
         """Boolean mask over packed indices for the guarded window.
@@ -64,10 +69,18 @@ class MonopoleSector:
         Blocks within guard of either end of the admissible range are
         dropped, as are blocks whose radius sits within POLE_TOL*lam of a
         pole given in exclude_ws (units of lam).  Returns the mask together
-        with the sorted input levels excluded for pole proximity.
+        with the sorted input levels excluded for pole proximity.  The mask
+        is computed once per (guard, exclude_ws) and is read-only.
         """
+        key = (guard, tuple(exclude_ws))
+        if key not in self._windows:
+            self._windows[key] = self._window(guard, key[1])
+        mask, excluded = self._windows[key]
+        return mask, list(excluded)
+
+    def _window(self, guard: int, exclude_ws: tuple[float, ...]) -> tuple[np.ndarray, list[int]]:
         if self.is_empty:
-            return np.zeros(0, dtype=bool), []
+            return _read_only(np.zeros(0, dtype=bool)), []
         lo, hi = self.blocks[0], self.blocks[-1]
         keep_block = np.array([(lo + guard <= n <= hi - guard) for n in self.blocks])
         pole_hit = np.zeros(len(self.blocks), dtype=bool)
@@ -76,7 +89,12 @@ class MonopoleSector:
             pole_hit |= np.abs(w_over_lam - p) < POLE_TOL
         excluded = [int(n) for n, h in zip(self.blocks, pole_hit) if h]
         keep_block &= ~pole_hit
-        return keep_block[self.block_of], excluded
+        return _read_only(keep_block[self.block_of]), excluded
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 _SECTORS: dict[tuple[int, int, float], MonopoleSector] = {}
@@ -88,16 +106,17 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
     if key in _SECTORS:
         return _SECTORS[key]
     space = get_space(n_max, lam)
-    blocks = [n for n in range(n_max + 1) if 0 <= n + kappa <= n_max]
-    sizes = [(n + 1) * (n + kappa + 1) for n in blocks]
+    levels, offsets = space.sector_levels(kappa)
+    n = levels.astype(np.float64)
     sector = MonopoleSector(
         kappa=kappa,
         n_max=n_max,
         lam=float(lam),
-        blocks=tuple(blocks),
-        packed=space.packed(kappa),
-        block_offsets=np.cumsum([0, *sizes], dtype=np.int64),
-        block_of=np.repeat(np.arange(len(blocks), dtype=np.int64), sizes),
+        blocks=tuple(levels.tolist()),
+        packed=_read_only(space.packed(kappa)),
+        block_offsets=_read_only(offsets),
+        block_of=_read_only(np.repeat(np.arange(levels.size, dtype=np.int64), np.diff(offsets))),
+        r_hat_eigen=_read_only(float(lam) * (n + 1.0 + kappa / 2.0)),
         space=space,
     )
     _SECTORS[key] = sector

@@ -285,7 +285,7 @@ def _op_closure(ctx: EngineContext) -> Iterator[Pair]:
 def _central(ctx: EngineContext) -> Iterator[Pair]:
     """C + 2 against the grade operator, which is kappa on sector kappa."""
     sp = ctx.space
-    yield ctx.alg.center() + 2.0 * sp.identity(), sp.radial_values(sp.pair_grade)
+    yield ctx.alg.center() + 2.0 * sp.identity(), sp.radial_values(sp.level_grade)
 
 
 def _central_ordering(ctx: EngineContext) -> Iterator[Pair]:

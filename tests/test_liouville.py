@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from fuzzymono import liouville
+from fuzzymono.algebra import RF_INV_R_MINUS_2L, RF_MONOPOLE
+from fuzzymono.fock import number_operator
 from fuzzymono.liouville import Space, _Block
 
 # Exact binary fractions, so explicit zeros also arise from cancellation.
@@ -88,7 +90,8 @@ def test_block_shapes_must_agree():
 def test_int32_guard(monkeypatch):
     """Sizes past the index limit raise instead of wrapping around."""
     ones = _Block.diagonal(np.ones(3, dtype=np.complex128))
-    full = _Block.from_csr(sparse.csr_matrix(np.ones((3, 3), dtype=np.complex128)))
+    rows, cols = np.divmod(np.arange(9), 3)
+    full = _Block.from_coo(rows, cols, np.ones(9), (3, 3))
     monkeypatch.setattr(liouville, "_INDEX_MAX", 9)
     full @ full  # maxnnz 9 is at the limit
     with pytest.raises(ValueError, match="int32"):
@@ -99,8 +102,64 @@ def test_int32_guard(monkeypatch):
     with pytest.raises(ValueError, match="int32"):
         full @ ones  # maxnnz 9
     with pytest.raises(ValueError, match="int32"):
-        _Block.from_csr(sparse.csr_matrix(np.ones((2, 3), dtype=np.complex128)))
+        _Block.from_coo(*np.divmod(np.arange(6), 3), np.ones(6), (2, 3))
     # a superoperator's leaf block is converted through the same check
     sp = Space(3)
     with pytest.raises(ValueError, match="int32"):
         sp.lmul_adag(1).raw_block(0)
+
+
+def _reference_leaves(sp):
+    """(name, superoperator, full D^2 x D^2 matrix) of every kind of leaf.
+
+    The full matrices are built the direct way: kron products of the Fock
+    matrices, and diags of the value on every pair.
+    """
+    eye = sparse.identity(sp.dim, dtype=np.complex128, format="csr")
+    r_mat = sp.lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
+    out = []
+    for alpha in (1, 2):
+        a, adag = sp._a[alpha - 1], sp._adag[alpha - 1]
+        out += [(f"la{alpha}", sp.lmul_a(alpha), sparse.kron(a, eye, format="csr")),
+                (f"lad{alpha}", sp.lmul_adag(alpha), sparse.kron(adag, eye, format="csr")),
+                (f"ra{alpha}", sp.rmul_a(alpha), sparse.kron(eye, a.T, format="csr")),
+                (f"rad{alpha}", sp.rmul_adag(alpha), sparse.kron(eye, adag.T, format="csr"))]
+    num = number_operator(sp.basis)
+    out += [("left r", sp.left_mul(r_mat, 0), sparse.kron(r_mat, eye, format="csr")),
+            ("right number", sp.right_mul(num, 0), sparse.kron(eye, num.T, format="csr"))]
+    w, grade = sp.pair_w, sp.pair_grade
+
+    def on_grid(f):
+        vals = np.zeros(w.shape, dtype=np.complex128)
+        keep = np.ones(w.shape, dtype=bool)
+        for p in f.poles:
+            keep &= ~(np.abs(w / sp.lam - p) < liouville.POLE_TOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals[keep] = f.fn(w[keep], sp.lam)
+        return vals
+
+    values = {
+        "identity": (sp.identity(), np.ones(w.shape)),
+        "radius": (sp.radius_op(), w),
+        "radius_inv": (sp.radius_inv(), 1.0 / w),
+        "phase": (sp.radial_phase(0.7), np.exp(1j * 0.7 * w / sp.lam)),
+        "twist": (sp.grading_twist(1.3), np.exp(-1j * 1.3 * grade)),
+        "central grade": (sp.radial_values(sp.level_grade), grade),
+    }
+    for f in (RF_INV_R_MINUS_2L, RF_MONOPOLE):
+        values[f.name] = (f.to_superop(sp), on_grid(f))
+    for name, (op, vals) in values.items():
+        out.append((name, op, sparse.diags(np.asarray(vals, dtype=np.complex128), format="csr")))
+    return out
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 3.0])
+@pytest.mark.parametrize("n_max", range(7))
+def test_leaf_blocks_match_kron_and_diags(n_max, lam):
+    """Every leaf block is, array for array, the slice of its full matrix."""
+    sp = Space(n_max, lam)
+    for name, op, full in _reference_leaves(sp):
+        for k in range(-n_max - 1, n_max + 2):
+            want = full[sp.packed(k + op.grade)][:, sp.packed(k)]
+            assert want.has_sorted_indices, name
+            _same(op.raw_block(k), want)

@@ -283,26 +283,44 @@ def test_warnings_of_a_finished_run_reach_stderr():
     assert proc.stderr.count("RuntimeWarning: overflow encountered in square") == 1
 
 
-def test_run_reads_only_blocks(monkeypatch):
-    """No full D^2 x D^2 matrix is assembled in a run: the same rows without to_csr."""
+def _fresh_rows(monkeypatch, kappas):
+    """The rows of an --suite all run at n_max 6, from empty caches."""
     from fuzzymono import liouville, sector
     from fuzzymono.verify import registry
 
-    def fresh_rows():
-        monkeypatch.setattr(liouville, "_SPACES", {})
-        monkeypatch.setattr(sector, "_SECTORS", {})
-        monkeypatch.setattr(registry, "_CONTEXTS", {})
-        report = run_suite(RunConfig(suite="all", kappas=(2,), n_max=6, jobs=1))
-        return [(r.id, r.kappa, r.guard, r.tolerance, r.residual, r.excluded_blocks)
-                for r in report.results]
+    monkeypatch.setattr(liouville, "_SPACES", {})
+    monkeypatch.setattr(sector, "_SECTORS", {})
+    monkeypatch.setattr(registry, "_CONTEXTS", {})
+    report = run_suite(RunConfig(suite="all", kappas=kappas, n_max=6, jobs=1))
+    return [(r.id, r.kappa, r.guard, r.tolerance, r.residual, r.excluded_blocks)
+            for r in report.results]
 
-    plain = fresh_rows()
+
+def test_run_reads_only_blocks(monkeypatch):
+    """No full D^2 x D^2 matrix is assembled in a run: the same rows without to_csr."""
+    from fuzzymono import liouville
+
+    plain = _fresh_rows(monkeypatch, (2,))
 
     def refuse(self):
         raise AssertionError("full matrix assembled during a run")
 
     monkeypatch.setattr(liouville.SuperOp, "to_csr", refuse)
-    assert fresh_rows() == plain
+    assert _fresh_rows(monkeypatch, (2,)) == plain
+
+
+def test_run_builds_no_pair_array(monkeypatch):
+    """No D^2-long per-pair array is built in a run: the same rows without them."""
+    from fuzzymono.liouville import Space
+
+    plain = _fresh_rows(monkeypatch, tuple(range(-4, 5)))
+
+    def refuse(self):
+        raise AssertionError("per-pair array built during a run")
+
+    for name in ("row_level", "col_level", "pair_grade", "pair_w"):
+        monkeypatch.setattr(Space, name, property(refuse))
+    assert _fresh_rows(monkeypatch, tuple(range(-4, 5))) == plain
 
 
 def test_op_closure_pairs_stream():
@@ -332,3 +350,18 @@ def test_op_closure_pairs_stream():
     outs = [graded_residual(lhs, rhs, ctx.sector(0), rec.guard, rec.exclude_ws)
             for lhs, rhs in pairs]
     assert out == (max(r for r, _ in outs), outs[0][1])
+
+
+def test_run_does_not_import_scipy_linalg(tmp_path):
+    """A run loads neither scipy.sparse.linalg nor scipy.linalg, which cost
+    every process (and every pool worker) a fraction of a second and ~10 MB."""
+    script = ("import sys\n"
+              "from fuzzymono.verify.cli import main\n"
+              f"code = main(['--suite', 'all', '--n-max', '3', '--jobs', '1', "
+              f"'--out', {str(tmp_path / 'report.txt')!r}])\n"
+              "print(code, [m for m in ('scipy.sparse.linalg', 'scipy.linalg') "
+              "if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from fuzzymono.fock import annihilator, build_basis, creator
-from fuzzymono.liouville import SuperOp, get_space
+from fuzzymono.liouville import SuperOp, _Block, get_space
 from fuzzymono.sector import (
     SectorVector,
     apply_superop,
@@ -206,7 +206,7 @@ def test_materialized_matches_apply(rng):
             assert direct.sector.kappa == out_sec.kappa
 
 
-def _sliced_residual(lhs, rhs, sector, guard, exclude_ws, floor):
+def _sliced_residual(full_l, full_r, sector, guard, exclude_ws, floor):
     """Reference: the windowed norms from CSC copies sliced to the window columns."""
     mask, excluded = sector.guard_window(guard, exclude_ws)
     cols = sector.packed[mask]
@@ -217,7 +217,7 @@ def _sliced_residual(lhs, rhs, sector, guard, exclude_ws, floor):
         sub = mat.tocsc()[:, cols]
         return float(np.sqrt(np.sum(np.abs(sub.data) ** 2))) if sub.nnz else 0.0
 
-    nl, nr, nd = norm(lhs.mat), norm(rhs.mat), norm((lhs.mat - rhs.mat).tocsr())
+    nl, nr, nd = norm(full_l), norm(full_r), norm((full_l - full_r).tocsr())
     den = max(floor, nl, nr)
     if den == 0.0:
         return (0.0 if nd == 0.0 else float("inf")), excluded
@@ -227,9 +227,10 @@ def _sliced_residual(lhs, rhs, sector, guard, exclude_ws, floor):
 def _messy_csr(rng, sp, grade, density, scale):
     """Random complex CSR of one grade with unsorted column indices and explicit zeros."""
     n = sp.dim ** 2
+    pair_grade = sp.pair_grade
     indptr, indices = [0], []
     for row in range(n):
-        allowed = np.flatnonzero(sp.pair_grade == sp.pair_grade[row] - grade)
+        allowed = np.flatnonzero(pair_grade == pair_grade[row] - grade)
         cols = rng.choice(allowed, size=rng.binomial(allowed.size, density),
                           replace=False)  # unsorted
         indices.extend(cols.tolist())
@@ -239,6 +240,17 @@ def _messy_csr(rng, sp, grade, density, scale):
     data[rng.random(nnz) < 0.2] = 0.0
     return sparse.csr_matrix((data, np.array(indices, dtype=np.int32), np.array(indptr)),
                              shape=(n, n))
+
+
+def _injected(sp, full, grade):
+    """A superoperator whose block(k) is the slice of full from sector k to k + grade,
+    messy indices and explicit zeros included."""
+    def rule(k):
+        sub = full[sp.packed(k + grade)][:, sp.packed(k)]
+        return _Block(sub.indptr.astype(np.int32), sub.indices.astype(np.int32),
+                      sub.data.astype(np.complex128), sub.shape)
+
+    return SuperOp(sp, grade, rule=rule)
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,11 +269,12 @@ def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, grade, guard
     sp = get_space(n_max, 1.0)
     sec = build_sector(kappa, n_max)
     rng = np.random.default_rng(seed)
-    lhs = SuperOp(sp, _messy_csr(rng, sp, grade, density, 10.0 ** log_scale), grade)
-    rhs = lhs if same else SuperOp(
-        sp, _messy_csr(rng, sp, grade, density, 10.0 ** log_scale), grade)
+    full_l = _messy_csr(rng, sp, grade, density, 10.0 ** log_scale)
+    full_r = full_l if same else _messy_csr(rng, sp, grade, density, 10.0 ** log_scale)
+    lhs = _injected(sp, full_l, grade)
+    rhs = lhs if same else _injected(sp, full_r, grade)
     got = graded_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor=floor)
-    want = _sliced_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor)
+    want = _sliced_residual(full_l, full_r, sec, guard, tuple(exclude_ws), floor)
     if want is None:
         assert got is None
         return
@@ -273,16 +286,33 @@ def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, grade, guard
 
 
 def test_superop_refuses_support_of_another_grade():
-    """A leaf's matrix must have the grade it is declared with."""
+    """A block must map sector k into sector k + grade.
+
+    The check reads the block's shape, so it misses a grade whose target
+    sector has the same dimension (sectors k and -k do).
+    """
     sp = get_space(3, 1.0)
-    raising = sp.lmul_adag(1).mat
-    assert SuperOp(sp, raising, 1).grade == 1
+    raising = sp.lmul_adag(1)
+    assert SuperOp(sp, 1, rule=raising.raw_block).block(0).shape == raising.block(0).shape
     with pytest.raises(ValueError, match="grade"):
-        SuperOp(sp, raising, 0)
+        SuperOp(sp, 0, rule=raising.raw_block).block(0)
     with pytest.raises(ValueError, match="grade"):
-        SuperOp(sp, (raising + sp.lmul_a(1).mat).tocsr(), 1)
-    with pytest.raises(ValueError):
-        SuperOp(sp, raising, 1, values=np.ones(sp.dim ** 2))
+        SuperOp(sp, 2, rule=raising.raw_block).block(-1)
+    with pytest.raises(ValueError, match="grade"):
+        raising + sp.lmul_a(1)
+
+
+def test_fock_leaves_refuse_another_level_shift():
+    """left_mul/right_mul refuse a Fock matrix whose support shifts the level otherwise."""
+    sp = get_space(3, 1.0)
+    up, down = creator(sp.basis, 1), annihilator(sp.basis, 2)
+    assert sp.left_mul(up, drow=1).grade == 1
+    assert sp.right_mul(up, dcol=-1).grade == 1
+    for bad in (lambda: sp.left_mul(up, drow=0), lambda: sp.left_mul(up, drow=-1),
+                lambda: sp.right_mul(up, dcol=1), lambda: sp.left_mul(up + down, drow=1),
+                lambda: sp.right_mul(up + down, dcol=1)):
+        with pytest.raises(ValueError, match="shift the level"):
+            bad()
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +334,10 @@ def _leaf(data, sp):
     elif kind == "radial":
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng = np.random.default_rng(seed)
-        values = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
-        values[rng.random(d * d) < 0.1] = 0.0
-        op, full = sp.radial_values(values), sparse.diags(values)
+        shape = (sp.n_max + 1, sp.n_max + 1)
+        table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        table[rng.random(shape) < 0.1] = 0.0
+        op, full = sp.radial_values(table), sparse.diags(table[sp.row_level, sp.col_level])
     elif kind == "inv_r":
         op, full = sp.radius_inv(), sparse.diags(1.0 / sp.pair_w)
     else:
