@@ -35,7 +35,12 @@ from sector k into sector k + grade, on the packed sector bases
     keeps the blocks it has computed: the ladder primitives of a Space, the
     named operators of OperatorAlgebra and VelocityFamily, and what the
     registry's EngineContext caches.  A transient operator keeps nothing
-    once it is dropped.
+    once it is dropped.  Each memoising operator is registered on its
+    Space, and forget_blocks() empties every such memo while the operators
+    stay cached.  The runner calls it whenever a process moves on to
+    another sector kappa.  So memoised blocks live for one kappa, and a
+    process that serves many kappas holds the blocks of one at a time.  Few
+    blocks are read at more than one kappa, so little is recomputed.
 
 Inside the engine a block is a _Block: CSR arrays with int32 indptr and
 indices and complex128 data, which are never mutated once made.  Leaves
@@ -231,9 +236,11 @@ class SuperOp:
     # -- blocks ---------------------------------------------------------------
 
     def memoise(self) -> None:
-        """Keep every block computed from now on (for cached operators)."""
+        """Keep every block computed from now on (for cached operators),
+        until forget_blocks()."""
         if self._blocks is None:
             self._blocks = {}
+            self.space._memoised.append(self)
 
     def block(self, k: int) -> sparse.csr_matrix:
         """The map from sector k into sector k + grade, on packed bases."""
@@ -346,6 +353,7 @@ class Space:
         self._a = [annihilator(self.basis, 1), annihilator(self.basis, 2)]
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
         self._cache: dict[tuple, SuperOp] = {}
+        self._memoised: list[SuperOp] = []
         self._packed: dict[int, np.ndarray] = {}
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dimension of every nonempty sector
@@ -580,3 +588,11 @@ def get_space(n_max: int, lam: float = 1.0) -> Space:
     if key not in _SPACES:
         _SPACES[key] = Space(n_max, lam)
     return _SPACES[key]
+
+
+def forget_blocks() -> None:
+    """Empty the block memo of every memoising operator on a space that
+    get_space has made; the operators stay cached."""
+    for space in _SPACES.values():
+        for op in space._memoised:
+            op._blocks.clear()

@@ -125,6 +125,11 @@ def main(argv: list[str] | None = None) -> int:
     if passed == failed == 0:
         print(f"fuzzymono: warning: all {skipped} rows were skipped at n_max {args.n_max}, "
               f"--kappa {args.kappa}; nothing was checked", file=sys.stderr)
+    elif report.unchecked:
+        total = len({r.id for r in report.results})
+        print(f"fuzzymono: warning: {len(report.unchecked)} of {total} identities were skipped "
+              f"at every kappa at n_max {args.n_max}, --kappa {args.kappa}: "
+              f"{', '.join(report.unchecked)}", file=sys.stderr)
     payload = report.emit(config.fmt)
     if config.out:
         try:

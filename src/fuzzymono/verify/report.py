@@ -64,6 +64,12 @@ class VerificationReport:
         s = sum(1 for r in self.results if r.passed is None)
         return p, f, s
 
+    @property
+    def unchecked(self) -> list[str]:
+        """Ids of the identities skipped on every row, in report order."""
+        checked = {r.id for r in self.results if not r.skipped}
+        return list(dict.fromkeys(r.id for r in self.results if r.id not in checked))
+
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

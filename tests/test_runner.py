@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+import time
 import weakref
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from fuzzymono.verify.cli import main, parse_kappas
 from fuzzymono.sector import graded_residual
 from fuzzymono.verify.registry import BY_ID, REGISTRY, get_context, records_for_suite
-from fuzzymono.verify.runner import RunConfig, exit_code, run_suite
+from fuzzymono.verify.runner import RunConfig, exit_code, plan_batches, run_suite
 
 
 def strip_wall_times(payload: str) -> str:
@@ -91,10 +93,91 @@ def test_deterministic_order_and_bytes():
 
 
 def test_parallel_matches_serial():
-    cfg1 = RunConfig(suite="velocity", kappas=(0, 2), n_max=6, jobs=1)
-    cfg2 = RunConfig(suite="velocity", kappas=(0, 2), n_max=6, jobs=2)
-    assert strip_wall_times(run_suite(cfg1).to_json()) == \
-        strip_wall_times(run_suite(cfg2).to_json())
+    for suite, kappas in (("velocity", (0, 2)), ("all", (2,)), ("all", tuple(range(-2, 3)))):
+        cfg1 = RunConfig(suite=suite, kappas=kappas, n_max=6, jobs=1)
+        cfg2 = RunConfig(suite=suite, kappas=kappas, n_max=6, jobs=2)
+        assert strip_wall_times(run_suite(cfg1).to_json()) == \
+            strip_wall_times(run_suite(cfg2).to_json()), (suite, kappas)
+
+
+def _job_kappas(kappas):
+    """The sector of every job of an --suite all run, in job order."""
+    return [kappa for rec in records_for_suite("all")
+            for kappa in (kappas if rec.per_kappa else (None,))]
+
+
+def test_plan_batches_one_kappa_per_batch_largest_sector_first():
+    job_kappas = _job_kappas(tuple(range(-4, 5)))
+    batches = plan_batches(job_kappas, 2)
+    assert [{job_kappas[i] for i in b} for b in batches] == \
+        [{0}, {-1}, {1}, {-2}, {2}, {-3}, {3}, {-4}, {4}, {None}]
+    # every job once; the kappa-independent jobs are one batch, dispatched last
+    assert sorted(i for b in batches for i in b) == list(range(len(job_kappas)))
+    assert batches[-1] == [i for i, k in enumerate(job_kappas) if k is None]
+    # one worker: the same batches, in the same order
+    assert plan_batches(job_kappas, 1) == batches
+
+
+def test_plan_batches_splits_few_kappas_into_interleaved_parts():
+    job_kappas = _job_kappas((2,))
+    mine = [i for i, k in enumerate(job_kappas) if k == 2]
+    batches = plan_batches(job_kappas, 2)
+    parts = [b for b in batches if job_kappas[b[0]] == 2]
+    assert len(parts) >= 4
+    assert parts == [mine[i::len(parts)] for i in range(len(parts))]
+    assert plan_batches(job_kappas, 1) == [mine, batches[-1]]
+
+    # three kappas on two workers: two parts each, still largest sector first
+    job_kappas = _job_kappas((-1, 0, 3))
+    batches = plan_batches(job_kappas, 2)
+    assert all(len({job_kappas[i] for i in b}) == 1 for b in batches)
+    assert [job_kappas[b[0]] for b in batches] == [0, 0, -1, -1, 3, 3, None]
+    # fewer jobs than parts: no empty batch
+    assert plan_batches([5, 5], 4) == [[0], [1]]
+
+
+def test_memoised_blocks_live_for_one_kappa(monkeypatch):
+    """A serial run holds the blocks of one kappa at a time: once the kappa 4
+    jobs start, no memoised block of a negative sector is left."""
+    from fuzzymono import liouville, sector
+    from fuzzymono.verify import registry, runner
+
+    monkeypatch.setattr(liouville, "_SPACES", {})
+    monkeypatch.setattr(sector, "_SECTORS", {})
+    monkeypatch.setattr(registry, "_CONTEXTS", {})
+    seen: dict[int, set[int]] = {}
+    eval_job = runner._eval_job
+
+    def observed(job):
+        held = seen.setdefault(job[1], set())
+        for space in liouville._SPACES.values():
+            for op in space._memoised:
+                held.update(op._blocks)
+        return eval_job(job)
+
+    monkeypatch.setattr(runner, "_eval_job", observed)
+    run_suite(RunConfig(suite="all", kappas=(-4, 4), n_max=6, jobs=1))
+    assert min(seen[-4]) < 0
+    assert seen[4] and min(seen[4]) >= 0
+
+
+def test_single_kappa_pool_run_uses_every_worker(monkeypatch, tmp_path):
+    from fuzzymono.verify import runner
+
+    pids = tmp_path / "pids"
+    eval_job = runner._eval_job
+
+    def observed(job):
+        time.sleep(0.005)  # let the second worker start before the batches run out
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {job[1]}\n")
+        return eval_job(job)
+
+    monkeypatch.setattr(runner, "_eval_job", observed)
+    run_suite(RunConfig(suite="all", kappas=(2,), n_max=6, jobs=2))
+    lines = [line.split() for line in pids.read_text().splitlines()]
+    assert len(lines) == 62 and str(os.getpid()) not in {pid for pid, _ in lines}
+    assert len({pid for pid, kappa in lines if kappa == "2"}) == 2
 
 
 def test_parse_kappas():
@@ -255,6 +338,15 @@ def test_all_skipped_warns_and_exits_0(capsys):
     assert "passed 0  failed 0  skipped 24" in captured.out
     assert captured.err.count("\n") == 1 and "warning" in captured.err
     assert main(["--suite", "fock", "--n-max", "3", "--jobs", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_identities_skipped_at_every_kappa_are_named(capsys):
+    assert main(["--n-max", "4", "--jobs", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "warning" in err
+    assert err.rstrip().endswith(": associator, associator-baseline, field-trend"), err
+    assert main(["--n-max", "8", "--jobs", "1"]) == 0
     assert capsys.readouterr().err == ""
 
 
