@@ -43,9 +43,28 @@ from sector k into sector k + grade, on the packed sector bases
     blocks are read at more than one kappa, so little is recomputed.
 
 Inside the engine a block is a _Block: CSR arrays with int32 indptr and
-indices and complex128 data, which are never mutated once made.  Leaves
-build their blocks as _Blocks, every rule and every memo holds them, and
-block(k) wraps one as a scipy csr_matrix for readers outside the engine.
+indices, and data that stand for the values 1j**phase * data, never mutated
+once made.  Every operator of the model is built from the real matrix
+elements of the ladder operators and from real radial functions; i enters
+only as a scalar.  So nearly every block is all real or all imaginary, and
+keeps float64 data with a phase p in {0, 1, 2, 3}.  Only a block that is
+neither keeps complex128 data, with p = 0.  Leaves split their values when
+they are built.  On float64 data, @ adds the phases (mod 4); + and - run
+the float64 kernel when the phases agree and swap the two kernels when they
+differ by 2; scaling by a real or imaginary scalar scales the data and
+turns the phase, and a unit scalar (+-1, +-i) only turns the phase, sharing
+the arrays; the adjoint is the transpose with the phase negated.  Phases
+that differ by 1, or complex data, take the complex kernels, and their
+result is split again.  Readers get complex128: block(k) wraps the values
+as a scipy csr_matrix.
+
+The result is bit for bit what the complex kernels give.  With the
+imaginary parts zero they do the same float64 operations on the real parts
+(x*y - 0*0, x + y), in the same order, and drop an entry exactly when it is
+0; multiplying by a unit and negating are exact, and rounding is symmetric,
+so a sum of negated terms is the negated sum.  Only the sign of a zero
+imaginary or real part can differ, which no value or norm sees.
+
 The default run does tens of thousands of small block products and sums,
 and scipy's csr_matrix spends about three times as long in its Python
 layer (format checks, index-dtype choice, pruning) as in the C kernels
@@ -56,10 +75,10 @@ own @, +, - and transpose-to-CSR call, and coo_tocsr the one its COO
 conversion calls (for the Fock leaves).  Every result is trimmed as
 csr_matrix trims it, so a block comes out bit for bit as the scipy
 expression would give it.  tests/test_liouville.py holds them to that over
-random matrices, which also guards against the kernels' signatures
-drifting between scipy releases.  Indices stay int32, as scipy picks them
-at these sizes; a block dimension or a result size past the int32 limit
-raises ValueError instead of overflowing.
+random real, imaginary and complex matrices, which also guards against the
+kernels' signatures drifting between scipy releases.  Indices stay int32,
+as scipy picks them at these sizes; a block dimension or a result size
+past the int32 limit raises ValueError instead of overflowing.
 
 to_csr() assembles the full D^2 x D^2 matrix from the blocks of every
 sector.  The engine never needs it; tests and the support checks
@@ -100,77 +119,120 @@ def _check_index(n: int) -> None:
                          f"the int32 index limit {_INDEX_MAX}")
 
 
+# 1j**phase, for turning (phase, float64 data) back into complex values.
+_UNITS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def _split(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(data, phase) with values == 1j**phase * data: float64 data when the
+    values are all real (phase 0) or all imaginary (phase 1), else the
+    complex128 values themselves."""
+    values = np.asarray(values)
+    if values.dtype.kind != "c":
+        return values.astype(np.float64, copy=False), 0
+    values = values.astype(np.complex128, copy=False)
+    if not values.imag.any():
+        return values.real.copy(), 0
+    if not values.real.any():
+        return values.imag.copy(), 1
+    return values, 0
+
+
 def _run_kernel(kernel, dims: tuple[int, int], operands: tuple, shape: tuple[int, int],
-                maxnnz: int) -> "_Block":
+                maxnnz: int, phase: int = 0) -> "_Block":
     """kernel(*dims, *operands, indptr, indices, data) into fresh arrays.
 
-    The arrays are sized for maxnnz entries, as csr_matrix sizes them, and
-    trimmed to the entries the kernel stored as csr_matrix.prune trims them:
-    the slice is copied when it is under half of the array.
+    The data array has the dtype of the operands' data.  The arrays are
+    sized for maxnnz entries, as csr_matrix sizes them, and trimmed to the
+    entries the kernel stored as csr_matrix.prune trims them: the slice is
+    copied when it is under half of the array.  Complex results are split
+    again, so a block stays float64 whenever its values allow.
     """
     _check_index(maxnnz)
     indptr = np.empty(shape[0] + 1, dtype=np.int32)
     indices = np.empty(maxnnz, dtype=np.int32)
-    data = np.empty(maxnnz, dtype=np.complex128)
+    data = np.empty(maxnnz, dtype=operands[-1].dtype)
     kernel(*dims, *operands, indptr, indices, data)
     nnz = int(indptr[-1])
     indices, data = indices[:nnz], data[:nnz]
     if nnz < maxnnz // 2:
         indices, data = indices.copy(), data.copy()
-    return _Block(indptr, indices, data, shape)
+    if data.dtype == np.complex128:
+        data, phase = _split(data)
+    return _Block(indptr, indices, data, shape, phase)
 
 
 class _Block:
-    """One CSR block of a superoperator; its arrays are never mutated."""
+    """One CSR block of a superoperator, 1j**phase times its data; its
+    arrays are never mutated."""
 
-    __slots__ = ("indptr", "indices", "data", "shape")
+    __slots__ = ("indptr", "indices", "data", "shape", "phase")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int]):
+                 shape: tuple[int, int], phase: int = 0):
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self.shape = shape
+        self.phase = phase
 
     @classmethod
     def from_coo(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int]) -> "_Block":
-        """The CSR form of distinct (row, col, value) entries.
+                 shape: tuple[int, int], phase: int = 0) -> "_Block":
+        """The CSR form of distinct (row, col, 1j**phase * value) entries.
 
         Entries keep their given order within a row, so they come out with
         sorted indices when each row's entries are given by ascending column.
         """
         m, n = shape
+        data, turn = _split(data)
+        phase = (phase + turn) % 4
         _check_index(max(m, n, data.size))
         indptr = np.empty(m + 1, dtype=np.int32)
         indices = np.empty(data.size, dtype=np.int32)
-        values = np.empty(data.size, dtype=np.complex128)
+        values = np.empty(data.size, dtype=data.dtype)
         _sparsetools.coo_tocsr(m, n, data.size, rows.astype(np.int32, copy=False),
-                               cols.astype(np.int32, copy=False),
-                               data.astype(np.complex128, copy=False), indptr, indices, values)
-        return cls(indptr, indices, values, shape)
+                               cols.astype(np.int32, copy=False), data, indptr, indices, values)
+        return cls(indptr, indices, values, shape, phase)
 
     @classmethod
-    def diagonal(cls, values: np.ndarray) -> "_Block":
-        """diag(values), without the zero entries (as sparse.diags drops them)."""
-        n = values.size
+    def diagonal(cls, values: np.ndarray, phase: int = 0) -> "_Block":
+        """diag(1j**phase * values), without the zero entries (as sparse.diags
+        drops them)."""
+        data, turn = _split(values)
+        phase = (phase + turn) % 4
+        n = data.size
         _check_index(n)
-        keep = values != 0
+        keep = data != 0
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(keep, out=indptr[1:])
-        return cls(indptr, np.flatnonzero(keep).astype(np.int32),
-                   values[keep].astype(np.complex128), (n, n))
+        return cls(indptr, np.flatnonzero(keep).astype(np.int32), data[keep], (n, n), phase)
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    @property
+    def is_float(self) -> bool:
+        """Whether data is float64 (the block is 1j**phase times it)."""
+        return self.data.dtype == np.float64
+
+    def values(self) -> np.ndarray:
+        """The complex128 values of the stored entries, in a new array."""
+        if self.is_float:
+            return self.data * _UNITS[self.phase]
+        return self.data.copy()
+
     def _arrays(self) -> tuple:
         return self.indptr, self.indices, self.data
 
+    def _complex_arrays(self) -> tuple:
+        """_arrays() with complex128 values, for the complex kernels."""
+        return self.indptr, self.indices, self.values() if self.is_float else self.data
+
     def tocsr(self) -> sparse.csr_matrix:
-        """A scipy copy, free for the reader to change."""
-        return sparse.csr_matrix((self.data.copy(), self.indices.copy(), self.indptr.copy()),
+        """A scipy copy with complex128 values, free for the reader to change."""
+        return sparse.csr_matrix((self.values(), self.indices.copy(), self.indptr.copy()),
                                  shape=self.shape)
 
     def __matmul__(self, other: "_Block") -> "_Block":
@@ -179,30 +241,53 @@ class _Block:
             raise ValueError(f"block shapes {self.shape} and {other.shape} do not chain")
         maxnnz = _sparsetools.csr_matmat_maxnnz(m, n, self.indptr, self.indices,
                                                 other.indptr, other.indices)
-        return _run_kernel(_sparsetools.csr_matmat, (m, n),
-                           self._arrays() + other._arrays(), (m, n), maxnnz)
+        if self.is_float and other.is_float:
+            operands, phase = self._arrays() + other._arrays(), self.phase + other.phase
+        else:
+            operands, phase = self._complex_arrays() + other._complex_arrays(), 0
+        return _run_kernel(_sparsetools.csr_matmat, (m, n), operands, (m, n), maxnnz, phase % 4)
 
-    def _binop(self, other: "_Block", kernel) -> "_Block":
+    def _binop(self, other: "_Block", minus: bool) -> "_Block":
         if self.shape != other.shape:
             raise ValueError(f"block shapes {self.shape} and {other.shape} differ")
-        return _run_kernel(kernel, self.shape, self._arrays() + other._arrays(),
-                           self.shape, self.nnz + other.nnz)
+        shift = (other.phase - self.phase) % 4
+        if self.is_float and other.is_float and shift % 2 == 0:
+            # at a shift of 2, other is -1 times its data relative to self
+            operands, phase = self._arrays() + other._arrays(), self.phase
+            minus ^= shift == 2
+        else:
+            operands, phase = self._complex_arrays() + other._complex_arrays(), 0
+        kernel = _sparsetools.csr_minus_csr if minus else _sparsetools.csr_plus_csr
+        return _run_kernel(kernel, self.shape, operands, self.shape, self.nnz + other.nnz, phase)
 
     def __add__(self, other: "_Block") -> "_Block":
-        return self._binop(other, _sparsetools.csr_plus_csr)
+        return self._binop(other, minus=False)
 
     def __sub__(self, other: "_Block") -> "_Block":
-        return self._binop(other, _sparsetools.csr_minus_csr)
+        return self._binop(other, minus=True)
 
     def scale(self, scalar: complex) -> "_Block":
-        return _Block(self.indptr, self.indices, self.data * scalar, self.shape)
+        """scalar times the block; a unit scalar (+-1, +-1j) on float64 data
+        changes the phase only and shares the arrays."""
+        c = complex(scalar)
+        if self.is_float and (c.imag == 0 or c.real == 0):
+            # c = 1j**turn * factor with a positive or zero factor
+            turn, factor = (0, c.real) if c.imag == 0 else (1, c.imag)
+            if factor < 0:
+                turn, factor = turn + 2, -factor
+            data = self.data if factor == 1.0 else self.data * factor
+            return _Block(self.indptr, self.indices, data, self.shape, (self.phase + turn) % 4)
+        data, phase = _split(self.values() * c)
+        return _Block(self.indptr, self.indices, data, self.shape, phase)
 
     def adjoint(self) -> "_Block":
-        """The conjugate transpose."""
+        """The conjugate transpose: on float64 data, the transpose with the
+        phase negated."""
         m, n = self.shape
-        out = _run_kernel(_sparsetools.csr_tocsc, (m, n), self._arrays(), (n, m), self.nnz)
-        np.conj(out.data, out=out.data)
-        return out
+        data, phase = ((self.data, -self.phase % 4) if self.is_float
+                       else (np.conj(self.data), 0))
+        return _run_kernel(_sparsetools.csr_tocsc, (m, n), (self.indptr, self.indices, data),
+                           (n, m), self.nnz, phase)
 
 
 BlockRule = Callable[[int], _Block]
@@ -434,6 +519,7 @@ class Space:
         f.sum_duplicates()
         f.eliminate_zeros()
         f = f.tocoo()  # row-major, ascending columns within a row
+        fdata, phase = _split(f.data)
         lo, li = self.level[f.row], self.level[f.col]
         if np.any(lo - li != shift):
             raise ValueError(f"the matrix has entries that do not shift the level by {shift}")
@@ -467,10 +553,10 @@ class Space:
                 e, i = slices[lvl], np.arange(copies)[:, None]
                 parts.append((out_offs[out_n - out_ns[0]] + out_rel[e] * step + i * out_copy,
                               in_offs[pos] + in_rel[e] * step + i * in_copy,
-                              np.broadcast_to(f.data[e], (copies, e.size))))
+                              np.broadcast_to(fdata[e], (copies, e.size))))
             return _Block.from_coo(*(np.concatenate([a.ravel() for a in arrays])
                                      for arrays in zip(*parts)),
-                                   (int(out_offs[-1]), int(in_offs[-1])))
+                                   (int(out_offs[-1]), int(in_offs[-1])), phase)
 
         return SuperOp(self, grade=grade, drow=shift if rows else 0,
                        dcol=0 if rows else shift, rule=rule)
@@ -499,13 +585,13 @@ class Space:
     def radial_values(self, table: np.ndarray) -> SuperOp:
         """The diagonal multiplier with value table[row level, col level] on
         every pair of those levels."""
-        table = np.asarray(table).astype(np.complex128)
+        table, phase = _split(np.array(table))
         if table.shape != self.level_w.shape:
             raise ValueError(f"a radial table has shape {self.level_w.shape}, not {table.shape}")
 
         def rule(k: int) -> _Block:
             ns, offsets = self.sector_levels(k)
-            return _Block.diagonal(np.repeat(table[ns + k, ns], np.diff(offsets)))
+            return _Block.diagonal(np.repeat(table[ns + k, ns], np.diff(offsets)), phase)
 
         return SuperOp(self, rule=rule)
 
@@ -527,10 +613,10 @@ class Space:
 
     def radius_op(self) -> SuperOp:
         """Multiplication by the symmetrized radius."""
-        return self.radial_values(self.level_w)
+        return self._cached(("r",), lambda: self.radial_values(self.level_w))
 
     def radius_inv(self) -> SuperOp:
-        return self.radial_values(1.0 / self.level_w)
+        return self._cached(("1/r",), lambda: self.radial_values(1.0 / self.level_w))
 
     def radial_phase(self, omega: float) -> SuperOp:
         """exp(i*omega*r_hat/lam): exponential of the diagonal radius generator."""

@@ -57,9 +57,12 @@ class RunConfig:
         env = os.environ.get(JOBS_ENV, "")
         if env.strip():
             try:
-                return max(1, int(env))
+                jobs = int(env)
             except ValueError:
                 raise ValueError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
+            if jobs < 0:
+                raise ValueError(f"{JOBS_ENV} must be >= 0, got {env!r}")
+            return max(1, jobs)
         return os.cpu_count() or 1
 
 

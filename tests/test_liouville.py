@@ -17,36 +17,49 @@ from fuzzymono.fock import number_operator
 from fuzzymono.liouville import Space, _Block
 
 # Exact binary fractions, so explicit zeros also arise from cancellation.
+_REALS = [0.0, 1.0, -1.0, 0.5, 2.0, -0.25]
 _VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, 1j, -0.25j, 1.5 - 2j, 0.75 + 0.5j])
+# unit, real, imaginary and general scalars
+_SCALARS = st.sampled_from([1.0, -1.0, 1j, -1j, 2.0, -0.5, 0.0, 0.25j, -3j, 1.5 - 2j])
 
 
 @st.composite
 def _csr(draw, shape):
-    """A complex CSR matrix of the given shape, as scipy and as a _Block."""
+    """A CSR matrix of the given shape, as scipy (complex) and as a _Block.
+
+    The block is float64 data times 1j**phase (all real or all imaginary
+    values), or complex128 data for a general block.
+    """
     m, n = shape
+    phase = draw(st.sampled_from([0, 1, 2, 3, None]))  # None: complex data
     all_zero = draw(st.booleans()) and draw(st.booleans())
+    values = _VALUES if phase is None else st.sampled_from(_REALS)
     indptr, indices, data = [0], [], []
     for _ in range(m):
         cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
         indices += cols  # in drawn order: unsorted
-        data += [0.0 if all_zero else draw(_VALUES) for _ in cols]
+        data += [0.0 if all_zero else draw(values) for _ in cols]
         indptr.append(len(indices))
-    arrays = (np.array(data, dtype=np.complex128), np.array(indices, dtype=np.int32),
-              np.array(indptr, dtype=np.int32))
-    mat = sparse.csr_matrix(tuple(a.copy() for a in arrays), shape=shape)
-    return mat, _Block(arrays[2], arrays[1], arrays[0], shape)
+    data = np.array(data, dtype=np.float64 if phase is not None else np.complex128)
+    indices, indptr = np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)
+    unit = 1.0 if phase is None else 1j ** phase
+    mat = sparse.csr_matrix((data * unit, indices.copy(), indptr.copy()), shape=shape)
+    return mat, _Block(indptr, indices, data, shape, phase or 0)
 
 
 _DIMS = st.integers(0, 5)
 
 
 def _same(blk, mat):
+    """blk holds the indptr, indices and complex values of mat."""
     mat = sparse.csr_matrix(mat)
     assert blk.shape == mat.shape
     assert blk.indptr.dtype == np.int32 and blk.indices.dtype == np.int32
-    assert blk.data.dtype == np.complex128
+    assert blk.data.dtype in (np.float64, np.complex128) and blk.phase in range(4)
+    values = blk.values()
+    assert values.dtype == np.complex128
     for got, want in ((blk.indptr, mat.indptr), (blk.indices, mat.indices),
-                      (blk.data, mat.data)):
+                      (values, mat.data)):
         assert got.shape == want.shape and np.array_equal(got, want), (got, want)
 
 
@@ -55,7 +68,10 @@ def _same(blk, mat):
 def test_block_product_matches_scipy(data, m, k, n):
     a, ablk = data.draw(_csr((m, k)))
     b, bblk = data.draw(_csr((k, n)))
-    _same(ablk @ bblk, a @ b)
+    prod = ablk @ bblk
+    _same(prod, a @ b)
+    if ablk.is_float and bblk.is_float:  # float64 in, float64 out
+        assert prod.is_float and prod.phase == (ablk.phase + bblk.phase) % 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -65,17 +81,41 @@ def test_block_sum_difference_scale_adjoint_match_scipy(data, m, n):
     b, bblk = data.draw(_csr((m, n)))
     _same(ablk + bblk, a + b)
     _same(ablk - bblk, a - b)
-    c = complex(data.draw(_VALUES))
-    _same(ablk.scale(c), c * a)
+    if ablk.is_float and bblk.is_float and (ablk.phase - bblk.phase) % 2 == 0:
+        assert (ablk + bblk).is_float and (ablk - bblk).is_float
+    c = complex(data.draw(_SCALARS))
+    scaled = ablk.scale(c)
+    _same(scaled, c * a)
+    if ablk.is_float and c in (1, -1, 1j, -1j):  # a unit turns the phase only
+        assert scaled.data is ablk.data and scaled.indices is ablk.indices
+    elif ablk.is_float and (c.real == 0 or c.imag == 0):
+        assert scaled.is_float
     _same(ablk.adjoint(), a.conj().T.tocsr())
+    assert ablk.adjoint().is_float or not ablk.is_float
     _same(ablk, ablk.tocsr())
-    assert ablk.tocsr().indices is not ablk.indices  # readers get a copy
+    csr = ablk.tocsr()
+    assert csr.dtype == np.complex128
+    assert csr.indices is not ablk.indices and csr.data is not ablk.data  # a copy
     # the weighted adjoint's form: diagonal products on both sides
     left = np.array([data.draw(_VALUES) for _ in range(n)], dtype=np.complex128)
     right = np.array([data.draw(_VALUES) for _ in range(m)], dtype=np.complex128)
     _same(_Block.diagonal(left), sparse.diags(left, format="csr"))
     want = sparse.diags(left, format="csr") @ a.conj().T.tocsr() @ sparse.diags(right, format="csr")
     _same(_Block.diagonal(left) @ ablk.adjoint() @ _Block.diagonal(right), want)
+
+
+@pytest.mark.parametrize("values, phase", [([0.5, 0.0, -2.0], 0), ([0.5j, 0.0, -2j], 1),
+                                           ([0.5, 1j, 0.0], 0)])
+def test_leaf_values_split_into_float_data_and_a_phase(values, phase):
+    """All-real and all-imaginary leaf values are stored as float64 data."""
+    values = np.array(values, dtype=np.complex128)
+    splits = not (values.real.any() and values.imag.any())
+    rows, cols = np.arange(3), np.array([2, 0, 1])
+    for blk, want in ((_Block.diagonal(values), sparse.diags(values, format="csr")),
+                      (_Block.from_coo(rows, cols, values, (3, 3)),
+                       sparse.csr_matrix((values, (rows, cols)), shape=(3, 3)))):
+        assert blk.is_float == splits and blk.phase == phase
+        _same(blk, want)
 
 
 def test_block_shapes_must_agree():
@@ -163,3 +203,22 @@ def test_leaf_blocks_match_kron_and_diags(n_max, lam):
             want = full[sp.packed(k + op.grade)][:, sp.packed(k)]
             assert want.has_sorted_indices, name
             _same(op.raw_block(k), want)
+
+
+def test_run_path_blocks_are_float64():
+    """The operators a run builds are all real or all imaginary, and their
+    blocks stay float64: a slide back onto the complex kernels fails here."""
+    from fuzzymono.verify.registry import get_context
+
+    ctx = get_context(6, 1.0)
+    sp = ctx.space
+    ops = {"radius_inv": sp.radius_inv(), "generator S_05": ctx.alg.generator(0, 5),
+           "generator S_12": ctx.alg.generator(1, 2), "velocity 2": ctx.vel.velocity(2),
+           "dual velocity 4": ctx.vel.dual_velocity(4)}
+    for alpha in (1, 2):
+        ops.update({f"la{alpha}": sp.lmul_a(alpha), f"lad{alpha}": sp.lmul_adag(alpha),
+                    f"ra{alpha}": sp.rmul_a(alpha), f"rad{alpha}": sp.rmul_adag(alpha)})
+    for name, op in ops.items():
+        for k in range(-6, 7):
+            assert op.raw_block(k).data.dtype == np.float64, (name, k)
+    assert sp.radius_inv() is sp.radius_inv() and sp.radius_op() is sp.radius_op()

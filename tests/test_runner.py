@@ -284,10 +284,11 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
             assert proc.returncode == 2 and proc.stdout == ""
             lines = proc.stderr.splitlines()
             assert len(lines) == 1 and lines[0].startswith("fuzzymono: --lambda"), proc.stderr
-    monkeypatch.setenv("FUZZYMONO_JOBS", "abc")
-    assert main(["--suite", "fock", "--n-max", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "FUZZYMONO_JOBS" in err
+    for junk in ("abc", "-3"):
+        monkeypatch.setenv("FUZZYMONO_JOBS", junk)
+        assert main(["--suite", "fock", "--n-max", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("fuzzymono: FUZZYMONO_JOBS"), err
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 4, 8])
