@@ -13,7 +13,6 @@ from .sector import (
     graded_residual,
     inner_product,
     sector_matrix,
-    weighted_adjoint,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "graded_residual",
     "inner_product",
     "sector_matrix",
-    "weighted_adjoint",
 ]

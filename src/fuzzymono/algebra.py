@@ -232,11 +232,14 @@ class OperatorAlgebra:
 
     # -- canonical pairing ----------------------------------------------------
 
-    def canonical_pairing_residual(self, kappa: int, guard: int = 1) -> float:
-        """Max residual of [A_a, Gamma_bc A+_c] = delta_ab over all 16 pairs."""
+    def canonical_pairing_residual(self, kappa: int, guard: int = 1) -> float | None:
+        """Max residual of [A_a, Gamma_bc A+_c] = delta_ab over all 16 pairs,
+        or None when sector kappa has no guarded window."""
         from .sector import build_sector, graded_residual
 
         sec = build_sector(kappa, self.space.n_max, self.space.lam)
+        if not sec.block_window(guard).any():
+            return None
         res = 0.0
         ident = self.space.identity()
         for a in range(4):
@@ -245,9 +248,7 @@ class OperatorAlgebra:
                                              for (c,), g in nonzero_entries(GAMMA[b]))
                 lhs = commutator(self.avec(a), twisted)
                 rhs = (1.0 if a == b else 0.0) * ident
-                out = graded_residual(lhs, rhs, sec, guard)
-                if out is not None:
-                    res = max(res, out[0])
+                res = max(res, graded_residual(lhs, rhs, sec, guard)[0])
         return res
 
 

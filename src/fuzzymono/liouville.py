@@ -81,12 +81,10 @@ as scipy picks them at these sizes; a block dimension or a result size
 past the int32 limit raises ValueError instead of overflowing.
 
 to_csr() assembles the full D^2 x D^2 matrix from the blocks of every
-sector.  The engine never needs it; tests and the support checks
-(measured_grades, measured_col_shifts) do, and so do the per-pair arrays
-Space.row_level, col_level, pair_grade and pair_w, which are computed on
-each access for them.  Every superoperator also
-carries its net row/col level shift so the truncation bookkeeping can be
-checked against that support.
+sector.  The engine never needs it; tests and the support check
+measured_grades do, and so do the per-pair arrays Space.row_level,
+col_level, pair_grade and pair_w, which are computed on each access for
+them.  The grade is the only support fact a superoperator carries.
 """
 
 from __future__ import annotations
@@ -105,12 +103,6 @@ POLE_TOL = 1e-9
 
 # Largest block dimension or stored-entry count the int32 indices can hold.
 _INDEX_MAX = int(np.iinfo(np.int32).max)
-
-
-def _merge_shift(x: Optional[int], y: Optional[int]) -> Optional[int]:
-    if x is None or y is None:
-        return None
-    return x + y
 
 
 def _check_index(n: int) -> None:
@@ -296,21 +288,17 @@ BlockRule = Callable[[int], _Block]
 class SuperOp:
     """A grade-homogeneous linear map on vectorized operator-valued states.
 
-    SuperOp(space, grade, drow, dcol, rule=rule) reads block(k) as rule(k),
-    which must map sector k into sector k + grade.  Leaves come from Space
-    and compositions from the operators below, never by hand.
+    SuperOp(space, grade, rule=rule) reads block(k) as rule(k), which must
+    map sector k into sector k + grade.  Leaves come from Space and
+    compositions from the operators below, never by hand.
 
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
-    drow, dcol : net row/col level shifts (None once a sum mixes shifts).
     """
 
-    def __init__(self, space: "Space", grade: int = 0, drow: Optional[int] = 0,
-                 dcol: Optional[int] = 0, *, rule: BlockRule):
+    def __init__(self, space: "Space", grade: int = 0, *, rule: BlockRule):
         self.space = space
         self.grade = grade
-        self.drow = drow
-        self.dcol = dcol
         self._rule = rule
         self._blocks: Optional[dict[int, _Block]] = None
 
@@ -364,8 +352,7 @@ class SuperOp:
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
         self._check_space(other)
         a, b = self, other
-        return SuperOp(self.space, grade=a.grade + b.grade, drow=_merge_shift(a.drow, b.drow),
-                       dcol=_merge_shift(a.dcol, b.dcol),
+        return SuperOp(self.space, grade=a.grade + b.grade,
                        rule=lambda k: a.raw_block(k + b.grade) @ b.raw_block(k))
 
     def __add__(self, other: "SuperOp") -> "SuperOp":
@@ -373,9 +360,7 @@ class SuperOp:
         if self.grade != other.grade:
             raise ValueError(f"grade mismatch in sum: {self.grade} vs {other.grade}")
         a, b = self, other
-        return SuperOp(self.space, grade=a.grade, drow=a.drow if a.drow == b.drow else None,
-                       dcol=a.dcol if a.dcol == b.dcol else None,
-                       rule=lambda k: a.raw_block(k) + b.raw_block(k))
+        return SuperOp(self.space, grade=a.grade, rule=lambda k: a.raw_block(k) + b.raw_block(k))
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
         return self + (-1.0) * other
@@ -384,23 +369,20 @@ class SuperOp:
         return (-1.0) * self
 
     def __mul__(self, scalar: complex) -> "SuperOp":
-        return SuperOp(self.space, grade=self.grade, drow=self.drow, dcol=self.dcol,
-                       rule=lambda k: self.raw_block(k).scale(scalar))
+        return SuperOp(self.space, grade=self.grade, rule=lambda k: self.raw_block(k).scale(scalar))
 
     __rmul__ = __mul__
 
     def plain_adjoint(self) -> "SuperOp":
         """Adjoint for the unweighted Frobenius pairing."""
         return SuperOp(self.space, grade=-self.grade,
-                       drow=None if self.drow is None else -self.drow,
-                       dcol=None if self.dcol is None else -self.dcol,
                        rule=lambda k: self.raw_block(k - self.grade).adjoint())
 
     def weighted_adjoint(self) -> "SuperOp":
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
         adj = self.plain_adjoint()
         w, w_inv = self.space.radius_op(), self.space.radius_inv()
-        return SuperOp(self.space, grade=adj.grade, drow=adj.drow, dcol=adj.dcol,
+        return SuperOp(self.space, grade=adj.grade,
                        rule=lambda k: w_inv.raw_block(k + adj.grade) @ adj.raw_block(k)
                        @ w.raw_block(k))
 
@@ -411,11 +393,6 @@ class SuperOp:
         coo = self.to_csr().tocoo()
         g = self.space.pair_grade
         return set((g[coo.row] - g[coo.col]).tolist())
-
-    def measured_col_shifts(self) -> set[int]:
-        coo = self.to_csr().tocoo()
-        lc = self.space.col_level
-        return set((lc[coo.row] - lc[coo.col]).tolist())
 
 
 class Space:
@@ -558,8 +535,7 @@ class Space:
                                      for arrays in zip(*parts)),
                                    (int(out_offs[-1]), int(in_offs[-1])), phase)
 
-        return SuperOp(self, grade=grade, drow=shift if rows else 0,
-                       dcol=0 if rows else shift, rule=rule)
+        return SuperOp(self, grade=grade, rule=rule)
 
     def lmul_a(self, alpha: int) -> SuperOp:
         """Left multiplication by a_alpha (grade -1)."""
@@ -603,13 +579,21 @@ class Space:
         any comparison window by the caller (the registry tracks this).
         """
         w = self.level_w
-        mask = np.zeros(w.shape, dtype=bool)
-        for p in poles:
-            mask |= np.abs(w / self.lam - p) < POLE_TOL
+        mask = self.near_pole(poles)
         vals = np.zeros(w.shape, dtype=np.complex128)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals[~mask] = fn(w[~mask])
         return self.radial_values(vals)
+
+    def near_pole(self, poles: Iterable[float], rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Whether the radius level_w[rows, cols] of each (row level, col
+        level) pair lies within POLE_TOL*lam of a pole (poles in units of
+        lam)."""
+        w_over_lam = self.level_w[rows, cols] / self.lam
+        hit = np.zeros(w_over_lam.shape, dtype=bool)
+        for p in poles:
+            hit |= np.abs(w_over_lam - p) < POLE_TOL
+        return hit
 
     def radius_op(self) -> SuperOp:
         """Multiplication by the symmetrized radius."""

@@ -14,7 +14,7 @@ the derivations; pole exclusions apply to those closed forms only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -90,20 +90,25 @@ class VelocityFamily:
 FLOW_SIGNS = {1: -1.0, 2: -1.0, 3: -1.0, 4: +1.0}
 
 
+def rotation_flow_pairs(vel: VelocityFamily, omega: float) -> Iterator[tuple[SuperOp, SuperOp]]:
+    """The four (lhs, rhs) pairs of the compact-rotation flow at angle omega."""
+    sp = vel.space
+    phase = sp.radial_phase(omega)
+    phase_inv = sp.radial_phase(-omega)
+    for a in (1, 2, 3, 4):
+        v, vt = vel.velocity(a), vel.dual_velocity(a)
+        lhs = phase @ v @ phase_inv
+        yield lhs, float(np.cos(omega)) * v + float(np.sin(omega) * FLOW_SIGNS[a]) * vt
+
+
 def rotation_flow_residual(vel: VelocityFamily, kappa: int, omega: float,
                            guard: int = 1) -> float:
     """Residual of the compact-rotation flow of the velocity 4-vector."""
     from .sector import build_sector, graded_residual
 
-    sp = vel.space
-    sec = build_sector(kappa, sp.n_max, sp.lam)
-    phase = sp.radial_phase(omega)
-    phase_inv = sp.radial_phase(-omega)
+    sec = build_sector(kappa, vel.space.n_max, vel.space.lam)
     res = 0.0
-    for a in (1, 2, 3, 4):
-        v, vt = vel.velocity(a), vel.dual_velocity(a)
-        lhs = phase @ v @ phase_inv
-        rhs = float(np.cos(omega)) * v + float(np.sin(omega) * FLOW_SIGNS[a]) * vt
+    for lhs, rhs in rotation_flow_pairs(vel, omega):
         out = graded_residual(lhs, rhs, sec, guard)
         if out is not None:
             res = max(res, out[0])
@@ -170,8 +175,6 @@ def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,
 
     sp = vel.space
     sec = build_sector(kappa, sp.n_max, sp.lam)
-    if sec.is_empty:
-        return None
     mask, _ = sec.guard_window(guard, exclude_ws)
     cols = np.flatnonzero(mask)
     if cols.size == 0:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .liouville import POLE_TOL, Space, SuperOp, _Block, get_space
+from .liouville import Space, SuperOp, _Block, get_space
 
 
 @dataclass(frozen=True)
@@ -63,33 +63,35 @@ class MonopoleSector:
     def _packed_weights(self) -> np.ndarray:
         return _read_only(self.r_hat_eigen[self.block_of])
 
-    def guard_window(self, guard: int, exclude_ws: tuple[float, ...] = ()) -> tuple[np.ndarray, list[int]]:
-        """Boolean mask over packed indices for the guarded window.
+    def guard_window(self, guard: int,
+                     exclude_ws: tuple[float, ...] = ()) -> tuple[np.ndarray, list[int]]:
+        """Boolean mask over packed indices for the guarded window, and the
+        sorted input levels excluded for pole proximity (see _window)."""
+        _, mask, excluded = self._window(guard, exclude_ws)
+        return mask, list(excluded)
 
-        Blocks within guard of either end of the admissible range are
-        dropped, as are blocks whose radius sits within POLE_TOL*lam of a
-        pole given in exclude_ws (units of lam).  Returns the mask together
-        with the sorted input levels excluded for pole proximity.  The mask
-        is computed once per (guard, exclude_ws) and is read-only.
+    def block_window(self, guard: int, exclude_ws: tuple[float, ...] = ()) -> np.ndarray:
+        """Boolean mask over blocks for the guarded window (see _window)."""
+        return self._window(guard, exclude_ws)[0]
+
+    def _window(self, guard: int, exclude_ws: tuple[float, ...]) -> tuple:
+        """(block mask, packed mask, excluded levels) of the guarded window.
+
+        The window drops the guard blocks at either end of the admissible
+        range (the blocks are consecutive levels) and the blocks whose
+        radius sits within POLE_TOL*lam of a pole given in exclude_ws (units
+        of lam), which are the excluded levels.  Computed once per
+        (guard, exclude_ws); the masks are read-only.
         """
         key = (guard, tuple(exclude_ws))
         if key not in self._windows:
-            self._windows[key] = self._window(guard, key[1])
-        mask, excluded = self._windows[key]
-        return mask, list(excluded)
-
-    def _window(self, guard: int, exclude_ws: tuple[float, ...]) -> tuple[np.ndarray, list[int]]:
-        if self.is_empty:
-            return _read_only(np.zeros(0, dtype=bool)), []
-        lo, hi = self.blocks[0], self.blocks[-1]
-        keep_block = np.array([(lo + guard <= n <= hi - guard) for n in self.blocks])
-        pole_hit = np.zeros(len(self.blocks), dtype=bool)
-        w_over_lam = self.r_hat_eigen / self.lam
-        for p in exclude_ws:
-            pole_hit |= np.abs(w_over_lam - p) < POLE_TOL
-        excluded = [int(n) for n, h in zip(self.blocks, pole_hit) if h]
-        keep_block &= ~pole_hit
-        return _read_only(keep_block[self.block_of]), excluded
+            levels = np.array(self.blocks, dtype=np.int64)
+            pos = np.arange(levels.size)
+            pole_hit = self.space.near_pole(key[1], levels + self.kappa, levels)
+            keep = (pos >= guard) & (pos < levels.size - guard) & ~pole_hit
+            self._windows[key] = (_read_only(keep), _read_only(keep[self.block_of]),
+                                  tuple(levels[pole_hit].tolist()))
+        return self._windows[key]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -107,7 +109,6 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
         return _SECTORS[key]
     space = get_space(n_max, lam)
     levels, offsets = space.sector_levels(kappa)
-    n = levels.astype(np.float64)
     sector = MonopoleSector(
         kappa=kappa,
         n_max=n_max,
@@ -116,7 +117,7 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
         packed=_read_only(space.packed(kappa)),
         block_offsets=_read_only(offsets),
         block_of=_read_only(np.repeat(np.arange(levels.size, dtype=np.int64), np.diff(offsets))),
-        r_hat_eigen=_read_only(float(lam) * (n + 1.0 + kappa / 2.0)),
+        r_hat_eigen=_read_only(space.level_w[levels + kappa, levels]),
         space=space,
     )
     _SECTORS[key] = sector
@@ -165,11 +166,6 @@ def inner_product(phi: SectorVector, psi: SectorVector) -> complex:
     return complex(4.0 * np.pi * lam**2 * np.sum(np.conj(phi.data) * w * psi.data))
 
 
-def weighted_adjoint(op: SuperOp) -> SuperOp:
-    """Adjoint with respect to the weighted inner product."""
-    return op.weighted_adjoint()
-
-
 def apply_superop(op: SuperOp, psi: SectorVector) -> SectorVector:
     """Apply a superoperator; the result lives in the grade-shifted sector."""
     sec = psi.sector
@@ -205,13 +201,11 @@ def graded_residual(
     sliced.  Both sides must have the same grade.  The default floor of 1
     keeps the ratio defined for vanishing sides; floor=0 gives the purely
     relative metric, which is exactly invariant under power-of-two
-    rescalings of lam.  Returns None when the window is empty (the identity
-    is skipped at this truncation).
+    rescalings of lam.  Returns None when the window is empty, as it is on
+    an empty sector (the identity is skipped at this truncation).
     """
     if lhs.grade != rhs.grade:
         raise ValueError(f"grade mismatch: {lhs.grade} vs {rhs.grade}")
-    if sector.is_empty:
-        return None
     mask, excluded = sector.guard_window(guard, exclude_ws)
     if not mask.any():
         return None

@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="fmt")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--jobs", type=int, default=0,
-                   help="worker processes (default: FUZZYMONO_JOBS env or cpu count)")
+                   help="worker processes; 0 (the default) takes FUZZYMONO_JOBS when it is "
+                        "set and positive, else the cpu count")
     return p
 
 

@@ -15,12 +15,16 @@ An identity is one of two kinds:
     blocks, as it arrives; it is the only code that takes their residuals.
     A pair is dropped before the next one is built, so only the operators
     the context caches stay resident.
-  * a scalar check, (ctx, kappa, guard, exclude_ws) -> outcome, for the
+  * a scalar check, (ctx, sector, guard, exclude_ws) -> outcome, for the
     identities that are not superoperator equalities (matrix-level Fock and
     coordinate relations, fits, block-wise bounds, the scaling suite).
+    sector is the MonopoleSector of the requested kappa, or None for a
+    kappa-independent identity.
 
 Both give (residual, excluded_blocks), or None when the identity has no
 guarded window at the requested truncation (reported as skipped).
+IdentityRecord.evaluate builds the sector once and skips an empty sector
+without calling the identity, so no check sees an empty sector.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ from ..liouville import (
     linear_combination,
 )
 from ..monopole import (
-    FLOW_SIGNS,
     VelocityFamily,
     charge_fit,
     monopole_profile_op,
+    rotation_flow_pairs,
 )
 from ..ncspace import (
     EPS3,
@@ -71,6 +75,7 @@ from ..ncspace import (
     verify_coordinate_algebra,
 )
 from ..sector import (
+    MonopoleSector,
     SectorVector,
     build_sector,
     graded_residual,
@@ -150,7 +155,7 @@ def get_context(n_max: int, lam: float) -> EngineContext:
 
 
 PairFunction = Callable[[EngineContext], Iterator[Pair]]
-Check = Callable[[EngineContext, Optional[int], int, tuple[float, ...]], Outcome]
+Check = Callable[[EngineContext, Optional[MonopoleSector], int, tuple[float, ...]], Outcome]
 
 
 @dataclass(frozen=True)
@@ -182,11 +187,14 @@ class IdentityRecord:
 
     def evaluate(self, ctx: EngineContext, kappa: Optional[int], guard: int,
                  floor: float = 1.0) -> Outcome:
-        """Outcome on sector kappa; floor is the residual denominator floor
-        of a pair identity (graded_residual), unused by a scalar check."""
+        """Outcome on sector kappa (None: a kappa-independent check), or None
+        on an empty sector; floor is the residual denominator floor of a
+        pair identity (graded_residual), unused by a scalar check."""
+        sec = None if kappa is None else ctx.sector(kappa)
+        if sec is not None and sec.is_empty:
+            return None
         if self.check is not None:
-            return self.check(ctx, kappa, guard, self.exclude_ws)
-        sec = ctx.sector(kappa)
+            return self.check(ctx, sec, guard, self.exclude_ws)
         outcome = None
         for lhs, rhs in self.pairs(ctx):
             out = graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
@@ -200,7 +208,7 @@ class IdentityRecord:
 # fock / coords (kappa-independent, matrix level)
 # ---------------------------------------------------------------------------
 
-def _fock_null_comm(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+def _fock_null_comm(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
     a = [annihilator(basis, 1), annihilator(basis, 2)]
     ad = [creator(basis, 1), creator(basis, 2)]
@@ -211,7 +219,7 @@ def _fock_null_comm(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return worst, []
 
 
-def _fock_canonical(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
     proj = interior_projector(basis, 1)
     eye = sparse.identity(basis.dim, dtype=np.complex128, format="csr")
@@ -226,7 +234,7 @@ def _fock_canonical(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return worst, [basis.n_max]
 
 
-def _fock_number(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+def _fock_number(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
     total = sum(
         creator(basis, m) @ annihilator(basis, m) for m in (1, 2)
@@ -236,7 +244,7 @@ def _fock_number(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
 
 
 def _coords(which: str) -> Check:
-    def check(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+    def check(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
         res = ctx.cached(
             ("coords",),
             lambda: verify_coordinate_algebra(build_coordinates(ctx.space.basis, ctx.lam)),
@@ -250,20 +258,17 @@ def _coords(which: str) -> Check:
 # su22 suite
 # ---------------------------------------------------------------------------
 
-def _matrix_gamma(ctx, kappa, guard, exclude_ws) -> Outcome:
+def _matrix_gamma(ctx, sector, guard, exclude_ws) -> Outcome:
     return matrix_gamma_residual(), []
 
 
-def _matrix_closure(ctx, kappa, guard, exclude_ws) -> Outcome:
+def _matrix_closure(ctx, sector, guard, exclude_ws) -> Outcome:
     return matrix_closure_residual(), []
 
 
-def _canonical_pairing(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
-    sec = ctx.sector(kappa)
-    if sec.is_empty:
-        return None
-    r = ctx.alg.canonical_pairing_residual(kappa, guard)
-    return r, []
+def _canonical_pairing(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+    r = ctx.alg.canonical_pairing_residual(sector.kappa, guard)
+    return None if r is None else (r, [])
 
 
 def _cross_side(ctx: EngineContext) -> Iterator[Pair]:
@@ -313,10 +318,8 @@ def _radius_s05_ordered(ctx: EngineContext) -> Iterator[Pair]:
 # radial suite: sector structure and shift calculus
 # ---------------------------------------------------------------------------
 
-def _sector_grading(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
-    sec = ctx.sector(kappa)
-    if sec.is_empty:
-        return None
+def _sector_grading(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+    kappa = sector.kappa
     worst = 0.0
     for tau in (np.pi / 7, 1.0, 2.5):
         vals = ctx.space.grading_twist(tau).block(kappa).diagonal()
@@ -324,19 +327,16 @@ def _sector_grading(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
     return worst, []
 
 
-def _sector_gram(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     """Gram matrix of a block-spanning basis sample: diagonal and positive."""
-    sec = ctx.sector(kappa)
-    if sec.is_empty:
-        return None
     sample: list[int] = []
-    for pos in range(len(sec.blocks)):
-        lo, hi = int(sec.block_offsets[pos]), int(sec.block_offsets[pos + 1])
+    for pos in range(len(sector.blocks)):
+        lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
         sample.extend({lo, (lo + hi) // 2, hi - 1})
     sample = sorted(set(sample))
-    vecs = [SectorVector.basis_element(sec, i) for i in sample]
+    vecs = [SectorVector.basis_element(sector, i) for i in sample]
     gram = np.array([[inner_product(u, v) for v in vecs] for u in vecs])
-    expected = np.diag(4.0 * np.pi * ctx.lam**2 * sec.packed_weights()[sample])
+    expected = np.diag(4.0 * np.pi * ctx.lam**2 * sector.packed_weights()[sample])
     rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     positivity = max(0.0, -float(eigs.min()) / float(eigs.max()))
@@ -386,19 +386,15 @@ def _zeta_w_radius(ctx: EngineContext) -> Iterator[Pair]:
         yield commutator(z, r), ctx.lam * w
 
 
-def _radial_annihilator_blocks(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
-    """The first-order radial combination annihilates 1/r on every block."""
-    sec = ctx.sector(kappa)
-    if sec.is_empty:
-        return None
-    d_inv_r = radial_annihilator(RF_INV_R)
-    wv = sec.r_hat_eigen
-    keep = np.ones(len(wv), dtype=bool)
-    for p in exclude_ws:
-        keep &= np.abs(wv / ctx.lam - p) > 1e-9
-    excluded = [int(n) for n, k in zip(sec.blocks, keep) if not k]
+def _radial_annihilator_blocks(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+    """The first-order radial combination annihilates 1/r on every block
+    away from the poles (the check is per block: no guard)."""
+    keep = sector.block_window(0, exclude_ws)
     if not keep.any():
         return None
+    _, excluded = sector.guard_window(0, exclude_ws)
+    d_inv_r = radial_annihilator(RF_INV_R)
+    wv = sector.r_hat_eigen
     vals = d_inv_r.fn(wv[keep], ctx.lam)
     scale = max(1.0, float(np.max(np.abs(1.0 / wv[keep]))))
     return float(np.max(np.abs(vals)) / scale), excluded
@@ -518,27 +514,17 @@ def _q_order(ctx: EngineContext) -> Iterator[Pair]:
         yield ud @ u, q @ (u @ ud) + corr @ x
 
 
-def _q_limit(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+def _q_limit(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     """Block-wise |Q - 1| <= 2*lam/r, the commutative-limit envelope."""
-    sec = ctx.sector(kappa)
-    if sec.is_empty:
-        return None
-    wv = sec.r_hat_eigen
+    wv = sector.r_hat_eigen
     q = (wv - ctx.lam) / (wv + ctx.lam)
     overshoot = np.abs(q - 1.0) - 2.0 * ctx.lam / wv
     return max(0.0, float(overshoot.max())), []
 
 
 def _rotation_flow(ctx: EngineContext) -> Iterator[Pair]:
-    sp = ctx.space
     for omega in (0.0, np.pi / 2, 0.37):
-        phase = sp.radial_phase(omega)
-        phase_inv = sp.radial_phase(-omega)
-        for a in (1, 2, 3, 4):
-            v, vt = ctx.vel.velocity(a), ctx.vel.dual_velocity(a)
-            lhs = phase @ v @ phase_inv
-            rhs = float(np.cos(omega)) * v + float(np.sin(omega) * FLOW_SIGNS[a]) * vt
-            yield lhs, rhs
+        yield from rotation_flow_pairs(ctx.vel, omega)
 
 
 def _sig_sig_comm(ctx: EngineContext, i: int, j: int):
@@ -696,12 +682,12 @@ def _field_so4(ctx: EngineContext) -> Iterator[Pair]:
         yield lhs, rhs
 
 
-def _monopole_charge(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
-    fit = charge_fit(ctx.vel, kappa, guard, exclude_ws)
+def _monopole_charge(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+    fit = charge_fit(ctx.vel, sector.kappa, guard, exclude_ws)
     if fit is None:
         return None
-    _, excluded = ctx.sector(kappa).guard_window(guard, exclude_ws)
-    return abs(fit - kappa / 2.0), excluded
+    _, excluded = sector.guard_window(guard, exclude_ws)
+    return abs(fit - sector.kappa / 2.0), excluded
 
 
 def _g_symmetric_spatial(ctx: EngineContext) -> Iterator[Pair]:
@@ -782,7 +768,7 @@ def _rotation_piece(ctx: EngineContext) -> Iterator[Pair]:
     yield lhs, -3j * (rho @ ctx.vel.velocity(4))
 
 
-def _fierz(ctx, kappa, guard, exclude_ws) -> Outcome:
+def _fierz(ctx, sector, guard, exclude_ws) -> Outcome:
     """Two-point epsilon-sigma contraction over all 48 components."""
     worst = 0.0
     for k in range(3):
@@ -797,21 +783,18 @@ def _fierz(ctx, kappa, guard, exclude_ws) -> Outcome:
     return float(worst), []
 
 
-def _field_trend(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+def _field_trend(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     """Fitted radial profile of the spatial field decays like 1/r^3."""
-    if kappa == 0:
+    if sector.kappa == 0:
         return None  # no field to fit
-    sec = ctx.sector(kappa)
-    if sec.is_empty:
-        return None
-    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).block(kappa)
-    gen = ctx.alg.generator(3, 4).block(kappa)
+    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).block(sector.kappa)
+    gen = ctx.alg.generator(3, 4).block(sector.kappa)
     ws, cs = [], []
-    lo, hi = sec.blocks[0], sec.blocks[-1]
-    for pos, n in enumerate(sec.blocks):
-        if not (lo + guard <= n <= hi - guard) or n < ctx.n_max / 2:
+    keep = sector.block_window(guard, exclude_ws)
+    for pos, n in enumerate(sector.blocks):
+        if not keep[pos] or n < ctx.n_max / 2:
             continue
-        cols = slice(int(sec.block_offsets[pos]), int(sec.block_offsets[pos + 1]))
+        cols = slice(int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1]))
         kb = gen[:, cols]
         den = (kb.conj().multiply(kb)).sum()
         if den == 0:
@@ -819,7 +802,7 @@ def _field_trend(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
         num = (kb.conj().multiply(lhs[:, cols])).sum()
         coef = abs(num / den)
         if coef > 0:
-            ws.append(sec.r_hat_eigen[pos])
+            ws.append(sector.r_hat_eigen[pos])
             cs.append(coef)
     if len(ws) < 3:
         return None
@@ -833,12 +816,12 @@ def _field_trend(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _scaling(base: IdentityRecord) -> Check:
-    def check(ctx: EngineContext, kappa, guard, exclude_ws) -> Outcome:
+    def check(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+        kappa = None if sector is None else sector.kappa
         vals = []
         for lam in (0.5, 1.0, 2.0):
             # floor 0: the purely relative metric, exact under 2^k rescaling
-            out = base.evaluate(get_context(ctx.n_max, lam), kappa,
-                                guard if guard else base.guard, floor=0.0)
+            out = base.evaluate(get_context(ctx.n_max, lam), kappa, guard, floor=0.0)
             if out is None:
                 return None
             vals.append(out[0])

@@ -49,7 +49,7 @@ class RunConfig:
     guard: int | None = None  # None: per-identity default (its word length)
     fmt: str = "text"
     out: str | None = None
-    jobs: int = 0  # 0: FUZZYMONO_JOBS env var, then cpu count
+    jobs: int = 0  # 0: FUZZYMONO_JOBS env var if positive, then cpu count
 
     def resolved_jobs(self) -> int:
         if self.jobs > 0:
@@ -62,7 +62,8 @@ class RunConfig:
                 raise ValueError(f"{JOBS_ENV} must be an integer, got {env!r}") from None
             if jobs < 0:
                 raise ValueError(f"{JOBS_ENV} must be >= 0, got {env!r}")
-            return max(1, jobs)
+            if jobs > 0:
+                return jobs
         return os.cpu_count() or 1
 
 

@@ -59,6 +59,39 @@ def test_skipped_when_sector_empty():
     assert exit_code(rep) == 0  # skipped never fails the run
 
 
+def test_empty_sector_skips_before_the_check():
+    """evaluate builds the sector and returns None on an empty one; the
+    scalar check is never called."""
+    calls = []
+
+    def spy(ctx, sector, guard, exclude_ws):
+        calls.append(sector)
+        return 0.0, []
+
+    rec = dataclasses.replace(BY_ID["q-limit"], check=spy)
+    ctx = get_context(3, 1.0)
+    assert ctx.sector(5).is_empty
+    assert rec.evaluate(ctx, 5, rec.guard) is None
+    assert calls == []
+    assert rec.evaluate(ctx, 1, rec.guard) == (0.0, [])
+    assert calls == [ctx.sector(1)]
+    # a kappa-independent check gets no sector
+    fock = dataclasses.replace(BY_ID["number-level"], check=spy)
+    assert fock.evaluate(ctx, None, fock.guard) == (0.0, [])
+    assert calls[-1] is None
+
+
+def test_scaling_suite_is_exact():
+    """Power-of-two rescalings of lam leave every checked residual bit for
+    bit the same (floor 0), so each row's spread is exactly 0."""
+    report = run_suite(RunConfig(suite="scaling", n_max=6, jobs=1))
+    checked = [r for r in report.results if r.residual is not None]
+    assert all(r.residual == 0.0 for r in checked), [(r.id, r.kappa, r.residual)
+                                                      for r in checked]
+    assert (len(checked), len(report.results) - len(checked)) == (21, 16)
+    assert exit_code(report) == 0
+
+
 def test_failure_drives_exit_code():
     # the global tolerance governs identities without per-identity overrides
     cfg = RunConfig(suite="velocity", kappas=(1,), n_max=6, jobs=1, tol=1e-30)
@@ -208,8 +241,16 @@ def test_jobs_resolution(monkeypatch):
     cfg = RunConfig(jobs=0)
     monkeypatch.setenv("FUZZYMONO_JOBS", "2")
     assert cfg.resolved_jobs() == 2
+    monkeypatch.setenv("FUZZYMONO_JOBS", "7")
+    assert RunConfig(jobs=3).resolved_jobs() == 3  # --jobs wins over the variable
     monkeypatch.delenv("FUZZYMONO_JOBS")
-    assert cfg.resolved_jobs() >= 1
+    assert cfg.resolved_jobs() == (os.cpu_count() or 1)
+    # a 0 in the variable means the default, as --jobs 0 does
+    for zero in ("0", " 0 "):
+        monkeypatch.setenv("FUZZYMONO_JOBS", zero)
+        assert cfg.resolved_jobs() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cfg.resolved_jobs() == 1
 
 
 def test_cli_json_output(tmp_path, capsys):

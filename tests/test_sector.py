@@ -13,7 +13,6 @@ from fuzzymono.sector import (
     graded_residual,
     inner_product,
     sector_matrix,
-    weighted_adjoint,
 )
 
 
@@ -168,7 +167,7 @@ def test_weighted_adjoint_properties(rng):
     assert abs(delta.toarray()).max() <= 1e-14
     # defining property against the weighted inner product, on random vectors
     op2 = sp.radius_inv() @ (sp.lmul_adag(1) @ sp.rmul_a(1))
-    adj = weighted_adjoint(op2)
+    adj = op2.weighted_adjoint()
     for _ in range(5):
         u = SectorVector.random(sec, rng)
         v = SectorVector.random(sec, rng)
@@ -275,6 +274,17 @@ def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, grade, guard
     rhs = lhs if same else _injected(sp, full_r, grade)
     got = graded_residual(lhs, rhs, sec, guard, tuple(exclude_ws), floor=floor)
     want = _sliced_residual(full_l, full_r, sec, guard, tuple(exclude_ws), floor)
+    # the packed window is the per-block window spread over each block; a
+    # block is kept when at least guard blocks lie on either side of it and
+    # its radius n + 1 + kappa/2 (lam = 1) is no excluded pole
+    mask, excluded = sec.guard_window(guard, tuple(exclude_ws))
+    keep = sec.block_window(guard, tuple(exclude_ws))
+    np.testing.assert_array_equal(mask, keep[sec.block_of])
+    assert excluded == [n for n in sec.blocks
+                        if any(abs(n + 1 + kappa / 2 - p) < 1e-9 for p in exclude_ws)]
+    size = len(sec.blocks)
+    assert keep.tolist() == [guard <= pos < size - guard and n not in excluded
+                             for pos, n in enumerate(sec.blocks)]
     if want is None:
         assert got is None
         return
