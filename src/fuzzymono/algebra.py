@@ -20,7 +20,7 @@ import numpy as np
 
 from .liouville import Space, SuperOp, cache_get, commutator, linear_combination
 from .ncspace import PAULI, nonzero_entries
-from .su22 import ETA, GAMMA, PAIRS, generator_matrix
+from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +49,9 @@ class RadialFunction:
         )
 
     def to_superop(self, space: Space) -> SuperOp:
-        return space.radial(lambda w: self.fn(w, space.lam), self.poles)
+        """The multiplier f(r_hat) on space, built once per space (keyed by name)."""
+        return space._cached(("rf", self.name),
+                             lambda: space.radial(lambda w: self.fn(w, space.lam), self.poles))
 
 
 RF_ONE = RadialFunction("1", lambda w, lam: np.ones_like(w))
@@ -140,11 +142,12 @@ def right_action(space: Space, word: list[Letter]) -> SuperOp:
 # ---------------------------------------------------------------------------
 
 class OperatorAlgebra:
-    """Named quadratic superoperators on one space, built lazily and cached."""
+    """Named quadratic superoperators on one space, built lazily and cached
+    in the space's operator cache."""
 
     def __init__(self, space: Space):
         self.space = space
-        self._cache: dict[tuple, SuperOp] = {}
+        self._cache = space._cache
 
     def _get(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
         return cache_get(self._cache, key, builder)
@@ -183,6 +186,10 @@ class OperatorAlgebra:
             return left - right - 2.0 * sp.identity()
 
         return self._get(("center",), build)
+
+    def center_plus_two(self) -> SuperOp:
+        """C + 2, which is kappa on sector kappa."""
+        return self._get(("center+2",), lambda: self.center() + 2.0 * self.space.identity())
 
     def center_naive(self) -> SuperOp:
         """Literal bilinear ordering (top-block truncation defect retained)."""
@@ -254,14 +261,8 @@ class OperatorAlgebra:
 
 def su22_bracket_rhs(alg: OperatorAlgebra, a: int, b: int, c: int, d: int) -> SuperOp:
     """Operator-level bracket target i*(eta.S - ...) for [S_AB, S_CD]."""
-    terms = (
-        (ETA[a, c], (b, d)),
-        (-ETA[b, c], (a, d)),
-        (-ETA[a, d], (b, c)),
-        (ETA[b, d], (a, c)),
-    )
     return linear_combination(
-        (complex(1j * coeff) * alg.generator(x, y) for coeff, (x, y) in terms
+        (complex(1j * coeff) * alg.generator(x, y) for coeff, (x, y) in bracket_terms(a, b, c, d)
          if coeff != 0 and x != y),
         alg.space)
 

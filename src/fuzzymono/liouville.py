@@ -31,14 +31,15 @@ from sector k into sector k + grade, on the packed sector bases
   * Composed nodes.  @, +, -, scalar *, plain_adjoint and weighted_adjoint
     build a node that computes its blocks from its operands' blocks on
     demand: (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).
-  * Memoisation.  Only an operator that enters a cache through cache_get
-    keeps the blocks it has computed: the ladder primitives of a Space, the
-    named operators of OperatorAlgebra and VelocityFamily, and what the
-    registry's EngineContext caches.  A transient operator keeps nothing
-    once it is dropped.  Each memoising operator is registered on its
-    Space, and forget_blocks() empties every such memo while the operators
-    stay cached.  The runner calls it whenever a process moves on to
-    another sector kappa.  So memoised blocks live for one kappa, and a
+  * Memoisation.  Each Space holds one operator cache, a dict keyed by
+    tuples: its ladder primitives, the radial multipliers (keyed by
+    RadialFunction.name), the named operators of OperatorAlgebra and
+    VelocityFamily, and what the registry's EngineContext caches all enter
+    it through cache_get, and only such an operator keeps the blocks it has
+    computed.  A transient operator keeps nothing once it is dropped.
+    forget_blocks() walks that cache and empties every block memo while the
+    operators stay cached.  The runner calls it whenever a process moves on
+    to another sector kappa.  So memoised blocks live for one kappa, and a
     process that serves many kappas holds the blocks of one at a time.  Few
     blocks are read at more than one kappa, so little is recomputed.
 
@@ -313,7 +314,6 @@ class SuperOp:
         until forget_blocks()."""
         if self._blocks is None:
             self._blocks = {}
-            self.space._memoised.append(self)
 
     def block(self, k: int) -> sparse.csr_matrix:
         """The map from sector k into sector k + grade, on packed bases."""
@@ -414,8 +414,8 @@ class Space:
 
         self._a = [annihilator(self.basis, 1), annihilator(self.basis, 2)]
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
-        self._cache: dict[tuple, SuperOp] = {}
-        self._memoised: list[SuperOp] = []
+        # the one operator cache of this truncation (see Memoisation above)
+        self._cache: dict[tuple, object] = {}
         self._packed: dict[int, np.ndarray] = {}
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dimension of every nonempty sector
@@ -661,8 +661,9 @@ def get_space(n_max: int, lam: float = 1.0) -> Space:
 
 
 def forget_blocks() -> None:
-    """Empty the block memo of every memoising operator on a space that
+    """Empty the block memo of every cached operator on a space that
     get_space has made; the operators stay cached."""
     for space in _SPACES.values():
-        for op in space._memoised:
-            op._blocks.clear()
+        for op in space._cache.values():
+            if isinstance(op, SuperOp):
+                op._blocks.clear()

@@ -29,7 +29,7 @@ class VelocityFamily:
     def __init__(self, alg: OperatorAlgebra):
         self.alg = alg
         self.space: Space = alg.space
-        self._cache: dict[tuple, SuperOp] = {}
+        self._cache = self.space._cache
 
     def _get(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
         return cache_get(self._cache, key, builder)
@@ -81,7 +81,7 @@ class VelocityFamily:
 
     def q_factor(self) -> SuperOp:
         """Block-diagonal exchange factor (r-l)/(r+l)."""
-        return self._get(("q",), lambda: RF_Q.to_superop(self.space))
+        return RF_Q.to_superop(self.space)
 
 
 # rotation-flow signs: exp(i w S_05) conjugation sends velocity(a) to
@@ -160,8 +160,7 @@ def build_field_strength(vel: VelocityFamily, kappa: int) -> FieldStrength:
 def monopole_profile_op(vel: VelocityFamily, k4: tuple[int, int]) -> SuperOp:
     """-i*lam * [1/(r(r^2-l^2))] S_k4, the unit-charge closed-form field."""
     sp = vel.space
-    rho = RF_MONOPOLE.to_superop(sp)
-    return -1j * sp.lam * (rho @ vel.alg.generator(*k4))
+    return -1j * sp.lam * (RF_MONOPOLE.to_superop(sp) @ vel.alg.generator(*k4))
 
 
 def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,

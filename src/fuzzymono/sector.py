@@ -44,10 +44,6 @@ class MonopoleSector:
         return int(self.packed.size)
 
     @property
-    def is_empty(self) -> bool:
-        return self.dim == 0
-
-    @property
     def mu(self) -> float:
         """Monopole charge carried by the sector."""
         return -self.kappa / 2.0

@@ -79,13 +79,17 @@ def build_su22_matrices() -> list[Su22Matrix]:
     return [Su22Matrix(a, b, generator_matrix(a, b), GAMMA, ETA) for a, b in PAIRS]
 
 
+def bracket_terms(a: int, b: int, c: int, d: int) -> tuple[tuple[float, tuple[int, int]], ...]:
+    """The (coefficient, (x, y)) terms of [S_AB, S_CD] = i * sum coefficient * S_xy:
+    eta_AC S_BD - eta_BC S_AD - eta_AD S_BC + eta_BD S_AC."""
+    return ((ETA[a, c], (b, d)), (-ETA[b, c], (a, d)), (-ETA[a, d], (b, c)), (ETA[b, d], (a, c)))
+
+
 def bracket_rhs(a: int, b: int, c: int, d: int) -> np.ndarray:
     """i*(eta_AC S_BD - eta_BC S_AD - eta_AD S_BC + eta_BD S_AC)."""
     out = np.zeros((4, 4), dtype=np.complex128)
-    out += ETA[a, c] * generator_matrix(b, d)
-    out -= ETA[b, c] * generator_matrix(a, d)
-    out -= ETA[a, d] * generator_matrix(b, c)
-    out += ETA[b, d] * generator_matrix(a, c)
+    for coeff, (x, y) in bracket_terms(a, b, c, d):
+        out += coeff * generator_matrix(x, y)
     return 1j * out
 
 

@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 
+from .registry import SUITES
 from .runner import RunConfig, exit_code, run_suite
 
 
@@ -46,9 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fuzzymono",
         description="Verify the graded operator-algebra identities numerically.",
     )
-    p.add_argument("--suite", default="all",
-                   choices=["fock", "coords", "su22", "radial", "velocity",
-                            "monopole", "scaling", "all"])
+    p.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     p.add_argument("--kappa", default="-4..4", metavar="LIST|A..B",
                    help="sector grades, e.g. '0,2,-1' or '-4..4'")
     p.add_argument("--n-max", type=int, default=12, dest="n_max")
@@ -107,8 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         lam=args.lam,
         tol=args.tol,
         guard=args.guard,
-        fmt=args.fmt,
-        out=args.out,
         jobs=args.jobs,
     )
     try:
@@ -131,13 +128,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fuzzymono: warning: {len(report.unchecked)} of {total} identities were skipped "
               f"at every kappa at n_max {args.n_max}, --kappa {args.kappa}: "
               f"{', '.join(report.unchecked)}", file=sys.stderr)
-    payload = report.emit(config.fmt)
-    if config.out:
+    payload = report.emit(args.fmt)
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
-            print(f"fuzzymono: cannot write {config.out}: {exc}", file=sys.stderr)
+            print(f"fuzzymono: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(payload)

@@ -14,17 +14,20 @@ An identity is one of two kinds:
     on the guarded window of the requested sector, without the record's pole
     blocks, as it arrives; it is the only code that takes their residuals.
     A pair is dropped before the next one is built, so only the operators
-    the context caches stay resident.
+    in the space's operator cache stay resident.
   * a scalar check, (ctx, sector, guard, exclude_ws) -> outcome, for the
     identities that are not superoperator equalities (matrix-level Fock and
     coordinate relations, fits, block-wise bounds, the scaling suite).
     sector is the MonopoleSector of the requested kappa, or None for a
     kappa-independent identity.
 
-Both give (residual, excluded_blocks), or None when the identity has no
-guarded window at the requested truncation (reported as skipped).
-IdentityRecord.evaluate builds the sector once and skips an empty sector
-without calling the identity, so no check sees an empty sector.
+Both give (residual, excluded_blocks); a check may give None when it has
+nothing to fit (reported as skipped). IdentityRecord.evaluate builds the
+sector once and decides the guarded window of a per-kappa identity: the
+guard of the row (the record's, or the run's --guard override) without the
+blocks at exclude_ws. When that window is empty it skips the identity
+without calling it, so no pair function or check sees an empty window, and
+every per-block check computes on exactly that window.
 """
 
 from __future__ import annotations
@@ -118,14 +121,15 @@ class EngineContext:
         self.space = get_space(n_max, lam)
         self.alg = OperatorAlgebra(self.space)
         self.vel = VelocityFamily(self.alg)
-        self._extra: dict[tuple, object] = {}
+        self._extra = self.space._cache
 
     def cached(self, key: tuple, builder: Callable[[], object]):
+        """Whatever builder makes, kept in the space's operator cache."""
         return cache_get(self._extra, key, builder)
 
     def radial(self, f: RadialFunction) -> SuperOp:
-        """The multiplier f(r_hat), built once per context (keyed by f.name)."""
-        return self.cached(("rf", f.name), lambda: f.to_superop(self.space))
+        """The multiplier f(r_hat), cached on the space (RadialFunction.to_superop)."""
+        return f.to_superop(self.space)
 
     def sector(self, kappa: int):
         return build_sector(kappa, self.n_max, self.lam)
@@ -188,18 +192,17 @@ class IdentityRecord:
     def evaluate(self, ctx: EngineContext, kappa: Optional[int], guard: int,
                  floor: float = 1.0) -> Outcome:
         """Outcome on sector kappa (None: a kappa-independent check), or None
-        on an empty sector; floor is the residual denominator floor of a
-        pair identity (graded_residual), unused by a scalar check."""
+        when the guarded window of sector kappa (guard, without the blocks
+        at exclude_ws) is empty; floor is the residual denominator floor of
+        a pair identity (graded_residual), unused by a scalar check."""
         sec = None if kappa is None else ctx.sector(kappa)
-        if sec is not None and sec.is_empty:
+        if sec is not None and not sec.block_window(guard, self.exclude_ws).any():
             return None
         if self.check is not None:
             return self.check(ctx, sec, guard, self.exclude_ws)
         outcome = None
         for lhs, rhs in self.pairs(ctx):
             out = graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
-            if out is None:  # every pair has the same window
-                return None
             outcome = out if outcome is None else (max(outcome[0], out[0]), out[1])
         return outcome
 
@@ -267,8 +270,7 @@ def _matrix_closure(ctx, sector, guard, exclude_ws) -> Outcome:
 
 
 def _canonical_pairing(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    r = ctx.alg.canonical_pairing_residual(sector.kappa, guard)
-    return None if r is None else (r, [])
+    return ctx.alg.canonical_pairing_residual(sector.kappa, guard), []
 
 
 def _cross_side(ctx: EngineContext) -> Iterator[Pair]:
@@ -290,7 +292,7 @@ def _op_closure(ctx: EngineContext) -> Iterator[Pair]:
 def _central(ctx: EngineContext) -> Iterator[Pair]:
     """C + 2 against the grade operator, which is kappa on sector kappa."""
     sp = ctx.space
-    yield ctx.alg.center() + 2.0 * sp.identity(), sp.radial_values(sp.level_grade)
+    yield ctx.alg.center_plus_two(), sp.radial_values(sp.level_grade)
 
 
 def _central_ordering(ctx: EngineContext) -> Iterator[Pair]:
@@ -320,17 +322,19 @@ def _radius_s05_ordered(ctx: EngineContext) -> Iterator[Pair]:
 
 def _sector_grading(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     kappa = sector.kappa
+    mask, excluded = sector.guard_window(guard, exclude_ws)
     worst = 0.0
     for tau in (np.pi / 7, 1.0, 2.5):
-        vals = ctx.space.grading_twist(tau).block(kappa).diagonal()
+        vals = ctx.space.grading_twist(tau).block(kappa).diagonal()[mask]
         worst = max(worst, float(np.max(np.abs(vals - np.exp(-1j * tau * kappa)))))
-    return worst, []
+    return worst, excluded
 
 
 def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    """Gram matrix of a block-spanning basis sample: diagonal and positive."""
+    """Gram matrix of a basis sample spanning the window's blocks: diagonal
+    and positive."""
     sample: list[int] = []
-    for pos in range(len(sector.blocks)):
+    for pos in np.flatnonzero(sector.block_window(guard, exclude_ws)):
         lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
         sample.extend({lo, (lo + hi) // 2, hi - 1})
     sample = sorted(set(sample))
@@ -340,7 +344,7 @@ def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     positivity = max(0.0, -float(eigs.min()) / float(eigs.max()))
-    return max(rel, positivity), []
+    return max(rel, positivity), sector.guard_window(guard, exclude_ws)[1]
 
 
 def _radius_def(ctx: EngineContext) -> Iterator[Pair]:
@@ -387,12 +391,10 @@ def _zeta_w_radius(ctx: EngineContext) -> Iterator[Pair]:
 
 
 def _radial_annihilator_blocks(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    """The first-order radial combination annihilates 1/r on every block
-    away from the poles (the check is per block: no guard)."""
-    keep = sector.block_window(0, exclude_ws)
-    if not keep.any():
-        return None
-    _, excluded = sector.guard_window(0, exclude_ws)
+    """The first-order radial combination annihilates 1/r on every block of
+    the window (its default guard is 0: the check is per block)."""
+    keep = sector.block_window(guard, exclude_ws)
+    _, excluded = sector.guard_window(guard, exclude_ws)
     d_inv_r = radial_annihilator(RF_INV_R)
     wv = sector.r_hat_eigen
     vals = d_inv_r.fn(wv[keep], ctx.lam)
@@ -402,7 +404,7 @@ def _radial_annihilator_blocks(ctx: EngineContext, sector, guard, exclude_ws) ->
 
 def _master_pair_comm(ctx: EngineContext) -> Iterator[Pair]:
     """epsilon-contracted commutator of radial-dressed antisymmetric boosts."""
-    c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
+    c2 = ctx.alg.center_plus_two()
     for f in (RF_ONE, RF_INV_R, RF_INV_R2):
         fop = ctx.radial(f)
         dfop = ctx.radial(radial_annihilator(f))
@@ -449,48 +451,43 @@ def _u_null_comm(ctx: EngineContext) -> Iterator[Pair]:
         yield commutator(ctx.vel.u_dag(*x), ctx.vel.u_dag(*y)), zero
 
 
-def _bare_words(ctx: EngineContext, al: int, be: int, ga: int, de: int):
-    sp = ctx.space
-    raise_w = sp.lmul_adag(al) @ sp.rmul_a(be)
-    lower_w = sp.rmul_adag(de) @ sp.lmul_a(ga)
-    x = []
-    if be == de:
-        x.append(sp.lmul_adag(al) @ sp.lmul_a(ga))
-    if ga == al:
-        x.append(sp.rmul_adag(de) @ sp.rmul_a(be))
-    return raise_w, lower_w, linear_combination(x, sp)
+def _ladder_quads(ctx: EngineContext) -> Iterator[tuple[SuperOp, ...]]:
+    """For each (al, be, ga, de) in {1, 2}^4: the bare raise and lower words
+    a+_al (.) a_be and a_ga (.) a+_de, the part X of their commutator that
+    survives (-[raise, lower] = X), and U_{al be}, U+_{ga de}."""
+    sp, vel = ctx.space, ctx.vel
+    for al, be, ga, de in itertools.product((1, 2), repeat=4):
+        raise_w = sp.lmul_adag(al) @ sp.rmul_a(be)
+        lower_w = sp.rmul_adag(de) @ sp.lmul_a(ga)
+        x = []
+        if be == de:
+            x.append(sp.lmul_adag(al) @ sp.lmul_a(ga))
+        if ga == al:
+            x.append(sp.rmul_adag(de) @ sp.rmul_a(be))
+        yield raise_w, lower_w, linear_combination(x, sp), vel.u(al, be), vel.u_dag(ga, de)
 
 
 def _u_ladder_comm(ctx: EngineContext) -> Iterator[Pair]:
-    for al, be, ga, de in itertools.product((1, 2), repeat=4):
-        raise_w, lower_w, x = _bare_words(ctx, al, be, ga, de)
+    for raise_w, lower_w, x, _, _ in _ladder_quads(ctx):
         yield commutator(raise_w, lower_w), -1.0 * x
 
 
 def _u_split(ctx: EngineContext) -> Iterator[Pair]:
     inv_sq, rho_l = ctx.radial(RF_INV_R2ML), ctx.radial(RF_RHO_L)
-    for al, be, ga, de in itertools.product((1, 2), repeat=4):
-        raise_w, lower_w, _ = _bare_words(ctx, al, be, ga, de)
-        u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
+    for raise_w, lower_w, _, u, ud in _ladder_quads(ctx):
         rhs = inv_sq @ commutator(raise_w, lower_w) + rho_l @ anticommutator(raise_w, lower_w)
         yield commutator(u, ud), rhs
 
 
 def _u_anticomm_rewrite(ctx: EngineContext) -> Iterator[Pair]:
     rho_l, mul_m, mul_p = ctx.radial(RF_RHO_L), ctx.radial(RF_MUL_M), ctx.radial(RF_MUL_P)
-    for al, be, ga, de in itertools.product((1, 2), repeat=4):
-        raise_w, lower_w, _ = _bare_words(ctx, al, be, ga, de)
-        u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
-        lhs = rho_l @ anticommutator(raise_w, lower_w)
-        rhs = mul_m @ (u @ ud) + mul_p @ (ud @ u)
-        yield lhs, rhs
+    for raise_w, lower_w, _, u, ud in _ladder_quads(ctx):
+        yield rho_l @ anticommutator(raise_w, lower_w), mul_m @ (u @ ud) + mul_p @ (ud @ u)
 
 
 def _u_pre_extraction(ctx: EngineContext) -> Iterator[Pair]:
     inv_sq, c_l2, c_lr = ctx.radial(RF_INV_R2ML), ctx.radial(RF_C_L2), ctx.radial(RF_C_LR)
-    for al, be, ga, de in itertools.product((1, 2), repeat=4):
-        _, _, x = _bare_words(ctx, al, be, ga, de)
-        u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
+    for _, _, x, u, ud in _ladder_quads(ctx):
         comm = commutator(u, ud)
         rhs = -1.0 * (inv_sq @ x) - c_l2 @ comm + c_lr @ anticommutator(u, ud)
         yield comm, rhs
@@ -499,27 +496,23 @@ def _u_pre_extraction(ctx: EngineContext) -> Iterator[Pair]:
 def _u_closed_comm(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
     rinv, rinv2 = sp.radius_inv(), ctx.radial(RF_INV_R2)
-    for al, be, ga, de in itertools.product((1, 2), repeat=4):
-        _, _, x = _bare_words(ctx, al, be, ga, de)
-        u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
+    for _, _, x, u, ud in _ladder_quads(ctx):
         rhs = -1.0 * (rinv2 @ x) + sp.lam * (rinv @ anticommutator(u, ud))
         yield commutator(u, ud), rhs
 
 
 def _q_order(ctx: EngineContext) -> Iterator[Pair]:
     q, corr = ctx.vel.q_factor(), ctx.radial(RF_Q_CORR)
-    for al, be, ga, de in itertools.product((1, 2), repeat=4):
-        _, _, x = _bare_words(ctx, al, be, ga, de)
-        u, ud = ctx.vel.u(al, be), ctx.vel.u_dag(ga, de)
+    for _, _, x, u, ud in _ladder_quads(ctx):
         yield ud @ u, q @ (u @ ud) + corr @ x
 
 
 def _q_limit(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     """Block-wise |Q - 1| <= 2*lam/r, the commutative-limit envelope."""
-    wv = sector.r_hat_eigen
+    wv = sector.r_hat_eigen[sector.block_window(guard, exclude_ws)]
     q = (wv - ctx.lam) / (wv + ctx.lam)
     overshoot = np.abs(q - 1.0) - 2.0 * ctx.lam / wv
-    return max(0.0, float(overshoot.max())), []
+    return max(0.0, float(overshoot.max())), sector.guard_window(guard, exclude_ws)[1]
 
 
 def _rotation_flow(ctx: EngineContext) -> Iterator[Pair]:
@@ -661,7 +654,7 @@ def _vv_duality(ctx: EngineContext) -> Iterator[Pair]:
 # ---------------------------------------------------------------------------
 
 def _field_closed_spatial(ctx: EngineContext) -> Iterator[Pair]:
-    c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
+    c2 = ctx.alg.center_plus_two()
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         lhs = commutator(ctx.vel.velocity(i), ctx.vel.velocity(j))
         rhs = linear_combination(
@@ -673,7 +666,7 @@ def _field_closed_spatial(ctx: EngineContext) -> Iterator[Pair]:
 def _field_so4(ctx: EngineContext) -> Iterator[Pair]:
     """Antisymmetric extension over all six index pairs; coefficient (C+2)/4."""
     eps4 = levi_civita(4)
-    c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
+    c2 = ctx.alg.center_plus_two()
     for a, b in itertools.combinations((1, 2, 3, 4), 2):
         lhs = commutator(ctx.vel.velocity(a), ctx.vel.velocity(b))
         rhs = linear_combination(
@@ -714,7 +707,7 @@ def _sigma_contract(side: str) -> PairFunction:
             def comm(al, be, de):
                 return commutator(vel.u(de, be), vel.u_dag(de, al))
         rho = ctx.radial(RF_MONOPOLE)
-        c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
+        c2 = ctx.alg.center_plus_two()
         sign = -1.0 if side == "left" else 1.0
         for k in (1, 2, 3):
             lhs = linear_combination(complex(c) * comm(al + 1, be + 1, de)
@@ -728,7 +721,7 @@ def _sigma_contract(side: str) -> PairFunction:
 
 def _field_from_center(ctx: EngineContext) -> Iterator[Pair]:
     rho = ctx.radial(RF_MONOPOLE)
-    c2 = ctx.alg.center() + 2.0 * ctx.space.identity()
+    c2 = ctx.alg.center_plus_two()
     for k in (1, 2, 3):
         lhs = linear_combination(
             e * commutator(ctx.vel.velocity(i + 1), ctx.vel.velocity(j + 1))

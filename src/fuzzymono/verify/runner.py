@@ -9,6 +9,10 @@ free worker the next batch. When there are fewer kappa batches than twice
 the workers, each kappa's jobs are dealt into interleaved parts, so that a
 run of one or two kappas still keeps every worker busy.
 
+Each job carries the guard of its row, resolved once here: the record's
+guard, or the --guard override. IdentityRecord.evaluate decides from it
+(and the record's pole blocks) whether the row has a window at all.
+
 A process that starts a batch of another kappa than its previous one first
 empties the block memos of the cached operators (liouville.forget_blocks),
 so a pool worker, like a serial run, holds the blocks of one kappa at a
@@ -47,8 +51,6 @@ class RunConfig:
     lam: float = 1.0
     tol: float = 1e-10
     guard: int | None = None  # None: per-identity default (its word length)
-    fmt: str = "text"
-    out: str | None = None
     jobs: int = 0  # 0: FUZZYMONO_JOBS env var if positive, then cpu count
 
     def resolved_jobs(self) -> int:
@@ -69,11 +71,10 @@ class RunConfig:
 
 def _eval_job(args: tuple) -> tuple[float | None, list[int], float, list[tuple]]:
     """(residual, excluded blocks, wall ms, warnings as warn_explicit arguments)."""
-    record_id, kappa, n_max, lam, guard_override = args
+    record_id, kappa, n_max, lam, guard = args
     rec = BY_ID[record_id]
     with warnings.catch_warnings(record=True) as caught:
         ctx = get_context(n_max, lam)
-        guard = rec.guard if guard_override is None else guard_override
         t0 = time.perf_counter()
         out = rec.builder(ctx, kappa, guard)
         wall_ms = (time.perf_counter() - t0) * 1e3
@@ -130,15 +131,16 @@ def run_suite(config: RunConfig) -> VerificationReport:
     records = records_for_suite(config.suite)
     records = sorted(records, key=lambda r: (_SUITE_ORDER[r.suite], r.id))
     jobs: list[tuple] = []
-    meta: list[tuple] = []  # (record, kappa)
+    meta: list[tuple] = []  # (record, kappa, guard)
     for rec in records:
         kappas: tuple[int | None, ...] = config.kappas if rec.per_kappa else (None,)
+        guard = rec.guard if config.guard is None else config.guard
         for kappa in kappas:
-            jobs.append((rec.id, kappa, config.n_max, config.lam, config.guard))
-            meta.append((rec, kappa))
+            jobs.append((rec.id, kappa, config.n_max, config.lam, guard))
+            meta.append((rec, kappa, guard))
 
     n_workers = min(config.resolved_jobs(), len(jobs))
-    batches = plan_batches([kappa for _, kappa in meta], n_workers)
+    batches = plan_batches([kappa for _, kappa, _ in meta], n_workers)
     work = [[jobs[i] for i in batch] for batch in batches]
     n_workers = min(n_workers, len(batches))
     if n_workers <= 1:
@@ -155,8 +157,7 @@ def run_suite(config: RunConfig) -> VerificationReport:
         warnings.warn_explicit(*raised)
 
     report = VerificationReport(suite=config.suite, lam=config.lam, n_max=config.n_max)
-    for (rec, kappa), (residual, excluded, wall_ms, _) in zip(meta, outcomes):
-        guard = rec.guard if config.guard is None else config.guard
+    for (rec, kappa, guard), (residual, excluded, wall_ms, _) in zip(meta, outcomes):
         report.results.append(
             IdentityResult(
                 id=rec.id,

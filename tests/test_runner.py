@@ -70,7 +70,7 @@ def test_empty_sector_skips_before_the_check():
 
     rec = dataclasses.replace(BY_ID["q-limit"], check=spy)
     ctx = get_context(3, 1.0)
-    assert ctx.sector(5).is_empty
+    assert ctx.sector(5).dim == 0
     assert rec.evaluate(ctx, 5, rec.guard) is None
     assert calls == []
     assert rec.evaluate(ctx, 1, rec.guard) == (0.0, [])
@@ -115,8 +115,67 @@ def test_guard_override_reported():
     assert all(r.guard == 3 for r in rep.results)
 
 
+def test_per_block_checks_skip_an_empty_guarded_window():
+    """Under --guard 3 the six blocks of kappa 1 at n_max 6 leave no window,
+    so the per-block checks skip like the pair identities of the suite."""
+    rep = run_suite(RunConfig(suite="radial", n_max=6, kappas=(1,), guard=3, jobs=1))
+    by_id = {r.id: r for r in rep.results}
+    for rid in ("radial-annihilator", "sector-grading", "sector-gram"):
+        assert by_id[rid].guard == 3
+        assert by_id[rid].skipped, (rid, by_id[rid].residual)
+    assert all(r.skipped for r in rep.results)
+
+
+def test_per_block_checks_read_only_the_window():
+    """q-limit and sector-gram see only the blocks of the guarded window: a
+    radius that breaks both checks on the two end blocks shows at guard 0
+    and not at guard 1."""
+    ctx = get_context(6, 1.0)
+    sec = ctx.sector(1)
+    w = sec.r_hat_eigen.copy()
+    w[[0, -1]] = -0.5 * ctx.lam  # |Q - 1| = 4 > 2 lam / r, negative weights
+    w.setflags(write=False)
+    poisoned = dataclasses.replace(sec, r_hat_eigen=w)
+    for rid in ("q-limit", "sector-gram"):
+        check = BY_ID[rid].check
+        assert check(ctx, poisoned, 0, ())[0] > 0.0, rid
+        assert check(ctx, poisoned, 1, ()) == check(ctx, sec, 1, ()) == (0.0, []), rid
+
+
+def test_one_operator_cache_per_space():
+    ctx = get_context(5, 1.0)
+    cache = ctx.space._cache
+    assert ctx.alg._cache is cache and ctx.vel._cache is cache and ctx._extra is cache
+    # a radial multiplier is cached once, by name, whoever asks for it
+    from fuzzymono.algebra import RF_MONOPOLE, RF_Q
+    assert ctx.radial(RF_MONOPOLE) is RF_MONOPOLE.to_superop(ctx.space) \
+        is cache[("rf", RF_MONOPOLE.name)]
+    assert ctx.vel.q_factor() is ctx.radial(RF_Q)
+
+
+def test_monopole_suite_builds_its_radial_profile_once(monkeypatch):
+    """Every monopole identity reads the one cached 1/(r(r^2-l^2)) multiplier."""
+    from fuzzymono import liouville, sector
+    from fuzzymono.verify import registry
+
+    monkeypatch.setattr(liouville, "_SPACES", {})
+    monkeypatch.setattr(sector, "_SECTORS", {})
+    monkeypatch.setattr(registry, "_CONTEXTS", {})
+    calls = []
+    radial = liouville.Space.radial
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.n_max)
+        return radial(self, *args, **kwargs)
+
+    monkeypatch.setattr(liouville.Space, "radial", counted)
+    rep = run_suite(RunConfig(suite="monopole", n_max=12, kappas=(3,), jobs=1))
+    assert rep.all_passed
+    assert calls == [12]
+
+
 def test_deterministic_order_and_bytes():
-    cfg = RunConfig(suite="radial", kappas=(-2, 0, 1), n_max=7, jobs=2, fmt="json")
+    cfg = RunConfig(suite="radial", kappas=(-2, 0, 1), n_max=7, jobs=2)
     a = run_suite(cfg).to_json()
     b = run_suite(cfg).to_json()
     assert strip_wall_times(a) == strip_wall_times(b)
@@ -184,8 +243,9 @@ def test_memoised_blocks_live_for_one_kappa(monkeypatch):
     def observed(job):
         held = seen.setdefault(job[1], set())
         for space in liouville._SPACES.values():
-            for op in space._memoised:
-                held.update(op._blocks)
+            for op in space._cache.values():
+                if isinstance(op, liouville.SuperOp):
+                    held.update(op._blocks)
         return eval_job(job)
 
     monkeypatch.setattr(runner, "_eval_job", observed)

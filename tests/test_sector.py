@@ -43,7 +43,6 @@ def test_known_dimensions():
 
 def test_empty_sector_flagged():
     sec = build_sector(5, 3)
-    assert sec.is_empty
     assert sec.dim == 0
     assert sec.blocks == ()
 
@@ -209,7 +208,7 @@ def _sliced_residual(full_l, full_r, sector, guard, exclude_ws, floor):
     """Reference: the windowed norms from CSC copies sliced to the window columns."""
     mask, excluded = sector.guard_window(guard, exclude_ws)
     cols = sector.packed[mask]
-    if sector.is_empty or cols.size == 0:
+    if cols.size == 0:
         return None
 
     def norm(mat):
