@@ -1,0 +1,67 @@
+"""Run fuzzymono with --format json and check its report.
+
+    python .github/check_report.py [--exit 0,1] [--rows N] [--max-rss-mb MB]
+                                   [--zero-residuals] -- FUZZYMONO-ARGS...
+
+runs `fuzzymono FUZZYMONO-ARGS... --format json` and exits 1 with a message
+unless
+  * its exit code is one of --exit (default 0);
+  * the report is strict JSON: no NaN or Infinity;
+  * it has result rows, and its n_max is the --n-max asked for, if any;
+  * it has exactly --rows rows, when given;
+  * the peak RSS of the run, pool workers included, is under --max-rss-mb,
+    when given;
+  * with --zero-residuals, some row was checked and every checked row's
+    residual is exactly 0.0 (the scaling suite).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+
+
+def main(argv: list[str]) -> None:
+    if "--" not in argv:
+        raise SystemExit("usage: check_report.py [options] -- FUZZYMONO-ARGS...")
+    split = argv.index("--")
+    p = argparse.ArgumentParser(prog="check_report.py")
+    p.add_argument("--exit", default="0", help="allowed exit codes, comma separated")
+    p.add_argument("--rows", type=int, default=None)
+    p.add_argument("--max-rss-mb", type=float, default=None)
+    p.add_argument("--zero-residuals", action="store_true")
+    opts = p.parse_args(argv[:split])
+    args = argv[split + 1:]
+
+    proc = subprocess.run(["fuzzymono", *args, "--format", "json"],
+                          stdout=subprocess.PIPE, text=True)
+    allowed = {int(code) for code in opts.exit.split(",")}
+    assert proc.returncode in allowed, f"exit {proc.returncode}, allowed {sorted(allowed)}"
+
+    def reject(constant):
+        raise SystemExit(f"the report is not strict JSON: {constant}")
+
+    report = json.loads(proc.stdout, parse_constant=reject)
+    rows = report["results"]
+    assert rows, "the report has no rows"
+    if "--n-max" in args:
+        n_max = int(args[args.index("--n-max") + 1])
+        assert report["n_max"] == n_max, (report["n_max"], n_max)
+    if opts.rows is not None:
+        assert len(rows) == opts.rows, (len(rows), opts.rows)
+    # the largest process of the run, pool workers included
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    print(f"{len(rows)} rows, exit {proc.returncode}, peak RSS {peak_mb:.0f} MB")
+    if opts.max_rss_mb is not None:
+        assert peak_mb < opts.max_rss_mb, f"peak RSS {peak_mb:.0f} MB"
+    if opts.zero_residuals:
+        checked = [row for row in rows if row["residual"] is not None]
+        assert checked and all(row["residual"] == 0.0 for row in checked), checked
+        print(f"{len(checked)} of {len(rows)} rows checked, every residual 0.0")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -9,55 +9,28 @@ makes the central element read the sector grade as C + 2 = kappa).
 Radial multipliers move through level-shifting words by lam-shifts of their
 argument; the second/first difference operators built from those shifts
 replace radial derivatives everywhere in the commutator formulas.
+
+contract(tensor, term) is the one Pauli, epsilon or sigma-sigma contraction
+of superoperator terms, folded over the tensor's nonzero entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .liouville import Space, SuperOp, cache_get, commutator, linear_combination
+from .liouville import (RF_INV_R, RF_ONE, RF_R, RadialFunction, Space, SuperOp, cache_get,
+                        commutator, linear_combination)
 from .ncspace import PAULI, nonzero_entries
 from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
 
 
 # ---------------------------------------------------------------------------
-# radial function descriptors
+# radial function descriptors (RF_ONE, RF_R and RF_INV_R are liouville's)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RadialFunction:
-    """A function of the radius with its pole positions (in units of lam).
-
-    fn maps (w, lam) -> values; evaluation on a Space zeroes pole-adjacent
-    pairs, which callers must exclude from comparison windows.
-    """
-
-    name: str
-    fn: Callable[[np.ndarray, float], np.ndarray]
-    poles: tuple[float, ...] = ()
-
-    def shifted(self, steps: int) -> "RadialFunction":
-        """f(r + steps*lam) as a new descriptor; poles move by -steps."""
-        base = self.fn
-        return RadialFunction(
-            name=f"{self.name}(r{steps:+d}l)",
-            fn=lambda w, lam: base(w + steps * lam, lam),
-            poles=tuple(p - steps for p in self.poles),
-        )
-
-    def to_superop(self, space: Space) -> SuperOp:
-        """The multiplier f(r_hat) on space, built once per space (keyed by name)."""
-        return space._cached(("rf", self.name),
-                             lambda: space.radial(lambda w: self.fn(w, space.lam), self.poles))
-
-
-RF_ONE = RadialFunction("1", lambda w, lam: np.ones_like(w))
-RF_R = RadialFunction("r", lambda w, lam: w)
 RF_R2 = RadialFunction("r^2", lambda w, lam: w * w)
-RF_INV_R = RadialFunction("1/r", lambda w, lam: 1.0 / w, poles=(0.0,))
 RF_INV_R2 = RadialFunction("1/r^2", lambda w, lam: 1.0 / (w * w), poles=(0.0,))
 RF_INV_R_MINUS_2L = RadialFunction(
     "1/(r-2l)", lambda w, lam: 1.0 / (w - 2 * lam), poles=(2.0,)
@@ -109,6 +82,13 @@ def radial_annihilator(f: RadialFunction) -> RadialFunction:
 # ---------------------------------------------------------------------------
 # word builders
 # ---------------------------------------------------------------------------
+
+def contract(tensor: np.ndarray, term: Callable[..., SuperOp]) -> SuperOp:
+    """Sum of c * term(i + 1, j + 1, ...) over the nonzero entries c at
+    (i, j, ...) of tensor, in row-major order (term takes 1-based indices)."""
+    return linear_combination(complex(c) * term(*(i + 1 for i in idx))
+                              for idx, c in nonzero_entries(tensor))
+
 
 Letter = tuple[int, str]  # (mode, "create" | "annihilate")
 
@@ -192,32 +172,27 @@ class OperatorAlgebra:
         return self._get(("center+2",), lambda: self.center() + 2.0 * self.space.identity())
 
     def center_naive(self) -> SuperOp:
-        """Literal bilinear ordering (top-block truncation defect retained)."""
-        return self._get(("center-naive",), lambda: self._bilinear(GAMMA))
+        """Literal bilinear ordering (top-block defect retained); read once, not cached."""
+        return self._bilinear(GAMMA)
 
     # -- sigma-contracted one-sided words ------------------------------------
 
+    def _sigma_word(self, key: tuple, a: int, first, second) -> SuperOp:
+        """sigma^a_{al be} first(al) @ second(be); a = 4 is the trace."""
+        def build() -> SuperOp:
+            if a == 4:
+                return linear_combination(first(al) @ second(al) for al in (1, 2))
+            return contract(PAULI[a - 1], lambda al, be: first(al) @ second(be))
+
+        return self._get(key, build)
+
     def raise_word(self, a: int) -> SuperOp:
         """Left-create/right-annihilate bilinear; shifts every block up one."""
-        def build() -> SuperOp:
-            sp = self.space
-            if a == 4:
-                return linear_combination(sp.lmul_adag(al) @ sp.rmul_a(al) for al in (1, 2))
-            return linear_combination(complex(c) * (sp.lmul_adag(al + 1) @ sp.rmul_a(be + 1))
-                                      for (al, be), c in nonzero_entries(PAULI[a - 1]))
-
-        return self._get(("raise", a), build)
+        return self._sigma_word(("raise", a), a, self.space.lmul_adag, self.space.rmul_a)
 
     def lower_word(self, a: int) -> SuperOp:
         """Right-create/left-annihilate bilinear; shifts every block down one."""
-        def build() -> SuperOp:
-            sp = self.space
-            if a == 4:
-                return linear_combination(sp.rmul_adag(al) @ sp.lmul_a(al) for al in (1, 2))
-            return linear_combination(complex(c) * (sp.rmul_adag(al + 1) @ sp.lmul_a(be + 1))
-                                      for (al, be), c in nonzero_entries(PAULI[a - 1]))
-
-        return self._get(("lower", a), build)
+        return self._sigma_word(("lower", a), a, self.space.rmul_adag, self.space.lmul_a)
 
     # -- shift-calculus vectors ----------------------------------------------
 
@@ -269,6 +244,7 @@ def su22_bracket_rhs(alg: OperatorAlgebra, a: int, b: int, c: int, d: int) -> Su
 
 __all__ = [
     "OperatorAlgebra",
+    "contract",
     "left_action",
     "right_action",
     "RadialFunction",

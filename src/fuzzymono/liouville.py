@@ -28,15 +28,21 @@ from sector k into sector k + grade, on the packed sector bases
     k+drow; right multiplication on its columns,
     kron(M[level n, level n+dcol]^T, I_{n+k+1}) into block n+dcol of sector
     k-dcol.
-  * Composed nodes.  @, +, -, scalar *, plain_adjoint and weighted_adjoint
-    build a node that computes its blocks from its operands' blocks on
-    demand: (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).
+  * Composed nodes.  @, +, -, scalar * and plain_adjoint build a node that
+    computes its blocks from its operands' blocks on demand:
+    (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).  weighted_adjoint
+    is the product radius_inv() @ plain_adjoint() @ radius_op().
+  * Radial multipliers.  RadialFunction.to_superop builds a function of the
+    radius once per space; identity(), radius_op() and radius_inv() are
+    those of RF_ONE, RF_R and RF_INV_R.
   * Memoisation.  Each Space holds one operator cache, a dict keyed by
     tuples: its ladder primitives, the radial multipliers (keyed by
     RadialFunction.name), the named operators of OperatorAlgebra and
-    VelocityFamily, and what the registry's EngineContext caches all enter
-    it through cache_get, and only such an operator keeps the blocks it has
-    computed.  A transient operator keeps nothing once it is dropped.
+    VelocityFamily, and the contractions the registry's EngineContext
+    caches all enter it through cache_get, and only such an operator keeps
+    the blocks it has computed.  An operator that one identity reads once
+    per sector is not cached.  A transient operator keeps nothing once it
+    is dropped.
     forget_blocks() walks that cache and empties every block memo while the
     operators stay cached.  The runner calls it whenever a process moves on
     to another sector kappa.  So memoised blocks live for one kappa, and a
@@ -90,6 +96,7 @@ them.  The grade is the only support fact a superoperator carries.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -380,11 +387,7 @@ class SuperOp:
 
     def weighted_adjoint(self) -> "SuperOp":
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
-        adj = self.plain_adjoint()
-        w, w_inv = self.space.radius_op(), self.space.radius_inv()
-        return SuperOp(self.space, grade=adj.grade,
-                       rule=lambda k: w_inv.raw_block(k + adj.grade) @ adj.raw_block(k)
-                       @ w.raw_block(k))
+        return self.space.radius_inv() @ self.plain_adjoint() @ self.space.radius_op()
 
     # -- support checks -------------------------------------------------------
 
@@ -474,7 +477,7 @@ class Space:
     # -- primitives ---------------------------------------------------------
 
     def identity(self) -> SuperOp:
-        return self._cached(("one",), lambda: self.radial_values(np.ones(self.level_w.shape)))
+        return RF_ONE.to_superop(self)
 
     def left_mul(self, mat: sparse.spmatrix, drow: int) -> SuperOp:
         """Psi -> mat Psi; every nonzero entry of mat raises the level by drow."""
@@ -597,10 +600,10 @@ class Space:
 
     def radius_op(self) -> SuperOp:
         """Multiplication by the symmetrized radius."""
-        return self._cached(("r",), lambda: self.radial_values(self.level_w))
+        return RF_R.to_superop(self)
 
     def radius_inv(self) -> SuperOp:
-        return self._cached(("1/r",), lambda: self.radial_values(1.0 / self.level_w))
+        return RF_INV_R.to_superop(self)
 
     def radial_phase(self, omega: float) -> SuperOp:
         """exp(i*omega*r_hat/lam): exponential of the diagonal radius generator."""
@@ -609,6 +612,39 @@ class Space:
     def grading_twist(self, tau: float) -> SuperOp:
         """Phase substitution a -> e^{i tau} a, a+ -> e^{-i tau} a+ on states."""
         return self.radial_values(np.exp(-1j * tau * self.level_grade))
+
+
+@dataclass(frozen=True)
+class RadialFunction:
+    """A function of the radius with its pole positions (in units of lam).
+
+    fn maps (w, lam) -> values; evaluation on a Space zeroes pole-adjacent
+    pairs, which callers must exclude from comparison windows.
+    """
+
+    name: str
+    fn: Callable[[np.ndarray, float], np.ndarray]
+    poles: tuple[float, ...] = ()
+
+    def shifted(self, steps: int) -> "RadialFunction":
+        """f(r + steps*lam) as a new descriptor; poles move by -steps."""
+        base = self.fn
+        return RadialFunction(
+            name=f"{self.name}(r{steps:+d}l)",
+            fn=lambda w, lam: base(w + steps * lam, lam),
+            poles=tuple(p - steps for p in self.poles),
+        )
+
+    def to_superop(self, space: Space) -> SuperOp:
+        """The multiplier f(r_hat) on space, built once per space (keyed by name)."""
+        return space._cached(("rf", self.name),
+                             lambda: space.radial(lambda w: self.fn(w, space.lam), self.poles))
+
+
+# the identity, the radius and its inverse are these multipliers
+RF_ONE = RadialFunction("1", lambda w, lam: np.ones_like(w))
+RF_R = RadialFunction("r", lambda w, lam: w)
+RF_INV_R = RadialFunction("1/r", lambda w, lam: 1.0 / w, poles=(0.0,))
 
 
 def cache_get(cache: dict, key, builder: Callable[[], object]):

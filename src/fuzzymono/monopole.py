@@ -18,9 +18,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q
-from .liouville import Space, SuperOp, cache_get, commutator, linear_combination
-from .ncspace import PAULI, nonzero_entries
+from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q, contract
+from .liouville import Space, SuperOp, cache_get, commutator
+from .ncspace import PAULI
 
 
 class VelocityFamily:
@@ -52,15 +52,11 @@ class VelocityFamily:
 
     def sigma_u(self, k: int) -> SuperOp:
         """sigma^k_{ab} U_ab."""
-        return self._get(("sigu", k), lambda: linear_combination(
-            complex(c) * self.u(al + 1, be + 1)
-            for (al, be), c in nonzero_entries(PAULI[k - 1])))
+        return self._get(("sigu", k), lambda: contract(PAULI[k - 1], self.u))
 
     def sigma_u_dag(self, k: int) -> SuperOp:
         """conj(sigma^k)_{ab} U+_ab."""
-        return self._get(("sigud", k), lambda: linear_combination(
-            complex(c) * self.u_dag(al + 1, be + 1)
-            for (al, be), c in nonzero_entries(np.conj(PAULI[k - 1]))))
+        return self._get(("sigud", k), lambda: contract(np.conj(PAULI[k - 1]), self.u_dag))
 
     def trace_u(self) -> SuperOp:
         return self._get(("tru",), lambda: self.u(1, 1) + self.u(2, 2))
@@ -169,15 +165,14 @@ def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,
     closed form with S_34; equals kappa/2 in the frozen conventions.
 
     The fit skips the blocks at the block radii exclude_ws (units of lam),
-    by default the poles of the monopole profile."""
+    by default the poles of the monopole profile; None when the closed
+    form vanishes on what is left (an empty window included)."""
     from .sector import build_sector
 
     sp = vel.space
     sec = build_sector(kappa, sp.n_max, sp.lam)
     mask, _ = sec.guard_window(guard, exclude_ws)
     cols = np.flatnonzero(mask)
-    if cols.size == 0:
-        return None
     lhs = commutator(vel.velocity(1), vel.velocity(2)).block(kappa)[:, cols]
     k = monopole_profile_op(vel, (3, 4)).block(kappa)[:, cols]
     denom = (k.conj().multiply(k)).sum()

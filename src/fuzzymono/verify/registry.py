@@ -48,6 +48,7 @@ from ..algebra import (
     RF_R,
     RF_R2,
     RadialFunction,
+    contract,
     first_difference,
     radial_annihilator,
     second_difference,
@@ -73,7 +74,6 @@ from ..ncspace import (
     PAULI,
     build_coordinates,
     levi_civita,
-    nonzero_entries,
     relative_norm,
     verify_coordinate_algebra,
 )
@@ -134,18 +134,11 @@ class EngineContext:
     def sector(self, kappa: int):
         return build_sector(kappa, self.n_max, self.lam)
 
-    def one_sided_sigma(self, k: int, side: str):
+    def one_sided_sigma(self, k: int, side: str) -> SuperOp:
         """sigma^k-contracted number bilinear on one multiplication side."""
-        def build():
-            sp = self.space
-            if side == "left":
-                adag, a = sp.lmul_adag, sp.lmul_a
-            else:
-                adag, a = sp.rmul_adag, sp.rmul_a
-            return linear_combination(complex(c) * (adag(al + 1) @ a(be + 1))
-                                      for (al, be), c in nonzero_entries(PAULI[k - 1]))
-
-        return self.cached(("one_sided_sigma", k, side), build)
+        sp = self.space
+        adag, a = (sp.lmul_adag, sp.lmul_a) if side == "left" else (sp.rmul_adag, sp.rmul_a)
+        return contract(PAULI[k - 1], lambda al, be: adag(al) @ a(be))
 
 
 _CONTEXTS: dict[tuple[int, float], EngineContext] = {}
@@ -223,18 +216,19 @@ def _fock_null_comm(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
 
 
 def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+    """[a_x, a+_y] = delta_xy on the levels n <= n_max - guard."""
     basis = ctx.space.basis
-    proj = interior_projector(basis, 1)
+    proj = interior_projector(basis, guard)
     eye = sparse.identity(basis.dim, dtype=np.complex128, format="csr")
+    a = [annihilator(basis, 1), annihilator(basis, 2)]
+    ad = [creator(basis, 1), creator(basis, 2)]
     worst = 0.0
     for x in range(2):
         for y in range(2):
-            a = annihilator(basis, x + 1)
-            ad = creator(basis, y + 1)
-            comm = a @ ad - ad @ a
+            comm = a[x] @ ad[y] - ad[y] @ a[x]
             delta = (comm - (1.0 if x == y else 0.0) * eye) @ proj
             worst = max(worst, relative_norm(delta.tocsr(), (comm @ proj).tocsr()))
-    return worst, [basis.n_max]
+    return worst, list(range(max(0, basis.n_max - guard + 1), basis.n_max + 1))
 
 
 def _fock_number(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
@@ -306,13 +300,9 @@ def _radius_s05(ctx: EngineContext) -> Iterator[Pair]:
 
 def _radius_s05_ordered(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
-
-    def build():
-        left = sp.lmul_adag(1) @ sp.lmul_a(1) + sp.lmul_adag(2) @ sp.lmul_a(2)
-        right = sp.rmul_a(1) @ sp.rmul_adag(1) + sp.rmul_a(2) @ sp.rmul_adag(2)
-        return 0.5 * (left + right)
-
-    s05_alt = ctx.cached(("s05_alt",), build)
+    left = sp.lmul_adag(1) @ sp.lmul_a(1) + sp.lmul_adag(2) @ sp.lmul_a(2)
+    right = sp.rmul_a(1) @ sp.rmul_adag(1) + sp.rmul_a(2) @ sp.rmul_adag(2)
+    s05_alt = 0.5 * (left + right)
     yield sp.radius_op(), ctx.lam * (s05_alt + sp.identity())
 
 
@@ -410,12 +400,10 @@ def _master_pair_comm(ctx: EngineContext) -> Iterator[Pair]:
         dfop = ctx.radial(radial_annihilator(f))
         d1op = ctx.radial(first_difference(f))
         for k in range(3):
-            eps = list(nonzero_entries(EPS3[:, :, k]))
-            lhs = linear_combination(
-                e * commutator(fop @ ctx.alg.w_op(i + 1), fop @ ctx.alg.w_op(j + 1))
-                for (i, j), e in eps)
-            rot = linear_combination(
-                e * (4j) * (fop @ dfop @ ctx.alg.generator(i + 1, j + 1)) for (i, j), e in eps)
+            lhs = contract(EPS3[:, :, k], lambda i, j: commutator(fop @ ctx.alg.w_op(i),
+                                                                  fop @ ctx.alg.w_op(j)))
+            rot = contract(4j * EPS3[:, :, k],
+                           lambda i, j: fop @ dfop @ ctx.alg.generator(i, j))
             rhs = rot + 4j * ctx.lam * (fop @ d1op @ ctx.alg.generator(4, k + 1) @ c2)
             yield lhs, rhs
 
@@ -522,15 +510,13 @@ def _rotation_flow(ctx: EngineContext) -> Iterator[Pair]:
 
 def _sig_sig_comm(ctx: EngineContext, i: int, j: int):
     coeffs = np.multiply.outer(PAULI[i - 1], np.conj(PAULI[j - 1]))  # [al, be, ga, de]
-    return ctx.cached(("sig_sig_comm", i, j), lambda: linear_combination(
-        complex(c) * commutator(ctx.vel.u(al + 1, be + 1), ctx.vel.u_dag(ga + 1, de + 1))
-        for (al, be, ga, de), c in nonzero_entries(coeffs)))
+    return ctx.cached(("sig_sig_comm", i, j), lambda: contract(
+        coeffs, lambda al, be, ga, de: commutator(ctx.vel.u(al, be), ctx.vel.u_dag(ga, de))))
 
 
 def _sig_trace_comm(ctx: EngineContext, k: int):
-    return ctx.cached(("sig_trace_comm", k), lambda: linear_combination(
-        complex(c) * commutator(ctx.vel.u(al + 1, be + 1), ctx.vel.trace_u_dag())
-        for (al, be), c in nonzero_entries(PAULI[k - 1])))
+    return ctx.cached(("sig_trace_comm", k), lambda: contract(
+        PAULI[k - 1], lambda al, be: commutator(ctx.vel.u(al, be), ctx.vel.trace_u_dag())))
 
 
 def _vv_u_spatial(ctx: EngineContext) -> Iterator[Pair]:
@@ -657,9 +643,8 @@ def _field_closed_spatial(ctx: EngineContext) -> Iterator[Pair]:
     c2 = ctx.alg.center_plus_two()
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         lhs = commutator(ctx.vel.velocity(i), ctx.vel.velocity(j))
-        rhs = linear_combination(
-            (0.5 * e) * (monopole_profile_op(ctx.vel, (k + 1, 4)) @ c2)
-            for (k,), e in nonzero_entries(EPS3[i - 1, j - 1]))
+        rhs = contract(0.5 * EPS3[i - 1, j - 1],
+                       lambda k: monopole_profile_op(ctx.vel, (k, 4)) @ c2)
         yield lhs, rhs
 
 
@@ -669,9 +654,9 @@ def _field_so4(ctx: EngineContext) -> Iterator[Pair]:
     c2 = ctx.alg.center_plus_two()
     for a, b in itertools.combinations((1, 2, 3, 4), 2):
         lhs = commutator(ctx.vel.velocity(a), ctx.vel.velocity(b))
-        rhs = linear_combination(
-            2.0 * e * 0.25 * (monopole_profile_op(ctx.vel, (c + 1, d + 1)) @ c2)
-            for (c, d), e in nonzero_entries(eps4[a - 1, b - 1]) if c < d)
+        # each c < d term stands for itself and its c > d twin: 2 * 1/4
+        rhs = contract(0.5 * np.triu(eps4[a - 1, b - 1], 1),
+                       lambda c, d: monopole_profile_op(ctx.vel, (c, d)) @ c2)
         yield lhs, rhs
 
 
@@ -710,9 +695,8 @@ def _sigma_contract(side: str) -> PairFunction:
         c2 = ctx.alg.center_plus_two()
         sign = -1.0 if side == "left" else 1.0
         for k in (1, 2, 3):
-            lhs = linear_combination(complex(c) * comm(al + 1, be + 1, de)
-                                     for (al, be), c in nonzero_entries(PAULI[k - 1])
-                                     for de in (1, 2))
+            # sigma^k_{al be} once for each de in (1, 2), de running innermost
+            lhs = contract(np.repeat(PAULI[k - 1][:, :, None], 2, axis=2), comm)
             rhs = sign * ctx.lam * (rho @ ctx.one_sided_sigma(k, side) @ c2)
             yield lhs, rhs
 
@@ -723,26 +707,21 @@ def _field_from_center(ctx: EngineContext) -> Iterator[Pair]:
     rho = ctx.radial(RF_MONOPOLE)
     c2 = ctx.alg.center_plus_two()
     for k in (1, 2, 3):
-        lhs = linear_combination(
-            e * commutator(ctx.vel.velocity(i + 1), ctx.vel.velocity(j + 1))
-            for (i, j), e in nonzero_entries(EPS3[:, :, k - 1]))
+        lhs = contract(EPS3[:, :, k - 1],
+                       lambda i, j: commutator(ctx.vel.velocity(i), ctx.vel.velocity(j)))
         rhs = -1j * ctx.lam * (rho @ ctx.alg.generator(k, 4) @ c2)
         yield lhs, rhs
 
 
 def _associator(ctx: EngineContext) -> Iterator[Pair]:
     v = ctx.vel.velocity
-    lhs = ctx.cached(("associator",), lambda: linear_combination(
-        e * commutator(v(i + 1), commutator(v(j + 1), v(k + 1)))
-        for (i, j, k), e in nonzero_entries(EPS3)))
+    lhs = contract(EPS3, lambda i, j, k: commutator(v(i), commutator(v(j), v(k))))
     yield lhs, 0.0 * ctx.space.identity()
 
 
 def _associator_baseline(ctx: EngineContext) -> Iterator[Pair]:
     g = ctx.alg.generator
-    lhs = ctx.cached(("associator-baseline",), lambda: linear_combination(
-        e * commutator(g(0, i + 1), commutator(g(0, j + 1), g(0, k + 1)))
-        for (i, j, k), e in nonzero_entries(EPS3)))
+    lhs = contract(EPS3, lambda i, j, k: commutator(g(0, i), commutator(g(0, j), g(0, k))))
     yield lhs, 0.0 * ctx.space.identity()
 
 

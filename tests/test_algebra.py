@@ -347,6 +347,45 @@ def test_linear_combination_is_the_pairwise_fold(ctx9):
         linear_combination([terms[0], sp.lmul_a(1)])
 
 
+def test_contract_is_the_hand_fold():
+    """contract gives, block for block, the indptr, indices, data and phase
+    of the 1-based fold c * term(i + 1, ...) it replaces, scaled tensors
+    included."""
+    from fuzzymono.algebra import contract
+    from fuzzymono.liouville import linear_combination
+    from fuzzymono.ncspace import EPS3, PAULI, levi_civita, nonzero_entries
+    from fuzzymono.verify.registry import get_context
+
+    ctx = get_context(4, 1.0)
+    sp, alg, vel = ctx.space, ctx.alg, ctx.vel
+    eps4 = levi_civita(4)
+    sigma_sigma = np.multiply.outer(PAULI[0], np.conj(PAULI[2]))
+    cases = [
+        (contract(PAULI[1], lambda al, be: sp.lmul_adag(al) @ sp.rmul_a(be)),
+         linear_combination(complex(c) * (sp.lmul_adag(al + 1) @ sp.rmul_a(be + 1))
+                            for (al, be), c in nonzero_entries(PAULI[1]))),
+        (contract(EPS3[:, :, 2], lambda i, j: commutator(alg.generator(0, i),
+                                                         alg.generator(0, j))),
+         linear_combination(e * commutator(alg.generator(0, i + 1), alg.generator(0, j + 1))
+                            for (i, j), e in nonzero_entries(EPS3[:, :, 2]))),
+        (contract(0.5 * np.triu(eps4[0, 3], 1), lambda c, d: alg.generator(c, d)),
+         linear_combination(2.0 * e * 0.25 * alg.generator(c + 1, d + 1)
+                            for (c, d), e in nonzero_entries(eps4[0, 3]) if c < d)),
+        (contract(sigma_sigma, lambda al, be, ga, de: commutator(vel.u(al, be),
+                                                                 vel.u_dag(ga, de))),
+         linear_combination(complex(c) * commutator(vel.u(al + 1, be + 1),
+                                                    vel.u_dag(ga + 1, de + 1))
+                            for (al, be, ga, de), c in nonzero_entries(sigma_sigma))),
+    ]
+    for got, want in cases:
+        assert got.grade == want.grade
+        for k in range(-4, 5):
+            g, w = got.raw_block(k), want.raw_block(k)
+            assert g.phase == w.phase and g.data.dtype == w.data.dtype
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(g, attr), getattr(w, attr))
+
+
 def test_word_actions(ctx9, rng):
     """Left words apply in order; right words reverse composition order."""
     from fuzzymono.algebra import left_action, right_action

@@ -222,3 +222,15 @@ def test_run_path_blocks_are_float64():
         for k in range(-6, 7):
             assert op.raw_block(k).data.dtype == np.float64, (name, k)
     assert sp.radius_inv() is sp.radius_inv() and sp.radius_op() is sp.radius_op()
+
+
+def test_identity_and_radius_are_the_radial_multipliers():
+    """1, r and 1/r are built the one way every radial function is, and the
+    space caches each once, under its RadialFunction name."""
+    from fuzzymono.liouville import RF_INV_R, RF_ONE, RF_R
+
+    sp = Space(4, 0.5)
+    assert sp.identity() is RF_ONE.to_superop(sp)
+    assert sp.radius_op() is RF_R.to_superop(sp)
+    assert sp.radius_inv() is RF_INV_R.to_superop(sp)
+    assert set(sp._cache) == {("rf", f.name) for f in (RF_ONE, RF_R, RF_INV_R)}

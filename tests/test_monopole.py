@@ -251,6 +251,12 @@ def test_charge_fit(ctx9, kappa):
     assert fit == pytest.approx(kappa / 2.0, abs=1e-9)
 
 
+def test_charge_fit_on_an_empty_window_is_none(ctx9):
+    """At guard 9 no block of sector 1 at n_max 9 is left to fit."""
+    assert not ctx9.sector(1).block_window(9, RF_MONOPOLE.poles).any()
+    assert charge_fit(ctx9.vel, 1, guard=9) is None
+
+
 def test_so4_extension_coefficient_is_quarter(ctx9):
     """The antisymmetric 4-index extension carries (C+2)/4, not (C+2)/2."""
     sec = ctx9.sector(2)

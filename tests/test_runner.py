@@ -154,7 +154,8 @@ def test_one_operator_cache_per_space():
 
 
 def test_monopole_suite_builds_its_radial_profile_once(monkeypatch):
-    """Every monopole identity reads the one cached 1/(r(r^2-l^2)) multiplier."""
+    """Every monopole identity reads the one cached 1/(r(r^2-l^2)) multiplier,
+    and each radial function the suite uses (1, 1/r and rho) is built once."""
     from fuzzymono import liouville, sector
     from fuzzymono.verify import registry
 
@@ -164,14 +165,26 @@ def test_monopole_suite_builds_its_radial_profile_once(monkeypatch):
     calls = []
     radial = liouville.Space.radial
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.n_max)
-        return radial(self, *args, **kwargs)
+    def counted(self, fn, poles=()):
+        calls.append((self.n_max, poles))
+        return radial(self, fn, poles)
 
     monkeypatch.setattr(liouville.Space, "radial", counted)
     rep = run_suite(RunConfig(suite="monopole", n_max=12, kappas=(3,), jobs=1))
     assert rep.all_passed
-    assert calls == [12]
+    # the poles tell the three apart: RF_ONE, RF_INV_R and RF_MONOPOLE
+    from fuzzymono.algebra import RF_INV_R, RF_MONOPOLE, RF_ONE
+    assert sorted(calls) == sorted((12, f.poles) for f in (RF_ONE, RF_INV_R, RF_MONOPOLE))
+
+
+@pytest.mark.parametrize("guard, passed, excluded", [(0, False, []), (1, True, [6]),
+                                                     (3, True, [4, 5, 6])])
+def test_ladder_canonical_honours_the_guard(guard, passed, excluded):
+    """[a, a+] = 1 fails at order one on the top level, which only guard 0 keeps."""
+    rep = run_suite(RunConfig(suite="fock", n_max=6, guard=guard, jobs=1))
+    row = {r.id: r for r in rep.results}["ladder-canonical"]
+    assert (row.guard, row.passed, row.excluded_blocks) == (guard, passed, excluded)
+    assert row.residual > 0.5 if guard == 0 else row.residual < 1e-15
 
 
 def test_deterministic_order_and_bytes():
