@@ -1,20 +1,26 @@
-"""Sparse superoperator engine on the vectorized truncated Fock space.
+"""Sparse superoperator engine on the graded, truncated Fock space.
 
-States of the graded Hilbert spaces are D x D complex matrices on the
-truncated Fock basis (D = dim F), vectorized row-major: matrix entry (r, c)
-sits at index r*D + c of a D^2 vector.  The three primitive families are
+A state is a D x D complex matrix on the truncated Fock basis (D = dim F).
+The three primitive families of linear maps on states are
 
   * left multiplication by a ladder matrix,
   * right multiplication by a ladder matrix,
-  * radial multipliers: diagonal in the pair basis with value
-    f(lam*(level_r + level_c + 2)/2), the functional calculus of the
+  * radial multipliers, which multiply the entry of row level r and column
+    level c by f(lam*(r + c + 2)/2), the functional calculus of the
     symmetrized radius.
 
 Every superoperator is grade-homogeneous: it maps the charge-grade sector
 k (entries with row level - col level = k) into sector k + grade.  So it is
 read one block at a time: block(k) is the |S_{k+grade}| x |S_k| CSR matrix
-from sector k into sector k + grade, on the packed sector bases
-(Space.packed, the order of MonopoleSector.packed).
+from sector k into sector k + grade, on the packed sector bases.  The
+packed basis of sector k is block-major by input level: the blocks of the
+input levels n that Space.sector_levels(k) lists follow in ascending order, and
+within the block of input level n the columns (the states of level n) run
+outer and the rows (the states of level n + k) inner, each in Fock-basis
+order.  So the entry of the i-th state of level n + k and the j-th state of
+level n sits at j*(n + k + 1) + i past the block's offset.  No operator is
+ever held as a D^2 x D^2 matrix, and no state as a D^2 vector; the grade is
+the only support fact a superoperator carries.
 
   * Leaves.  In the fuzzy space the radius is a function of the Fock level,
     so no leaf needs anything D^2 long.  A radial multiplier (and the
@@ -86,12 +92,6 @@ random real, imaginary and complex matrices, which also guards against the
 kernels' signatures drifting between scipy releases.  Indices stay int32,
 as scipy picks them at these sizes; a block dimension or a result size
 past the int32 limit raises ValueError instead of overflowing.
-
-to_csr() assembles the full D^2 x D^2 matrix from the blocks of every
-sector.  The engine never needs it; tests and the support check
-measured_grades do, and so do the per-pair arrays Space.row_level,
-col_level, pair_grade and pair_w, which are computed on each access for
-them.  The grade is the only support fact a superoperator carries.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ BlockRule = Callable[[int], _Block]
 
 
 class SuperOp:
-    """A grade-homogeneous linear map on vectorized operator-valued states.
+    """A grade-homogeneous linear map on operator-valued states.
 
     SuperOp(space, grade, rule=rule) reads block(k) as rule(k), which must
     map sector k into sector k + grade.  Leaves come from Space and
@@ -340,20 +340,6 @@ class SuperOp:
             memo[k] = blk
         return blk
 
-    def to_csr(self) -> sparse.csr_matrix:
-        """The full D^2 x D^2 matrix, assembled from the blocks of every sector."""
-        sp = self.space
-        rows, cols, data = [], [], []
-        for k in range(-sp.n_max, sp.n_max + 1):
-            blk = self.block(k).tocoo()
-            rows.append(sp.packed(k + self.grade)[blk.row])
-            cols.append(sp.packed(k)[blk.col])
-            data.append(blk.data)
-        n = sp.dim ** 2
-        return sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
-
     # -- composition ----------------------------------------------------------
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
@@ -389,14 +375,6 @@ class SuperOp:
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
         return self.space.radius_inv() @ self.plain_adjoint() @ self.space.radius_op()
 
-    # -- support checks -------------------------------------------------------
-
-    def measured_grades(self) -> set[int]:
-        """Grade shifts actually present in the sparse support."""
-        coo = self.to_csr().tocoo()
-        g = self.space.pair_grade
-        return set((g[coo.row] - g[coo.col]).tolist())
-
 
 class Space:
     """Shared context: Fock basis, primitive superoperators, radial calculus."""
@@ -419,31 +397,10 @@ class Space:
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
         # the one operator cache of this truncation (see Memoisation above)
         self._cache: dict[tuple, object] = {}
-        self._packed: dict[int, np.ndarray] = {}
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dimension of every nonempty sector
         self.sector_dims = {k: int(self.sector_levels(k)[1][-1])
                             for k in range(-n_max, n_max + 1)}
-
-    # -- per-pair arrays, D^2 long: for to_csr() readers and tests only -------
-
-    @property
-    def row_level(self) -> np.ndarray:
-        """Row level of each vectorized pair index (row-major)."""
-        return np.repeat(self.level, self.dim)
-
-    @property
-    def col_level(self) -> np.ndarray:
-        return np.tile(self.level, self.dim)
-
-    @property
-    def pair_grade(self) -> np.ndarray:
-        return self.row_level - self.col_level
-
-    @property
-    def pair_w(self) -> np.ndarray:
-        """Symmetrized radius eigenvalue on each pair."""
-        return self.lam * (self.row_level + self.col_level + 2) / 2.0
 
     # -- sectors --------------------------------------------------------------
 
@@ -456,23 +413,6 @@ class Space:
             np.cumsum((n + 1) * (n + kappa + 1), out=offsets[1:])
             self._sectors[kappa] = (n, offsets)
         return self._sectors[kappa]
-
-    def packed(self, kappa: int) -> np.ndarray:
-        """Vec indices of the grade-kappa sector, block-major by input level.
-
-        Within the block of input level n, columns (level n) run outer and
-        rows (level n + kappa) inner.  Empty when no level pair has grade
-        kappa.
-        """
-        if kappa not in self._packed:
-            d = self.dim
-            parts = [np.zeros(0, dtype=np.int64)]
-            for n in self.sector_levels(kappa)[0]:
-                cols, rows = self.basis.level_slice(n), self.basis.level_slice(n + kappa)
-                parts.append((np.arange(rows.start, rows.stop)[None, :] * d
-                              + np.arange(cols.start, cols.stop)[:, None]).ravel())
-            self._packed[kappa] = np.concatenate(parts)
-        return self._packed[kappa]
 
     # -- primitives ---------------------------------------------------------
 

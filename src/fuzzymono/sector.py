@@ -2,8 +2,9 @@
 
 A sector of charge grade kappa holds operator-valued states whose level-n
 input block maps to the level-(n+kappa) output block.  The grading is a
-structural invariant: states are stored as packed coefficient vectors over
-the admissible blocks, ordered block-major.
+structural invariant: a state is stored only as its packed coefficient
+vector over the admissible blocks, in the packed order of the liouville
+module (block-major by input level), and never as a D x D matrix.
 
 The inner product is the radius-weighted trace pairing; on the block of
 input level n the weight is the symmetrized-radius eigenvalue
@@ -32,16 +33,16 @@ class MonopoleSector:
     n_max: int
     lam: float
     blocks: tuple[int, ...]  # admissible input levels, ascending
-    packed: np.ndarray = field(compare=False)  # vec indices, block-major
+    # start of each block in the packed order, and the dimension last
     block_offsets: np.ndarray = field(compare=False)
-    block_of: np.ndarray = field(compare=False)  # packed idx -> position in blocks
+    block_of: np.ndarray = field(compare=False)  # packed index -> position in blocks
     r_hat_eigen: np.ndarray = field(compare=False)  # symmetrized radius per block
     space: Space = field(compare=False, repr=False)
     _windows: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return int(self.packed.size)
+        return int(self.block_offsets[-1])
 
     @property
     def mu(self) -> float:
@@ -110,7 +111,6 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
         n_max=n_max,
         lam=float(lam),
         blocks=tuple(levels.tolist()),
-        packed=_read_only(space.packed(kappa)),
         block_offsets=_read_only(offsets),
         block_of=_read_only(np.repeat(np.arange(levels.size, dtype=np.int64), np.diff(offsets))),
         r_hat_eigen=_read_only(space.level_w[levels + kappa, levels]),
@@ -141,16 +141,6 @@ class SectorVector:
     def random(cls, sector: MonopoleSector, rng: np.random.Generator) -> "SectorVector":
         z = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
         return cls(sector, z)
-
-    @classmethod
-    def from_matrix(cls, sector: MonopoleSector, psi: np.ndarray) -> "SectorVector":
-        return cls(sector, psi.reshape(-1)[sector.packed].astype(np.complex128))
-
-    def to_matrix(self) -> np.ndarray:
-        d = self.sector.space.dim
-        out = np.zeros(d * d, dtype=np.complex128)
-        out[self.sector.packed] = self.data
-        return out.reshape(d, d)
 
 
 def inner_product(phi: SectorVector, psi: SectorVector) -> complex:

@@ -216,8 +216,11 @@ def _fock_null_comm(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
 
 
 def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    """[a_x, a+_y] = delta_xy on the levels n <= n_max - guard."""
+    """[a_x, a+_y] = delta_xy on the levels n <= n_max - guard; None (a
+    skip) when the guard leaves no level."""
     basis = ctx.space.basis
+    if guard > basis.n_max:
+        return None
     proj = interior_projector(basis, guard)
     eye = sparse.identity(basis.dim, dtype=np.complex128, format="csr")
     a = [annihilator(basis, 1), annihilator(basis, 2)]
@@ -228,7 +231,7 @@ def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
             comm = a[x] @ ad[y] - ad[y] @ a[x]
             delta = (comm - (1.0 if x == y else 0.0) * eye) @ proj
             worst = max(worst, relative_norm(delta.tocsr(), (comm @ proj).tocsr()))
-    return worst, list(range(max(0, basis.n_max - guard + 1), basis.n_max + 1))
+    return worst, list(range(basis.n_max - guard + 1, basis.n_max + 1))
 
 
 def _fock_number(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:

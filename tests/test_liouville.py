@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from dense import packed, pair_levels
 from fuzzymono import liouville
 from fuzzymono.algebra import RF_INV_R_MINUS_2L, RF_MONOPOLE
 from fuzzymono.fock import number_operator
@@ -167,7 +168,8 @@ def _reference_leaves(sp):
     num = number_operator(sp.basis)
     out += [("left r", sp.left_mul(r_mat, 0), sparse.kron(r_mat, eye, format="csr")),
             ("right number", sp.right_mul(num, 0), sparse.kron(eye, num.T, format="csr"))]
-    w, grade = sp.pair_w, sp.pair_grade
+    row, col = pair_levels(sp)
+    w, grade = sp.lam * (row + col + 2) / 2.0, row - col
 
     def on_grid(f):
         vals = np.zeros(w.shape, dtype=np.complex128)
@@ -200,7 +202,7 @@ def test_leaf_blocks_match_kron_and_diags(n_max, lam):
     sp = Space(n_max, lam)
     for name, op, full in _reference_leaves(sp):
         for k in range(-n_max - 1, n_max + 2):
-            want = full[sp.packed(k + op.grade)][:, sp.packed(k)]
+            want = full[packed(sp, k + op.grade)][:, packed(sp, k)]
             assert want.has_sorted_indices, name
             _same(op.raw_block(k), want)
 

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from dense import packed, to_csr
 from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.liouville import anticommutator, commutator
 from fuzzymono.monopole import (
@@ -261,10 +262,10 @@ def test_so4_extension_coefficient_is_quarter(ctx9):
     """The antisymmetric 4-index extension carries (C+2)/4, not (C+2)/2."""
     sec = ctx9.sector(2)
     mask, _ = sec.guard_window(2, (0.0, 1.0))
-    cols = sec.packed[mask]
-    lhs = commutator(ctx9.vel.velocity(1), ctx9.vel.velocity(4)).to_csr().tocsc()[:, cols]
+    cols = packed(sec.space, sec.kappa)[mask]
+    lhs = to_csr(commutator(ctx9.vel.velocity(1), ctx9.vel.velocity(4))).tocsc()[:, cols]
     base = (monopole_profile_op(ctx9.vel, (2, 3)) @ (2.0 * ctx9.space.identity()))
-    k = base.to_csr().tocsc()[:, cols]
+    k = to_csr(base).tocsc()[:, cols]
     coeff = np.real((k.conj().multiply(lhs)).sum() / (k.conj().multiply(k)).sum())
     assert coeff == pytest.approx(2.0 / 4.0, abs=1e-10)
 
@@ -298,7 +299,7 @@ def test_field_strength_tensors(ctx9):
     for a in (1, 2, 3, 4):
         for b in (1, 2, 3, 4):
             delta = fs.f[(a, b)] + fs.f[(b, a)]
-            assert delta.to_csr().nnz == 0 or abs(delta.to_csr().data).max() == 0.0
+            assert to_csr(delta).nnz == 0 or abs(to_csr(delta).data).max() == 0.0
     # spatial block of the symmetric tensor
     for i, j in [(1, 2), (1, 3), (2, 3)]:
         assert res(ctx9, fs.g[(i, j)], fs.g[(j, i)], 2, 2) <= 1e-11

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from dense import from_matrix, packed, pair_levels, to_csr, to_matrix
 from fuzzymono.fock import annihilator, build_basis, creator
 from fuzzymono.liouville import SuperOp, _Block, get_space
 from fuzzymono.sector import (
@@ -32,6 +33,30 @@ def test_dimension_against_brute_force(kappa, n_max):
     sec = build_sector(kappa, n_max)
     assert sec.dim == brute_dim(kappa, n_max)
     assert sec.dim == sum(sec.block_dim(n) for n in sec.blocks)
+
+
+@pytest.mark.parametrize("n_max", range(7))
+def test_reference_packing_is_the_sector_order(n_max):
+    """The dense reference's packed(space, k) is the engine's packed order:
+    the sectors partition the D^2 vec indices, each by grade and with the
+    sector's dimension, block-major by input level n, and within block n
+    the columns (level n) outer and the rows (level n + k) inner."""
+    sp = get_space(n_max, 1.0)
+    basis = build_basis(n_max)
+    d = basis.dim
+    level = [sum(state) for state in basis.states]
+    row, col = pair_levels(sp)
+    parts = []
+    for k in range(-n_max, n_max + 1):
+        idx = packed(sp, k)
+        assert np.all(row[idx] - col[idx] == k)
+        assert idx.size == sp.sector_dims[k] == build_sector(k, n_max).block_offsets[-1]
+        brute = [r * d + c for n in range(n_max + 1)
+                 for c in range(d) if level[c] == n
+                 for r in range(d) if level[r] == n + k]
+        assert idx.tolist() == brute
+        parts.append(idx)
+    np.testing.assert_array_equal(np.sort(np.concatenate(parts)), np.arange(d * d))
 
 
 def test_known_dimensions():
@@ -130,10 +155,10 @@ def test_full_gram_diagonal_positive():
 def test_matrix_roundtrip(rng):
     sec = build_sector(2, 5)
     v = SectorVector.random(sec, rng)
-    again = SectorVector.from_matrix(sec, v.to_matrix())
+    again = from_matrix(sec, to_matrix(v))
     np.testing.assert_allclose(again.data, v.data, atol=0)
     # the dense matrix is supported exactly on the graded entries
-    mat = v.to_matrix()
+    mat = to_matrix(v)
     levels = sec.space.level
     for r in range(sec.space.dim):
         for c in range(sec.space.dim):
@@ -150,8 +175,8 @@ def test_apply_shifts_grade(rng):
     # oracle: dense matrix multiplication
     from fuzzymono.fock import creator
 
-    direct = creator(sp.basis, 1).toarray() @ psi.to_matrix()
-    np.testing.assert_allclose(out.to_matrix(), direct, atol=1e-14)
+    direct = creator(sp.basis, 1).toarray() @ to_matrix(psi)
+    np.testing.assert_allclose(to_matrix(out), direct, atol=1e-14)
 
 
 def test_weighted_adjoint_properties(rng):
@@ -159,10 +184,10 @@ def test_weighted_adjoint_properties(rng):
     sec = build_sector(1, 6)
     # adjoint of the radius is the radius
     r = sp.radius_op()
-    assert (r.weighted_adjoint().to_csr() - r.to_csr()).nnz == 0
+    assert (to_csr(r.weighted_adjoint()) - to_csr(r)).nnz == 0
     # involution on a composite
     op = sp.lmul_adag(1) @ sp.rmul_a(2) + 0.3j * sp.radius_inv()
-    delta = op.weighted_adjoint().weighted_adjoint().to_csr() - op.to_csr()
+    delta = to_csr(op.weighted_adjoint().weighted_adjoint()) - to_csr(op)
     assert abs(delta.toarray()).max() <= 1e-14
     # defining property against the weighted inner product, on random vectors
     op2 = sp.radius_inv() @ (sp.lmul_adag(1) @ sp.rmul_a(1))
@@ -198,16 +223,16 @@ def test_materialized_matches_apply(rng):
         for _ in range(100):
             v = SectorVector.random(sec, rng)
             direct = apply_superop(op, v)
-            packed = mat @ v.data
-            scale = max(1.0, np.linalg.norm(packed))
-            assert np.linalg.norm(direct.data - packed) / scale <= 1e-13
+            product = mat @ v.data
+            scale = max(1.0, np.linalg.norm(product))
+            assert np.linalg.norm(direct.data - product) / scale <= 1e-13
             assert direct.sector.kappa == out_sec.kappa
 
 
 def _sliced_residual(full_l, full_r, sector, guard, exclude_ws, floor):
     """Reference: the windowed norms from CSC copies sliced to the window columns."""
     mask, excluded = sector.guard_window(guard, exclude_ws)
-    cols = sector.packed[mask]
+    cols = packed(sector.space, sector.kappa)[mask]
     if cols.size == 0:
         return None
 
@@ -225,7 +250,8 @@ def _sliced_residual(full_l, full_r, sector, guard, exclude_ws, floor):
 def _messy_csr(rng, sp, grade, density, scale):
     """Random complex CSR of one grade with unsorted column indices and explicit zeros."""
     n = sp.dim ** 2
-    pair_grade = sp.pair_grade
+    row_level, col_level = pair_levels(sp)
+    pair_grade = row_level - col_level
     indptr, indices = [0], []
     for row in range(n):
         allowed = np.flatnonzero(pair_grade == pair_grade[row] - grade)
@@ -244,7 +270,7 @@ def _injected(sp, full, grade):
     """A superoperator whose block(k) is the slice of full from sector k to k + grade,
     messy indices and explicit zeros included."""
     def rule(k):
-        sub = full[sp.packed(k + grade)][:, sp.packed(k)]
+        sub = full[packed(sp, k + grade)][:, packed(sp, k)]
         return _Block(sub.indptr.astype(np.int32), sub.indices.astype(np.int32),
                       sub.data.astype(np.complex128), sub.shape)
 
@@ -329,6 +355,12 @@ def test_fock_leaves_refuse_another_level_shift():
 # a lazy superoperator and once from full kron/diags matrices
 # ---------------------------------------------------------------------------
 
+def _pair_w(sp):
+    """Symmetrized radius eigenvalue of every vec index."""
+    row, col = pair_levels(sp)
+    return sp.lam * (row + col + 2) / 2.0
+
+
 def _leaf(data, sp):
     """(superoperator, full matrix, full matrix of absolute values) of one leaf."""
     d = sp.dim
@@ -346,9 +378,9 @@ def _leaf(data, sp):
         shape = (sp.n_max + 1, sp.n_max + 1)
         table = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         table[rng.random(shape) < 0.1] = 0.0
-        op, full = sp.radial_values(table), sparse.diags(table[sp.row_level, sp.col_level])
+        op, full = sp.radial_values(table), sparse.diags(table[pair_levels(sp)])
     elif kind == "inv_r":
-        op, full = sp.radius_inv(), sparse.diags(1.0 / sp.pair_w)
+        op, full = sp.radius_inv(), sparse.diags(1.0 / _pair_w(sp))
     else:
         op, full = sp.identity(), sparse.identity(d * d)
     full = sparse.csr_matrix(full, dtype=np.complex128)
@@ -386,8 +418,8 @@ def _word(data, sp, depth):
         return c * a, c * fa, abs(c) * ma
     if kind == "plain":
         return a.plain_adjoint(), fa.conj().T.tocsr(), ma.T.tocsr()
-    w = sparse.diags(sp.pair_w.astype(np.complex128))
-    winv = sparse.diags((1.0 / sp.pair_w).astype(np.complex128))
+    w = sparse.diags(_pair_w(sp).astype(np.complex128))
+    winv = sparse.diags((1.0 / _pair_w(sp)).astype(np.complex128))
     return a.weighted_adjoint(), winv @ fa.conj().T @ w, abs(winv) @ ma.T @ abs(w)
 
 
@@ -403,7 +435,7 @@ def test_blocks_match_the_eager_formula(data, n_max, lam):
     scale = max(1.0, _fro(mag))
 
     # every block, assembled, is the eager full matrix
-    assert _fro(op.to_csr() - full) <= 1e-15 * scale
+    assert _fro(to_csr(op) - full) <= 1e-15 * scale
 
     # applying a block is multiplying by the full matrix
     kappa = data.draw(st.integers(-n_max, n_max))
@@ -411,11 +443,11 @@ def test_blocks_match_the_eager_formula(data, n_max, lam):
     psi = SectorVector.random(sec, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     got = apply_superop(op, psi)
     assert got.sector.kappa == kappa + op.grade
-    want = full @ psi.to_matrix().reshape(-1)
-    bound = np.linalg.norm(mag @ np.abs(psi.to_matrix().reshape(-1)))
-    assert np.linalg.norm(got.to_matrix().reshape(-1) - want) <= 1e-14 * max(1.0, bound)
+    want = full @ to_matrix(psi).reshape(-1)
+    bound = np.linalg.norm(mag @ np.abs(to_matrix(psi).reshape(-1)))
+    assert np.linalg.norm(to_matrix(got).reshape(-1) - want) <= 1e-14 * max(1.0, bound)
 
     # the weighted adjoint is an involution
     twice = op.weighted_adjoint().weighted_adjoint()
     assert twice.grade == op.grade
-    assert _fro(twice.to_csr() - op.to_csr()) <= 1e-15 * scale
+    assert _fro(to_csr(twice) - to_csr(op)) <= 1e-15 * scale
