@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+
+from .csr import CSR
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def build_basis(n_max: int) -> FockBasis:
     return basis
 
 
-def ladder(basis: FockBasis, mode: int, kind: str) -> sparse.csr_matrix:
+def ladder(basis: FockBasis, mode: int, kind: str) -> CSR:
     """Ladder matrix with the standard sqrt factors; creation past n_max is cut to zero."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
@@ -83,31 +84,28 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> sparse.csr_matrix:
         rows.append(basis.index[tuple(occ)])
         cols.append(i)
         vals.append(amp)
-    return sparse.csr_matrix(
-        (np.array(vals, dtype=np.complex128), (rows, cols)),
-        shape=(basis.dim, basis.dim),
-    )
+    return CSR.from_coo(np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32),
+                        np.array(vals, dtype=np.float64), (basis.dim, basis.dim))
 
 
-def annihilator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
+def annihilator(basis: FockBasis, mode: int) -> CSR:
     return ladder(basis, mode, "annihilate")
 
 
-def creator(basis: FockBasis, mode: int) -> sparse.csr_matrix:
+def creator(basis: FockBasis, mode: int) -> CSR:
     return ladder(basis, mode, "create")
 
 
-def number_operator(basis: FockBasis) -> sparse.csr_matrix:
+def number_operator(basis: FockBasis) -> CSR:
     """Total number operator, diagonal with eigenvalue n on the level-n block."""
-    return sparse.diags(basis.levels.astype(np.complex128)).tocsr()
+    return CSR.diags(basis.levels)
 
 
-def interior_projector(basis: FockBasis, guard: int) -> sparse.csr_matrix:
+def interior_projector(basis: FockBasis, guard: int) -> CSR:
     """Orthogonal projector onto levels n <= n_max - guard.
 
     guard > n_max yields the zero projector (empty but valid).
     """
     if guard < 0:
         raise ValueError(f"guard must be >= 0, got {guard}")
-    keep = (basis.levels <= basis.n_max - guard).astype(np.complex128)
-    return sparse.diags(keep).tocsr()
+    return CSR.diags((basis.levels <= basis.n_max - guard).astype(np.float64))

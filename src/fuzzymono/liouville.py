@@ -55,43 +55,10 @@ the only support fact a superoperator carries.
     process that serves many kappas holds the blocks of one at a time.  Few
     blocks are read at more than one kappa, so little is recomputed.
 
-Inside the engine a block is a _Block: CSR arrays with int32 indptr and
-indices, and data that stand for the values 1j**phase * data, never mutated
-once made.  Every operator of the model is built from the real matrix
-elements of the ladder operators and from real radial functions; i enters
-only as a scalar.  So nearly every block is all real or all imaginary, and
-keeps float64 data with a phase p in {0, 1, 2, 3}.  Only a block that is
-neither keeps complex128 data, with p = 0.  Leaves split their values when
-they are built.  On float64 data, @ adds the phases (mod 4); + and - run
-the float64 kernel when the phases agree and swap the two kernels when they
-differ by 2; scaling by a real or imaginary scalar scales the data and
-turns the phase, and a unit scalar (+-1, +-i) only turns the phase, sharing
-the arrays; the adjoint is the transpose with the phase negated.  Phases
-that differ by 1, or complex data, take the complex kernels, and their
-result is split again.  Readers get complex128: block(k) wraps the values
-as a scipy csr_matrix.
-
-The result is bit for bit what the complex kernels give.  With the
-imaginary parts zero they do the same float64 operations on the real parts
-(x*y - 0*0, x + y), in the same order, and drop an entry exactly when it is
-0; multiplying by a unit and negating are exact, and rounding is symmetric,
-so a sum of negated terms is the negated sum.  Only the sign of a zero
-imaginary or real part can differ, which no value or norm sees.
-
-The default run does tens of thousands of small block products and sums,
-and scipy's csr_matrix spends about three times as long in its Python
-layer (format checks, index-dtype choice, pruning) as in the C kernels
-that do the arithmetic.  So _Block calls those kernels itself, from the
-private scipy.sparse._sparsetools module: csr_matmat_maxnnz/csr_matmat,
-csr_plus_csr, csr_minus_csr and csr_tocsc are the functions csr_matrix's
-own @, +, - and transpose-to-CSR call, and coo_tocsr the one its COO
-conversion calls (for the Fock leaves).  Every result is trimmed as
-csr_matrix trims it, so a block comes out bit for bit as the scipy
-expression would give it.  tests/test_liouville.py holds them to that over
-random real, imaginary and complex matrices, which also guards against the
-kernels' signatures drifting between scipy releases.  Indices stay int32,
-as scipy picks them at these sizes; a block dimension or a result size
-past the int32 limit raises ValueError instead of overflowing.
+Inside the engine a block is a CSR (the csr module): CSR arrays whose
+data stand for 1j**phase * data, float64 whenever the values are all real
+or all imaginary, computed by scipy's compiled sparse kernels.  Readers
+get complex128: block(k) wraps the values as a scipy csr_matrix.
 """
 
 from __future__ import annotations
@@ -100,197 +67,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
+from .csr import CSR, split
 from .fock import FockBasis, annihilator, build_basis, creator
 
 # Pole proximity tolerance, in units of lam (radial multipliers refuse blocks
 # whose eigenvalue sits this close to a pole).
 POLE_TOL = 1e-9
 
-# Largest block dimension or stored-entry count the int32 indices can hold.
-_INDEX_MAX = int(np.iinfo(np.int32).max)
 
-
-def _check_index(n: int) -> None:
-    if n > _INDEX_MAX:
-        raise ValueError(f"a block of {n} rows, columns or entries passes "
-                         f"the int32 index limit {_INDEX_MAX}")
-
-
-# 1j**phase, for turning (phase, float64 data) back into complex values.
-_UNITS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-
-
-def _split(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(data, phase) with values == 1j**phase * data: float64 data when the
-    values are all real (phase 0) or all imaginary (phase 1), else the
-    complex128 values themselves."""
-    values = np.asarray(values)
-    if values.dtype.kind != "c":
-        return values.astype(np.float64, copy=False), 0
-    values = values.astype(np.complex128, copy=False)
-    if not values.imag.any():
-        return values.real.copy(), 0
-    if not values.real.any():
-        return values.imag.copy(), 1
-    return values, 0
-
-
-def _run_kernel(kernel, dims: tuple[int, int], operands: tuple, shape: tuple[int, int],
-                maxnnz: int, phase: int = 0) -> "_Block":
-    """kernel(*dims, *operands, indptr, indices, data) into fresh arrays.
-
-    The data array has the dtype of the operands' data.  The arrays are
-    sized for maxnnz entries, as csr_matrix sizes them, and trimmed to the
-    entries the kernel stored as csr_matrix.prune trims them: the slice is
-    copied when it is under half of the array.  Complex results are split
-    again, so a block stays float64 whenever its values allow.
-    """
-    _check_index(maxnnz)
-    indptr = np.empty(shape[0] + 1, dtype=np.int32)
-    indices = np.empty(maxnnz, dtype=np.int32)
-    data = np.empty(maxnnz, dtype=operands[-1].dtype)
-    kernel(*dims, *operands, indptr, indices, data)
-    nnz = int(indptr[-1])
-    indices, data = indices[:nnz], data[:nnz]
-    if nnz < maxnnz // 2:
-        indices, data = indices.copy(), data.copy()
-    if data.dtype == np.complex128:
-        data, phase = _split(data)
-    return _Block(indptr, indices, data, shape, phase)
-
-
-class _Block:
-    """One CSR block of a superoperator, 1j**phase times its data; its
-    arrays are never mutated."""
-
-    __slots__ = ("indptr", "indices", "data", "shape", "phase")
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int], phase: int = 0):
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.shape = shape
-        self.phase = phase
-
-    @classmethod
-    def from_coo(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int], phase: int = 0) -> "_Block":
-        """The CSR form of distinct (row, col, 1j**phase * value) entries.
-
-        Entries keep their given order within a row, so they come out with
-        sorted indices when each row's entries are given by ascending column.
-        """
-        m, n = shape
-        data, turn = _split(data)
-        phase = (phase + turn) % 4
-        _check_index(max(m, n, data.size))
-        indptr = np.empty(m + 1, dtype=np.int32)
-        indices = np.empty(data.size, dtype=np.int32)
-        values = np.empty(data.size, dtype=data.dtype)
-        _sparsetools.coo_tocsr(m, n, data.size, rows.astype(np.int32, copy=False),
-                               cols.astype(np.int32, copy=False), data, indptr, indices, values)
-        return cls(indptr, indices, values, shape, phase)
-
-    @classmethod
-    def diagonal(cls, values: np.ndarray, phase: int = 0) -> "_Block":
-        """diag(1j**phase * values), without the zero entries (as sparse.diags
-        drops them)."""
-        data, turn = _split(values)
-        phase = (phase + turn) % 4
-        n = data.size
-        _check_index(n)
-        keep = data != 0
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(keep, out=indptr[1:])
-        return cls(indptr, np.flatnonzero(keep).astype(np.int32), data[keep], (n, n), phase)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-    @property
-    def is_float(self) -> bool:
-        """Whether data is float64 (the block is 1j**phase times it)."""
-        return self.data.dtype == np.float64
-
-    def values(self) -> np.ndarray:
-        """The complex128 values of the stored entries, in a new array."""
-        if self.is_float:
-            return self.data * _UNITS[self.phase]
-        return self.data.copy()
-
-    def _arrays(self) -> tuple:
-        return self.indptr, self.indices, self.data
-
-    def _complex_arrays(self) -> tuple:
-        """_arrays() with complex128 values, for the complex kernels."""
-        return self.indptr, self.indices, self.values() if self.is_float else self.data
-
-    def tocsr(self) -> sparse.csr_matrix:
-        """A scipy copy with complex128 values, free for the reader to change."""
-        return sparse.csr_matrix((self.values(), self.indices.copy(), self.indptr.copy()),
-                                 shape=self.shape)
-
-    def __matmul__(self, other: "_Block") -> "_Block":
-        (m, inner), (inner_b, n) = self.shape, other.shape
-        if inner != inner_b:
-            raise ValueError(f"block shapes {self.shape} and {other.shape} do not chain")
-        maxnnz = _sparsetools.csr_matmat_maxnnz(m, n, self.indptr, self.indices,
-                                                other.indptr, other.indices)
-        if self.is_float and other.is_float:
-            operands, phase = self._arrays() + other._arrays(), self.phase + other.phase
-        else:
-            operands, phase = self._complex_arrays() + other._complex_arrays(), 0
-        return _run_kernel(_sparsetools.csr_matmat, (m, n), operands, (m, n), maxnnz, phase % 4)
-
-    def _binop(self, other: "_Block", minus: bool) -> "_Block":
-        if self.shape != other.shape:
-            raise ValueError(f"block shapes {self.shape} and {other.shape} differ")
-        shift = (other.phase - self.phase) % 4
-        if self.is_float and other.is_float and shift % 2 == 0:
-            # at a shift of 2, other is -1 times its data relative to self
-            operands, phase = self._arrays() + other._arrays(), self.phase
-            minus ^= shift == 2
-        else:
-            operands, phase = self._complex_arrays() + other._complex_arrays(), 0
-        kernel = _sparsetools.csr_minus_csr if minus else _sparsetools.csr_plus_csr
-        return _run_kernel(kernel, self.shape, operands, self.shape, self.nnz + other.nnz, phase)
-
-    def __add__(self, other: "_Block") -> "_Block":
-        return self._binop(other, minus=False)
-
-    def __sub__(self, other: "_Block") -> "_Block":
-        return self._binop(other, minus=True)
-
-    def scale(self, scalar: complex) -> "_Block":
-        """scalar times the block; a unit scalar (+-1, +-1j) on float64 data
-        changes the phase only and shares the arrays."""
-        c = complex(scalar)
-        if self.is_float and (c.imag == 0 or c.real == 0):
-            # c = 1j**turn * factor with a positive or zero factor
-            turn, factor = (0, c.real) if c.imag == 0 else (1, c.imag)
-            if factor < 0:
-                turn, factor = turn + 2, -factor
-            data = self.data if factor == 1.0 else self.data * factor
-            return _Block(self.indptr, self.indices, data, self.shape, (self.phase + turn) % 4)
-        data, phase = _split(self.values() * c)
-        return _Block(self.indptr, self.indices, data, self.shape, phase)
-
-    def adjoint(self) -> "_Block":
-        """The conjugate transpose: on float64 data, the transpose with the
-        phase negated."""
-        m, n = self.shape
-        data, phase = ((self.data, -self.phase % 4) if self.is_float
-                       else (np.conj(self.data), 0))
-        return _run_kernel(_sparsetools.csr_tocsc, (m, n), (self.indptr, self.indices, data),
-                           (n, m), self.nnz, phase)
-
-
-BlockRule = Callable[[int], _Block]
+BlockRule = Callable[[int], CSR]
 
 
 class SuperOp:
@@ -308,7 +94,7 @@ class SuperOp:
         self.space = space
         self.grade = grade
         self._rule = rule
-        self._blocks: Optional[dict[int, _Block]] = None
+        self._blocks: Optional[dict[int, CSR]] = None
 
     def _check_space(self, other: "SuperOp") -> None:
         if self.space is not other.space:
@@ -322,11 +108,12 @@ class SuperOp:
         if self._blocks is None:
             self._blocks = {}
 
-    def block(self, k: int) -> sparse.csr_matrix:
-        """The map from sector k into sector k + grade, on packed bases."""
+    def block(self, k: int) -> "scipy.sparse.csr_matrix":
+        """The map from sector k into sector k + grade, on packed bases, as
+        a scipy matrix for readers (the run reads raw_block)."""
         return self.raw_block(k).tocsr()
 
-    def raw_block(self, k: int) -> _Block:
+    def raw_block(self, k: int) -> CSR:
         """block(k) as the engine holds it; its arrays must not be changed."""
         memo = self._blocks
         if memo is not None and k in memo:
@@ -385,7 +172,6 @@ class Space:
         self.n_max = n_max
         self.lam = float(lam)
         self.basis: FockBasis = build_basis(n_max)
-        self.dim = self.basis.dim
         self.level = self.basis.levels
 
         # (row level, col level) tables: symmetrized radius and grade
@@ -419,32 +205,31 @@ class Space:
     def identity(self) -> SuperOp:
         return RF_ONE.to_superop(self)
 
-    def left_mul(self, mat: sparse.spmatrix, drow: int) -> SuperOp:
+    def left_mul(self, mat: CSR, drow: int) -> SuperOp:
         """Psi -> mat Psi; every nonzero entry of mat raises the level by drow."""
         return self._fock_leaf(mat, drow, rows=True)
 
-    def right_mul(self, mat: sparse.spmatrix, dcol: int) -> SuperOp:
+    def right_mul(self, mat: CSR, dcol: int) -> SuperOp:
         """Psi -> Psi mat; every nonzero entry of mat raises the level by dcol
         from its row to its column."""
-        return self._fock_leaf(mat.T, dcol, rows=False)
+        return self._fock_leaf(mat.transpose(), dcol, rows=False)
 
-    def _fock_leaf(self, factor: sparse.spmatrix, shift: int, rows: bool) -> SuperOp:
+    def _fock_leaf(self, factor: CSR, shift: int, rows: bool) -> SuperOp:
         """Multiplication of each input-level block by level slices of factor.
 
         factor maps level L to level L + shift.  It acts on the rows of the
         block (left multiplication, factor = mat) or on its columns (right
         multiplication, factor = mat^T).
         """
-        f = sparse.csr_matrix(factor, dtype=np.complex128, copy=True)
-        f.sum_duplicates()
-        f.eliminate_zeros()
-        f = f.tocoo()  # row-major, ascending columns within a row
-        fdata, phase = _split(f.data)
-        lo, li = self.level[f.row], self.level[f.col]
+        f = factor.canonical()  # row-major, ascending columns within a row
+        keep = f.data != 0
+        f_row = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))[keep]
+        f_col, fdata, phase = f.indices[keep], f.data[keep], f.phase
+        lo, li = self.level[f_row], self.level[f_col]
         if np.any(lo - li != shift):
             raise ValueError(f"the matrix has entries that do not shift the level by {shift}")
         offs = self.basis.level_offsets
-        out_rel, in_rel = f.row - offs[lo], f.col - offs[li]
+        out_rel, in_rel = f_row - offs[lo], f_col - offs[li]
         # the entries of each input level, in row-major order
         order = np.argsort(li, kind="stable")
         bounds = np.searchsorted(li[order], np.arange(self.n_max + 2))
@@ -452,7 +237,7 @@ class Space:
         grade = shift if rows else -shift
         empty = np.zeros(0, dtype=np.int64)
 
-        def rule(k: int) -> _Block:
+        def rule(k: int) -> CSR:
             ns, in_offs = self.sector_levels(k)
             out_ns, out_offs = self.sector_levels(k + grade)
             parts = [(empty, empty, empty)]
@@ -474,7 +259,7 @@ class Space:
                 parts.append((out_offs[out_n - out_ns[0]] + out_rel[e] * step + i * out_copy,
                               in_offs[pos] + in_rel[e] * step + i * in_copy,
                               np.broadcast_to(fdata[e], (copies, e.size))))
-            return _Block.from_coo(*(np.concatenate([a.ravel() for a in arrays])
+            return CSR.from_coo(*(np.concatenate([a.ravel() for a in arrays])
                                      for arrays in zip(*parts)),
                                    (int(out_offs[-1]), int(in_offs[-1])), phase)
 
@@ -504,13 +289,13 @@ class Space:
     def radial_values(self, table: np.ndarray) -> SuperOp:
         """The diagonal multiplier with value table[row level, col level] on
         every pair of those levels."""
-        table, phase = _split(np.array(table))
+        table, phase = split(np.array(table))
         if table.shape != self.level_w.shape:
             raise ValueError(f"a radial table has shape {self.level_w.shape}, not {table.shape}")
 
-        def rule(k: int) -> _Block:
+        def rule(k: int) -> CSR:
             ns, offsets = self.sector_levels(k)
-            return _Block.diagonal(np.repeat(table[ns + k, ns], np.diff(offsets)), phase)
+            return CSR.diags(np.repeat(table[ns + k, ns], np.diff(offsets)), phase)
 
         return SuperOp(self, rule=rule)
 

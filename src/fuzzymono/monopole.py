@@ -167,16 +167,15 @@ def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,
     The fit skips the blocks at the block radii exclude_ws (units of lam),
     by default the poles of the monopole profile; None when the closed
     form vanishes on what is left (an empty window included)."""
-    from .sector import build_sector
+    from .sector import build_sector, window_inner
 
     sp = vel.space
     sec = build_sector(kappa, sp.n_max, sp.lam)
     mask, _ = sec.guard_window(guard, exclude_ws)
-    cols = np.flatnonzero(mask)
-    lhs = commutator(vel.velocity(1), vel.velocity(2)).block(kappa)[:, cols]
-    k = monopole_profile_op(vel, (3, 4)).block(kappa)[:, cols]
-    denom = (k.conj().multiply(k)).sum()
+    lhs = commutator(vel.velocity(1), vel.velocity(2)).raw_block(kappa)
+    k = monopole_profile_op(vel, (3, 4)).raw_block(kappa)
+    denom = window_inner(k, k, mask)
     if denom == 0:
         return None
-    num = (k.conj().multiply(lhs)).sum()
+    num = window_inner(k, lhs, mask)
     return float(np.real(num / denom))

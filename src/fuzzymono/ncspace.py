@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
+from .csr import CSR
 from .fock import FockBasis, annihilator, creator
 
 # sigma^1, sigma^2, sigma^3 with sigma^3 = diag(1, -1)
@@ -51,8 +51,8 @@ class NcCoordinates:
     """The three fuzzy coordinates and the radius on a truncated Fock basis."""
 
     lam: float
-    x: tuple[sparse.csr_matrix, sparse.csr_matrix, sparse.csr_matrix]
-    r: sparse.csr_matrix
+    x: tuple[CSR, CSR, CSR]
+    r: CSR
     pauli: np.ndarray
 
 
@@ -63,26 +63,24 @@ def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
     adag = [creator(basis, 1), creator(basis, 2)]
     xs = []
     for k in range(3):
-        xk = sparse.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+        xk = CSR.zeros((basis.dim, basis.dim))
         for al in range(2):
             for be in range(2):
                 c = PAULI[k, al, be]
                 if c != 0:
-                    xk = xk + c * (adag[al] @ a[be])
-        xs.append((lam * xk).tocsr())
-    r = (lam * sparse.diags((basis.levels + 1).astype(np.complex128))).tocsr()
+                    xk = xk + (adag[al] @ a[be]).scale(c)
+        xs.append(xk.scale(lam))
+    r = CSR.diags(lam * (basis.levels + 1))
     return NcCoordinates(lam=lam, x=(xs[0], xs[1], xs[2]), r=r, pauli=PAULI)
 
 
-def frobenius_norm(mat: sparse.spmatrix) -> float:
-    """||mat||_F as scipy.sparse.linalg.norm computes it (duplicates summed,
-    then the norm of the stored values), without importing scipy.linalg."""
-    mat = sparse.csr_matrix(mat, copy=True)
-    mat.sum_duplicates()
-    return float(np.linalg.norm(mat.data))
+def frobenius_norm(mat: CSR) -> float:
+    """||mat||_F as scipy.sparse.linalg.norm computes it: duplicates summed,
+    then the norm of the stored complex values."""
+    return float(np.linalg.norm(mat.canonical().values()))
 
 
-def relative_norm(delta: sparse.spmatrix, *sides: sparse.spmatrix) -> float:
+def relative_norm(delta: CSR, *sides: CSR) -> float:
     """||delta||_F / max(1, ||side||_F for each side)."""
     num = frobenius_norm(delta) if delta.nnz else 0.0
     den = max([1.0] + [frobenius_norm(s) for s in sides if s.nnz])
@@ -101,19 +99,17 @@ def verify_coordinate_algebra(nc: NcCoordinates) -> dict[str, float]:
     for i in range(3):
         for j in range(3):
             lhs = x[i] @ x[j] - x[j] @ x[i]
-            rhs = sparse.csr_matrix(x[0].shape, dtype=np.complex128)
+            rhs = CSR.zeros(x[0].shape)
             for k in range(3):
                 if EPS3[i, j, k] != 0:
-                    rhs = rhs + 2j * lam * EPS3[i, j, k] * x[k]
-            res_comm = max(res_comm, relative_norm((lhs - rhs).tocsr(), lhs.tocsr(), rhs.tocsr()))
+                    rhs = rhs + x[k].scale(2j * lam * EPS3[i, j, k])
+            res_comm = max(res_comm, relative_norm(lhs - rhs, lhs, rhs))
 
-    res_radius = max(relative_norm((x[i] @ r - r @ x[i]).tocsr(), (x[i] @ r).tocsr())
-                     for i in range(3))
+    res_radius = max(relative_norm(x[i] @ r - r @ x[i], x[i] @ r) for i in range(3))
 
-    x2 = sum(x[i] @ x[i] for i in range(3))
+    x2 = x[0] @ x[0] + x[1] @ x[1] + x[2] @ x[2]
     r2 = r @ r
-    ident = sparse.identity(r.shape[0], dtype=np.complex128, format="csr")
-    res_square = relative_norm((x2 - r2 + lam**2 * ident).tocsr(), x2.tocsr(), r2.tocsr())
+    res_square = relative_norm(x2 - r2 + CSR.identity(r.shape[0]).scale(lam**2), x2, r2)
 
     return {
         "coord-comm": res_comm,

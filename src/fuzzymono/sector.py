@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .liouville import Space, SuperOp, _Block, get_space
+from .csr import CSR
+from .liouville import Space, SuperOp, get_space
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,23 @@ def sector_matrix(op: SuperOp, sector: MonopoleSector, dense: bool = False):
     return sub.toarray() if dense else sub.copy()
 
 
-def _window_norm(mat: _Block, in_window: np.ndarray) -> float:
+def _window_norm(mat: CSR, in_window: np.ndarray) -> float:
     """Frobenius norm of the columns of a CSR block that in_window marks."""
     return float(np.sqrt(np.sum(np.abs(mat.data[in_window[mat.indices]]) ** 2)))
+
+
+def window_inner(a: CSR, b: CSR, in_window: np.ndarray) -> complex:
+    """Sum of conj(a[i, j]) * b[i, j] over the columns j of two equally
+    shaped blocks that in_window marks."""
+    def entries(mat: CSR) -> tuple[np.ndarray, np.ndarray]:
+        rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+        keep = in_window[mat.indices]
+        return rows[keep] * mat.shape[1] + mat.indices[keep], mat.values()[keep]
+
+    (ka, va), (kb, vb) = entries(a), entries(b)
+    # no CSR operation makes two entries at one position: the keys are unique
+    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+    return complex(np.sum(np.conj(va[ia]) * vb[ib]))
 
 
 def graded_residual(

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 import numpy as np
-from scipy import sparse
 
 from ..algebra import (
     OperatorAlgebra,
@@ -54,6 +53,7 @@ from ..algebra import (
     second_difference,
     su22_bracket_rhs,
 )
+from ..csr import CSR
 from ..fock import annihilator, creator, interior_projector, number_operator
 from ..liouville import (
     SuperOp,
@@ -83,6 +83,7 @@ from ..sector import (
     build_sector,
     graded_residual,
     inner_product,
+    window_inner,
 )
 from ..su22 import (
     PAIRS,
@@ -210,8 +211,8 @@ def _fock_null_comm(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     ad = [creator(basis, 1), creator(basis, 2)]
     worst = 0.0
     for x, y in itertools.combinations_with_replacement(range(2), 2):
-        worst = max(worst, relative_norm((a[x] @ a[y] - a[y] @ a[x]).tocsr()))
-        worst = max(worst, relative_norm((ad[x] @ ad[y] - ad[y] @ ad[x]).tocsr()))
+        worst = max(worst, relative_norm(a[x] @ a[y] - a[y] @ a[x]))
+        worst = max(worst, relative_norm(ad[x] @ ad[y] - ad[y] @ ad[x]))
     return worst, []
 
 
@@ -222,25 +223,22 @@ def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     if guard > basis.n_max:
         return None
     proj = interior_projector(basis, guard)
-    eye = sparse.identity(basis.dim, dtype=np.complex128, format="csr")
+    eye = CSR.identity(basis.dim)
     a = [annihilator(basis, 1), annihilator(basis, 2)]
     ad = [creator(basis, 1), creator(basis, 2)]
     worst = 0.0
     for x in range(2):
         for y in range(2):
             comm = a[x] @ ad[y] - ad[y] @ a[x]
-            delta = (comm - (1.0 if x == y else 0.0) * eye) @ proj
-            worst = max(worst, relative_norm(delta.tocsr(), (comm @ proj).tocsr()))
+            delta = (comm - eye if x == y else comm) @ proj
+            worst = max(worst, relative_norm(delta, comm @ proj))
     return worst, list(range(basis.n_max - guard + 1, basis.n_max + 1))
 
 
 def _fock_number(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     basis = ctx.space.basis
-    total = sum(
-        creator(basis, m) @ annihilator(basis, m) for m in (1, 2)
-    )
-    delta = (total - number_operator(basis)).tocsr()
-    return relative_norm(delta, total.tocsr()), []
+    total = creator(basis, 1) @ annihilator(basis, 1) + creator(basis, 2) @ annihilator(basis, 2)
+    return relative_norm(total - number_operator(basis), total), []
 
 
 def _coords(which: str) -> Check:
@@ -318,7 +316,7 @@ def _sector_grading(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     mask, excluded = sector.guard_window(guard, exclude_ws)
     worst = 0.0
     for tau in (np.pi / 7, 1.0, 2.5):
-        vals = ctx.space.grading_twist(tau).block(kappa).diagonal()[mask]
+        vals = ctx.space.grading_twist(tau).raw_block(kappa).diagonal()[mask]
         worst = max(worst, float(np.max(np.abs(vals - np.exp(-1j * tau * kappa)))))
     return worst, excluded
 
@@ -342,7 +340,7 @@ def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
 
 def _radius_def(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
-    r_mat = sp.lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
+    r_mat = CSR.diags(sp.lam * (sp.level + 1))
     direct = 0.5 * (sp.left_mul(r_mat, drow=0) + sp.right_mul(r_mat, dcol=0))
     yield sp.radius_op(), direct
 
@@ -762,19 +760,18 @@ def _field_trend(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     """Fitted radial profile of the spatial field decays like 1/r^3."""
     if sector.kappa == 0:
         return None  # no field to fit
-    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).block(sector.kappa)
-    gen = ctx.alg.generator(3, 4).block(sector.kappa)
+    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).raw_block(sector.kappa)
+    gen = ctx.alg.generator(3, 4).raw_block(sector.kappa)
     ws, cs = [], []
     keep = sector.block_window(guard, exclude_ws)
     for pos, n in enumerate(sector.blocks):
         if not keep[pos] or n < ctx.n_max / 2:
             continue
-        cols = slice(int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1]))
-        kb = gen[:, cols]
-        den = (kb.conj().multiply(kb)).sum()
+        cols = sector.block_of == pos
+        den = window_inner(gen, gen, cols)
         if den == 0:
             continue
-        num = (kb.conj().multiply(lhs[:, cols])).sum()
+        num = window_inner(gen, lhs, cols)
         coef = abs(num / den)
         if coef > 0:
             ws.append(sector.r_hat_eigen[pos])

@@ -1,11 +1,15 @@
-"""The dense reference for the tests: the D^2 picture of states and operators.
+"""The references the tests compare the engine against.
 
 The engine holds a superoperator only as its sector blocks and a state only
 as its packed coefficients.  The tests compare both against the textbook
 picture, in which a state is a D x D matrix vectorized row-major (entry
-(r, c) at index r*D + c) and a superoperator a D^2 x D^2 matrix.  These
-functions build that picture from the engine's objects; src/ never imports
-this module.
+(r, c) at index r*D + c) and a superoperator a D^2 x D^2 matrix.  The
+first functions below build that picture from the engine's objects.
+
+The engine computes with its own CSR type (fuzzymono.csr).  The last
+functions are the matrix-level checks of the fock and coords suites written
+with scipy.sparse matrices, as scipy users would write them; the engine's
+residuals must equal theirs bit for bit.  src/ never imports this module.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from fuzzymono.fock import FockBasis
 from fuzzymono.liouville import Space, SuperOp
+from fuzzymono.ncspace import EPS3, PAULI
 from fuzzymono.sector import MonopoleSector, SectorVector
 
 
@@ -21,7 +27,7 @@ def packed(space: Space, k: int) -> np.ndarray:
     """Vec indices of sector k in the packed order: block-major by input
     level n, and within block n the columns (level n) outer and the rows
     (level n + k) inner.  Empty when no level pair has grade k."""
-    d = space.dim
+    d = space.basis.dim
     parts = [np.zeros(0, dtype=np.int64)]
     for n in space.sector_levels(k)[0]:
         cols, rows = space.basis.level_slice(n), space.basis.level_slice(n + k)
@@ -32,7 +38,8 @@ def packed(space: Space, k: int) -> np.ndarray:
 
 def pair_levels(space: Space) -> tuple[np.ndarray, np.ndarray]:
     """(row level, col level) of every vec index."""
-    return np.repeat(space.level, space.dim), np.tile(space.level, space.dim)
+    d = space.basis.dim
+    return np.repeat(space.level, d), np.tile(space.level, d)
 
 
 def to_csr(op: SuperOp) -> sparse.csr_matrix:
@@ -44,7 +51,7 @@ def to_csr(op: SuperOp) -> sparse.csr_matrix:
         rows.append(packed(sp, k + op.grade)[blk.row])
         cols.append(packed(sp, k)[blk.col])
         data.append(blk.data)
-    n = sp.dim ** 2
+    n = sp.basis.dim ** 2
     return sparse.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
@@ -61,7 +68,7 @@ def measured_grades(op: SuperOp) -> set[int]:
 def to_matrix(vec: SectorVector) -> np.ndarray:
     """The D x D matrix of a sector state."""
     sec = vec.sector
-    d = sec.space.dim
+    d = sec.space.basis.dim
     out = np.zeros(d * d, dtype=np.complex128)
     out[packed(sec.space, sec.kappa)] = vec.data
     return out.reshape(d, d)
@@ -71,3 +78,100 @@ def from_matrix(sector: MonopoleSector, psi: np.ndarray) -> SectorVector:
     """The sector state of the grade-kappa entries of a D x D matrix."""
     return SectorVector(sector, psi.reshape(-1)[packed(sector.space, sector.kappa)]
                         .astype(np.complex128))
+
+
+# ---------------------------------------------------------------------------
+# the fock and coords checks on scipy.sparse matrices
+# ---------------------------------------------------------------------------
+
+def ladder(basis: FockBasis, mode: int, kind: str) -> sparse.csr_matrix:
+    """Ladder matrix with the standard sqrt factors; creation past n_max is cut to zero."""
+    rows, cols, vals = [], [], []
+    for i, (n1, n2) in enumerate(basis.states):
+        occ = [n1, n2]
+        if kind == "annihilate":
+            if occ[mode - 1] == 0:
+                continue
+            amp = np.sqrt(occ[mode - 1])
+            occ[mode - 1] -= 1
+        else:
+            if n1 + n2 + 1 > basis.n_max:
+                continue
+            amp = np.sqrt(occ[mode - 1] + 1)
+            occ[mode - 1] += 1
+        rows.append(basis.index[tuple(occ)])
+        cols.append(i)
+        vals.append(amp)
+    return sparse.csr_matrix((np.array(vals, dtype=np.complex128), (rows, cols)),
+                             shape=(basis.dim, basis.dim))
+
+
+def frobenius_norm(mat: sparse.spmatrix) -> float:
+    mat = sparse.csr_matrix(mat, copy=True)
+    mat.sum_duplicates()
+    return float(np.linalg.norm(mat.data))
+
+
+def relative_norm(delta: sparse.spmatrix, *sides: sparse.spmatrix) -> float:
+    num = frobenius_norm(delta) if delta.nnz else 0.0
+    den = max([1.0] + [frobenius_norm(s) for s in sides if s.nnz])
+    return float(num / den)
+
+
+def fock_residuals(basis: FockBasis, guard: int) -> dict:
+    """Residuals of the three fock-suite checks; ladder-canonical on the
+    levels n <= n_max - guard (None when that leaves no level)."""
+    a = [ladder(basis, m, "annihilate") for m in (1, 2)]
+    ad = [ladder(basis, m, "create") for m in (1, 2)]
+    null = 0.0
+    for x, y in ((0, 0), (0, 1), (1, 1)):
+        null = max(null, relative_norm((a[x] @ a[y] - a[y] @ a[x]).tocsr()))
+        null = max(null, relative_norm((ad[x] @ ad[y] - ad[y] @ ad[x]).tocsr()))
+    canonical = None
+    if guard <= basis.n_max:
+        keep = (basis.levels <= basis.n_max - guard).astype(np.complex128)
+        proj = sparse.diags(keep).tocsr()
+        eye = sparse.identity(basis.dim, dtype=np.complex128, format="csr")
+        canonical = 0.0
+        for x in range(2):
+            for y in range(2):
+                comm = a[x] @ ad[y] - ad[y] @ a[x]
+                delta = (comm - (1.0 if x == y else 0.0) * eye) @ proj
+                canonical = max(canonical, relative_norm(delta.tocsr(), (comm @ proj).tocsr()))
+    total = sum(ad[m] @ a[m] for m in range(2))
+    number = sparse.diags(basis.levels.astype(np.complex128)).tocsr()
+    level = relative_norm((total - number).tocsr(), total.tocsr())
+    return {"ladder-null-comm": null, "ladder-canonical": canonical, "number-level": level}
+
+
+def coords_residuals(basis: FockBasis, lam: float) -> dict:
+    """Residuals of the three coords-suite checks."""
+    a = [ladder(basis, m, "annihilate") for m in (1, 2)]
+    adag = [ladder(basis, m, "create") for m in (1, 2)]
+    x = []
+    for k in range(3):
+        xk = sparse.csr_matrix((basis.dim, basis.dim), dtype=np.complex128)
+        for al in range(2):
+            for be in range(2):
+                c = PAULI[k, al, be]
+                if c != 0:
+                    xk = xk + c * (adag[al] @ a[be])
+        x.append((lam * xk).tocsr())
+    r = (lam * sparse.diags((basis.levels + 1).astype(np.complex128))).tocsr()
+
+    comm = 0.0
+    for i in range(3):
+        for j in range(3):
+            lhs = x[i] @ x[j] - x[j] @ x[i]
+            rhs = sparse.csr_matrix(x[0].shape, dtype=np.complex128)
+            for k in range(3):
+                if EPS3[i, j, k] != 0:
+                    rhs = rhs + 2j * lam * EPS3[i, j, k] * x[k]
+            comm = max(comm, relative_norm((lhs - rhs).tocsr(), lhs.tocsr(), rhs.tocsr()))
+    radius = max(relative_norm((x[i] @ r - r @ x[i]).tocsr(), (x[i] @ r).tocsr())
+                 for i in range(3))
+    x2 = sum(x[i] @ x[i] for i in range(3))
+    r2 = r @ r
+    ident = sparse.identity(r.shape[0], dtype=np.complex128, format="csr")
+    square = relative_norm((x2 - r2 + lam**2 * ident).tocsr(), x2.tocsr(), r2.tocsr())
+    return {"coord-comm": comm, "coord-radius-comm": radius, "coord-radius-square": square}

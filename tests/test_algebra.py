@@ -396,9 +396,9 @@ def test_word_actions(ctx9, rng):
 
     sp = ctx9.space
     word = [(1, "create"), (2, "annihilate"), (1, "annihilate")]
-    a1 = annihilator(sp.basis, 1).toarray()
-    a2 = annihilator(sp.basis, 2).toarray()
-    ad1 = creator(sp.basis, 1).toarray()
+    a1 = annihilator(sp.basis, 1).tocsr().toarray()
+    a2 = annihilator(sp.basis, 2).tocsr().toarray()
+    ad1 = creator(sp.basis, 1).tocsr().toarray()
     word_matrix = ad1 @ a2 @ a1
 
     sec = build_sector(0, sp.n_max, sp.lam)

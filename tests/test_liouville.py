@@ -1,4 +1,4 @@
-"""The engine's CSR block kernels against scipy's public sparse operators.
+"""The engine's CSR kernels against scipy's public sparse operators.
 
 Every block operation must give exactly the indptr, indices and data of the
 scipy expression it stands for, on matrices with unsorted indices, explicit
@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from dense import packed, pair_levels
-from fuzzymono import liouville
+from fuzzymono import csr, liouville
 from fuzzymono.algebra import RF_INV_R_MINUS_2L, RF_MONOPOLE
+from fuzzymono.csr import CSR
 from fuzzymono.fock import number_operator
-from fuzzymono.liouville import Space, _Block
+from fuzzymono.liouville import Space
 
 # Exact binary fractions, so explicit zeros also arise from cancellation.
 _REALS = [0.0, 1.0, -1.0, 0.5, 2.0, -0.25]
@@ -25,11 +26,13 @@ _SCALARS = st.sampled_from([1.0, -1.0, 1j, -1j, 2.0, -0.5, 0.0, 0.25j, -3j, 1.5 
 
 
 @st.composite
-def _csr(draw, shape):
-    """A CSR matrix of the given shape, as scipy (complex) and as a _Block.
+def _csr(draw, shape, unique=True):
+    """A CSR matrix of the given shape, as scipy (complex) and as a CSR.
 
     The block is float64 data times 1j**phase (all real or all imaginary
-    values), or complex128 data for a general block.
+    values), or complex128 data for a general block.  unique=False lets a
+    row hold several entries in one column (only scipy's sum_duplicates
+    and the engine's canonical form accept that).
     """
     m, n = shape
     phase = draw(st.sampled_from([0, 1, 2, 3, None]))  # None: complex data
@@ -37,7 +40,7 @@ def _csr(draw, shape):
     values = _VALUES if phase is None else st.sampled_from(_REALS)
     indptr, indices, data = [0], [], []
     for _ in range(m):
-        cols = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if n else []
+        cols = draw(st.lists(st.integers(0, n - 1), unique=unique, max_size=n)) if n else []
         indices += cols  # in drawn order: unsorted
         data += [0.0 if all_zero else draw(values) for _ in cols]
         indptr.append(len(indices))
@@ -45,7 +48,7 @@ def _csr(draw, shape):
     indices, indptr = np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)
     unit = 1.0 if phase is None else 1j ** phase
     mat = sparse.csr_matrix((data * unit, indices.copy(), indptr.copy()), shape=shape)
-    return mat, _Block(indptr, indices, data, shape, phase or 0)
+    return mat, CSR(indptr, indices, data, shape, phase or 0)
 
 
 _DIMS = st.integers(0, 5)
@@ -100,9 +103,23 @@ def test_block_sum_difference_scale_adjoint_match_scipy(data, m, n):
     # the weighted adjoint's form: diagonal products on both sides
     left = np.array([data.draw(_VALUES) for _ in range(n)], dtype=np.complex128)
     right = np.array([data.draw(_VALUES) for _ in range(m)], dtype=np.complex128)
-    _same(_Block.diagonal(left), sparse.diags(left, format="csr"))
+    _same(CSR.diags(left), sparse.diags(left, format="csr"))
     want = sparse.diags(left, format="csr") @ a.conj().T.tocsr() @ sparse.diags(right, format="csr")
-    _same(_Block.diagonal(left) @ ablk.adjoint() @ _Block.diagonal(right), want)
+    _same(CSR.diags(left) @ ablk.adjoint() @ CSR.diags(right), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=_DIMS, n=_DIMS)
+def test_transpose_canonical_form_and_diagonal_match_scipy(data, m, n):
+    a, ablk = data.draw(_csr((m, n), unique=False))
+    _same(ablk.transpose(), a.T.tocsr())
+    assert ablk.transpose().is_float or not ablk.is_float
+    want = a.copy()
+    want.sum_duplicates()
+    _same(ablk.canonical(), want)
+    if a.has_canonical_format:
+        assert ablk.canonical() is ablk
+    assert np.array_equal(ablk.diagonal(), a.diagonal())
 
 
 @pytest.mark.parametrize("values, phase", [([0.5, 0.0, -2.0], 0), ([0.5j, 0.0, -2j], 1),
@@ -112,16 +129,16 @@ def test_leaf_values_split_into_float_data_and_a_phase(values, phase):
     values = np.array(values, dtype=np.complex128)
     splits = not (values.real.any() and values.imag.any())
     rows, cols = np.arange(3), np.array([2, 0, 1])
-    for blk, want in ((_Block.diagonal(values), sparse.diags(values, format="csr")),
-                      (_Block.from_coo(rows, cols, values, (3, 3)),
+    for blk, want in ((CSR.diags(values), sparse.diags(values, format="csr")),
+                      (CSR.from_coo(rows, cols, values, (3, 3)),
                        sparse.csr_matrix((values, (rows, cols)), shape=(3, 3)))):
         assert blk.is_float == splits and blk.phase == phase
         _same(blk, want)
 
 
 def test_block_shapes_must_agree():
-    blk = _Block.diagonal(np.ones(3, dtype=np.complex128))
-    other = _Block.diagonal(np.ones(2, dtype=np.complex128))
+    blk = CSR.diags(np.ones(3, dtype=np.complex128))
+    other = CSR.diags(np.ones(2, dtype=np.complex128))
     with pytest.raises(ValueError, match="chain"):
         blk @ other
     with pytest.raises(ValueError, match="differ"):
@@ -130,22 +147,22 @@ def test_block_shapes_must_agree():
 
 def test_int32_guard(monkeypatch):
     """Sizes past the index limit raise instead of wrapping around."""
-    ones = _Block.diagonal(np.ones(3, dtype=np.complex128))
+    sp = Space(3)
+    ones = CSR.diags(np.ones(3, dtype=np.complex128))
     rows, cols = np.divmod(np.arange(9), 3)
-    full = _Block.from_coo(rows, cols, np.ones(9), (3, 3))
-    monkeypatch.setattr(liouville, "_INDEX_MAX", 9)
+    full = CSR.from_coo(rows, cols, np.ones(9), (3, 3))
+    monkeypatch.setattr(csr, "_INDEX_MAX", 9)
     full @ full  # maxnnz 9 is at the limit
     with pytest.raises(ValueError, match="int32"):
-        _Block.diagonal(np.ones(10, dtype=np.complex128))
+        CSR.diags(np.ones(10, dtype=np.complex128))
     with pytest.raises(ValueError, match="int32"):
         ones + full  # 3 + 9 stored entries
-    monkeypatch.setattr(liouville, "_INDEX_MAX", 5)
+    monkeypatch.setattr(csr, "_INDEX_MAX", 5)
     with pytest.raises(ValueError, match="int32"):
         full @ ones  # maxnnz 9
     with pytest.raises(ValueError, match="int32"):
-        _Block.from_coo(*np.divmod(np.arange(6), 3), np.ones(6), (2, 3))
+        CSR.from_coo(*np.divmod(np.arange(6), 3), np.ones(6), (2, 3))
     # a superoperator's leaf block is converted through the same check
-    sp = Space(3)
     with pytest.raises(ValueError, match="int32"):
         sp.lmul_adag(1).raw_block(0)
 
@@ -156,18 +173,19 @@ def _reference_leaves(sp):
     The full matrices are built the direct way: kron products of the Fock
     matrices, and diags of the value on every pair.
     """
-    eye = sparse.identity(sp.dim, dtype=np.complex128, format="csr")
-    r_mat = sp.lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
+    eye = sparse.identity(sp.basis.dim, dtype=np.complex128, format="csr")
+    r_mat = CSR.diags(sp.lam * (sp.level + 1))
     out = []
     for alpha in (1, 2):
-        a, adag = sp._a[alpha - 1], sp._adag[alpha - 1]
+        a, adag = sp._a[alpha - 1].tocsr(), sp._adag[alpha - 1].tocsr()
         out += [(f"la{alpha}", sp.lmul_a(alpha), sparse.kron(a, eye, format="csr")),
                 (f"lad{alpha}", sp.lmul_adag(alpha), sparse.kron(adag, eye, format="csr")),
                 (f"ra{alpha}", sp.rmul_a(alpha), sparse.kron(eye, a.T, format="csr")),
                 (f"rad{alpha}", sp.rmul_adag(alpha), sparse.kron(eye, adag.T, format="csr"))]
     num = number_operator(sp.basis)
-    out += [("left r", sp.left_mul(r_mat, 0), sparse.kron(r_mat, eye, format="csr")),
-            ("right number", sp.right_mul(num, 0), sparse.kron(eye, num.T, format="csr"))]
+    out += [("left r", sp.left_mul(r_mat, 0), sparse.kron(r_mat.tocsr(), eye, format="csr")),
+            ("right number", sp.right_mul(num, 0),
+             sparse.kron(eye, num.tocsr().T, format="csr"))]
     row, col = pair_levels(sp)
     w, grade = sp.lam * (row + col + 2) / 2.0, row - col
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from dense import coords_residuals, fock_residuals
 from fuzzymono.fock import build_basis
 from fuzzymono.ncspace import PAULI, build_coordinates, verify_coordinate_algebra
+from fuzzymono.verify.registry import BY_ID, get_context
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +31,8 @@ def test_vacuum_block():
     nc = build_coordinates(basis, lam=0.7)
     i0 = basis.index[(0, 0)]
     for k in range(3):
-        assert abs(nc.x[k].toarray()[i0, i0]) == 0.0
-    assert nc.r.toarray()[i0, i0] == pytest.approx(0.7)
+        assert abs(nc.x[k].tocsr().toarray()[i0, i0]) == 0.0
+    assert nc.r.tocsr().toarray()[i0, i0] == pytest.approx(0.7)
 
 
 def test_x3_on_level_one():
@@ -38,13 +40,13 @@ def test_x3_on_level_one():
     lam = 1.3
     nc = build_coordinates(basis, lam)
     block = basis.level_slice(1)
-    x3 = nc.x[2].toarray()[block, block]
+    x3 = nc.x[2].tocsr().toarray()[block, block]
     np.testing.assert_allclose(x3, np.diag([lam, -lam]), atol=1e-15)
 
 
 def test_coordinates_hermitian(nc):
     for k in range(3):
-        xk = nc.x[k].toarray()
+        xk = nc.x[k].tocsr().toarray()
         np.testing.assert_allclose(xk, xk.conj().T, atol=0)
 
 
@@ -59,14 +61,30 @@ def test_radius_eigenvalue_scaling():
     basis = build_basis(5)
     nc = build_coordinates(basis, lam=2.0)
     block = basis.level_slice(3)
-    np.testing.assert_allclose(nc.r.toarray()[block, block], 8.0 * np.eye(4), atol=0)
+    np.testing.assert_allclose(nc.r.tocsr().toarray()[block, block], 8.0 * np.eye(4), atol=0)
 
 
 def test_x_squared_spectrum(nc):
     """x^2 on level n has the single eigenvalue lam^2 * n * (n+2)."""
-    x2 = sum(nc.x[k] @ nc.x[k] for k in range(3)).toarray()
+    x2 = (nc.x[0] @ nc.x[0] + nc.x[1] @ nc.x[1] + nc.x[2] @ nc.x[2]).tocsr().toarray()
     basis = build_basis(10)
     for n in range(11):
         block = basis.level_slice(n)
         eigs = np.linalg.eigvalsh(x2[block, block])
         np.testing.assert_allclose(eigs, n * (n + 2.0), atol=1e-12 * max(1, n * n))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n_max", [0, 1, 5, 12, 20])
+def test_fock_and_coords_residuals_equal_the_scipy_reference(n_max, lam):
+    """The six matrix-level checks, computed on the engine's CSR type, give
+    bit for bit the residuals of the same checks on scipy.sparse matrices."""
+    ctx = get_context(n_max, lam)
+    basis = ctx.space.basis
+    want = {**fock_residuals(basis, BY_ID["ladder-canonical"].guard),
+            **coords_residuals(basis, lam)}
+    for rid, residual in want.items():
+        rec = BY_ID[rid]
+        out = rec.evaluate(ctx, None, rec.guard)
+        got = None if out is None else out[0]
+        assert repr(got) == repr(residual), (rid, got, residual)

@@ -536,3 +536,25 @@ def test_run_does_not_import_scipy_linalg(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "[]"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_does_not_import_scipy_sparse(tmp_path, jobs):
+    """A run reaches scipy's sparse kernels through fuzzymono.csr alone: the
+    scipy.sparse package (about 0.2 s and 20 MB of imports) stays unloaded,
+    and a later import of it shares the engine's kernel module."""
+    script = ("import sys\n"
+              "from fuzzymono.verify.cli import main\n"
+              f"code = main(['--suite', 'all', '--n-max', '3', '--jobs', {jobs!r}, "
+              f"'--out', {str(tmp_path / 'report.txt')!r}])\n"
+              "print(code, 'scipy.sparse' in sys.modules, flush=True)\n"
+              "import scipy.sparse\n"
+              "from scipy.sparse import _compressed, _sparsetools\n"
+              "from fuzzymono import csr\n"
+              "print(_sparsetools is csr._sparsetools, _compressed._sparsetools is "
+              "csr._sparsetools, _compressed.csr_matmat is csr._sparsetools.csr_matmat)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.stdout.split()[:2] == ["0", "False"], proc.stdout + proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[2:] == ["True"] * 3

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from dense import from_matrix, packed, pair_levels, to_csr, to_matrix
+from fuzzymono.csr import CSR
 from fuzzymono.fock import annihilator, build_basis, creator
-from fuzzymono.liouville import SuperOp, _Block, get_space
+from fuzzymono.liouville import SuperOp, get_space
 from fuzzymono.sector import (
     SectorVector,
     apply_superop,
@@ -14,6 +15,7 @@ from fuzzymono.sector import (
     graded_residual,
     inner_product,
     sector_matrix,
+    window_inner,
 )
 
 
@@ -79,13 +81,11 @@ def test_monopole_charge_value():
 
 def test_radius_eigenvalues_against_direct_symmetrization():
     """Oracle: apply (r Psi + Psi r)/2 built from left/right multiplication."""
-    from scipy import sparse
-
     for kappa, lam in [(0, 1.0), (1, 0.5), (-2, 2.0)]:
         n_max = 6
         sec = build_sector(kappa, n_max, lam)
         sp = sec.space
-        r_mat = lam * sparse.diags((sp.level + 1).astype(np.complex128)).tocsr()
+        r_mat = CSR.diags(lam * (sp.level + 1))
         direct = 0.5 * (sp.left_mul(r_mat, 0) + sp.right_mul(r_mat, 0))
         for pos, n in enumerate(sec.blocks):
             i = int(sec.block_offsets[pos])
@@ -160,8 +160,8 @@ def test_matrix_roundtrip(rng):
     # the dense matrix is supported exactly on the graded entries
     mat = to_matrix(v)
     levels = sec.space.level
-    for r in range(sec.space.dim):
-        for c in range(sec.space.dim):
+    for r in range(sec.space.basis.dim):
+        for c in range(sec.space.basis.dim):
             if levels[r] - levels[c] != 2:
                 assert mat[r, c] == 0
 
@@ -175,7 +175,7 @@ def test_apply_shifts_grade(rng):
     # oracle: dense matrix multiplication
     from fuzzymono.fock import creator
 
-    direct = creator(sp.basis, 1).toarray() @ to_matrix(psi)
+    direct = creator(sp.basis, 1).tocsr().toarray() @ to_matrix(psi)
     np.testing.assert_allclose(to_matrix(out), direct, atol=1e-14)
 
 
@@ -249,7 +249,7 @@ def _sliced_residual(full_l, full_r, sector, guard, exclude_ws, floor):
 
 def _messy_csr(rng, sp, grade, density, scale):
     """Random complex CSR of one grade with unsorted column indices and explicit zeros."""
-    n = sp.dim ** 2
+    n = sp.basis.dim ** 2
     row_level, col_level = pair_levels(sp)
     pair_grade = row_level - col_level
     indptr, indices = [0], []
@@ -271,7 +271,7 @@ def _injected(sp, full, grade):
     messy indices and explicit zeros included."""
     def rule(k):
         sub = full[packed(sp, k + grade)][:, packed(sp, k)]
-        return _Block(sub.indptr.astype(np.int32), sub.indices.astype(np.int32),
+        return CSR(sub.indptr.astype(np.int32), sub.indices.astype(np.int32),
                       sub.data.astype(np.complex128), sub.shape)
 
     return SuperOp(sp, grade, rule=rule)
@@ -363,12 +363,12 @@ def _pair_w(sp):
 
 def _leaf(data, sp):
     """(superoperator, full matrix, full matrix of absolute values) of one leaf."""
-    d = sp.dim
+    d = sp.basis.dim
     eye = sparse.identity(d, dtype=np.complex128, format="csr")
     kind = data.draw(st.sampled_from(["la", "lad", "ra", "rad", "radial", "inv_r", "one"]))
     mode = data.draw(st.sampled_from([1, 2]))
     if kind in ("la", "lad", "ra", "rad"):
-        ladder = (annihilator if kind in ("la", "ra") else creator)(sp.basis, mode)
+        ladder = (annihilator if kind in ("la", "ra") else creator)(sp.basis, mode).tocsr()
         prim = {"la": sp.lmul_a, "lad": sp.lmul_adag, "ra": sp.rmul_a, "rad": sp.rmul_adag}
         op = prim[kind](mode)
         full = sparse.kron(ladder, eye) if kind[0] == "l" else sparse.kron(eye, ladder.T)
@@ -390,10 +390,10 @@ def _leaf(data, sp):
 def _regrade(sp, word, grade):
     """Left-multiply by a_1 or a+_1 until the word has the given grade."""
     op, full, mag = word
-    eye = sparse.identity(sp.dim, dtype=np.complex128, format="csr")
+    eye = sparse.identity(sp.basis.dim, dtype=np.complex128, format="csr")
     while op.grade != grade:
         step = sp.lmul_adag if op.grade < grade else sp.lmul_a
-        ladder = (creator if op.grade < grade else annihilator)(sp.basis, 1)
+        ladder = (creator if op.grade < grade else annihilator)(sp.basis, 1).tocsr()
         k = sparse.kron(ladder, eye, format="csr")
         op, full, mag = step(1) @ op, k @ full, abs(k) @ mag
     return op, full, mag
@@ -451,3 +451,20 @@ def test_blocks_match_the_eager_formula(data, n_max, lam):
     twice = op.weighted_adjoint().weighted_adjoint()
     assert twice.grade == op.grade
     assert _fro(to_csr(twice) - to_csr(op)) <= 1e-15 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 6), n=st.integers(0, 6))
+def test_window_inner_is_the_masked_elementwise_sum(seed, m, n):
+    """window_inner(a, b, mask) is scipy's (a[:, mask].conj().multiply(b[:, mask])).sum()
+    on real, imaginary and complex blocks."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(n) < 0.6
+    mats = [sparse.random(m, n, density=0.5, format="coo", random_state=rng) * unit
+            for unit in (1.0, 1j, 0.5 - 2j)]
+    for a in mats:
+        for b in mats:
+            want = (a.tocsr()[:, mask].conj().multiply(b.tocsr()[:, mask])).sum()
+            got = window_inner(*(CSR.from_coo(x.row, x.col, x.data, x.shape) for x in (a, b)),
+                               mask)
+            assert np.isclose(got, want, rtol=1e-13, atol=0), (got, want)
