@@ -45,7 +45,9 @@ ValueError instead of overflowing.
 
 The kernels live in the compiled module scipy/sparse/_sparsetools, which
 is loaded here by its file path, so that the scipy.sparse package itself
-is never imported.  Importing that package costs about 0.2 s and 20 MB
+is never imported; importlib.util.find_spec finds the scipy folder
+without running scipy/__init__.py either (10 ms of imports that would only
+locate the install).  Importing scipy.sparse costs about 0.2 s and 20 MB
 that a run never uses: per `python -X importtime`, scipy.sparse._base takes
 201 ms, of which 184 ms go to array_api_compat.numpy, scipy's clone of
 numpy for the array API, which alone loads numpy.f2py (98 ms) and
@@ -72,9 +74,10 @@ def _load_sparsetools():
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
-    import scipy  # the package alone is cheap; it finds the install
-
-    folder = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("fuzzymono needs scipy, which is not installed")
+    folder = os.path.join(scipy.submodule_search_locations[0], "sparse")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(folder, "_sparsetools" + suffix)
         if os.path.exists(path):

@@ -13,6 +13,7 @@ lam*(n + 1 + kappa/2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -167,8 +168,17 @@ def sector_matrix(op: SuperOp, sector: MonopoleSector, dense: bool = False):
 
 
 def _window_norm(mat: CSR, in_window: np.ndarray) -> float:
-    """Frobenius norm of the columns of a CSR block that in_window marks."""
-    return float(np.sqrt(np.sum(np.abs(mat.data[in_window[mat.indices]]) ** 2)))
+    """Frobenius norm of the columns of a CSR block that in_window marks.
+
+    Float64 data (a real or imaginary block) are squared in place in their
+    compressed copy, so the norm makes no further temporary; the result is
+    bit for bit sqrt(sum(abs(x) ** 2)), the formula complex data keep.
+    """
+    x = mat.data[in_window[mat.indices]]
+    if x.dtype != np.float64:
+        return float(np.sqrt(np.sum(np.abs(x) ** 2)))
+    np.square(x, out=x)
+    return math.sqrt(np.add.reduce(x))
 
 
 def window_inner(a: CSR, b: CSR, in_window: np.ndarray) -> complex:
@@ -202,8 +212,10 @@ def graded_residual(
     sliced.  Both sides must have the same grade.  The default floor of 1
     keeps the ratio defined for vanishing sides; floor=0 gives the purely
     relative metric, which is exactly invariant under power-of-two
-    rescalings of lam.  Returns None when the window is empty, as it is on
-    an empty sector (the identity is skipped at this truncation).
+    rescalings of lam.  The residual is NaN, a failure, when either side's
+    norm is not finite (it overflowed).  Returns None when the window is
+    empty, as it is on an empty sector (the identity is skipped at this
+    truncation).
     """
     if lhs.grade != rhs.grade:
         raise ValueError(f"grade mismatch: {lhs.grade} vs {rhs.grade}")
@@ -214,6 +226,8 @@ def graded_residual(
     nl = _window_norm(left, mask)
     nr = _window_norm(right, mask)
     nd = _window_norm(left - right, mask)
+    if not (math.isfinite(nl) and math.isfinite(nr)):
+        return float("nan"), excluded  # an overflowed side: nd / inf would read 0.0
     den = max(floor, nl, nr)
     if den == 0.0:
         return (0.0 if nd == 0.0 else float("inf")), excluded

@@ -2,11 +2,29 @@
 
 Exit status: 0 when every identity passes (skips allowed), 1 when any
 fails, 2 for usage or configuration errors.
+
+Before it runs a suite, main keeps the memory the run frees in the process
+(keep_freed_memory).  A run makes and drops thousands of transient sector
+blocks.  By default glibc returns the free memory at the top of its heap to
+the kernel once more than its trim threshold is free there, and serves each
+block above its mmap threshold with a fresh mmap; both start at 128 kB.  So
+the next blocks fault the same pages in again, zeroed: one `--n-max 20
+--kappa 2` process took about 46,000 minor page faults and 0.11 s of system
+time.  main raises the trim threshold to 256 MB and the mmap threshold to
+4 MB.  That process then takes about 8,000 faults and a quarter of the
+system time, and runs at n_max 20 to 56 were 12-19 % faster, with peak RSS
+within -8 and +3 MB.  Both settings are needed: setting one stops glibc
+from raising the other, and the trim threshold alone left every block over
+128 kB mmapped, which made n_max 32 and 48 runs 8 % and 18 % slower.  A
+32 MB mmap threshold was no faster and peaked up to 24 MB higher.  The
+settings are made in main, before the pool forks, so its workers inherit
+them; importing the package changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import sys
 
@@ -80,6 +98,27 @@ def _join_kappa_value(argv: list[str]) -> list[str]:
     return out
 
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, with
+# the values main gives them.
+_ALLOCATOR_SETTINGS = ((-1, 256 << 20), (-3, 4 << 20))
+
+
+def keep_freed_memory() -> None:
+    """Let the C heap keep up to 256 MB of freed memory at its top instead
+    of returning it to the kernel, and serve blocks of up to 4 MB from it.
+    Does nothing where the C library has no mallopt (macOS, Windows)."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):  # Windows cannot open the running program
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        for param, value in _ALLOCATOR_SETTINGS:
+            mallopt(param, value)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_kappa_value(
@@ -113,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"fuzzymono: {exc}", file=sys.stderr)
         return 2
+    keep_freed_memory()
     try:
         report = run_suite(config)
     except (OverflowError, ZeroDivisionError) as exc:

@@ -79,10 +79,8 @@ from ..ncspace import (
 )
 from ..sector import (
     MonopoleSector,
-    SectorVector,
     build_sector,
     graded_residual,
-    inner_product,
     window_inner,
 )
 from ..su22 import (
@@ -197,7 +195,8 @@ class IdentityRecord:
         outcome = None
         for lhs, rhs in self.pairs(ctx):
             out = graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
-            outcome = out if outcome is None else (max(outcome[0], out[0]), out[1])
+            # np.maximum, unlike max, keeps a NaN residual of any pair
+            outcome = out if outcome is None else (float(np.maximum(outcome[0], out[0])), out[1])
         return outcome
 
 
@@ -323,19 +322,31 @@ def _sector_grading(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
 
 def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     """Gram matrix of a basis sample spanning the window's blocks: diagonal
-    and positive."""
+    and positive.
+
+    Sample vector a is the basis element at packed index sample[a], so it
+    vanishes off the sample and coeffs[b, k] = u_b[sample[k]] holds every
+    vector.  The radius-weighted pairing (sector.inner_product)
+    <u_a, u_b> = 4 pi lam^2 sum_k conj(u_a[k]) w[k] u_b[k] then has one term
+    that can be nonzero, k = sample[a]: the terms this drops are exact zeros,
+    and the s x s Gram matrix costs O(s^2), not O(s^2 * dim).
+    """
     sample: list[int] = []
     for pos in np.flatnonzero(sector.block_window(guard, exclude_ws)):
         lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
         sample.extend({lo, (lo + hi) // 2, hi - 1})
     sample = sorted(set(sample))
-    vecs = [SectorVector.basis_element(sector, i) for i in sample]
-    gram = np.array([[inner_product(u, v) for v in vecs] for u in vecs])
-    expected = np.diag(4.0 * np.pi * ctx.lam**2 * sector.packed_weights()[sample])
+    w = sector.packed_weights()[sample]
+    coeffs = np.eye(len(sample), dtype=np.complex128)
+    gram = 4.0 * np.pi * ctx.lam**2 * (np.conj(coeffs.diagonal()) * w)[:, None] * coeffs.T
+    expected = np.diag(4.0 * np.pi * ctx.lam**2 * w)
+    excluded = sector.guard_window(guard, exclude_ws)[1]
+    if not np.isfinite(gram).all():
+        return float("nan"), excluded  # an overflowed pairing has no eigenvalues
     rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
     eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     positivity = max(0.0, -float(eigs.min()) / float(eigs.max()))
-    return max(rel, positivity), sector.guard_window(guard, exclude_ws)[1]
+    return max(rel, positivity), excluded
 
 
 def _radius_def(ctx: EngineContext) -> Iterator[Pair]:

@@ -7,7 +7,9 @@ the kappa-independent batch last (plan_batches). With one worker the main
 process runs them in that order; with several, a process pool hands each
 free worker the next batch. When there are fewer kappa batches than twice
 the workers, each kappa's jobs are dealt into interleaved parts, so that a
-run of one or two kappas still keeps every worker busy.
+run of one or two kappas still keeps every worker busy. Only a pool run
+imports concurrent.futures (and with it multiprocessing): a serial run,
+and importing this module, load neither.
 
 Each job carries the guard of its row, resolved once here: the record's
 guard, or the --guard override. IdentityRecord.evaluate decides from it
@@ -32,7 +34,6 @@ import os
 import time
 import warnings
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..liouville import forget_blocks
@@ -146,6 +147,8 @@ def run_suite(config: RunConfig) -> VerificationReport:
     if n_workers <= 1:
         done = [_run_batch(batch) for batch in work]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             done = list(pool.map(_run_batch, work, chunksize=1))
     outcomes: list = [None] * len(jobs)

@@ -1,16 +1,19 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import time
+import types
 import weakref
 
 import pytest
 
-from fuzzymono.verify.cli import main, parse_kappas
-from fuzzymono.sector import graded_residual
+from fuzzymono.verify import cli
+from fuzzymono.verify.cli import keep_freed_memory, main, parse_kappas
+from fuzzymono.sector import _window_norm, graded_residual
 from fuzzymono.verify.registry import BY_ID, REGISTRY, get_context, records_for_suite
 from fuzzymono.verify.runner import RunConfig, exit_code, plan_batches, run_suite
 
@@ -484,6 +487,42 @@ def test_nonfinite_residual_is_strict_json_failure(capsys):
     assert failed and all(row["residual"] is None for row in failed)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_an_overflowed_side_fails(capsys):
+    """At lam 1e160 both window norms of radius-s05 overflow at kappa 0 while
+    ||L - R|| stays finite; such a row fails with a null residual instead of
+    passing with ||L - R|| / inf = 0.0."""
+    code = main(["--suite", "su22", "--n-max", "3", "--lambda", "1e160",
+                 "--format", "json", "--jobs", "1"])
+    assert code == 1
+    rows = {(r["id"], r["kappa"]): r for r in json.loads(capsys.readouterr().out)["results"]}
+    ctx = get_context(3, 1e160)
+    overflowed = set()
+    for rec in records_for_suite("su22"):
+        if rec.pairs is None:
+            continue
+        for kappa in range(-4, 5):
+            mask, _ = ctx.sector(kappa).guard_window(rec.guard, rec.exclude_ws)
+            if mask.any() and not all(math.isfinite(_window_norm(op.raw_block(kappa), mask))
+                                      for pair in rec.pairs(ctx) for op in pair):
+                overflowed.add((rec.id, kappa))
+    assert {("radius-s05", 0), ("radius-s05-ordered", 0)} <= overflowed
+    assert all(rows[key]["pass"] is False and rows[key]["residual"] is None
+               for key in overflowed)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+def test_an_overflowed_gram_fails_without_a_traceback(capsys):
+    """At lam 1e140 the sector-gram pairings overflow to inf; the row fails
+    with a null residual instead of raising from eigvalsh."""
+    code = main(["--suite", "radial", "--n-max", "3", "--lambda", "1e140",
+                 "--format", "json", "--jobs", "1"])
+    assert code == 1
+    gram = [r for r in json.loads(capsys.readouterr().out)["results"]
+            if r["id"] == "sector-gram" and r["pass"] is not None]
+    assert len(gram) == 7 and all(r["pass"] is False and r["residual"] is None for r in gram)
+
+
 def test_warnings_of_a_finished_run_reach_stderr():
     """A run that ends still shows the warnings its pool workers raised, once each."""
     proc = subprocess.run(
@@ -558,3 +597,62 @@ def test_run_does_not_import_scipy_sparse(tmp_path, jobs):
     assert proc.stdout.split()[:2] == ["0", "False"], proc.stdout + proc.stderr
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[2:] == ["True"] * 3
+
+
+def test_importing_the_verifier_loads_neither_scipy_nor_the_pool():
+    """fuzzymono.verify finds scipy's kernels without running scipy's
+    __init__.py, and imports concurrent.futures only for a pool run."""
+    script = ("import sys\n"
+              "import fuzzymono.verify\n"
+              "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', "
+              "'multiprocessing')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"] * 3
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_only_a_pool_run_imports_concurrent_futures(tmp_path, jobs):
+    """--jobs 1 runs without concurrent.futures; --jobs 2 still runs its
+    batches on a process pool."""
+    script = ("import sys\n"
+              "from fuzzymono.verify.cli import main\n"
+              f"code = main(['--suite', 'radial', '--n-max', '3', '--jobs', {jobs!r}, "
+              f"'--out', {str(tmp_path / 'report.txt')!r}])\n"
+              "print(code, 'concurrent.futures.process' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(jobs == "2")]
+
+
+def test_keep_freed_memory_sets_the_trim_and_mmap_thresholds(monkeypatch):
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    keep_freed_memory()
+    # M_TRIM_THRESHOLD 256 MB, M_MMAP_THRESHOLD 4 MB
+    assert calls == [(-1, 256 * 2**20), (-3, 4 * 2**20)]
+
+
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
+    """A C library without mallopt (macOS), or none that opens (Windows),
+    is left alone."""
+    def unloadable(name):
+        raise OSError("cannot load the running program")
+
+    for cdll in (lambda name: object(), unloadable):
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        keep_freed_memory()
+
+
+def test_main_keeps_freed_memory_before_the_run(monkeypatch, capsys):
+    """The setting precedes run_suite, so the pool's forked workers inherit it."""
+    order = []
+    monkeypatch.setattr(cli, "keep_freed_memory", lambda: order.append("keep"))
+    run = cli.run_suite
+    monkeypatch.setattr(cli, "run_suite", lambda config: order.append("run") or run(config))
+    assert main(["--suite", "fock", "--n-max", "2", "--jobs", "1"]) == 0
+    assert order == ["keep", "run"]
+    capsys.readouterr()

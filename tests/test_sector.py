@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from dense import from_matrix, packed, pair_levels, to_csr, to_matrix
@@ -9,7 +10,9 @@ from fuzzymono.csr import CSR
 from fuzzymono.fock import annihilator, build_basis, creator
 from fuzzymono.liouville import SuperOp, get_space
 from fuzzymono.sector import (
+    MonopoleSector,
     SectorVector,
+    _window_norm,
     apply_superop,
     build_sector,
     graded_residual,
@@ -17,6 +20,7 @@ from fuzzymono.sector import (
     sector_matrix,
     window_inner,
 )
+from fuzzymono.verify.registry import BY_ID, get_context
 
 
 def brute_dim(kappa, n_max):
@@ -468,3 +472,65 @@ def test_window_inner_is_the_masked_elementwise_sum(seed, m, n):
             got = window_inner(*(CSR.from_coo(x.row, x.col, x.data, x.shape) for x in (a, b)),
                                mask)
             assert np.isclose(got, want, rtol=1e-13, atol=0), (got, want)
+
+
+_ENTRY = st.floats(-1e160, 1e160, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(0, 6), n=st.integers(0, 6), data=st.data())
+def test_window_norm_equals_the_abs_square_formula(m, n, data):
+    """_window_norm gives, by repr, sqrt(sum(abs(x) ** 2)) over the window's
+    stored entries, on real, imaginary and complex blocks, for any mask and
+    an empty window, overflow included."""
+    re = data.draw(arrays(np.float64, (m, n), elements=_ENTRY))
+    im = data.draw(arrays(np.float64, (m, n), elements=_ENTRY))
+    mask = data.draw(arrays(np.bool_, n))
+    for dense in (re, 1j * re, re + 1j * im):
+        rows, cols = np.nonzero(dense)
+        mat = CSR.from_coo(rows, cols, dense[rows, cols], (m, n))
+        for in_window in (mask, np.zeros(n, dtype=bool)):
+            with np.errstate(over="ignore"):
+                want = float(np.sqrt(np.sum(np.abs(mat.data[in_window[mat.indices]]) ** 2)))
+                got = _window_norm(mat, in_window)
+            assert repr(got) == repr(want)
+
+
+def _gram_from_inner_products(ctx, sector, guard):
+    """The sector-gram residual of full-length basis vectors paired by
+    inner_product, as the check computed it before pairing on the sample."""
+    picked = set()
+    for pos in np.flatnonzero(sector.block_window(guard)):
+        lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
+        picked.update({lo, (lo + hi) // 2, hi - 1})
+    sample = sorted(picked)
+    vecs = [SectorVector.basis_element(sector, i) for i in sample]
+    gram = np.array([[inner_product(u, v) for v in vecs] for u in vecs])
+    expected = np.diag(4.0 * np.pi * ctx.lam**2 * sector.packed_weights()[sample])
+    rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    return max(rel, max(0.0, -float(eigs.min()) / float(eigs.max())))
+
+
+@pytest.mark.parametrize("n_max, lam", [(1, 1.0), (5, 0.7), (12, 3.0)])
+def test_sector_gram_equals_the_inner_product_gram(n_max, lam):
+    """Pairing on the sample's support gives the residual of the full
+    pairings exactly: 0.0 on every sector and guard."""
+    rec, ctx = BY_ID["sector-gram"], get_context(n_max, lam)
+    for kappa in range(-4, 5):
+        for guard in (0, 1, 2):
+            out = rec.evaluate(ctx, kappa, guard)
+            if out is not None:
+                assert out[0] == _gram_from_inner_products(ctx, ctx.sector(kappa), guard) == 0.0
+
+
+def test_sector_gram_fails_on_a_negative_weight(monkeypatch):
+    """The check reads the sector's weights: one negative weight in the
+    sample makes the Gram matrix indefinite, and the row fails."""
+    rec, ctx = BY_ID["sector-gram"], get_context(6, 1.0)
+    sector = ctx.sector(2)
+    bad = sector.packed_weights().copy()
+    bad[int(sector.block_offsets[3])] *= -1.0  # first entry of the fourth block, sampled
+    monkeypatch.setattr(MonopoleSector, "packed_weights", lambda self: bad)
+    residual, _ = rec.evaluate(ctx, 2, rec.guard)
+    assert residual > 0.1 > rec.tol
