@@ -23,6 +23,7 @@ import numpy as np
 from .liouville import (RF_INV_R, RF_ONE, RF_R, RadialFunction, Space, SuperOp, cache_get,
                         commutator, linear_combination)
 from .ncspace import PAULI, nonzero_entries
+from .sector import Window, graded_residual
 from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
 
 
@@ -214,24 +215,20 @@ class OperatorAlgebra:
 
     # -- canonical pairing ----------------------------------------------------
 
-    def canonical_pairing_residual(self, kappa: int, guard: int = 1) -> float | None:
+    def canonical_pairing_residual(self, win: Window) -> float:
         """Max residual of [A_a, Gamma_bc A+_c] = delta_ab over all 16 pairs,
-        or None when sector kappa has no guarded window."""
-        from .sector import build_sector, graded_residual
-
-        sec = build_sector(kappa, self.space.n_max, self.space.lam)
-        if not sec.block_window(guard).any():
-            return None
-        res = 0.0
+        on a nonempty window."""
         ident = self.space.identity()
+        residuals = []
         for a in range(4):
             for b in range(4):
                 twisted = linear_combination(complex(g) * self.avec_dag(c)
                                              for (c,), g in nonzero_entries(GAMMA[b]))
                 lhs = commutator(self.avec(a), twisted)
                 rhs = (1.0 if a == b else 0.0) * ident
-                res = max(res, graded_residual(lhs, rhs, sec, guard)[0])
-        return res
+                residuals.append(
+                    graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws)[0])
+        return float(np.max(residuals))
 
 
 def su22_bracket_rhs(alg: OperatorAlgebra, a: int, b: int, c: int, d: int) -> SuperOp:

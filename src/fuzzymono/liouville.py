@@ -49,11 +49,12 @@ the only support fact a superoperator carries.
     the blocks it has computed.  An operator that one identity reads once
     per sector is not cached.  A transient operator keeps nothing once it
     is dropped.
-    forget_blocks() walks that cache and empties every block memo while the
-    operators stay cached.  The runner calls it whenever a process moves on
-    to another sector kappa.  So memoised blocks live for one kappa, and a
-    process that serves many kappas holds the blocks of one at a time.  Few
-    blocks are read at more than one kappa, so little is recomputed.
+    Space.forget_blocks() empties every block memo of that cache while the
+    operators stay cached.  The registry's EngineContext calls it whenever
+    it moves on to another sector kappa.  So memoised blocks live for one
+    kappa, and a process that serves many kappas holds the blocks of one at
+    a time.  Few blocks are read at more than one kappa, so little is
+    recomputed.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -104,7 +105,7 @@ class SuperOp:
 
     def memoise(self) -> None:
         """Keep every block computed from now on (for cached operators),
-        until forget_blocks()."""
+        until Space.forget_blocks()."""
         if self._blocks is None:
             self._blocks = {}
 
@@ -284,6 +285,13 @@ class Space:
     def _cached(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
         return cache_get(self._cache, key, builder)
 
+    def forget_blocks(self) -> None:
+        """Empty the block memo of every cached operator; the operators stay
+        cached."""
+        for op in self._cache.values():
+            if isinstance(op, SuperOp):
+                op._blocks.clear()
+
     # -- radial calculus ----------------------------------------------------
 
     def radial_values(self, table: np.ndarray) -> SuperOp:
@@ -420,11 +428,3 @@ def get_space(n_max: int, lam: float = 1.0) -> Space:
         _SPACES[key] = Space(n_max, lam)
     return _SPACES[key]
 
-
-def forget_blocks() -> None:
-    """Empty the block memo of every cached operator on a space that
-    get_space has made; the operators stay cached."""
-    for space in _SPACES.values():
-        for op in space._cache.values():
-            if isinstance(op, SuperOp):
-                op._blocks.clear()

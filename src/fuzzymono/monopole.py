@@ -21,6 +21,7 @@ import numpy as np
 from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q, contract
 from .liouville import Space, SuperOp, cache_get, commutator
 from .ncspace import PAULI
+from .sector import Window, graded_residual, window_inner
 
 
 class VelocityFamily:
@@ -97,18 +98,11 @@ def rotation_flow_pairs(vel: VelocityFamily, omega: float) -> Iterator[tuple[Sup
         yield lhs, float(np.cos(omega)) * v + float(np.sin(omega) * FLOW_SIGNS[a]) * vt
 
 
-def rotation_flow_residual(vel: VelocityFamily, kappa: int, omega: float,
-                           guard: int = 1) -> float:
-    """Residual of the compact-rotation flow of the velocity 4-vector."""
-    from .sector import build_sector, graded_residual
-
-    sec = build_sector(kappa, vel.space.n_max, vel.space.lam)
-    res = 0.0
-    for lhs, rhs in rotation_flow_pairs(vel, omega):
-        out = graded_residual(lhs, rhs, sec, guard)
-        if out is not None:
-            res = max(res, out[0])
-    return res
+def rotation_flow_residual(vel: VelocityFamily, win: Window, omega: float) -> float:
+    """Residual of the compact-rotation flow of the velocity 4-vector on a
+    nonempty window."""
+    return float(np.max([graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws)[0]
+                         for lhs, rhs in rotation_flow_pairs(vel, omega)]))
 
 
 @dataclass
@@ -123,18 +117,6 @@ class FieldStrength:
     f: dict[tuple[int, int], SuperOp]
     g: dict[tuple[int, int], SuperOp]
     q: SuperOp
-
-    def g_trace(self) -> SuperOp:
-        out = self.g[(1, 1)]
-        for a in (2, 3, 4):
-            out = out + self.g[(a, a)]
-        return 0.25 * out
-
-    def g_traceless(self, a: int, b: int) -> SuperOp:
-        out = self.g[(a, b)]
-        if a == b:
-            out = out - self.g_trace()
-        return out
 
 
 def build_field_strength(vel: VelocityFamily, kappa: int) -> FieldStrength:
@@ -159,23 +141,19 @@ def monopole_profile_op(vel: VelocityFamily, k4: tuple[int, int]) -> SuperOp:
     return -1j * sp.lam * (RF_MONOPOLE.to_superop(sp) @ vel.alg.generator(*k4))
 
 
-def charge_fit(vel: VelocityFamily, kappa: int, guard: int = 2,
-               exclude_ws: tuple[float, ...] = RF_MONOPOLE.poles) -> float | None:
+def charge_fit(vel: VelocityFamily, win: Window) -> float | None:
     """Least-squares coefficient of [V_1, V_2] against the unit-charge
-    closed form with S_34; equals kappa/2 in the frozen conventions.
+    closed form with S_34 on a window of the sector; equals kappa/2 in the
+    frozen conventions.
 
-    The fit skips the blocks at the block radii exclude_ws (units of lam),
-    by default the poles of the monopole profile; None when the closed
-    form vanishes on what is left (an empty window included)."""
-    from .sector import build_sector, window_inner
-
-    sp = vel.space
-    sec = build_sector(kappa, sp.n_max, sp.lam)
-    mask, _ = sec.guard_window(guard, exclude_ws)
+    The window of the monopole-charge row leaves out the blocks at the
+    poles of the monopole profile.  None when the closed form vanishes on
+    the window, as it reads when its norm underflows."""
+    kappa = win.sector.kappa
     lhs = commutator(vel.velocity(1), vel.velocity(2)).raw_block(kappa)
     k = monopole_profile_op(vel, (3, 4)).raw_block(kappa)
-    denom = window_inner(k, k, mask)
+    denom = window_inner(k, k, win.column_mask)
     if denom == 0:
         return None
-    num = window_inner(k, lhs, mask)
+    num = window_inner(k, lhs, win.column_mask)
     return float(np.real(num / denom))

@@ -53,7 +53,6 @@ class NcCoordinates:
     lam: float
     x: tuple[CSR, CSR, CSR]
     r: CSR
-    pauli: np.ndarray
 
 
 def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
@@ -71,7 +70,7 @@ def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
                     xk = xk + (adag[al] @ a[be]).scale(c)
         xs.append(xk.scale(lam))
     r = CSR.diags(lam * (basis.levels + 1))
-    return NcCoordinates(lam=lam, x=(xs[0], xs[1], xs[2]), r=r, pauli=PAULI)
+    return NcCoordinates(lam=lam, x=(xs[0], xs[1], xs[2]), r=r)
 
 
 def frobenius_norm(mat: CSR) -> float:

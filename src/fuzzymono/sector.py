@@ -40,7 +40,8 @@ class MonopoleSector:
     block_of: np.ndarray = field(compare=False)  # packed index -> position in blocks
     r_hat_eigen: np.ndarray = field(compare=False)  # symmetrized radius per block
     space: Space = field(compare=False, repr=False)
-    _windows: dict = field(default_factory=dict, compare=False, repr=False)
+    # a dataclasses.replace copy gets windows of its own
+    _windows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -51,9 +52,6 @@ class MonopoleSector:
         """Monopole charge carried by the sector."""
         return -self.kappa / 2.0
 
-    def block_dim(self, n: int) -> int:
-        return (n + 1) * (n + self.kappa + 1)
-
     def packed_weights(self) -> np.ndarray:
         """Radial weight per packed coefficient (read-only)."""
         return self._packed_weights
@@ -62,25 +60,14 @@ class MonopoleSector:
     def _packed_weights(self) -> np.ndarray:
         return _read_only(self.r_hat_eigen[self.block_of])
 
-    def guard_window(self, guard: int,
-                     exclude_ws: tuple[float, ...] = ()) -> tuple[np.ndarray, list[int]]:
-        """Boolean mask over packed indices for the guarded window, and the
-        sorted input levels excluded for pole proximity (see _window)."""
-        _, mask, excluded = self._window(guard, exclude_ws)
-        return mask, list(excluded)
-
-    def block_window(self, guard: int, exclude_ws: tuple[float, ...] = ()) -> np.ndarray:
-        """Boolean mask over blocks for the guarded window (see _window)."""
-        return self._window(guard, exclude_ws)[0]
-
-    def _window(self, guard: int, exclude_ws: tuple[float, ...]) -> tuple:
-        """(block mask, packed mask, excluded levels) of the guarded window.
+    def window(self, guard: int, exclude_ws: tuple[float, ...] = ()) -> Window:
+        """The guarded window of this sector, computed once per (guard,
+        exclude_ws).
 
         The window drops the guard blocks at either end of the admissible
         range (the blocks are consecutive levels) and the blocks whose
         radius sits within POLE_TOL*lam of a pole given in exclude_ws (units
-        of lam), which are the excluded levels.  Computed once per
-        (guard, exclude_ws); the masks are read-only.
+        of lam), which are the excluded levels.  Its masks are read-only.
         """
         key = (guard, tuple(exclude_ws))
         if key not in self._windows:
@@ -88,9 +75,34 @@ class MonopoleSector:
             pos = np.arange(levels.size)
             pole_hit = self.space.near_pole(key[1], levels + self.kappa, levels)
             keep = (pos >= guard) & (pos < levels.size - guard) & ~pole_hit
-            self._windows[key] = (_read_only(keep), _read_only(keep[self.block_of]),
-                                  tuple(levels[pole_hit].tolist()))
+            self._windows[key] = Window(self, guard, key[1], _read_only(keep),
+                                        _read_only(keep[self.block_of]),
+                                        tuple(levels[pole_hit].tolist()))
         return self._windows[key]
+
+    def guard_window(self, guard: int,
+                     exclude_ws: tuple[float, ...] = ()) -> tuple[np.ndarray, list[int]]:
+        """The packed mask of the guarded window and its excluded levels."""
+        win = self.window(guard, exclude_ws)
+        return win.column_mask, list(win.excluded)
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """Where one report row is checked: a sector's guarded window.
+
+    A kappa-independent row has Window(sector=None, guard=...) and no masks.
+    block_mask marks the kept blocks of the sector, column_mask the kept
+    packed coefficients, and excluded lists the input levels dropped for
+    pole proximity.
+    """
+
+    sector: MonopoleSector | None
+    guard: int
+    exclude_ws: tuple[float, ...] = ()
+    block_mask: np.ndarray | None = None
+    column_mask: np.ndarray | None = None
+    excluded: tuple[int, ...] = ()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -15,19 +15,20 @@ An identity is one of two kinds:
     blocks, as it arrives; it is the only code that takes their residuals.
     A pair is dropped before the next one is built, so only the operators
     in the space's operator cache stay resident.
-  * a scalar check, (ctx, sector, guard, exclude_ws) -> outcome, for the
-    identities that are not superoperator equalities (matrix-level Fock and
-    coordinate relations, fits, block-wise bounds, the scaling suite).
-    sector is the MonopoleSector of the requested kappa, or None for a
-    kappa-independent identity.
+  * a scalar check, (ctx, win) -> outcome, for the identities that are not
+    superoperator equalities (matrix-level Fock and coordinate relations,
+    fits, block-wise bounds, the scaling suite).
 
 Both give (residual, excluded_blocks); a check may give None when it has
-nothing to fit (reported as skipped). IdentityRecord.evaluate builds the
-sector once and decides the guarded window of a per-kappa identity: the
-guard of the row (the record's, or the run's --guard override) without the
-blocks at exclude_ws. When that window is empty it skips the identity
-without calling it, so no pair function or check sees an empty window, and
-every per-block check computes on exactly that window.
+nothing to fit (reported as skipped). IdentityRecord.evaluate is the one
+place that decides a row's window (sector.Window): for a per-kappa identity
+the guarded window of sector kappa, with the guard of the row (the
+record's, or the run's --guard override) and without the blocks at
+exclude_ws; for a kappa-independent one Window(sector=None, guard=...).
+When a sector's window is empty it skips the identity without calling it,
+so no pair function or check sees an empty window, and every per-block
+check computes on exactly that window. The checks of the fock, coords and
+su22 matrix rows and fierz are matrix-level: they read at most the guard.
 """
 
 from __future__ import annotations
@@ -77,12 +78,7 @@ from ..ncspace import (
     relative_norm,
     verify_coordinate_algebra,
 )
-from ..sector import (
-    MonopoleSector,
-    build_sector,
-    graded_residual,
-    window_inner,
-)
+from ..sector import MonopoleSector, Window, build_sector, graded_residual, window_inner
 from ..su22 import (
     PAIRS,
     matrix_closure_residual,
@@ -121,6 +117,7 @@ class EngineContext:
         self.alg = OperatorAlgebra(self.space)
         self.vel = VelocityFamily(self.alg)
         self._extra = self.space._cache
+        self._kappa: Optional[int] = None  # the sector whose blocks the memos may hold
 
     def cached(self, key: tuple, builder: Callable[[], object]):
         """Whatever builder makes, kept in the space's operator cache."""
@@ -130,7 +127,13 @@ class EngineContext:
         """The multiplier f(r_hat), cached on the space (RadialFunction.to_superop)."""
         return f.to_superop(self.space)
 
-    def sector(self, kappa: int):
+    def sector(self, kappa: int) -> MonopoleSector:
+        """Sector kappa. Moving on to another kappa first empties the block
+        memos of the space's cached operators, so they hold the blocks of
+        one kappa at a time."""
+        if kappa != self._kappa:
+            self.space.forget_blocks()
+            self._kappa = kappa
         return build_sector(kappa, self.n_max, self.lam)
 
     def one_sided_sigma(self, k: int, side: str) -> SuperOp:
@@ -151,7 +154,7 @@ def get_context(n_max: int, lam: float) -> EngineContext:
 
 
 PairFunction = Callable[[EngineContext], Iterator[Pair]]
-Check = Callable[[EngineContext, Optional[MonopoleSector], int, tuple[float, ...]], Outcome]
+Check = Callable[[EngineContext, Window], Outcome]
 
 
 @dataclass(frozen=True)
@@ -186,25 +189,29 @@ class IdentityRecord:
         """Outcome on sector kappa (None: a kappa-independent check), or None
         when the guarded window of sector kappa (guard, without the blocks
         at exclude_ws) is empty; floor is the residual denominator floor of
-        a pair identity (graded_residual), unused by a scalar check."""
-        sec = None if kappa is None else ctx.sector(kappa)
-        if sec is not None and not sec.block_window(guard, self.exclude_ws).any():
-            return None
+        a pair identity (graded_residual), unused by a scalar check.
+
+        This is the one place that decides the row's Window; the pair
+        residuals and the check read it and never derive it again."""
+        if kappa is None:
+            win = Window(sector=None, guard=guard)
+        else:
+            win = ctx.sector(kappa).window(guard, self.exclude_ws)
+            if not win.block_mask.any():
+                return None
         if self.check is not None:
-            return self.check(ctx, sec, guard, self.exclude_ws)
-        outcome = None
-        for lhs, rhs in self.pairs(ctx):
-            out = graded_residual(lhs, rhs, sec, guard, self.exclude_ws, floor=floor)
-            # np.maximum, unlike max, keeps a NaN residual of any pair
-            outcome = out if outcome is None else (float(np.maximum(outcome[0], out[0])), out[1])
-        return outcome
+            return self.check(ctx, win)
+        # np.max, unlike max, keeps a NaN residual of any pair
+        residuals = [graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]
+                     for lhs, rhs in self.pairs(ctx)]
+        return float(np.max(residuals)), list(win.excluded)
 
 
 # ---------------------------------------------------------------------------
 # fock / coords (kappa-independent, matrix level)
 # ---------------------------------------------------------------------------
 
-def _fock_null_comm(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _fock_null_comm(ctx: EngineContext, win: Window) -> Outcome:
     basis = ctx.space.basis
     a = [annihilator(basis, 1), annihilator(basis, 2)]
     ad = [creator(basis, 1), creator(basis, 2)]
@@ -215,10 +222,10 @@ def _fock_null_comm(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     return worst, []
 
 
-def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _fock_canonical(ctx: EngineContext, win: Window) -> Outcome:
     """[a_x, a+_y] = delta_xy on the levels n <= n_max - guard; None (a
     skip) when the guard leaves no level."""
-    basis = ctx.space.basis
+    basis, guard = ctx.space.basis, win.guard
     if guard > basis.n_max:
         return None
     proj = interior_projector(basis, guard)
@@ -234,14 +241,14 @@ def _fock_canonical(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     return worst, list(range(basis.n_max - guard + 1, basis.n_max + 1))
 
 
-def _fock_number(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _fock_number(ctx: EngineContext, win: Window) -> Outcome:
     basis = ctx.space.basis
     total = creator(basis, 1) @ annihilator(basis, 1) + creator(basis, 2) @ annihilator(basis, 2)
     return relative_norm(total - number_operator(basis), total), []
 
 
 def _coords(which: str) -> Check:
-    def check(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+    def check(ctx: EngineContext, win: Window) -> Outcome:
         res = ctx.cached(
             ("coords",),
             lambda: verify_coordinate_algebra(build_coordinates(ctx.space.basis, ctx.lam)),
@@ -255,16 +262,16 @@ def _coords(which: str) -> Check:
 # su22 suite
 # ---------------------------------------------------------------------------
 
-def _matrix_gamma(ctx, sector, guard, exclude_ws) -> Outcome:
+def _matrix_gamma(ctx, win) -> Outcome:
     return matrix_gamma_residual(), []
 
 
-def _matrix_closure(ctx, sector, guard, exclude_ws) -> Outcome:
+def _matrix_closure(ctx, win) -> Outcome:
     return matrix_closure_residual(), []
 
 
-def _canonical_pairing(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    return ctx.alg.canonical_pairing_residual(sector.kappa, guard), []
+def _canonical_pairing(ctx: EngineContext, win: Window) -> Outcome:
+    return ctx.alg.canonical_pairing_residual(win), list(win.excluded)
 
 
 def _cross_side(ctx: EngineContext) -> Iterator[Pair]:
@@ -310,17 +317,16 @@ def _radius_s05_ordered(ctx: EngineContext) -> Iterator[Pair]:
 # radial suite: sector structure and shift calculus
 # ---------------------------------------------------------------------------
 
-def _sector_grading(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    kappa = sector.kappa
-    mask, excluded = sector.guard_window(guard, exclude_ws)
+def _sector_grading(ctx: EngineContext, win: Window) -> Outcome:
+    kappa = win.sector.kappa
     worst = 0.0
     for tau in (np.pi / 7, 1.0, 2.5):
-        vals = ctx.space.grading_twist(tau).raw_block(kappa).diagonal()[mask]
+        vals = ctx.space.grading_twist(tau).raw_block(kappa).diagonal()[win.column_mask]
         worst = max(worst, float(np.max(np.abs(vals - np.exp(-1j * tau * kappa)))))
-    return worst, excluded
+    return worst, list(win.excluded)
 
 
-def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _sector_gram(ctx: EngineContext, win: Window) -> Outcome:
     """Gram matrix of a basis sample spanning the window's blocks: diagonal
     and positive.
 
@@ -331,8 +337,9 @@ def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     that can be nonzero, k = sample[a]: the terms this drops are exact zeros,
     and the s x s Gram matrix costs O(s^2), not O(s^2 * dim).
     """
+    sector = win.sector
     sample: list[int] = []
-    for pos in np.flatnonzero(sector.block_window(guard, exclude_ws)):
+    for pos in np.flatnonzero(win.block_mask):
         lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
         sample.extend({lo, (lo + hi) // 2, hi - 1})
     sample = sorted(set(sample))
@@ -340,7 +347,7 @@ def _sector_gram(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
     coeffs = np.eye(len(sample), dtype=np.complex128)
     gram = 4.0 * np.pi * ctx.lam**2 * (np.conj(coeffs.diagonal()) * w)[:, None] * coeffs.T
     expected = np.diag(4.0 * np.pi * ctx.lam**2 * w)
-    excluded = sector.guard_window(guard, exclude_ws)[1]
+    excluded = list(win.excluded)
     if not np.isfinite(gram).all():
         return float("nan"), excluded  # an overflowed pairing has no eigenvalues
     rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
@@ -392,16 +399,13 @@ def _zeta_w_radius(ctx: EngineContext) -> Iterator[Pair]:
         yield commutator(z, r), ctx.lam * w
 
 
-def _radial_annihilator_blocks(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _radial_annihilator_blocks(ctx: EngineContext, win: Window) -> Outcome:
     """The first-order radial combination annihilates 1/r on every block of
     the window (its default guard is 0: the check is per block)."""
-    keep = sector.block_window(guard, exclude_ws)
-    _, excluded = sector.guard_window(guard, exclude_ws)
-    d_inv_r = radial_annihilator(RF_INV_R)
-    wv = sector.r_hat_eigen
-    vals = d_inv_r.fn(wv[keep], ctx.lam)
-    scale = max(1.0, float(np.max(np.abs(1.0 / wv[keep]))))
-    return float(np.max(np.abs(vals)) / scale), excluded
+    wv = win.sector.r_hat_eigen[win.block_mask]
+    vals = radial_annihilator(RF_INV_R).fn(wv, ctx.lam)
+    scale = max(1.0, float(np.max(np.abs(1.0 / wv))))
+    return float(np.max(np.abs(vals)) / scale), list(win.excluded)
 
 
 def _master_pair_comm(ctx: EngineContext) -> Iterator[Pair]:
@@ -507,12 +511,12 @@ def _q_order(ctx: EngineContext) -> Iterator[Pair]:
         yield ud @ u, q @ (u @ ud) + corr @ x
 
 
-def _q_limit(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _q_limit(ctx: EngineContext, win: Window) -> Outcome:
     """Block-wise |Q - 1| <= 2*lam/r, the commutative-limit envelope."""
-    wv = sector.r_hat_eigen[sector.block_window(guard, exclude_ws)]
+    wv = win.sector.r_hat_eigen[win.block_mask]
     q = (wv - ctx.lam) / (wv + ctx.lam)
     overshoot = np.abs(q - 1.0) - 2.0 * ctx.lam / wv
-    return max(0.0, float(overshoot.max())), sector.guard_window(guard, exclude_ws)[1]
+    return max(0.0, float(overshoot.max())), list(win.excluded)
 
 
 def _rotation_flow(ctx: EngineContext) -> Iterator[Pair]:
@@ -672,12 +676,12 @@ def _field_so4(ctx: EngineContext) -> Iterator[Pair]:
         yield lhs, rhs
 
 
-def _monopole_charge(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-    fit = charge_fit(ctx.vel, sector.kappa, guard, exclude_ws)
-    if fit is None:
-        return None
-    _, excluded = sector.guard_window(guard, exclude_ws)
-    return abs(fit - sector.kappa / 2.0), excluded
+def _monopole_charge(ctx: EngineContext, win: Window) -> Outcome:
+    """|fit - kappa/2|; NaN, a failure, when the closed form reads zero on
+    the nonempty window (its norm underflowed), so the fit is unchecked."""
+    fit = charge_fit(ctx.vel, win)
+    residual = float("nan") if fit is None else abs(fit - win.sector.kappa / 2.0)
+    return residual, list(win.excluded)
 
 
 def _g_symmetric_spatial(ctx: EngineContext) -> Iterator[Pair]:
@@ -752,7 +756,7 @@ def _rotation_piece(ctx: EngineContext) -> Iterator[Pair]:
     yield lhs, -3j * (rho @ ctx.vel.velocity(4))
 
 
-def _fierz(ctx, sector, guard, exclude_ws) -> Outcome:
+def _fierz(ctx, win) -> Outcome:
     """Two-point epsilon-sigma contraction over all 48 components."""
     worst = 0.0
     for k in range(3):
@@ -767,16 +771,16 @@ def _fierz(ctx, sector, guard, exclude_ws) -> Outcome:
     return float(worst), []
 
 
-def _field_trend(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
+def _field_trend(ctx: EngineContext, win: Window) -> Outcome:
     """Fitted radial profile of the spatial field decays like 1/r^3."""
+    sector = win.sector
     if sector.kappa == 0:
         return None  # no field to fit
     lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).raw_block(sector.kappa)
     gen = ctx.alg.generator(3, 4).raw_block(sector.kappa)
     ws, cs = [], []
-    keep = sector.block_window(guard, exclude_ws)
     for pos, n in enumerate(sector.blocks):
-        if not keep[pos] or n < ctx.n_max / 2:
+        if not win.block_mask[pos] or n < ctx.n_max / 2:
             continue
         cols = sector.block_of == pos
         den = window_inner(gen, gen, cols)
@@ -799,12 +803,12 @@ def _field_trend(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
 # ---------------------------------------------------------------------------
 
 def _scaling(base: IdentityRecord) -> Check:
-    def check(ctx: EngineContext, sector, guard, exclude_ws) -> Outcome:
-        kappa = None if sector is None else sector.kappa
+    def check(ctx: EngineContext, win: Window) -> Outcome:
+        kappa = None if win.sector is None else win.sector.kappa
         vals = []
         for lam in (0.5, 1.0, 2.0):
             # floor 0: the purely relative metric, exact under 2^k rescaling
-            out = base.evaluate(get_context(ctx.n_max, lam), kappa, guard, floor=0.0)
+            out = base.evaluate(get_context(ctx.n_max, lam), kappa, win.guard, floor=0.0)
             if out is None:
                 return None
             vals.append(out[0])

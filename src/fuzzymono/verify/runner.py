@@ -15,10 +15,10 @@ Each job carries the guard of its row, resolved once here: the record's
 guard, or the --guard override. IdentityRecord.evaluate decides from it
 (and the record's pole blocks) whether the row has a window at all.
 
-A process that starts a batch of another kappa than its previous one first
-empties the block memos of the cached operators (liouville.forget_blocks),
-so a pool worker, like a serial run, holds the blocks of one kappa at a
-time. Results are placed back in a deterministic (suite, id, kappa) order
+The engine context of a truncation empties the block memos of its cached
+operators whenever it moves on to another kappa (EngineContext.sector), so
+a pool worker, like a serial run, holds the blocks of one kappa at a time.
+Results are placed back in a deterministic (suite, id, kappa) order
 regardless of completion order, so repeated runs emit byte-identical
 reports (wall times aside).
 
@@ -36,7 +36,6 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from ..liouville import forget_blocks
 from .registry import BY_ID, SUITES, get_context, records_for_suite
 from .report import IdentityResult, VerificationReport
 
@@ -109,23 +108,12 @@ def plan_batches(kappas: Sequence[int | None], workers: int) -> list[list[int]]:
     return batches
 
 
-# The (n_max, lam, kappa) whose blocks this process's memos may hold. The
-# memos are process-wide caches, and a pool worker keeps them from one batch
-# to the next, so this is process-wide state too.
-_held_sector: tuple | None = None
-
-
 def _run_batch(batch: list[tuple]) -> list[tuple]:
-    """The outcomes of one batch's jobs, which share (n_max, lam, kappa).
+    """The outcomes of one batch's jobs, in order.
 
     Calls _eval_job through the module global, which a tracer may rebind.
     """
-    global _held_sector
-    _, kappa, n_max, lam, _ = batch[0]
-    if (n_max, lam, kappa) != _held_sector:
-        forget_blocks()
-        _held_sector = (n_max, lam, kappa)
-    return [_eval_job(job) for job in batch]
+    return list(map(_eval_job, batch))
 
 
 def run_suite(config: RunConfig) -> VerificationReport:

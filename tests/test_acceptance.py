@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.fock import build_basis
 from fuzzymono.liouville import commutator
 from fuzzymono.monopole import charge_fit
@@ -138,7 +139,8 @@ def test_criterion_08_monopole_charge(full_runs):
     rep, _, _ = full_runs
     worst = worst_residual(rep, ["monopole-charge"])
     ctx = get_context(N_MAX, 1.0)
-    fits = {kappa: charge_fit(ctx.vel, kappa) for kappa in KAPPAS}
+    fits = {kappa: charge_fit(ctx.vel, ctx.sector(kappa).window(2, RF_MONOPOLE.poles))
+            for kappa in KAPPAS}
     slope, intercept = np.polyfit(list(fits.keys()), list(fits.values()), 1)
     slope_dev = abs(abs(slope) - 0.5)
     zero_row = [r for r in rows(rep, "field-closed-spatial") if r.kappa == 0][0]

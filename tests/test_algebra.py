@@ -57,7 +57,7 @@ def test_canonical_pairing_values(ctx9):
     assert res(ctx9, commutator(a1, sp.lmul_adag(1)), 1.0 * ident, 0, 1) <= 1e-13
     assert res(ctx9, commutator(a1, complex(GAMMA[2, 2]) * sp.rmul_adag(1)),
                0.0 * ident, 0, 1) <= 1e-15
-    assert ctx9.alg.canonical_pairing_residual(kappa=1, guard=1) <= 1e-13
+    assert ctx9.alg.canonical_pairing_residual(ctx9.sector(1).window(1)) <= 1e-13
 
 
 def test_canonical_pairing_skips_an_empty_window():
@@ -67,12 +67,11 @@ def test_canonical_pairing_skips_an_empty_window():
     from fuzzymono.verify.registry import BY_ID, get_context
 
     ctx = get_context(2, 1.0)
-    assert ctx.alg.canonical_pairing_residual(kappa=2, guard=1) is None
-    assert not ctx.sector(2).block_window(1).any()
+    assert not ctx.sector(2).window(1).block_mask.any()
     assert BY_ID["canonical-pairing"].evaluate(ctx, 2, 1) is None
     assert BY_ID["central-ordering"].evaluate(ctx, 2, 1) is None
     # guard 0 keeps that block, the top one, where the truncation breaks the pairing
-    assert ctx.alg.canonical_pairing_residual(kappa=2, guard=0) > 1e-3
+    assert ctx.alg.canonical_pairing_residual(ctx.sector(2).window(0)) > 1e-3
 
 
 @pytest.mark.parametrize("kappa", [0, 2, -3])

@@ -13,6 +13,7 @@ import pytest
 
 from fuzzymono.verify import cli
 from fuzzymono.verify.cli import keep_freed_memory, main, parse_kappas
+from fuzzymono.monopole import charge_fit
 from fuzzymono.sector import _window_norm, graded_residual
 from fuzzymono.verify.registry import BY_ID, REGISTRY, get_context, records_for_suite
 from fuzzymono.verify.runner import RunConfig, exit_code, plan_batches, run_suite
@@ -67,8 +68,8 @@ def test_empty_sector_skips_before_the_check():
     scalar check is never called."""
     calls = []
 
-    def spy(ctx, sector, guard, exclude_ws):
-        calls.append(sector)
+    def spy(ctx, win):
+        calls.append(win.sector)
         return 0.0, []
 
     rec = dataclasses.replace(BY_ID["q-limit"], check=spy)
@@ -141,8 +142,8 @@ def test_per_block_checks_read_only_the_window():
     poisoned = dataclasses.replace(sec, r_hat_eigen=w)
     for rid in ("q-limit", "sector-gram"):
         check = BY_ID[rid].check
-        assert check(ctx, poisoned, 0, ())[0] > 0.0, rid
-        assert check(ctx, poisoned, 1, ()) == check(ctx, sec, 1, ()) == (0.0, []), rid
+        assert check(ctx, poisoned.window(0))[0] > 0.0, rid
+        assert check(ctx, poisoned.window(1)) == check(ctx, sec.window(1)) == (0.0, []), rid
 
 
 def test_one_operator_cache_per_space():
@@ -248,9 +249,17 @@ def test_plan_batches_splits_few_kappas_into_interleaved_parts():
     assert plan_batches([5, 5], 4) == [[0], [1]]
 
 
+def _memoised_sectors(spaces) -> set[int]:
+    """The sectors whose blocks the cached operators of spaces hold."""
+    from fuzzymono.liouville import SuperOp
+
+    return {k for space in spaces for op in space._cache.values()
+            if isinstance(op, SuperOp) for k in op._blocks}
+
+
 def test_memoised_blocks_live_for_one_kappa(monkeypatch):
-    """A serial run holds the blocks of one kappa at a time: once the kappa 4
-    jobs start, no memoised block of a negative sector is left."""
+    """A serial run holds the blocks of one kappa at a time: once a kappa 4
+    job has run, no memoised block of a negative sector is left."""
     from fuzzymono import liouville, sector
     from fuzzymono.verify import registry, runner
 
@@ -261,17 +270,34 @@ def test_memoised_blocks_live_for_one_kappa(monkeypatch):
     eval_job = runner._eval_job
 
     def observed(job):
-        held = seen.setdefault(job[1], set())
-        for space in liouville._SPACES.values():
-            for op in space._cache.values():
-                if isinstance(op, liouville.SuperOp):
-                    held.update(op._blocks)
-        return eval_job(job)
+        outcome = eval_job(job)
+        seen.setdefault(job[1], set()).update(_memoised_sectors(liouville._SPACES.values()))
+        return outcome
 
     monkeypatch.setattr(runner, "_eval_job", observed)
     run_suite(RunConfig(suite="all", kappas=(-4, 4), n_max=6, jobs=1))
     assert min(seen[-4]) < 0
     assert seen[4] and min(seen[4]) >= 0
+
+
+def test_evaluate_alone_keeps_one_kappa_of_blocks(monkeypatch):
+    """The engine context, not the runner, keeps the memos to one kappa:
+    rows evaluated directly at kappa -4 and then at kappa 4 leave no
+    memoised block of a negative sector."""
+    from fuzzymono import liouville, sector
+    from fuzzymono.verify import registry
+
+    monkeypatch.setattr(liouville, "_SPACES", {})
+    monkeypatch.setattr(sector, "_SECTORS", {})
+    monkeypatch.setattr(registry, "_CONTEXTS", {})
+    ctx = get_context(6, 1.0)
+    held = {}
+    for kappa in (-4, 4):
+        for rec in records_for_suite("velocity"):
+            rec.evaluate(ctx, kappa, rec.guard)
+        held[kappa] = _memoised_sectors([ctx.space])
+    assert min(held[-4]) < 0
+    assert held[4] and min(held[4]) >= 0
 
 
 def test_single_kappa_pool_run_uses_every_worker(monkeypatch, tmp_path):
@@ -521,6 +547,22 @@ def test_an_overflowed_gram_fails_without_a_traceback(capsys):
     gram = [r for r in json.loads(capsys.readouterr().out)["results"]
             if r["id"] == "sector-gram" and r["pass"] is not None]
     assert len(gram) == 7 and all(r["pass"] is False and r["residual"] is None for r in gram)
+
+
+def test_an_underflowed_charge_fit_fails(capsys):
+    """At lam 1e90 the windowed norm of the monopole closed form underflows
+    to 0, so charge_fit has nothing to fit on a nonempty window; the
+    monopole-charge row fails with a null residual instead of being skipped."""
+    code = main(["--suite", "monopole", "--n-max", "8", "--kappa", "-2..2",
+                 "--lambda", "1e90", "--format", "json", "--jobs", "1"])
+    assert code == 1
+    charge = [r for r in json.loads(capsys.readouterr().out)["results"]
+              if r["id"] == "monopole-charge"]
+    assert len(charge) == 5 and all(r["pass"] is False and r["residual"] is None
+                                    for r in charge)
+    ctx, rec = get_context(8, 1e90), BY_ID["monopole-charge"]
+    win = ctx.sector(2).window(rec.guard, rec.exclude_ws)
+    assert win.block_mask.any() and charge_fit(ctx.vel, win) is None
 
 
 def test_warnings_of_a_finished_run_reach_stderr():

