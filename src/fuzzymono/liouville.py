@@ -35,26 +35,23 @@ the only support fact a superoperator carries.
     kron(M[level n, level n+dcol]^T, I_{n+k+1}) into block n+dcol of sector
     k-dcol.
   * Composed nodes.  @, +, -, scalar * and plain_adjoint build a node that
-    computes its blocks from its operands' blocks on demand:
-    (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).  weighted_adjoint
-    is the product radius_inv() @ plain_adjoint() @ radius_op().
+    keeps its expression (SuperOp.kind, args, scalar), from which raw_block
+    computes its blocks on demand: (A @ B).block(k) = A.block(k + B.grade)
+    @ B.block(k).  weighted_adjoint is radius_inv() @ plain_adjoint() @
+    radius_op().
   * Radial multipliers.  RadialFunction.to_superop builds a function of the
     radius once per space; identity(), radius_op() and radius_inv() are
     those of RF_ONE, RF_R and RF_INV_R.
-  * Memoisation.  Each Space holds one operator cache, a dict keyed by
-    tuples: its ladder primitives, the radial multipliers (keyed by
-    RadialFunction.name), the named operators of OperatorAlgebra and
-    VelocityFamily, and the contractions the registry's EngineContext
-    caches all enter it through cache_get, and only such an operator keeps
-    the blocks it has computed.  An operator that one identity reads once
-    per sector is not cached.  A transient operator keeps nothing once it
-    is dropped.
-    Space.forget_blocks() empties every block memo of that cache while the
-    operators stay cached.  The registry's EngineContext calls it whenever
-    it moves on to another sector kappa.  So memoised blocks live for one
-    kappa, and a process that serves many kappas holds the blocks of one at
-    a time.  Few blocks are read at more than one kappa, so little is
-    recomputed.
+  * Memoisation.  Each Space holds one operator cache: the ladder
+    primitives, the radial multipliers (keyed by RadialFunction.name) and
+    the named operators of OperatorAlgebra, VelocityFamily and the
+    registry's EngineContext enter it through cache_get, and keep the
+    blocks they compute until Space.forget_blocks(), which EngineContext
+    calls when it moves on to another sector kappa.  An operator that one
+    identity reads once per sector is not cached, and keeps no block.
+    While the pairs of one row are compared, a RowMemo shares their blocks
+    by structure, each only as long as the current or the next pair reads
+    it.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -64,6 +61,7 @@ get complex128: block(k) wraps the values as a scipy csr_matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -79,21 +77,35 @@ POLE_TOL = 1e-9
 
 BlockRule = Callable[[int], CSR]
 
+_SERIALS = itertools.count()  # node identities that, unlike id(), are never reused
+
 
 class SuperOp:
     """A grade-homogeneous linear map on operator-valued states.
 
-    SuperOp(space, grade, rule=rule) reads block(k) as rule(k), which must
-    map sector k into sector k + grade.  Leaves come from Space and
-    compositions from the operators below, never by hand.
+    SuperOp(space, grade, rule=rule) is a leaf: it reads block(k) as
+    rule(k), which must map sector k into sector k + grade.  Leaves come
+    from Space and compositions from the operators below, never by hand.
+    A composed node's kind is "matmul", "add", "sub", "scale" (by scalar)
+    or "adjoint" (plain_adjoint); it reads its operands args at the sectors
+    k + shifts.
 
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
     """
 
-    def __init__(self, space: "Space", grade: int = 0, *, rule: BlockRule):
+    def __init__(self, space: "Space", grade: int = 0, *, rule: Optional[BlockRule] = None,
+                 kind: str = "leaf", args: tuple["SuperOp", ...] = (), scalar: complex = 1.0):
+        if (rule is None) == (kind == "leaf"):
+            raise TypeError("a leaf needs a rule, and a composed node has none")
         self.space = space
         self.grade = grade
+        self.kind = kind
+        self.args = args
+        self.shifts = ((args[1].grade, 0) if kind == "matmul" else
+                       (-args[0].grade,) if kind == "adjoint" else (0,) * len(args))
+        self.scalar = scalar
+        self.serial = next(_SERIALS)
         self._rule = rule
         self._blocks: Optional[dict[int, CSR]] = None
 
@@ -117,51 +129,134 @@ class SuperOp:
     def raw_block(self, k: int) -> CSR:
         """block(k) as the engine holds it; its arrays must not be changed."""
         memo = self._blocks
-        if memo is not None and k in memo:
-            return memo[k]
-        blk = self._rule(k)
+        if memo is None:  # a transient operator: computed, or shared within a row
+            row = self.space._row
+            return self._compute(k) if row is None else row.read(self, k)
+        if k not in memo:
+            memo[k] = self._compute(k)
+        return memo[k]
+
+    def _compute(self, k: int) -> CSR:
+        """block(k), from the leaf rule or from the operands' blocks."""
+        kind, args = self.kind, self.args
+        if kind == "leaf":
+            blk = self._rule(k)
+        elif kind == "scale":
+            blk = args[0].raw_block(k).scale(self.scalar)
+        elif kind == "adjoint":
+            blk = args[0].raw_block(k + self.shifts[0]).adjoint()
+        else:  # the second operand of @, + and - is read at sector k
+            a, b = args[0].raw_block(k + self.shifts[0]), args[1].raw_block(k)
+            blk = a @ b if kind == "matmul" else a + b if kind == "add" else a - b
         dims = self.space.sector_dims
         if blk.shape != (dims.get(k + self.grade, 0), dims.get(k, 0)):
             raise ValueError(f"a {blk.shape} block does not map sector {k} into sector "
                              f"{k + self.grade}: its support has another grade")
-        if memo is not None:
-            memo[k] = blk
         return blk
 
     # -- composition ----------------------------------------------------------
 
     def __matmul__(self, other: "SuperOp") -> "SuperOp":
         self._check_space(other)
-        a, b = self, other
-        return SuperOp(self.space, grade=a.grade + b.grade,
-                       rule=lambda k: a.raw_block(k + b.grade) @ b.raw_block(k))
+        return SuperOp(self.space, self.grade + other.grade, kind="matmul", args=(self, other))
 
-    def __add__(self, other: "SuperOp") -> "SuperOp":
+    def _sum(self, other: "SuperOp", kind: str) -> "SuperOp":
         self._check_space(other)
         if self.grade != other.grade:
             raise ValueError(f"grade mismatch in sum: {self.grade} vs {other.grade}")
-        a, b = self, other
-        return SuperOp(self.space, grade=a.grade, rule=lambda k: a.raw_block(k) + b.raw_block(k))
+        return SuperOp(self.space, self.grade, kind=kind, args=(self, other))
+
+    def __add__(self, other: "SuperOp") -> "SuperOp":
+        return self._sum(other, "add")
 
     def __sub__(self, other: "SuperOp") -> "SuperOp":
-        return self + (-1.0) * other
+        return self._sum(other, "sub")
 
     def __neg__(self) -> "SuperOp":
         return (-1.0) * self
 
     def __mul__(self, scalar: complex) -> "SuperOp":
-        return SuperOp(self.space, grade=self.grade, rule=lambda k: self.raw_block(k).scale(scalar))
+        return SuperOp(self.space, self.grade, kind="scale", args=(self,), scalar=complex(scalar))
 
     __rmul__ = __mul__
 
     def plain_adjoint(self) -> "SuperOp":
         """Adjoint for the unweighted Frobenius pairing."""
-        return SuperOp(self.space, grade=-self.grade,
-                       rule=lambda k: self.raw_block(k - self.grade).adjoint())
+        return SuperOp(self.space, -self.grade, kind="adjoint", args=(self,))
 
     def weighted_adjoint(self) -> "SuperOp":
         """Adjoint for the radius-weighted trace inner product: W^-1 M^H W."""
         return self.space.radius_inv() @ self.plain_adjoint() @ self.space.radius_op()
+
+
+class RowMemo:
+    """The blocks of sector kappa that the pairs of one row share.
+
+    Inside `with RowMemo(space, kappa)` the transient operators of space
+    read their blocks through read(), and on exit nothing is kept.  Nodes
+    match by structure: a leaf or a cached operator by its serial, a
+    composed node by its kind, operands and scalar bits (0.0 and -0.0
+    differ, NaN matches nothing).  turn(ahead) counts the reads that ahead
+    will make of each transient (structure, sector), short of the blocks
+    that the pair before it computes; a block is kept while that pair or
+    ahead still reads it.
+    """
+
+    def __init__(self, space: "Space", kappa: int):
+        self.space, self.kappa = space, kappa
+        self.blocks: dict[tuple[int, int], CSR] = {}
+        self._sids: dict[int, int] = {}  # node serial -> structure id
+        self._table: dict[tuple, int] = {}  # (kind, operand ids, scalar bits) -> structure id
+        self._reads: dict[tuple[int, int], int] = {}  # reads left in the current pair
+        self._ahead: dict[tuple[int, int], int] = {}  # reads of the next pair
+
+    def __enter__(self) -> "RowMemo":
+        self.space._row = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.space._row = None
+
+    def _sid(self, op: SuperOp) -> int:
+        sid = self._sids.get(op.serial)
+        if sid is None:
+            c = op.scalar
+            if op.kind == "leaf" or op._blocks is not None or c != c:
+                sid = op.serial
+            else:
+                key = (op.kind, *map(self._sid, op.args), c.real.hex(), c.imag.hex())
+                sid = self._table.setdefault(key, -1 - len(self._table))
+            self._sids[op.serial] = sid
+        return sid
+
+    def turn(self, ahead: tuple[SuperOp, ...]) -> None:
+        """Start the pair that was ahead; ahead is the next one, () after the last."""
+        self._reads, reads, sids = self._ahead, {}, self._sids
+        todo = [(op, self.kappa) for op in ahead if op._blocks is None]
+        while todo:
+            op, k = todo.pop()
+            sid = sids.get(op.serial)
+            key = (self._sid(op) if sid is None else sid, k)
+            reads[key] = reads.get(key, 0) + 1
+            if reads[key] == 1 and key not in self._reads and key not in self.blocks:
+                todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if a._blocks is None]
+        self._ahead = reads
+        self.blocks = {key: blk for key, blk in self.blocks.items()
+                       if key in reads or key in self._reads}
+
+    def read(self, op: SuperOp, k: int) -> CSR:
+        """op.raw_block(k) of a transient op."""
+        sid = self._sids.get(op.serial)
+        if sid is None:  # in neither the current nor the next pair
+            return op._compute(k)
+        key = (sid, k)
+        self._reads[key] = left = self._reads.get(key, 0) - 1
+        blk = self.blocks.pop(key, None)
+        if blk is None:
+            blk = op._compute(k)
+        if left > 0 or key in self._ahead:
+            self.blocks[key] = blk
+        return blk
 
 
 class Space:
@@ -184,6 +279,7 @@ class Space:
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
         # the one operator cache of this truncation (see Memoisation above)
         self._cache: dict[tuple, object] = {}
+        self._row: Optional[RowMemo] = None  # the row being compared, if any
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dimension of every nonempty sector
         self.sector_dims = {k: int(self.sector_levels(k)[1][-1])

@@ -13,8 +13,9 @@ An identity is one of two kinds:
     built from the context alone. IdentityRecord.evaluate compares each pair
     on the guarded window of the requested sector, without the record's pole
     blocks, as it arrives; it is the only code that takes their residuals.
-    A pair is dropped before the next one is built, so only the operators
-    in the space's operator cache stay resident.
+    It builds each pair before it compares the one before, so no third
+    pair is alive, and the space's row memo (liouville.RowMemo) computes
+    the blocks of equal structure that the two share once.
   * a scalar check, (ctx, win) -> outcome, for the identities that are not
     superoperator equalities (matrix-level Fock and coordinate relations,
     fits, block-wise bounds, the scaling suite).
@@ -57,6 +58,7 @@ from ..algebra import (
 from ..csr import CSR
 from ..fock import annihilator, creator, interior_projector, number_operator
 from ..liouville import (
+    RowMemo,
     SuperOp,
     anticommutator,
     cache_get,
@@ -201,9 +203,15 @@ class IdentityRecord:
                 return None
         if self.check is not None:
             return self.check(ctx, win)
+        residuals, pair = [], ()  # each pair is compared once the next is built
+        with RowMemo(ctx.space, kappa) as row:
+            for ahead in itertools.chain(self.pairs(ctx), [()]):
+                row.turn(ahead)
+                if pair:
+                    residuals.append(graded_residual(*pair, win.sector, win.guard,
+                                                     win.exclude_ws, floor)[0])
+                pair = ahead
         # np.max, unlike max, keeps a NaN residual of any pair
-        residuals = [graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]
-                     for lhs, rhs in self.pairs(ctx)]
         return float(np.max(residuals)), list(win.excluded)
 
 

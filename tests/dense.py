@@ -9,7 +9,10 @@ first functions below build that picture from the engine's objects.
 The engine computes with its own CSR type (fuzzymono.csr).  The last
 functions are the matrix-level checks of the fock and coords suites written
 with scipy.sparse matrices, as scipy users would write them; the engine's
-residuals must equal theirs bit for bit.  src/ never imports this module.
+residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
+with each pair compared on its own, no block shared between pairs, as
+IdentityRecord.evaluate computed it before its row memo.  src/ never
+imports this module.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from scipy import sparse
 from fuzzymono.fock import FockBasis
 from fuzzymono.liouville import Space, SuperOp
 from fuzzymono.ncspace import EPS3, PAULI
-from fuzzymono.sector import MonopoleSector, SectorVector
+from fuzzymono.sector import MonopoleSector, SectorVector, graded_residual
 
 
 def packed(space: Space, k: int) -> np.ndarray:
@@ -175,3 +178,15 @@ def coords_residuals(basis: FockBasis, lam: float) -> dict:
     ident = sparse.identity(r.shape[0], dtype=np.complex128, format="csr")
     square = relative_norm((x2 - r2 + lam**2 * ident).tocsr(), x2.tocsr(), r2.tocsr())
     return {"coord-comm": comm, "coord-radius-comm": radius, "coord-radius-square": square}
+
+
+def evaluate_alone(rec, ctx, kappa: int, guard: int, floor: float = 1.0):
+    """rec.evaluate(ctx, kappa, guard, floor) of a pair identity, with every
+    pair built and compared alone, outside any row memo."""
+    assert ctx.space._row is None
+    win = ctx.sector(kappa).window(guard, rec.exclude_ws)
+    if not win.block_mask.any():
+        return None
+    residuals = [graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]
+                 for lhs, rhs in rec.pairs(ctx)]
+    return float(np.max(residuals)), list(win.excluded)

@@ -108,6 +108,34 @@ def test_block_sum_difference_scale_adjoint_match_scipy(data, m, n):
     _same(CSR.diags(left) @ ablk.adjoint() @ CSR.diags(right), want)
 
 
+def test_a_leaf_needs_a_rule_and_a_composed_node_has_none():
+    space = Space(1)
+    with pytest.raises(TypeError, match="rule"):
+        liouville.SuperOp(space, 0)
+    with pytest.raises(TypeError, match="rule"):
+        liouville.SuperOp(space, 0, rule=lambda k: None, kind="scale", args=(space.identity(),))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_difference_node_matches_sum_of_negated_node(data):
+    """a - b is one "sub" node, whose blocks equal those of a + (-1.0) * b
+    in indptr, indices and values."""
+    space = Space(1)
+    k = data.draw(st.sampled_from([-1, 0, 1]))
+    dim = space.sector_dims[k]
+    _, ablk = data.draw(_csr((dim, dim)))
+    _, bblk = data.draw(_csr((dim, dim)))
+    a = liouville.SuperOp(space, rule=lambda s: ablk)
+    b = liouville.SuperOp(space, rule=lambda s: bblk)
+    diff = a - b
+    assert diff.kind == "sub" and diff.args == (a, b)
+    got, want = diff.raw_block(k), (a + (-1.0) * b).raw_block(k)
+    for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.values(), want.values())):
+        assert x.shape == y.shape and np.array_equal(x, y), (x, y)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), m=_DIMS, n=_DIMS)
 def test_transpose_canonical_form_and_diagonal_match_scipy(data, m, n):
