@@ -1,7 +1,8 @@
 """Run fuzzymono with --format json and check its report.
 
     python .github/check_report.py [--exit 0,1] [--rows N] [--max-rss-mb MB]
-                                   [--zero-residuals] -- FUZZYMONO-ARGS...
+                                   [--zero-residuals] [--same-as-jobs N]
+                                   -- FUZZYMONO-ARGS...
 
 runs `fuzzymono FUZZYMONO-ARGS... --format json` and exits 1 with a message
 unless
@@ -12,7 +13,10 @@ unless
   * the peak RSS of the run, pool workers included, is under --max-rss-mb,
     when given;
   * with --zero-residuals, some row was checked and every checked row's
-    residual is exactly 0.0 (the scaling suite).
+    residual is exactly 0.0 (the scaling suite);
+  * with --same-as-jobs N, a second run with `--jobs N` appended gives an
+    equal report, wall times aside (results do not depend on how the runner
+    splits the rows of a kappa).
 """
 
 from __future__ import annotations
@@ -24,6 +28,22 @@ import subprocess
 import sys
 
 
+def run(args: list[str], allowed: set[int]) -> tuple[int, dict]:
+    """The exit code and the strict-JSON report of fuzzymono ARGS."""
+    proc = subprocess.run(["fuzzymono", *args, "--format", "json"],
+                          stdout=subprocess.PIPE, text=True)
+    assert proc.returncode in allowed, f"exit {proc.returncode}, allowed {sorted(allowed)}"
+
+    def reject(constant):
+        raise SystemExit(f"the report is not strict JSON: {constant}")
+
+    return proc.returncode, json.loads(proc.stdout, parse_constant=reject)
+
+
+def without_wall_times(report: dict) -> dict:
+    return {**report, "results": [{**row, "wall_time_ms": None} for row in report["results"]]}
+
+
 def main(argv: list[str]) -> None:
     if "--" not in argv:
         raise SystemExit("usage: check_report.py [options] -- FUZZYMONO-ARGS...")
@@ -33,18 +53,12 @@ def main(argv: list[str]) -> None:
     p.add_argument("--rows", type=int, default=None)
     p.add_argument("--max-rss-mb", type=float, default=None)
     p.add_argument("--zero-residuals", action="store_true")
+    p.add_argument("--same-as-jobs", type=int, default=None)
     opts = p.parse_args(argv[:split])
     args = argv[split + 1:]
 
-    proc = subprocess.run(["fuzzymono", *args, "--format", "json"],
-                          stdout=subprocess.PIPE, text=True)
     allowed = {int(code) for code in opts.exit.split(",")}
-    assert proc.returncode in allowed, f"exit {proc.returncode}, allowed {sorted(allowed)}"
-
-    def reject(constant):
-        raise SystemExit(f"the report is not strict JSON: {constant}")
-
-    report = json.loads(proc.stdout, parse_constant=reject)
+    code, report = run(args, allowed)
     rows = report["results"]
     assert rows, "the report has no rows"
     if "--n-max" in args:
@@ -54,13 +68,18 @@ def main(argv: list[str]) -> None:
         assert len(rows) == opts.rows, (len(rows), opts.rows)
     # the largest process of the run, pool workers included
     peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    print(f"{len(rows)} rows, exit {proc.returncode}, peak RSS {peak_mb:.0f} MB")
+    print(f"{len(rows)} rows, exit {code}, peak RSS {peak_mb:.0f} MB")
     if opts.max_rss_mb is not None:
         assert peak_mb < opts.max_rss_mb, f"peak RSS {peak_mb:.0f} MB"
     if opts.zero_residuals:
         checked = [row for row in rows if row["residual"] is not None]
         assert checked and all(row["residual"] == 0.0 for row in checked), checked
         print(f"{len(checked)} of {len(rows)} rows checked, every residual 0.0")
+    if opts.same_as_jobs is not None:
+        jobs = str(opts.same_as_jobs)
+        _, other = run([*args, "--jobs", jobs], allowed)
+        assert without_wall_times(other) == without_wall_times(report), f"--jobs {jobs} differs"
+        print(f"the report at --jobs {jobs} is the same, wall times aside")
 
 
 if __name__ == "__main__":

@@ -49,9 +49,9 @@ the only support fact a superoperator carries.
     blocks they compute until Space.forget_blocks(), which EngineContext
     calls when it moves on to another sector kappa.  An operator that one
     identity reads once per sector is not cached, and keeps no block.
-    While the pairs of one row are compared, a RowMemo shares their blocks
-    by structure, each only as long as the current or the next pair reads
-    it.
+    While the pairs of one batch of identities are compared at one kappa,
+    a RowMemo shares their blocks by structure, each only as long as the
+    current or the next pair reads it.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class SuperOp:
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
     """
+
+    __slots__ = ("space", "grade", "kind", "args", "shifts", "scalar", "serial",
+                 "_rule", "_blocks", "__weakref__")
 
     def __init__(self, space: "Space", grade: int = 0, *, rule: Optional[BlockRule] = None,
                  kind: str = "leaf", args: tuple["SuperOp", ...] = (), scalar: complex = 1.0):
@@ -129,7 +132,7 @@ class SuperOp:
     def raw_block(self, k: int) -> CSR:
         """block(k) as the engine holds it; its arrays must not be changed."""
         memo = self._blocks
-        if memo is None:  # a transient operator: computed, or shared within a row
+        if memo is None:  # a transient operator: computed, or shared within a batch
             row = self.space._row
             return self._compute(k) if row is None else row.read(self, k)
         if k not in memo:
@@ -190,23 +193,24 @@ class SuperOp:
 
 
 class RowMemo:
-    """The blocks of sector kappa that the pairs of one row share.
+    """The blocks of sector kappa that the pairs of one batch share.
 
     Inside `with RowMemo(space, kappa)` the transient operators of space
     read their blocks through read(), and on exit nothing is kept.  Nodes
     match by structure: a leaf or a cached operator by its serial, a
-    composed node by its kind, operands and scalar bits (0.0 and -0.0
-    differ, NaN matches nothing).  turn(ahead) counts the reads that ahead
-    will make of each transient (structure, sector), short of the blocks
-    that the pair before it computes; a block is kept while that pair or
-    ahead still reads it.
+    composed node by its kind and operands, and a scale node also by the
+    bits of its scalar (0.0 and -0.0 differ, NaN matches nothing).
+    reads(ops) counts the reads that ops make of each transient
+    (structure, sector); turn(ahead) counts those of ahead, short of the
+    blocks that the pair before it computes, and keeps a block while that
+    pair or ahead still reads it.
     """
 
     def __init__(self, space: "Space", kappa: int):
         self.space, self.kappa = space, kappa
         self.blocks: dict[tuple[int, int], CSR] = {}
         self._sids: dict[int, int] = {}  # node serial -> structure id
-        self._table: dict[tuple, int] = {}  # (kind, operand ids, scalar bits) -> structure id
+        self._table: dict[tuple, int] = {}  # (kind, operand ids[, scalar bits]) -> structure id
         self._reads: dict[tuple[int, int], int] = {}  # reads left in the current pair
         self._ahead: dict[tuple[int, int], int] = {}  # reads of the next pair
 
@@ -220,34 +224,44 @@ class RowMemo:
     def _sid(self, op: SuperOp) -> int:
         sid = self._sids.get(op.serial)
         if sid is None:
-            c = op.scalar
-            if op.kind == "leaf" or op._blocks is not None or c != c:
+            kind, c = op.kind, op.scalar  # only a scale node has a scalar other than 1.0
+            if kind == "leaf" or op._blocks is not None or c != c:
                 sid = op.serial
             else:
-                key = (op.kind, *map(self._sid, op.args), c.real.hex(), c.imag.hex())
+                key = (kind, *map(self._sid, op.args))
+                if kind == "scale":
+                    key += (c.real.hex(), c.imag.hex())
                 sid = self._table.setdefault(key, -1 - len(self._table))
             self._sids[op.serial] = sid
         return sid
 
-    def turn(self, ahead: tuple[SuperOp, ...]) -> None:
-        """Start the pair that was ahead; ahead is the next one, () after the last."""
-        self._reads, reads, sids = self._ahead, {}, self._sids
-        todo = [(op, self.kappa) for op in ahead if op._blocks is None]
+    def reads(self, ops: Iterable[SuperOp],
+              held: Container[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
+        """How often ops, read at sector kappa, read each transient
+        (structure, sector); a read of a key in held finds its block and
+        reads nothing below it."""
+        reads, sids = {}, self._sids
+        todo = [(op, self.kappa) for op in ops if op._blocks is None]
         while todo:
             op, k = todo.pop()
             sid = sids.get(op.serial)
             key = (self._sid(op) if sid is None else sid, k)
             reads[key] = reads.get(key, 0) + 1
-            if reads[key] == 1 and key not in self._reads and key not in self.blocks:
+            if reads[key] == 1 and key not in held:
                 todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if a._blocks is None]
-        self._ahead = reads
+        return reads
+
+    def turn(self, ahead: tuple[SuperOp, ...]) -> None:
+        """Start the pair that was ahead; ahead is the next one, () after the last."""
+        self._reads = self._ahead
+        self._ahead = self.reads(ahead, self._reads.keys() | self.blocks.keys())
         self.blocks = {key: blk for key, blk in self.blocks.items()
-                       if key in reads or key in self._reads}
+                       if key in self._ahead or key in self._reads}
 
     def read(self, op: SuperOp, k: int) -> CSR:
         """op.raw_block(k) of a transient op."""
         sid = self._sids.get(op.serial)
-        if sid is None:  # in neither the current nor the next pair
+        if sid is None:  # in no pair walked so far
             return op._compute(k)
         key = (sid, k)
         self._reads[key] = left = self._reads.get(key, 0) - 1
@@ -279,7 +293,7 @@ class Space:
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
         # the one operator cache of this truncation (see Memoisation above)
         self._cache: dict[tuple, object] = {}
-        self._row: Optional[RowMemo] = None  # the row being compared, if any
+        self._row: Optional[RowMemo] = None  # the batch being compared, if any
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dimension of every nonempty sector
         self.sector_dims = {k: int(self.sector_levels(k)[1][-1])

@@ -8,26 +8,31 @@ override for round-off-exact relations.
 
 An identity is one of two kinds:
 
-  * a pair function, ctx -> (lhs, rhs), ...: a generator that yields, one
-    at a time, the superoperator pairs whose equality the identity states,
-    built from the context alone. IdentityRecord.evaluate compares each pair
-    on the guarded window of the requested sector, without the record's pole
-    blocks, as it arrives; it is the only code that takes their residuals.
-    It builds each pair before it compares the one before, so no third
-    pair is alive, and the space's row memo (liouville.RowMemo) computes
-    the blocks of equal structure that the two share once.
+  * a pair function, ctx -> (lhs, rhs), ...: a generator of the
+    superoperator pairs whose equality the identity states, built from the
+    context alone. compare_pairs evaluates the pair identities of one kappa
+    together, and IdentityRecord.evaluate of one is its one-row case: it
+    builds every pair of its rows inside one row memo (liouville.RowMemo),
+    orders them so that consecutive pairs read as many blocks of equal
+    structure as it can (stream_order; the order depends on the words
+    alone, so the context keeps it for each set of rows and a later kappa
+    reuses it), and compares them in that order, each on the guarded window
+    of the requested sector without its record's pole blocks. The memo
+    computes a block that the current and the next pair share once and
+    keeps it no longer; the trees of the batch hold no block. It is the only
+    code that takes pair residuals.
   * a scalar check, (ctx, win) -> outcome, for the identities that are not
     superoperator equalities (matrix-level Fock and coordinate relations,
     fits, block-wise bounds, the scaling suite).
 
 Both give (residual, excluded_blocks); a check may give None when it has
-nothing to fit (reported as skipped). IdentityRecord.evaluate is the one
+nothing to fit (reported as skipped). IdentityRecord.window is the one
 place that decides a row's window (sector.Window): for a per-kappa identity
 the guarded window of sector kappa, with the guard of the row (the
 record's, or the run's --guard override) and without the blocks at
 exclude_ws; for a kappa-independent one Window(sector=None, guard=...).
-When a sector's window is empty it skips the identity without calling it,
-so no pair function or check sees an empty window, and every per-block
+When a sector's window is empty the identity is skipped without calling
+it, so no pair function or check sees an empty window, and every per-block
 check computes on exactly that window. The checks of the fock, coords and
 su22 matrix rows and fierz are matrix-level: they read at most the guard.
 """
@@ -35,6 +40,8 @@ su22 matrix rows and fierz are matrix-level: they read at most the guard.
 from __future__ import annotations
 
 import itertools
+import time
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -120,6 +127,8 @@ class EngineContext:
         self.vel = VelocityFamily(self.alg)
         self._extra = self.space._cache
         self._kappa: Optional[int] = None  # the sector whose blocks the memos may hold
+        # the stream order of the pairs of each (pair identity ids, pair count)
+        self.stream_orders: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
     def cached(self, key: tuple, builder: Callable[[], object]):
         """Whatever builder makes, kept in the space's operator cache."""
@@ -163,9 +172,10 @@ Check = Callable[[EngineContext, Window], Outcome]
 class IdentityRecord:
     """One identity: a pair function (pairs) or a scalar check (check).
 
-    builder(ctx, kappa, guard) is what the runner calls for each job. It
-    defaults to evaluate; a tool that wraps each job (a tracer) passes its
-    wrapper through dataclasses.replace.
+    builder(ctx, kappa, guard) is what the runner calls for a scalar check's
+    job; the runner evaluates the pair identities of a batch together
+    (compare_pairs). builder defaults to evaluate; a tool that wraps each
+    job (a tracer) passes its wrapper through dataclasses.replace.
     """
 
     id: str
@@ -186,33 +196,104 @@ class IdentityRecord:
         if self.builder is None:
             object.__setattr__(self, "builder", self.evaluate)
 
+    def window(self, ctx: EngineContext, kappa: Optional[int], guard: int) -> Optional[Window]:
+        """The row's window: on sector kappa the guarded window (guard,
+        without the blocks at exclude_ws), or None when it is empty; for a
+        kappa-independent check (kappa None) Window(sector=None, guard).
+
+        This is the one place that decides a row's Window; the pair
+        residuals and the check read it and never derive it again."""
+        if kappa is None:
+            return Window(sector=None, guard=guard)
+        win = ctx.sector(kappa).window(guard, self.exclude_ws)
+        return win if win.block_mask.any() else None
+
     def evaluate(self, ctx: EngineContext, kappa: Optional[int], guard: int,
                  floor: float = 1.0) -> Outcome:
         """Outcome on sector kappa (None: a kappa-independent check), or None
-        when the guarded window of sector kappa (guard, without the blocks
-        at exclude_ws) is empty; floor is the residual denominator floor of
-        a pair identity (graded_residual), unused by a scalar check.
+        when the row's window is empty; floor is the residual denominator
+        floor of a pair identity (graded_residual), unused by a scalar
+        check. A pair identity is the one-row case of compare_pairs."""
+        if self.pairs is not None:
+            return compare_pairs(ctx, kappa, [(self, guard)], floor)[0][0]
+        win = self.window(ctx, kappa, guard)
+        return None if win is None else self.check(ctx, win)
 
-        This is the one place that decides the row's Window; the pair
-        residuals and the check read it and never derive it again."""
-        if kappa is None:
-            win = Window(sector=None, guard=guard)
+
+def compare_pairs(ctx: EngineContext, kappa: int, rows: list[tuple[IdentityRecord, int]],
+                  floor: float = 1.0) -> list[tuple[Outcome, float]]:
+    """The outcome of each (pair identity, guard) row on sector kappa, and
+    the seconds spent building and comparing its own pairs.
+
+    A row whose window is empty is skipped (None) without calling its pair
+    function. The pairs of the other rows are all built first, inside one
+    row memo; they are compared in stream order, each pair once the next one
+    is known to the memo, and a row's residual is the largest over its own
+    pairs (np.max, unlike max, keeps a NaN residual of any pair)."""
+    wins = [rec.window(ctx, kappa, guard) for rec, guard in rows]
+    live = [i for i, win in enumerate(wins) if win is not None]
+    seconds = [0.0] * len(rows)
+    residuals: dict[int, list[float]] = {i: [] for i in live}
+    pairs: list[Pair] = []
+    owners: list[int] = []  # the row of each pair
+    with RowMemo(ctx.space, kappa) as memo:
+        for i in live:
+            t0 = time.perf_counter()
+            built = list(rows[i][0].pairs(ctx))
+            seconds[i] += time.perf_counter() - t0
+            if not built:
+                raise ValueError(f"{rows[i][0].id}: its pair function yields no pair")
+            pairs += built
+            owners += [i] * len(built)
+        # any permutation of the pairs gives the same outcomes; the count in
+        # the key keeps a kept order a permutation of these pairs
+        key = (tuple(rows[i][0].id for i in live), len(pairs))
+        order = ctx.stream_orders.get(key)
+        if order is None:
+            order = ctx.stream_orders[key] = stream_order([memo.reads(p).keys() for p in pairs])
+        last = None
+        for pos in itertools.chain(order, [None]):
+            t0 = time.perf_counter()
+            memo.turn(() if pos is None else pairs[pos])
+            t1 = time.perf_counter()
+            if pos is not None:
+                seconds[owners[pos]] += t1 - t0
+            if last is not None:
+                win = wins[owners[last]]
+                residuals[owners[last]].append(graded_residual(
+                    *pairs[last], win.sector, win.guard, win.exclude_ws, floor)[0])
+                seconds[owners[last]] += time.perf_counter() - t1
+            last = pos
+    return [((float(np.max(residuals[i])), list(wins[i].excluded)) if i in residuals else None,
+             seconds[i]) for i in range(len(rows))]
+
+
+def stream_order(reads: list[Collection]) -> list[int]:
+    """The order in which to compare pairs, given the keys each one reads:
+    the first pair, then each time the unvisited pair that shares the most
+    keys with the current one, the earliest on a tie or when none shares."""
+    holders: dict = {}  # key -> the unvisited pairs that read it
+    for i, keys in enumerate(reads):
+        for key in keys:
+            holders.setdefault(key, set()).add(i)
+    n = len(reads)
+    order, visited, first, cur = [], [False] * n, 0, 0
+    while len(order) < n:
+        order.append(cur)
+        visited[cur] = True
+        shared: dict[int, int] = {}
+        for key in reads[cur]:
+            others = holders[key]
+            others.discard(cur)
+            for j in others:
+                shared[j] = shared.get(j, 0) + 1
+        if shared:
+            cur = min(shared, key=lambda j: (-shared[j], j))
         else:
-            win = ctx.sector(kappa).window(guard, self.exclude_ws)
-            if not win.block_mask.any():
-                return None
-        if self.check is not None:
-            return self.check(ctx, win)
-        residuals, pair = [], ()  # each pair is compared once the next is built
-        with RowMemo(ctx.space, kappa) as row:
-            for ahead in itertools.chain(self.pairs(ctx), [()]):
-                row.turn(ahead)
-                if pair:
-                    residuals.append(graded_residual(*pair, win.sector, win.guard,
-                                                     win.exclude_ws, floor)[0])
-                pair = ahead
-        # np.max, unlike max, keeps a NaN residual of any pair
-        return float(np.max(residuals)), list(win.excluded)
+            while first < n and visited[first]:
+                first += 1
+            cur = first
+    return order
 
 
 # ---------------------------------------------------------------------------

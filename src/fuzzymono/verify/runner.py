@@ -1,26 +1,32 @@
-"""Suite runner: dispatches (identity, kappa) jobs and assembles the report.
+"""Suite runner: dispatches (identity, kappa) rows and assembles the report.
 
-The sector kappa is the unit of work. run_suite groups its jobs into one
-batch per kappa and one batch of the kappa-independent jobs, and runs the
+The sector kappa is the unit of work. run_suite groups its rows into one
+batch per kappa and one batch of the kappa-independent rows, and runs the
 batches largest sector first: by |kappa|, negative before positive, and
 the kappa-independent batch last (plan_batches). With one worker the main
 process runs them in that order; with several, a process pool hands each
 free worker the next batch. When there are fewer kappa batches than twice
-the workers, each kappa's jobs are dealt into interleaved parts, so that a
+the workers, each kappa's rows are dealt into interleaved parts, so that a
 run of one or two kappas still keeps every worker busy. Only a pool run
 imports concurrent.futures (and with it multiprocessing): a serial run,
 and importing this module, load neither.
 
-Each job carries the guard of its row, resolved once here: the record's
-guard, or the --guard override. IdentityRecord.evaluate decides from it
-(and the record's pole blocks) whether the row has a window at all.
+Each row carries its guard, resolved once here: the record's guard, or
+the --guard override. IdentityRecord.window decides from it (and the
+record's pole blocks) whether the row has a window at all. A worker runs
+each scalar check of a batch as one job, and the batch's pair identities
+as one more, which registry.compare_pairs evaluates together: their pairs
+share one row memo and are compared in a stream order that the engine
+context keeps for that set of rows, so a worker's later kappas reuse it.
+IdentityRecord.evaluate of one pair identity is the one-row case.
 
 The engine context of a truncation empties the block memos of its cached
 operators whenever it moves on to another kappa (EngineContext.sector), so
 a pool worker, like a serial run, holds the blocks of one kappa at a time.
 Results are placed back in a deterministic (suite, id, kappa) order
 regardless of completion order, so repeated runs emit byte-identical
-reports (wall times aside).
+reports (wall times aside), however the rows of a kappa are split. A pair
+row's wall time is that of building and comparing its own pairs.
 
 Each job records the warnings it raises instead of printing them, in a pool
 worker as in the main process. run_suite re-issues them, each distinct one
@@ -36,7 +42,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .registry import BY_ID, SUITES, get_context, records_for_suite
+from .registry import BY_ID, SUITES, compare_pairs, get_context, records_for_suite
 from .report import IdentityResult, VerificationReport
 
 JOBS_ENV = "FUZZYMONO_JOBS"
@@ -69,30 +75,35 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
-def _eval_job(args: tuple) -> tuple[float | None, list[int], float, list[tuple]]:
-    """(residual, excluded blocks, wall ms, warnings as warn_explicit arguments)."""
-    record_id, kappa, n_max, lam, guard = args
-    rec = BY_ID[record_id]
+def _eval_job(job: tuple) -> tuple[list[tuple[float | None, list[int], float]], list[tuple]]:
+    """The outcome (residual, excluded blocks, wall ms) of each row of a job,
+    and the warnings it raised, as warn_explicit arguments.
+
+    A job is (record ids, kappa, n_max, lam, guards): one scalar check, or
+    the pair identities of a batch, which compare_pairs evaluates together.
+    """
+    ids, kappa, n_max, lam, guards = job
+    records = [BY_ID[record_id] for record_id in ids]
     with warnings.catch_warnings(record=True) as caught:
         ctx = get_context(n_max, lam)
-        t0 = time.perf_counter()
-        out = rec.builder(ctx, kappa, guard)
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        if records[0].pairs is None:
+            t0 = time.perf_counter()
+            timed = [(records[0].builder(ctx, kappa, guards[0]), time.perf_counter() - t0)]
+        else:
+            timed = compare_pairs(ctx, kappa, list(zip(records, guards)))
     raised = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-    if out is None:
-        return None, [], wall_ms, raised
-    residual, excluded = out
-    return float(residual), [int(b) for b in excluded], wall_ms, raised
+    return [(None, [], s * 1e3) if out is None else
+             (float(out[0]), [int(b) for b in out[1]], s * 1e3) for out, s in timed], raised
 
 
 def plan_batches(kappas: Sequence[int | None], workers: int) -> list[list[int]]:
-    """Job indices grouped into batches, in dispatch order.
+    """Row indices grouped into batches, in dispatch order.
 
-    kappas[i] is the sector of job i, or None for a kappa-independent job.
+    kappas[i] is the sector of row i, or None for a kappa-independent row.
     Each kappa gives one batch, ordered by (|kappa|, kappa); the
-    kappa-independent jobs come last as one batch. With several workers and
-    fewer kappas than 2 * workers, each kappa's jobs are split into p
-    interleaved parts (jobs[i::p]), the smallest p that gives at least
+    kappa-independent rows come last as one batch. With several workers and
+    fewer kappas than 2 * workers, each kappa's rows are split into p
+    interleaved parts (rows[i::p]), the smallest p that gives at least
     2 * workers kappa batches.
     """
     by_kappa: dict[int | None, list[int]] = {}
@@ -108,29 +119,43 @@ def plan_batches(kappas: Sequence[int | None], workers: int) -> list[list[int]]:
     return batches
 
 
-def _run_batch(batch: list[tuple]) -> list[tuple]:
-    """The outcomes of one batch's jobs, in order.
+def _run_batch(batch: list[tuple]) -> tuple[list[tuple], list[tuple]]:
+    """The outcomes of one batch's rows (record id, kappa, n_max, lam,
+    guard), in order, and the warnings raised.
 
-    Calls _eval_job through the module global, which a tracer may rebind.
+    Each scalar check is one _eval_job call, and the pair identities of the
+    batch are one more. Calls _eval_job through the module global, which a
+    tracer may rebind.
     """
-    return list(map(_eval_job, batch))
+    kappa, n_max, lam = batch[0][1:4]
+    checks = [[i] for i, row in enumerate(batch) if BY_ID[row[0]].pairs is None]
+    pairs = [i for i, row in enumerate(batch) if BY_ID[row[0]].pairs is not None]
+    outcomes: list = [None] * len(batch)
+    raised: list[tuple] = []
+    for group in checks + ([pairs] if pairs else []):
+        group_outcomes, group_raised = _eval_job((tuple(batch[i][0] for i in group), kappa,
+                                                  n_max, lam, tuple(batch[i][4] for i in group)))
+        raised += group_raised
+        for i, outcome in zip(group, group_outcomes):
+            outcomes[i] = outcome
+    return outcomes, raised
 
 
 def run_suite(config: RunConfig) -> VerificationReport:
     records = records_for_suite(config.suite)
     records = sorted(records, key=lambda r: (_SUITE_ORDER[r.suite], r.id))
-    jobs: list[tuple] = []
+    rows: list[tuple] = []
     meta: list[tuple] = []  # (record, kappa, guard)
     for rec in records:
         kappas: tuple[int | None, ...] = config.kappas if rec.per_kappa else (None,)
         guard = rec.guard if config.guard is None else config.guard
         for kappa in kappas:
-            jobs.append((rec.id, kappa, config.n_max, config.lam, guard))
+            rows.append((rec.id, kappa, config.n_max, config.lam, guard))
             meta.append((rec, kappa, guard))
 
-    n_workers = min(config.resolved_jobs(), len(jobs))
+    n_workers = min(config.resolved_jobs(), len(rows))
     batches = plan_batches([kappa for _, kappa, _ in meta], n_workers)
-    work = [[jobs[i] for i in batch] for batch in batches]
+    work = [[rows[i] for i in batch] for batch in batches]
     n_workers = min(n_workers, len(batches))
     if n_workers <= 1:
         done = [_run_batch(batch) for batch in work]
@@ -139,16 +164,18 @@ def run_suite(config: RunConfig) -> VerificationReport:
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             done = list(pool.map(_run_batch, work, chunksize=1))
-    outcomes: list = [None] * len(jobs)
-    for batch, batch_outcomes in zip(batches, done):
+    outcomes: list = [None] * len(rows)
+    raised: list[tuple] = []
+    for batch, (batch_outcomes, batch_raised) in zip(batches, done):
+        raised += batch_raised
         for i, outcome in zip(batch, batch_outcomes):
             outcomes[i] = outcome
 
-    for raised in dict.fromkeys(w for *_, job_warnings in outcomes for w in job_warnings):
-        warnings.warn_explicit(*raised)
+    for w in dict.fromkeys(raised):
+        warnings.warn_explicit(*w)
 
     report = VerificationReport(suite=config.suite, lam=config.lam, n_max=config.n_max)
-    for (rec, kappa, guard), (residual, excluded, wall_ms, _) in zip(meta, outcomes):
+    for (rec, kappa, guard), (residual, excluded, wall_ms) in zip(meta, outcomes):
         report.results.append(
             IdentityResult(
                 id=rec.id,

@@ -1,21 +1,27 @@
-"""The row memo: the pairs of one row share the blocks of equal structure.
+"""The row memo: the pairs of one batch share the blocks of equal structure.
 
 Sharing must change no residual, must save sparse-kernel work, must compute
 no structure twice within a pair or over two consecutive pairs, and must
-keep nothing once the row is done.
+keep nothing once the batch is done. A batch compares the pair identities
+of one kappa as one stream (registry.compare_pairs); a single row is its
+one-row case.
 """
 
 import collections
 import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
 
 from dense import evaluate_alone
 from fuzzymono import csr, liouville, sector
-from fuzzymono.liouville import RowMemo, Space
+from fuzzymono.liouville import RowMemo, Space, SuperOp
 from fuzzymono.verify import registry
-from fuzzymono.verify.registry import BY_ID, REGISTRY, get_context, records_for_suite
+from fuzzymono.verify.registry import (BY_ID, REGISTRY, compare_pairs, get_context,
+                                       records_for_suite, stream_order)
+from fuzzymono.verify.runner import RunConfig, run_suite
 
 PAIR_RECORDS = [r for r in REGISTRY if r.pairs is not None]
 
@@ -38,16 +44,28 @@ def test_sharing_changes_no_residual(kappa):
         assert ctx.space._row is None
 
 
+@pytest.mark.parametrize("kappa", range(-2, 3))
+def test_a_batch_changes_no_residual(kappa):
+    """Every pair identity compared in one batch gives the outcome of its
+    pairs compared alone."""
+    ctx = get_context(6, 1.0)
+    outs = compare_pairs(ctx, kappa, [(rec, rec.guard) for rec in PAIR_RECORDS])
+    assert ctx.space._row is None
+    for rec, (out, _) in zip(PAIR_RECORDS, outs):
+        assert repr(out) == repr(evaluate_alone(rec, ctx, kappa, rec.guard)), rec.id
+
+
 def test_sharing_changes_no_scaling_residual():
-    rec, base = BY_ID["scale:associator"], BY_ID["associator"]
     checked = 0
-    for kappa in range(-2, 3):
-        outs = [evaluate_alone(base, get_context(6, lam), kappa, base.guard, floor=0.0)
-                for lam in (0.5, 1.0, 2.0)]
-        vals = [out[0] for out in outs if out is not None]
-        want = (max(vals) - min(vals), []) if len(vals) == 3 else None
-        assert repr(rec.evaluate(get_context(6, 1.0), kappa, rec.guard)) == repr(want)
-        checked += want is not None
+    for rec in (r for r in REGISTRY if r.suite == "scaling" and r.per_kappa):
+        base = BY_ID[rec.id.removeprefix("scale:")]
+        for kappa in range(-2, 3):
+            outs = [evaluate_alone(base, get_context(6, lam), kappa, base.guard, floor=0.0)
+                    for lam in (0.5, 1.0, 2.0)]
+            vals = [out[0] for out in outs if out is not None]
+            want = (max(vals) - min(vals), []) if len(vals) == 3 else None
+            assert repr(rec.evaluate(get_context(6, 1.0), kappa, rec.guard)) == repr(want), rec.id
+            checked += want is not None
     assert checked
 
 
@@ -67,25 +85,117 @@ class _Counting:
         return counted
 
 
-def _kernel_calls(monkeypatch, evaluate) -> int:
-    """Kernel calls of the velocity suite at n_max 6, kappa 1, on fresh caches."""
+def _kernel_calls(monkeypatch, run) -> int:
+    """Kernel calls of run(ctx, pair records) on the velocity suite at
+    n_max 6, kappa 1, on fresh caches."""
     monkeypatch.setattr(liouville, "_SPACES", {})
     monkeypatch.setattr(sector, "_SECTORS", {})
     monkeypatch.setattr(registry, "_CONTEXTS", {})
     counting = _Counting(csr._sparsetools)
     monkeypatch.setattr(csr, "_sparsetools", counting)
-    ctx = get_context(6, 1.0)
-    for rec in records_for_suite("velocity"):
-        if rec.pairs is not None:
-            evaluate(rec, ctx, 1, rec.guard)
+    run(get_context(6, 1.0), [rec for rec in records_for_suite("velocity") if rec.pairs])
     monkeypatch.setattr(csr, "_sparsetools", counting.module)
     return counting.calls
 
 
+def _each(evaluate):
+    def run(ctx, records):
+        for rec in records:
+            evaluate(rec, ctx, 1, rec.guard)
+
+    return run
+
+
 def test_sharing_saves_kernel_calls(monkeypatch):
-    shared = _kernel_calls(monkeypatch, lambda rec, *args: rec.evaluate(*args))
-    alone = _kernel_calls(monkeypatch, evaluate_alone)
+    shared = _kernel_calls(monkeypatch, _each(lambda rec, *args: rec.evaluate(*args)))
+    alone = _kernel_calls(monkeypatch, _each(evaluate_alone))
     assert 0 < shared < alone
+
+
+def test_a_batch_saves_kernel_calls_over_its_rows(monkeypatch):
+    rows = _kernel_calls(monkeypatch, _each(lambda rec, *args: rec.evaluate(*args)))
+    batch = _kernel_calls(monkeypatch, lambda ctx, records: compare_pairs(
+        ctx, 1, [(rec, rec.guard) for rec in records]))
+    assert 0 < batch < rows
+
+
+def test_stream_order_follows_the_most_shared_keys():
+    # from pair 0, pair 2 shares the most keys; pairs 3 and 4 share one
+    # with it, and the earlier wins; none shares with pair 3, so the
+    # earliest unvisited follows
+    assert stream_order([{"a", "b"}, {"z"}, {"a", "b", "c"}, {"c"}, {"a"}]) == [0, 2, 3, 1, 4]
+    assert stream_order([set(), {"x"}, {"x"}]) == [0, 1, 2]
+    assert stream_order([]) == []
+
+
+def test_the_stream_order_is_kept_per_context_and_rows(monkeypatch, fresh):
+    """The order depends on the words alone: a second kappa reuses the
+    first one's, and other rows get an order of their own."""
+    orders = []
+    monkeypatch.setattr(registry, "stream_order",
+                        lambda reads: orders.append(len(reads)) or stream_order(reads))
+    ctx = get_context(6, 1.0)
+    rows = [(rec, rec.guard) for rec in records_for_suite("velocity") if rec.pairs]
+    for kappa in (1, -1):
+        compare_pairs(ctx, kappa, rows)
+    assert len(orders) == 1 and orders[0] > len(rows)
+    compare_pairs(ctx, 1, rows[1:])
+    assert len(orders) == 2
+
+
+def test_a_failing_batch_leaves_no_memo():
+    """A pair function that raises while the batch is built, or a block that
+    fails while it is compared, leaves the space without a memo."""
+    ctx = get_context(6, 1.0)
+    rec = BY_ID["su22-op-closure"]
+    others = [(r, r.guard) for r in records_for_suite("velocity") if r.pairs]
+
+    def failing(ctx):
+        yield from itertools.islice(rec.pairs(ctx), 5)
+        raise RuntimeError("a pair function fails while the batch is built")
+
+    def unreadable(k):
+        raise RuntimeError("a block fails while the batch is compared")
+
+    def failing_block(ctx):
+        yield from rec.pairs(ctx)
+        leaf = SuperOp(ctx.space, rule=unreadable)
+        yield leaf, leaf
+
+    for pairs, match in ((failing, "built"), (failing_block, "compared")):
+        with pytest.raises(RuntimeError, match=match):
+            failing_rec = dataclasses.replace(rec, id="failing", pairs=pairs)
+            compare_pairs(ctx, 0, others + [(failing_rec, rec.guard)])
+        assert ctx.space._row is None
+
+
+def test_a_pair_function_without_pairs_is_named():
+    rec = dataclasses.replace(BY_ID["radius-def"], id="no-pairs", pairs=lambda ctx: iter(()))
+    with pytest.raises(ValueError, match="no-pairs"):
+        rec.evaluate(get_context(6, 1.0), 0, rec.guard)
+
+
+def test_each_row_of_a_batch_is_timed_by_its_own_pairs():
+    """A row's seconds are those of building and comparing its own pairs:
+    a row whose pair function sleeps gets the sleep, no other row does."""
+    ctx = get_context(6, 1.0)
+    slow = BY_ID["u-weighted-adjoint"]
+
+    def sleepy(ctx):
+        time.sleep(0.05)
+        yield from slow.pairs(ctx)
+
+    rows = [(rec, rec.guard) for rec in records_for_suite("velocity") if rec.pairs]
+    rows = [(dataclasses.replace(rec, pairs=sleepy) if rec is slow else rec, guard)
+            for rec, guard in rows]
+    outs = compare_pairs(ctx, 1, rows)
+    assert all(out is not None for out, _ in outs)
+    for (rec, _), (_, seconds) in zip(rows, outs):
+        assert (seconds >= 0.05) if rec.id == slow.id else (0 < seconds < 0.05), rec.id
+    # in a run, every checked pair row reports a positive wall time
+    report = run_suite(RunConfig(suite="all", n_max=6, kappas=(1,), jobs=1))
+    checked = [r for r in report.results if r.residual is not None and BY_ID[r.id].pairs]
+    assert checked and all(r.wall_time_ms > 0 for r in checked)
 
 
 def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):

@@ -301,6 +301,10 @@ def test_evaluate_alone_keeps_one_kappa_of_blocks(monkeypatch):
 
 
 def test_single_kappa_pool_run_uses_every_worker(monkeypatch, tmp_path):
+    """Both workers, and not the main process, run rows of kappa 2; every
+    one of the 62 rows runs once. A job (job[1] its kappa) is one scalar
+    check or the pair identities of a batch, so rows are counted, not
+    calls."""
     from fuzzymono.verify import runner
 
     pids = tmp_path / "pids"
@@ -309,14 +313,15 @@ def test_single_kappa_pool_run_uses_every_worker(monkeypatch, tmp_path):
     def observed(job):
         time.sleep(0.005)  # let the second worker start before the batches run out
         with open(pids, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {job[1]}\n")
+            fh.writelines(f"{os.getpid()} {job[1]} {rid}\n" for rid in job[0])
         return eval_job(job)
 
     monkeypatch.setattr(runner, "_eval_job", observed)
     run_suite(RunConfig(suite="all", kappas=(2,), n_max=6, jobs=2))
     lines = [line.split() for line in pids.read_text().splitlines()]
-    assert len(lines) == 62 and str(os.getpid()) not in {pid for pid, _ in lines}
-    assert len({pid for pid, kappa in lines if kappa == "2"}) == 2
+    assert len(lines) == 62 and len({rid for *_, rid in lines}) == 62
+    assert str(os.getpid()) not in {pid for pid, *_ in lines}
+    assert len({pid for pid, kappa, _ in lines if kappa == "2"}) == 2
 
 
 def test_parse_kappas():
@@ -575,12 +580,32 @@ def test_warnings_of_a_finished_run_reach_stderr():
     assert proc.stderr.count("RuntimeWarning: overflow encountered in square") == 1
 
 
-def test_op_closure_pairs_stream():
-    """Evaluating su22-op-closure keeps at most two of its 105 pairs alive."""
+def test_op_closure_pairs_stream(monkeypatch):
+    """Evaluating su22-op-closure keeps a block in its memo only while the
+    current or the next pair still reads it. Its 105 pairs live for the
+    batch, holding no block, and none outlives it."""
+    from fuzzymono.liouville import RowMemo
+
     rec = BY_ID["su22-op-closure"]
     ctx = get_context(6, 1.0)
     refs: list[weakref.ref] = []
     peak = 0
+    checks = 0
+    turn, read = RowMemo.turn, RowMemo.read
+
+    def held_for_current_or_next(memo):
+        nonlocal checks
+        checks += 1
+        assert all(memo._reads.get(key, 0) > 0 or key in memo._ahead for key in memo.blocks)
+
+    def checked_turn(memo, ahead):
+        turn(memo, ahead)
+        held_for_current_or_next(memo)
+
+    def checked_read(memo, op, k):
+        blk = read(memo, op, k)
+        held_for_current_or_next(memo)
+        return blk
 
     def counted(ctx):
         nonlocal peak
@@ -591,14 +616,15 @@ def test_op_closure_pairs_stream():
             peak = max(peak, alive)
             yield lhs, rhs
 
+    monkeypatch.setattr(RowMemo, "turn", checked_turn)
+    monkeypatch.setattr(RowMemo, "read", checked_read)
     out = dataclasses.replace(rec, pairs=counted).evaluate(ctx, 0, rec.guard)
-    assert len(refs) == 2 * 105 and 1 <= peak <= 2
+    assert len(refs) == 2 * 105 and peak == 105 and checks > 106
+    assert all(ref() is None for ref in refs)
 
-    # the same fold over a materialised list: equal outcome, every pair alive
+    # the same fold over a materialised list: equal outcome
     refs.clear()
-    peak = 0
     pairs = list(counted(ctx))
-    assert peak == 105
     outs = [graded_residual(lhs, rhs, ctx.sector(0), rec.guard, rec.exclude_ws)
             for lhs, rhs in pairs]
     assert out == (max(r for r, _ in outs), outs[0][1])
