@@ -280,6 +280,49 @@ def test_memoised_blocks_live_for_one_kappa(monkeypatch):
     assert seen[4] and min(seen[4]) >= 0
 
 
+def test_cached_blocks_are_computed_once_per_kappa_visit(monkeypatch):
+    """Within one kappa, each (cached operator, sector) block is computed
+    once, however the kappa's pair rows are split into batches and whatever
+    scalar check reads it; a visit to another kappa and back computes each
+    of them exactly once more."""
+    from fuzzymono import liouville, sector
+    from fuzzymono.liouville import SuperOp
+    from fuzzymono.verify import registry
+    from fuzzymono.verify.registry import compare_pairs
+
+    monkeypatch.setattr(liouville, "_SPACES", {})
+    monkeypatch.setattr(sector, "_SECTORS", {})
+    monkeypatch.setattr(registry, "_CONTEXTS", {})
+    computed: list[tuple[int, int]] = []  # (serial, sector) of every computed block
+    compute = SuperOp._compute
+
+    def recorded(op, k):
+        computed.append((op.serial, k))
+        return compute(op, k)
+
+    monkeypatch.setattr(SuperOp, "_compute", recorded)
+    ctx = get_context(6, 1.0)
+    rows = [(rec, rec.guard) for rec in REGISTRY if rec.pairs is not None]
+    charge = BY_ID["monopole-charge"]
+
+    def visit(kappa) -> dict[tuple[int, int], int]:
+        start = len(computed)
+        for part in (rows[0::2], rows[1::2]):  # as plan_batches' interleaved parts
+            compare_pairs(ctx, kappa, part)
+        assert charge.evaluate(ctx, kappa, charge.guard) is not None
+        cached = {op.serial for op in ctx.space._cache.values() if isinstance(op, SuperOp)}
+        counts: dict[tuple[int, int], int] = {}
+        for key in computed[start:]:
+            if key[0] in cached:
+                counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    first = visit(2)
+    assert first and set(first.values()) == {1}
+    visit(-1)
+    assert visit(2) == first
+
+
 def test_evaluate_alone_keeps_one_kappa_of_blocks(monkeypatch):
     """The engine context, not the runner, keeps the memos to one kappa:
     rows evaluated directly at kappa -4 and then at kappa 4 leave no
