@@ -42,16 +42,16 @@ the only support fact a superoperator carries.
   * Radial multipliers.  RadialFunction.to_superop builds a function of the
     radius once per space; identity(), radius_op() and radius_inv() are
     those of RF_ONE, RF_R and RF_INV_R.
-  * Memoisation.  Each Space holds one operator cache: the ladder
-    primitives, the radial multipliers (keyed by RadialFunction.name) and
-    the named operators of OperatorAlgebra, VelocityFamily and the
-    registry's EngineContext enter it through cache_get, and keep the
-    blocks they compute until Space.forget_blocks(), which EngineContext
-    calls when it moves on to another sector kappa.  An operator that one
-    identity reads once per sector is not cached, and keeps no block.
-    While the pairs of one batch of identities are compared at one kappa,
-    a RowMemo shares their blocks by structure, each only as long as the
-    current or the next pair reads it.
+  * Memoisation.  Each Space holds one operator cache and one block memo
+    (Space.memo, a BlockMemo) that every block read goes through.  Ladder
+    primitives, radial multipliers (keyed by RadialFunction.name) and the
+    named operators of OperatorAlgebra, VelocityFamily and the registry's
+    EngineContext enter the cache through cache_get, and the memo keeps
+    their blocks until EngineContext.sector moves it to another kappa.  An
+    operator that one identity reads once per sector is not cached; its
+    blocks are computed on each read, except while the pairs of one batch
+    stream through the memo, which shares them by structure, each only as
+    long as the current or the next pair reads it.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -62,8 +62,9 @@ get complex128: block(k) wraps the values as a scipy csr_matrix.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class SuperOp:
     """
 
     __slots__ = ("space", "grade", "kind", "args", "shifts", "scalar", "serial",
-                 "_rule", "_blocks", "__weakref__")
+                 "kept", "_rule", "__weakref__")
 
     def __init__(self, space: "Space", grade: int = 0, *, rule: Optional[BlockRule] = None,
                  kind: str = "leaf", args: tuple["SuperOp", ...] = (), scalar: complex = 1.0):
@@ -109,20 +110,14 @@ class SuperOp:
                        (-args[0].grade,) if kind == "adjoint" else (0,) * len(args))
         self.scalar = scalar
         self.serial = next(_SERIALS)
+        self.kept = False  # whether space.memo keeps its blocks (set by cache_get)
         self._rule = rule
-        self._blocks: Optional[dict[int, CSR]] = None
 
     def _check_space(self, other: "SuperOp") -> None:
         if self.space is not other.space:
             raise ValueError("superoperators live on different spaces")
 
     # -- blocks ---------------------------------------------------------------
-
-    def memoise(self) -> None:
-        """Keep every block computed from now on (for cached operators),
-        until Space.forget_blocks()."""
-        if self._blocks is None:
-            self._blocks = {}
 
     def block(self, k: int) -> "scipy.sparse.csr_matrix":
         """The map from sector k into sector k + grade, on packed bases, as
@@ -131,13 +126,7 @@ class SuperOp:
 
     def raw_block(self, k: int) -> CSR:
         """block(k) as the engine holds it; its arrays must not be changed."""
-        memo = self._blocks
-        if memo is None:  # a transient operator: computed, or shared within a batch
-            row = self.space._row
-            return self._compute(k) if row is None else row.read(self, k)
-        if k not in memo:
-            memo[k] = self._compute(k)
-        return memo[k]
+        return self.space.memo.read(self, k)
 
     def _compute(self, k: int) -> CSR:
         """block(k), from the leaf rule or from the operands' blocks."""
@@ -192,40 +181,54 @@ class SuperOp:
         return self.space.radius_inv() @ self.plain_adjoint() @ self.space.radius_op()
 
 
-class RowMemo:
-    """The blocks of sector kappa that the pairs of one batch share.
+class BlockMemo:
+    """Every block that a Space keeps: each raw_block read goes through read().
 
-    Inside `with RowMemo(space, kappa)` the transient operators of space
-    read their blocks through read(), and on exit nothing is kept.  Nodes
-    match by structure: a leaf or a cached operator by its serial, a
-    composed node by its kind and operands, and a scale node also by the
-    bits of its scalar (0.0 and -0.0 differ, NaN matches nothing).
-    reads(ops) counts the reads that ops make of each transient
-    (structure, sector); turn(ahead) counts those of ahead, short of the
-    blocks that the pair before it computes, and keeps a block while that
-    pair or ahead still reads it.
+    The blocks of a kept operator (cache_get keeps what it caches) stay,
+    keyed by (serial, sector), until at() moves the memo to another kappa.
+    A transient operator computes its blocks on each read, except inside
+    `with memo.stream():`, where the pairs of one batch, read at sector
+    kappa, share the blocks of equal structure; on exit, also when a pair
+    function or a block raises, nothing of the stream is kept.  Nodes match
+    by structure: a leaf or a kept operator by its serial, a composed node
+    by its kind and operands, and a scale node also by the bits of its
+    scalar (0.0 and -0.0 differ, NaN matches nothing).  reads(ops) counts
+    the reads that ops make of each transient (structure, sector);
+    turn(ahead) counts those of ahead, short of the blocks that the pair
+    before it computes, and keeps a shared block while that pair or ahead
+    still reads it.
     """
 
-    def __init__(self, space: "Space", kappa: int):
-        self.space, self.kappa = space, kappa
-        self.blocks: dict[tuple[int, int], CSR] = {}
+    def __init__(self):
+        self.kappa: Optional[int] = None
+        self.kept: dict[tuple[int, int], CSR] = {}  # (serial, sector) -> block of a kept operator
+        self._drop_stream()
+
+    def _drop_stream(self) -> None:
+        self.shared: dict[tuple[int, int], CSR] = {}  # (structure id, sector) -> block
         self._sids: dict[int, int] = {}  # node serial -> structure id
         self._table: dict[tuple, int] = {}  # (kind, operand ids[, scalar bits]) -> structure id
         self._reads: dict[tuple[int, int], int] = {}  # reads left in the current pair
         self._ahead: dict[tuple[int, int], int] = {}  # reads of the next pair
 
-    def __enter__(self) -> "RowMemo":
-        self.space._row = self
-        return self
+    def at(self, kappa: int) -> None:
+        """Move to sector kappa: the kept blocks of another kappa go."""
+        if kappa != self.kappa:
+            self.kept.clear()
+            self.kappa = kappa
 
-    def __exit__(self, *exc) -> None:
-        self.space._row = None
+    @contextmanager
+    def stream(self) -> Iterator["BlockMemo"]:
+        try:
+            yield self
+        finally:
+            self._drop_stream()
 
     def _sid(self, op: SuperOp) -> int:
         sid = self._sids.get(op.serial)
         if sid is None:
             kind, c = op.kind, op.scalar  # only a scale node has a scalar other than 1.0
-            if kind == "leaf" or op._blocks is not None or c != c:
+            if kind == "leaf" or op.kept or c != c:
                 sid = op.serial
             else:
                 key = (kind, *map(self._sid, op.args))
@@ -241,35 +244,40 @@ class RowMemo:
         (structure, sector); a read of a key in held finds its block and
         reads nothing below it."""
         reads, sids = {}, self._sids
-        todo = [(op, self.kappa) for op in ops if op._blocks is None]
+        todo = [(op, self.kappa) for op in ops if not op.kept]
         while todo:
             op, k = todo.pop()
             sid = sids.get(op.serial)
             key = (self._sid(op) if sid is None else sid, k)
             reads[key] = reads.get(key, 0) + 1
             if reads[key] == 1 and key not in held:
-                todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if a._blocks is None]
+                todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if not a.kept]
         return reads
 
     def turn(self, ahead: tuple[SuperOp, ...]) -> None:
         """Start the pair that was ahead; ahead is the next one, () after the last."""
         self._reads = self._ahead
-        self._ahead = self.reads(ahead, self._reads.keys() | self.blocks.keys())
-        self.blocks = {key: blk for key, blk in self.blocks.items()
+        self._ahead = self.reads(ahead, self._reads.keys() | self.shared.keys())
+        self.shared = {key: blk for key, blk in self.shared.items()
                        if key in self._ahead or key in self._reads}
 
     def read(self, op: SuperOp, k: int) -> CSR:
-        """op.raw_block(k) of a transient op."""
+        """op.raw_block(k)."""
+        if op.kept:
+            blk = self.kept.get((op.serial, k))
+            if blk is None:
+                blk = self.kept[op.serial, k] = op._compute(k)
+            return blk
         sid = self._sids.get(op.serial)
-        if sid is None:  # in no pair walked so far
+        if sid is None:  # outside a stream, or in no pair walked so far
             return op._compute(k)
         key = (sid, k)
         self._reads[key] = left = self._reads.get(key, 0) - 1
-        blk = self.blocks.pop(key, None)
+        blk = self.shared.pop(key, None)
         if blk is None:
             blk = op._compute(k)
         if left > 0 or key in self._ahead:
-            self.blocks[key] = blk
+            self.shared[key] = blk
         return blk
 
 
@@ -277,8 +285,8 @@ class Space:
     """Shared context: Fock basis, primitive superoperators, radial calculus."""
 
     def __init__(self, n_max: int, lam: float = 1.0):
-        if lam <= 0:
-            raise ValueError(f"lam must be positive, got {lam}")
+        if not 0 < lam < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"lam must be a positive finite number, got {lam}")
         self.n_max = n_max
         self.lam = float(lam)
         self.basis: FockBasis = build_basis(n_max)
@@ -293,7 +301,7 @@ class Space:
         self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
         # the one operator cache of this truncation (see Memoisation above)
         self._cache: dict[tuple, object] = {}
-        self._row: Optional[RowMemo] = None  # the batch being compared, if any
+        self.memo = BlockMemo()  # every block this space keeps
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dimension of every nonempty sector
         self.sector_dims = {k: int(self.sector_levels(k)[1][-1])
@@ -395,13 +403,6 @@ class Space:
     def _cached(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
         return cache_get(self._cache, key, builder)
 
-    def forget_blocks(self) -> None:
-        """Empty the block memo of every cached operator; the operators stay
-        cached."""
-        for op in self._cache.values():
-            if isinstance(op, SuperOp):
-                op._blocks.clear()
-
     # -- radial calculus ----------------------------------------------------
 
     def radial_values(self, table: np.ndarray) -> SuperOp:
@@ -493,13 +494,13 @@ RF_INV_R = RadialFunction("1/r", lambda w, lam: 1.0 / w, poles=(0.0,))
 def cache_get(cache: dict, key, builder: Callable[[], object]):
     """cache[key], built on first use.
 
-    A superoperator that enters a cache memoises its blocks; this is the
-    only place that turns memoisation on.
+    A superoperator that enters a cache is kept: its space's memo keeps
+    its blocks (BlockMemo); this is the only place that keeps an operator.
     """
     if key not in cache:
         value = builder()
         if isinstance(value, SuperOp):
-            value.memoise()
+            value.kept = True
         cache[key] = value
     return cache[key]
 

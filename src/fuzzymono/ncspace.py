@@ -56,8 +56,8 @@ class NcCoordinates:
 
 
 def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"lam must be a positive finite number, got {lam}")
     a = [annihilator(basis, 1), annihilator(basis, 2)]
     adag = [creator(basis, 1), creator(basis, 2)]
     xs = []

@@ -12,15 +12,15 @@ An identity is one of two kinds:
     superoperator pairs whose equality the identity states, built from the
     context alone. compare_pairs evaluates the pair identities of one kappa
     together, and IdentityRecord.evaluate of one is its one-row case: it
-    builds every pair of its rows inside one row memo (liouville.RowMemo),
-    orders them so that consecutive pairs read as many blocks of equal
-    structure as it can (stream_order; the order depends on the words
-    alone, so the context keeps it for each set of rows and a later kappa
-    reuses it), and compares them in that order, each on the guarded window
-    of the requested sector without its record's pole blocks. The memo
-    computes a block that the current and the next pair share once and
-    keeps it no longer; the trees of the batch hold no block. It is the only
-    code that takes pair residuals.
+    builds every pair of its rows inside one stream of the space's block
+    memo (liouville.BlockMemo), orders them so that consecutive pairs read
+    as many blocks of equal structure as it can (stream_order; the order
+    depends on the words alone, so the context keeps it for each set of
+    rows and a later kappa reuses it), and compares them in that order,
+    each on the guarded window of the requested sector without its
+    record's pole blocks. The memo computes a block that the current and
+    the next pair share once and keeps it no longer; the trees of the batch
+    hold no block. It is the only code that takes pair residuals.
   * a scalar check, (ctx, win) -> outcome, for the identities that are not
     superoperator equalities (matrix-level Fock and coordinate relations,
     fits, block-wise bounds, the scaling suite).
@@ -65,7 +65,6 @@ from ..algebra import (
 from ..csr import CSR
 from ..fock import annihilator, creator, interior_projector, number_operator
 from ..liouville import (
-    RowMemo,
     SuperOp,
     anticommutator,
     cache_get,
@@ -126,7 +125,6 @@ class EngineContext:
         self.alg = OperatorAlgebra(self.space)
         self.vel = VelocityFamily(self.alg)
         self._extra = self.space._cache
-        self._kappa: Optional[int] = None  # the sector whose blocks the memos may hold
         # the stream order of the pairs of each (pair identity ids, pair count)
         self.stream_orders: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
@@ -139,12 +137,9 @@ class EngineContext:
         return f.to_superop(self.space)
 
     def sector(self, kappa: int) -> MonopoleSector:
-        """Sector kappa. Moving on to another kappa first empties the block
-        memos of the space's cached operators, so they hold the blocks of
-        one kappa at a time."""
-        if kappa != self._kappa:
-            self.space.forget_blocks()
-            self._kappa = kappa
+        """Sector kappa. The space's block memo moves to kappa first
+        (BlockMemo.at), so it keeps the blocks of one kappa at a time."""
+        self.space.memo.at(kappa)
         return build_sector(kappa, self.n_max, self.lam)
 
     def one_sided_sigma(self, k: int, side: str) -> SuperOp:
@@ -227,16 +222,16 @@ def compare_pairs(ctx: EngineContext, kappa: int, rows: list[tuple[IdentityRecor
 
     A row whose window is empty is skipped (None) without calling its pair
     function. The pairs of the other rows are all built first, inside one
-    row memo; they are compared in stream order, each pair once the next one
-    is known to the memo, and a row's residual is the largest over its own
-    pairs (np.max, unlike max, keeps a NaN residual of any pair)."""
+    memo stream; they are compared in stream order, each pair once the next
+    one is known to the memo, and a row's residual is the largest over its
+    own pairs (np.max, unlike max, keeps a NaN residual of any pair)."""
     wins = [rec.window(ctx, kappa, guard) for rec, guard in rows]
     live = [i for i, win in enumerate(wins) if win is not None]
     seconds = [0.0] * len(rows)
     residuals: dict[int, list[float]] = {i: [] for i in live}
     pairs: list[Pair] = []
     owners: list[int] = []  # the row of each pair
-    with RowMemo(ctx.space, kappa) as memo:
+    with ctx.space.memo.stream() as memo:
         for i in live:
             t0 = time.perf_counter()
             built = list(rows[i][0].pairs(ctx))

@@ -16,13 +16,13 @@ the --guard override. IdentityRecord.window decides from it (and the
 record's pole blocks) whether the row has a window at all. A worker runs
 each scalar check of a batch as one job, and the batch's pair identities
 as one more, which registry.compare_pairs evaluates together: their pairs
-share one row memo and are compared in a stream order that the engine
-context keeps for that set of rows, so a worker's later kappas reuse it.
+stream through the space's block memo in an order that the engine context
+keeps for that set of rows, so a worker's later kappas reuse it.
 IdentityRecord.evaluate of one pair identity is the one-row case.
 
-The engine context of a truncation empties the block memos of its cached
-operators whenever it moves on to another kappa (EngineContext.sector), so
-a pool worker, like a serial run, holds the blocks of one kappa at a time.
+The engine context moves its space's block memo (liouville.BlockMemo) to
+each kappa whose sector it reads (EngineContext.sector), so a pool worker,
+like a serial run, keeps the blocks of one kappa at a time.
 Results are placed back in a deterministic (suite, id, kappa) order
 regardless of completion order, so repeated runs emit byte-identical
 reports (wall times aside), however the rows of a kappa are split. A pair
@@ -60,6 +60,8 @@ class RunConfig:
     jobs: int = 0  # 0: FUZZYMONO_JOBS env var if positive, then cpu count
 
     def resolved_jobs(self) -> int:
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be >= 0, got {self.jobs}")
         if self.jobs > 0:
             return self.jobs
         env = os.environ.get(JOBS_ENV, "")

@@ -182,8 +182,8 @@ def coords_residuals(basis: FockBasis, lam: float) -> dict:
 
 def evaluate_alone(rec, ctx, kappa: int, guard: int, floor: float = 1.0):
     """rec.evaluate(ctx, kappa, guard, floor) of a pair identity, with every
-    pair built and compared alone, outside any row memo."""
-    assert ctx.space._row is None
+    pair built and compared alone, outside any stream of the block memo."""
+    assert not ctx.space.memo._sids  # no stream walked: transient blocks are computed
     win = ctx.sector(kappa).window(guard, rec.exclude_ws)
     if not win.block_mask.any():
         return None

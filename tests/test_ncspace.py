@@ -20,6 +20,12 @@ def test_lambda_must_be_positive():
         build_coordinates(basis, -1.5)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_lambda_must_be_finite(lam):
+    with pytest.raises(ValueError, match="lam must be a positive finite number"):
+        build_coordinates(build_basis(2), lam)
+
+
 def test_pauli_algebra():
     for k in range(3):
         np.testing.assert_array_equal(PAULI[k], PAULI[k].conj().T)

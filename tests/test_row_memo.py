@@ -1,4 +1,5 @@
-"""The row memo: the pairs of one batch share the blocks of equal structure.
+"""The block memo's stream: the pairs of one batch share the blocks of
+equal structure.
 
 Sharing must change no residual, must save sparse-kernel work, must compute
 no structure twice within a pair or over two consecutive pairs, and must
@@ -8,6 +9,7 @@ one-row case.
 """
 
 import collections
+import contextlib
 import dataclasses
 import itertools
 import time
@@ -17,13 +19,19 @@ import pytest
 
 from dense import evaluate_alone
 from fuzzymono import csr, liouville, sector
-from fuzzymono.liouville import RowMemo, Space, SuperOp
+from fuzzymono.liouville import BlockMemo, Space, SuperOp
 from fuzzymono.verify import registry
 from fuzzymono.verify.registry import (BY_ID, REGISTRY, compare_pairs, get_context,
                                        records_for_suite, stream_order)
 from fuzzymono.verify.runner import RunConfig, run_suite
 
 PAIR_RECORDS = [r for r in REGISTRY if r.pairs is not None]
+
+
+def assert_no_stream(space):
+    """The block memo of space keeps nothing of a stream."""
+    memo = space.memo
+    assert not (memo.shared or memo._sids or memo._table or memo._reads or memo._ahead)
 
 
 @pytest.fixture()
@@ -41,7 +49,7 @@ def test_sharing_changes_no_residual(kappa):
     for rec in PAIR_RECORDS:
         got = rec.evaluate(ctx, kappa, rec.guard)
         assert repr(got) == repr(evaluate_alone(rec, ctx, kappa, rec.guard)), rec.id
-        assert ctx.space._row is None
+        assert_no_stream(ctx.space)
 
 
 @pytest.mark.parametrize("kappa", range(-2, 3))
@@ -50,7 +58,7 @@ def test_a_batch_changes_no_residual(kappa):
     pairs compared alone."""
     ctx = get_context(6, 1.0)
     outs = compare_pairs(ctx, kappa, [(rec, rec.guard) for rec in PAIR_RECORDS])
-    assert ctx.space._row is None
+    assert_no_stream(ctx.space)
     for rec, (out, _) in zip(PAIR_RECORDS, outs):
         assert repr(out) == repr(evaluate_alone(rec, ctx, kappa, rec.guard)), rec.id
 
@@ -145,16 +153,18 @@ def test_the_stream_order_is_kept_per_context_and_rows(monkeypatch, fresh):
 
 def test_a_failing_batch_leaves_no_memo():
     """A pair function that raises while the batch is built, or a block that
-    fails while it is compared, leaves the space without a memo."""
+    fails while it is compared, leaves nothing of the stream in the memo."""
     ctx = get_context(6, 1.0)
     rec = BY_ID["su22-op-closure"]
     others = [(r, r.guard) for r in records_for_suite("velocity") if r.pairs]
+    sids_at_failure = []
 
     def failing(ctx):
         yield from itertools.islice(rec.pairs(ctx), 5)
         raise RuntimeError("a pair function fails while the batch is built")
 
     def unreadable(k):
+        sids_at_failure.append(len(ctx.space.memo._sids))
         raise RuntimeError("a block fails while the batch is compared")
 
     def failing_block(ctx):
@@ -166,7 +176,8 @@ def test_a_failing_batch_leaves_no_memo():
         with pytest.raises(RuntimeError, match=match):
             failing_rec = dataclasses.replace(rec, id="failing", pairs=pairs)
             compare_pairs(ctx, 0, others + [(failing_rec, rec.guard)])
-        assert ctx.space._row is None
+        assert_no_stream(ctx.space)
+    assert sids_at_failure and sids_at_failure[0] > 0
 
 
 def test_a_pair_function_without_pairs_is_named():
@@ -202,66 +213,75 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
     """Every (structure, sector) that a walked pair computes is computed at
     most once over the pair and the one after it, and a pair starts with no
     block that neither it nor the next pair reads."""
-    turns: dict[int, int] = {}  # row serial -> turns so far
-    rows: list[RowMemo] = []  # keeps every row alive, so no id is reused
-    computed = collections.defaultdict(list)  # (row, structure, sector) -> turn
-    turn, compute = RowMemo.turn, liouville.SuperOp._compute
+    turns: list[int] = []  # turns so far of each stream
+    computed = collections.defaultdict(list)  # (stream, structure, sector) -> turn
+    stream, turn, compute = BlockMemo.stream, BlockMemo.turn, SuperOp._compute
 
-    def counted_turn(row, ahead):
-        if row not in rows:
-            rows.append(row)
-        turns[id(row)] = turns.get(id(row), 0) + 1
-        turn(row, ahead)
-        assert set(row.blocks) <= set(row._reads) | set(row._ahead)
+    @contextlib.contextmanager
+    def numbered_stream(memo):
+        with stream(memo):
+            turns.append(0)
+            yield memo
+
+    def counted_turn(memo, ahead):
+        turns[-1] += 1
+        turn(memo, ahead)
+        assert set(memo.shared) <= set(memo._reads) | set(memo._ahead)
 
     def recorded_compute(op, k):
-        row = op.space._row
-        if row is not None and op._blocks is None and op.serial in row._sids:
-            computed[id(row), row._sids[op.serial], k].append(turns[id(row)])
+        memo = op.space.memo
+        if not op.kept and op.serial in memo._sids:
+            computed[len(turns), memo._sids[op.serial], k].append(turns[-1])
         return compute(op, k)
 
-    monkeypatch.setattr(RowMemo, "turn", counted_turn)
-    monkeypatch.setattr(liouville.SuperOp, "_compute", recorded_compute)
+    monkeypatch.setattr(BlockMemo, "stream", numbered_stream)
+    monkeypatch.setattr(BlockMemo, "turn", counted_turn)
+    monkeypatch.setattr(SuperOp, "_compute", recorded_compute)
     ctx = get_context(6, 1.0)
     for rec in records_for_suite("velocity") + [BY_ID["su22-op-closure"]]:
         if rec.pairs is not None:
             rec.evaluate(ctx, 1, rec.guard)
-    assert computed and rows
+    assert computed and len(turns) > 1
     for key, at in computed.items():
         assert all(b - a > 1 for a, b in zip(at, at[1:])), (key, at)
 
 
 def test_no_block_outlives_its_row():
+    """A row's stream leaves nothing in the memo, also when its pair
+    function fails after the memo has walked some of its pairs."""
     ctx = get_context(6, 1.0)
     rec = BY_ID["su22-op-closure"]
-    rows = []
+    walked = []
 
     def failing(ctx):
         for i, pair in enumerate(rec.pairs(ctx)):
             if i == 5:
-                rows.append(ctx.space._row)
+                ctx.space.memo.reads(pair)  # give the stream structure ids
+                walked.append(len(ctx.space.memo._sids))
                 raise RuntimeError("a pair function fails in the middle of a row")
             yield pair
 
     assert rec.evaluate(ctx, 0, rec.guard) is not None
-    assert ctx.space._row is None
+    assert_no_stream(ctx.space)
     with pytest.raises(RuntimeError, match="middle of a row"):
         dataclasses.replace(rec, pairs=failing).evaluate(ctx, 0, rec.guard)
-    assert isinstance(rows[0], RowMemo) and ctx.space._row is None
+    assert walked[0] > 0
+    assert_no_stream(ctx.space)
 
 
 def test_structure_ids_match_equal_words_only():
     space = Space(2)
     a, b = space.lmul_a(1), space.rmul_a(2)
-    row = RowMemo(space, 0)
-    assert row._sid(a @ b) == row._sid(a @ b) != row._sid(b @ a)
-    assert row._sid(a - b) == row._sid(a - b) != row._sid(a + b)
-    assert row._sid(2.0 * a) == row._sid(2 * a) != row._sid(2j * a)
-    # equal floats with other bits, and NaN, never match
-    assert row._sid(0.0 * a) != row._sid(-0.0 * a)
-    nan = float("nan")
-    assert row._sid(nan * a) != row._sid(nan * a)
-    # a transient leaf is itself only, however it was built
-    assert row._sid(space.identity()) == space.identity().serial
-    fresh = [space.radial_values(np.ones((3, 3))) for _ in range(2)]
-    assert row._sid(fresh[0]) != row._sid(fresh[1])
+    with space.memo.stream() as memo:
+        assert memo._sid(a @ b) == memo._sid(a @ b) != memo._sid(b @ a)
+        assert memo._sid(a - b) == memo._sid(a - b) != memo._sid(a + b)
+        assert memo._sid(2.0 * a) == memo._sid(2 * a) != memo._sid(2j * a)
+        # equal floats with other bits, and NaN, never match
+        assert memo._sid(0.0 * a) != memo._sid(-0.0 * a)
+        nan = float("nan")
+        assert memo._sid(nan * a) != memo._sid(nan * a)
+        # a transient leaf is itself only, however it was built
+        assert memo._sid(space.identity()) == space.identity().serial
+        fresh = [space.radial_values(np.ones((3, 3))) for _ in range(2)]
+        assert memo._sid(fresh[0]) != memo._sid(fresh[1])
+    assert_no_stream(space)

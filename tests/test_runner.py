@@ -250,11 +250,9 @@ def test_plan_batches_splits_few_kappas_into_interleaved_parts():
 
 
 def _memoised_sectors(spaces) -> set[int]:
-    """The sectors whose blocks the cached operators of spaces hold."""
-    from fuzzymono.liouville import SuperOp
-
-    return {k for space in spaces for op in space._cache.values()
-            if isinstance(op, SuperOp) for k in op._blocks}
+    """The sectors whose blocks the block memos of spaces keep for cached
+    operators."""
+    return {k for space in spaces for _, k in space.memo.kept}
 
 
 def test_memoised_blocks_live_for_one_kappa(monkeypatch):
@@ -405,6 +403,23 @@ def test_jobs_resolution(monkeypatch):
         assert cfg.resolved_jobs() == (os.cpu_count() or 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cfg.resolved_jobs() == 1
+
+
+def test_negative_jobs_refused(monkeypatch):
+    """A negative worker count is refused, not replaced by the default."""
+    monkeypatch.setenv("FUZZYMONO_JOBS", "2")
+    with pytest.raises(ValueError, match=re.escape("jobs must be >= 0, got -3")):
+        RunConfig(jobs=-3).resolved_jobs()
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_lam_refused_by_the_engine(lam):
+    from fuzzymono.liouville import Space
+
+    with pytest.raises(ValueError, match="lam must be a positive finite number"):
+        Space(3, lam)
+    with pytest.raises(ValueError, match="lam must be a positive finite number"):
+        run_suite(RunConfig(suite="radial", kappas=(1,), n_max=3, lam=lam, jobs=1))
 
 
 def test_cli_json_output(tmp_path, capsys):
@@ -624,22 +639,22 @@ def test_warnings_of_a_finished_run_reach_stderr():
 
 
 def test_op_closure_pairs_stream(monkeypatch):
-    """Evaluating su22-op-closure keeps a block in its memo only while the
-    current or the next pair still reads it. Its 105 pairs live for the
-    batch, holding no block, and none outlives it."""
-    from fuzzymono.liouville import RowMemo
+    """Evaluating su22-op-closure keeps a shared block in the memo only
+    while the current or the next pair still reads it. Its 105 pairs live
+    for the batch, holding no block, and none outlives it."""
+    from fuzzymono.liouville import BlockMemo
 
     rec = BY_ID["su22-op-closure"]
     ctx = get_context(6, 1.0)
     refs: list[weakref.ref] = []
     peak = 0
     checks = 0
-    turn, read = RowMemo.turn, RowMemo.read
+    turn, read = BlockMemo.turn, BlockMemo.read
 
     def held_for_current_or_next(memo):
         nonlocal checks
         checks += 1
-        assert all(memo._reads.get(key, 0) > 0 or key in memo._ahead for key in memo.blocks)
+        assert all(memo._reads.get(key, 0) > 0 or key in memo._ahead for key in memo.shared)
 
     def checked_turn(memo, ahead):
         turn(memo, ahead)
@@ -659,8 +674,8 @@ def test_op_closure_pairs_stream(monkeypatch):
             peak = max(peak, alive)
             yield lhs, rhs
 
-    monkeypatch.setattr(RowMemo, "turn", checked_turn)
-    monkeypatch.setattr(RowMemo, "read", checked_read)
+    monkeypatch.setattr(BlockMemo, "turn", checked_turn)
+    monkeypatch.setattr(BlockMemo, "read", checked_read)
     out = dataclasses.replace(rec, pairs=counted).evaluate(ctx, 0, rec.guard)
     assert len(refs) == 2 * 105 and peak == 105 and checks > 106
     assert all(ref() is None for ref in refs)
