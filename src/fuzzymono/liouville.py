@@ -49,9 +49,10 @@ the only support fact a superoperator carries.
     EngineContext enter the cache through cache_get, and the memo keeps
     their blocks until EngineContext.sector moves it to another kappa.  An
     operator that one identity reads once per sector is not cached; its
-    blocks are computed on each read, except while the pairs of one batch
-    stream through the memo, which shares them by structure, each only as
-    long as the current or the next pair reads it.
+    blocks are computed on each read, except while BlockMemo.stream walks
+    the pairs of one batch: the memo shares them by structure, each only as
+    long as the current or the next pair reads it, and keeps the order of
+    each batch for the later kappas.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -62,9 +63,8 @@ get complex128: block(k) wraps the values as a scipy csr_matrix.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import Callable, Collection, Container, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -164,9 +164,6 @@ class SuperOp:
     def __sub__(self, other: "SuperOp") -> "SuperOp":
         return self._sum(other, "sub")
 
-    def __neg__(self) -> "SuperOp":
-        return (-1.0) * self
-
     def __mul__(self, scalar: complex) -> "SuperOp":
         return SuperOp(self.space, self.grade, kind="scale", args=(self,), scalar=complex(scalar))
 
@@ -186,22 +183,18 @@ class BlockMemo:
 
     The blocks of a kept operator (cache_get keeps what it caches) stay,
     keyed by (serial, sector), until at() moves the memo to another kappa.
-    A transient operator computes its blocks on each read, except inside
-    `with memo.stream():`, where the pairs of one batch, read at sector
-    kappa, share the blocks of equal structure; on exit, also when a pair
-    function or a block raises, nothing of the stream is kept.  Nodes match
-    by structure: a leaf or a kept operator by its serial, a composed node
-    by its kind and operands, and a scale node also by the bits of its
-    scalar (0.0 and -0.0 differ, NaN matches nothing).  reads(ops) counts
-    the reads that ops make of each transient (structure, sector);
-    turn(ahead) counts those of ahead, short of the blocks that the pair
-    before it computes, and keeps a shared block while that pair or ahead
-    still reads it.
+    A transient operator computes its blocks on each read, except while
+    stream() walks a batch of pairs, read at sector kappa: then they share
+    the blocks of equal structure.  Nodes match by structure: a leaf or a
+    kept operator by its serial, a composed node by its kind and operands,
+    and a scale node also by the bits of its scalar (0.0 and -0.0 differ,
+    NaN matches nothing).
     """
 
     def __init__(self):
         self.kappa: Optional[int] = None
         self.kept: dict[tuple[int, int], CSR] = {}  # (serial, sector) -> block of a kept operator
+        self._orders: dict[tuple, list[int]] = {}  # (stream key, pair count) -> stream order
         self._drop_stream()
 
     def _drop_stream(self) -> None:
@@ -217,10 +210,26 @@ class BlockMemo:
             self.kept.clear()
             self.kappa = kappa
 
-    @contextmanager
-    def stream(self) -> Iterator["BlockMemo"]:
+    def stream(self, pairs: Sequence[tuple[SuperOp, ...]], key) -> Iterator[int]:
+        """Yield the position of each pair in stream order, once the memo
+        has walked the pair after it.
+
+        The order (stream_order) depends on the words alone: the memo
+        computes it on the first batch of each key and pair count and keeps
+        it.  A shared block stays while the current or the next pair reads
+        it.  Nothing of the stream is kept once it ends, also when the
+        caller or a block raises, or the caller stops iterating.
+        """
         try:
-            yield self
+            order = self._orders.get((key, len(pairs)))
+            if order is None:
+                order = self._orders[key, len(pairs)] = stream_order(
+                    [self._walk(pair).keys() for pair in pairs])
+            walks = [pairs[pos] for pos in order] + [()]
+            self._turn(walks[0])
+            for pos, ahead in zip(order, walks[1:]):
+                self._turn(ahead)
+                yield pos
         finally:
             self._drop_stream()
 
@@ -238,7 +247,7 @@ class BlockMemo:
             self._sids[op.serial] = sid
         return sid
 
-    def reads(self, ops: Iterable[SuperOp],
+    def _walk(self, ops: Iterable[SuperOp],
               held: Container[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
         """How often ops, read at sector kappa, read each transient
         (structure, sector); a read of a key in held finds its block and
@@ -254,10 +263,12 @@ class BlockMemo:
                 todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if not a.kept]
         return reads
 
-    def turn(self, ahead: tuple[SuperOp, ...]) -> None:
-        """Start the pair that was ahead; ahead is the next one, () after the last."""
+    def _turn(self, ahead: tuple[SuperOp, ...]) -> None:
+        """Start the pair that was ahead; ahead is the next one, () after
+        the last: count its reads, short of the blocks that the pair before
+        it computes, and drop each shared block that neither reads."""
         self._reads = self._ahead
-        self._ahead = self.reads(ahead, self._reads.keys() | self.shared.keys())
+        self._ahead = self._walk(ahead, self._reads.keys() | self.shared.keys())
         self.shared = {key: blk for key, blk in self.shared.items()
                        if key in self._ahead or key in self._reads}
 
@@ -279,6 +290,34 @@ class BlockMemo:
         if left > 0 or key in self._ahead:
             self.shared[key] = blk
         return blk
+
+
+def stream_order(reads: list[Collection]) -> list[int]:
+    """The order in which to compare pairs, given the keys each one reads:
+    the first pair, then each time the unvisited pair that shares the most
+    keys with the current one, the earliest on a tie or when none shares."""
+    holders: dict = {}  # key -> the unvisited pairs that read it
+    for i, keys in enumerate(reads):
+        for key in keys:
+            holders.setdefault(key, set()).add(i)
+    n = len(reads)
+    order, visited, first, cur = [], [False] * n, 0, 0
+    while len(order) < n:
+        order.append(cur)
+        visited[cur] = True
+        shared: dict[int, int] = {}
+        for key in reads[cur]:
+            others = holders[key]
+            others.discard(cur)
+            for j in others:
+                shared[j] = shared.get(j, 0) + 1
+        if shared:
+            cur = min(shared, key=lambda j: (-shared[j], j))
+        else:
+            while first < n and visited[first]:
+                first += 1
+            cur = first
+    return order
 
 
 class Space:

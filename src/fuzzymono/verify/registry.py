@@ -12,15 +12,10 @@ An identity is one of two kinds:
     superoperator pairs whose equality the identity states, built from the
     context alone. compare_pairs evaluates the pair identities of one kappa
     together, and IdentityRecord.evaluate of one is its one-row case: it
-    builds every pair of its rows inside one stream of the space's block
-    memo (liouville.BlockMemo), orders them so that consecutive pairs read
-    as many blocks of equal structure as it can (stream_order; the order
-    depends on the words alone, so the context keeps it for each set of
-    rows and a later kappa reuses it), and compares them in that order,
-    each on the guarded window of the requested sector without its
-    record's pole blocks. The memo computes a block that the current and
-    the next pair share once and keeps it no longer; the trees of the batch
-    hold no block. It is the only code that takes pair residuals.
+    builds every pair of its rows and compares them in the order in which
+    the space's block memo streams them (liouville.BlockMemo.stream), each
+    on the guarded window of the requested sector without its record's
+    pole blocks. It is the only code that takes pair residuals.
   * a scalar check, (ctx, win) -> outcome, for the identities that are not
     superoperator equalities (matrix-level Fock and coordinate relations,
     fits, block-wise bounds, the scaling suite).
@@ -41,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -125,8 +119,6 @@ class EngineContext:
         self.alg = OperatorAlgebra(self.space)
         self.vel = VelocityFamily(self.alg)
         self._extra = self.space._cache
-        # the stream order of the pairs of each (pair identity ids, pair count)
-        self.stream_orders: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
     def cached(self, key: tuple, builder: Callable[[], object]):
         """Whatever builder makes, kept in the space's operator cache."""
@@ -169,8 +161,9 @@ class IdentityRecord:
 
     builder(ctx, kappa, guard) is what the runner calls for a scalar check's
     job; the runner evaluates the pair identities of a batch together
-    (compare_pairs). builder defaults to evaluate; a tool that wraps each
-    job (a tracer) passes its wrapper through dataclasses.replace.
+    (compare_pairs). builder defaults to evaluate, also on a copy made by
+    dataclasses.replace; a tool that wraps each job (a tracer) passes its
+    wrapper through dataclasses.replace.
     """
 
     id: str
@@ -188,7 +181,9 @@ class IdentityRecord:
     def __post_init__(self):
         if (self.pairs is None) == (self.check is None):
             raise ValueError(f"{self.id}: give exactly one of pairs and check")
-        if self.builder is None:
+        # a copy (dataclasses.replace) evaluates itself, not the record it copies
+        if (self.builder is None
+                or getattr(self.builder, "__func__", None) is IdentityRecord.evaluate):
             object.__setattr__(self, "builder", self.evaluate)
 
     def window(self, ctx: EngineContext, kappa: Optional[int], guard: int) -> Optional[Window]:
@@ -221,74 +216,35 @@ def compare_pairs(ctx: EngineContext, kappa: int, rows: list[tuple[IdentityRecor
     the seconds spent building and comparing its own pairs.
 
     A row whose window is empty is skipped (None) without calling its pair
-    function. The pairs of the other rows are all built first, inside one
-    memo stream; they are compared in stream order, each pair once the next
-    one is known to the memo, and a row's residual is the largest over its
-    own pairs (np.max, unlike max, keeps a NaN residual of any pair)."""
+    function. The pairs of the other rows are all built first and compared
+    in the order that the space's block memo streams them (BlockMemo.stream),
+    so a row's seconds also count the memo's walk of the pair after each of
+    its own. A row's residual is the largest over its own pairs (np.max,
+    unlike max, keeps a NaN residual of any pair)."""
     wins = [rec.window(ctx, kappa, guard) for rec, guard in rows]
     live = [i for i, win in enumerate(wins) if win is not None]
     seconds = [0.0] * len(rows)
     residuals: dict[int, list[float]] = {i: [] for i in live}
     pairs: list[Pair] = []
     owners: list[int] = []  # the row of each pair
-    with ctx.space.memo.stream() as memo:
-        for i in live:
-            t0 = time.perf_counter()
-            built = list(rows[i][0].pairs(ctx))
-            seconds[i] += time.perf_counter() - t0
-            if not built:
-                raise ValueError(f"{rows[i][0].id}: its pair function yields no pair")
-            pairs += built
-            owners += [i] * len(built)
-        # any permutation of the pairs gives the same outcomes; the count in
-        # the key keeps a kept order a permutation of these pairs
-        key = (tuple(rows[i][0].id for i in live), len(pairs))
-        order = ctx.stream_orders.get(key)
-        if order is None:
-            order = ctx.stream_orders[key] = stream_order([memo.reads(p).keys() for p in pairs])
-        last = None
-        for pos in itertools.chain(order, [None]):
-            t0 = time.perf_counter()
-            memo.turn(() if pos is None else pairs[pos])
-            t1 = time.perf_counter()
-            if pos is not None:
-                seconds[owners[pos]] += t1 - t0
-            if last is not None:
-                win = wins[owners[last]]
-                residuals[owners[last]].append(graded_residual(
-                    *pairs[last], win.sector, win.guard, win.exclude_ws, floor)[0])
-                seconds[owners[last]] += time.perf_counter() - t1
-            last = pos
+    for i in live:
+        t0 = time.perf_counter()
+        built = list(rows[i][0].pairs(ctx))
+        seconds[i] += time.perf_counter() - t0
+        if not built:
+            raise ValueError(f"{rows[i][0].id}: its pair function yields no pair")
+        pairs += built
+        owners += [i] * len(built)
+    t0 = time.perf_counter()
+    for pos in ctx.space.memo.stream(pairs, tuple(rows[i][0].id for i in live)):
+        i, win = owners[pos], wins[owners[pos]]
+        residuals[i].append(graded_residual(
+            *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])
+        t1 = time.perf_counter()
+        seconds[i] += t1 - t0
+        t0 = t1
     return [((float(np.max(residuals[i])), list(wins[i].excluded)) if i in residuals else None,
              seconds[i]) for i in range(len(rows))]
-
-
-def stream_order(reads: list[Collection]) -> list[int]:
-    """The order in which to compare pairs, given the keys each one reads:
-    the first pair, then each time the unvisited pair that shares the most
-    keys with the current one, the earliest on a tie or when none shares."""
-    holders: dict = {}  # key -> the unvisited pairs that read it
-    for i, keys in enumerate(reads):
-        for key in keys:
-            holders.setdefault(key, set()).add(i)
-    n = len(reads)
-    order, visited, first, cur = [], [False] * n, 0, 0
-    while len(order) < n:
-        order.append(cur)
-        visited[cur] = True
-        shared: dict[int, int] = {}
-        for key in reads[cur]:
-            others = holders[key]
-            others.discard(cur)
-            for j in others:
-                shared[j] = shared.get(j, 0) + 1
-        if shared:
-            cur = min(shared, key=lambda j: (-shared[j], j))
-        else:
-            while first < n and visited[first]:
-                first += 1
-            cur = first
-    return order
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ the --guard override. IdentityRecord.window decides from it (and the
 record's pole blocks) whether the row has a window at all. A worker runs
 each scalar check of a batch as one job, and the batch's pair identities
 as one more, which registry.compare_pairs evaluates together: their pairs
-stream through the space's block memo in an order that the engine context
-keeps for that set of rows, so a worker's later kappas reuse it.
+stream through the space's block memo in an order that the memo keeps
+for that set of rows, so a worker's later kappas reuse it.
 IdentityRecord.evaluate of one pair identity is the one-row case.
 
 The engine context moves its space's block memo (liouville.BlockMemo) to
@@ -26,7 +26,8 @@ like a serial run, keeps the blocks of one kappa at a time.
 Results are placed back in a deterministic (suite, id, kappa) order
 regardless of completion order, so repeated runs emit byte-identical
 reports (wall times aside), however the rows of a kappa are split. A pair
-row's wall time is that of building and comparing its own pairs.
+row's wall time is that of building and comparing its own pairs, with
+the memo's walk of the pair after each.
 
 Each job records the warnings it raises instead of printing them, in a pool
 worker as in the main process. run_suite re-issues them, each distinct one

@@ -9,7 +9,6 @@ one-row case.
 """
 
 import collections
-import contextlib
 import dataclasses
 import itertools
 import time
@@ -19,10 +18,11 @@ import pytest
 
 from dense import evaluate_alone
 from fuzzymono import csr, liouville, sector
-from fuzzymono.liouville import BlockMemo, Space, SuperOp
+from fuzzymono.liouville import BlockMemo, Space, SuperOp, stream_order
+from fuzzymono.sector import graded_residual
 from fuzzymono.verify import registry
 from fuzzymono.verify.registry import (BY_ID, REGISTRY, compare_pairs, get_context,
-                                       records_for_suite, stream_order)
+                                       records_for_suite)
 from fuzzymono.verify.runner import RunConfig, run_suite
 
 PAIR_RECORDS = [r for r in REGISTRY if r.pairs is not None]
@@ -136,11 +136,12 @@ def test_stream_order_follows_the_most_shared_keys():
     assert stream_order([]) == []
 
 
-def test_the_stream_order_is_kept_per_context_and_rows(monkeypatch, fresh):
+def test_the_stream_order_is_kept_per_space_and_key(monkeypatch, fresh):
     """The order depends on the words alone: a second kappa reuses the
-    first one's, and other rows get an order of their own."""
+    first one's, and other rows, another key or another space get an order
+    of their own."""
     orders = []
-    monkeypatch.setattr(registry, "stream_order",
+    monkeypatch.setattr(liouville, "stream_order",
                         lambda reads: orders.append(len(reads)) or stream_order(reads))
     ctx = get_context(6, 1.0)
     rows = [(rec, rec.guard) for rec in records_for_suite("velocity") if rec.pairs]
@@ -149,11 +150,55 @@ def test_the_stream_order_is_kept_per_context_and_rows(monkeypatch, fresh):
     assert len(orders) == 1 and orders[0] > len(rows)
     compare_pairs(ctx, 1, rows[1:])
     assert len(orders) == 2
+    compare_pairs(get_context(5, 1.0), 1, rows)
+    assert len(orders) == 3
+    pairs = list(BY_ID["radius-def"].pairs(ctx))
+    for key in ("a", "b", "a"):
+        list(ctx.space.memo.stream(pairs, key))
+    assert len(orders) == 5
+
+
+def test_a_stream_yields_every_position_once(fresh):
+    """The positions a stream yields are a permutation of the pairs', on
+    the first batch of a key, which orders them, and on a later one, which
+    reuses the order."""
+    ctx = get_context(6, 1.0)
+    ctx.sector(1)
+    pairs = [pair for rec in records_for_suite("velocity") if rec.pairs
+             for pair in rec.pairs(ctx)]
+    for _ in range(2):
+        positions = list(ctx.space.memo.stream(pairs, "velocity"))
+        assert sorted(positions) == list(range(len(pairs))) and positions != sorted(positions)
+        assert_no_stream(ctx.space)
+    assert list(ctx.space.memo.stream([], "none")) == []
+
+
+def test_a_stream_left_early_keeps_nothing(fresh):
+    """A caller that stops iterating after the first position, or raises
+    between two positions while every block reads, leaves nothing of the
+    stream in the memo."""
+    ctx = get_context(6, 1.0)
+    ctx.sector(0)
+    memo = ctx.space.memo
+    pairs = list(BY_ID["su22-op-closure"].pairs(ctx))
+    for pos in memo.stream(pairs, "op-closure"):
+        graded_residual(*pairs[pos], ctx.sector(0), 2)
+        assert memo._sids and memo._ahead
+        break
+    assert_no_stream(ctx.space)
+    with pytest.raises(RuntimeError, match="between"):
+        for n, pos in enumerate(memo.stream(pairs, "op-closure")):
+            graded_residual(*pairs[pos], ctx.sector(0), 2)
+            if n == 3:
+                assert memo.shared
+                raise RuntimeError("the caller fails between two positions")
+    assert_no_stream(ctx.space)
 
 
 def test_a_failing_batch_leaves_no_memo():
-    """A pair function that raises while the batch is built, or a block that
-    fails while it is compared, leaves nothing of the stream in the memo."""
+    """A pair function that raises while the batch is built, before the
+    memo streams it, or a block that fails while the memo streams it,
+    leaves nothing of the stream in the memo."""
     ctx = get_context(6, 1.0)
     rec = BY_ID["su22-op-closure"]
     others = [(r, r.guard) for r in records_for_suite("velocity") if r.pairs]
@@ -215,13 +260,11 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
     block that neither it nor the next pair reads."""
     turns: list[int] = []  # turns so far of each stream
     computed = collections.defaultdict(list)  # (stream, structure, sector) -> turn
-    stream, turn, compute = BlockMemo.stream, BlockMemo.turn, SuperOp._compute
+    stream, turn, compute = BlockMemo.stream, BlockMemo._turn, SuperOp._compute
 
-    @contextlib.contextmanager
-    def numbered_stream(memo):
-        with stream(memo):
-            turns.append(0)
-            yield memo
+    def numbered_stream(memo, pairs, key):
+        turns.append(0)
+        yield from stream(memo, pairs, key)
 
     def counted_turn(memo, ahead):
         turns[-1] += 1
@@ -235,7 +278,7 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
         return compute(op, k)
 
     monkeypatch.setattr(BlockMemo, "stream", numbered_stream)
-    monkeypatch.setattr(BlockMemo, "turn", counted_turn)
+    monkeypatch.setattr(BlockMemo, "_turn", counted_turn)
     monkeypatch.setattr(SuperOp, "_compute", recorded_compute)
     ctx = get_context(6, 1.0)
     for rec in records_for_suite("velocity") + [BY_ID["su22-op-closure"]]:
@@ -247,18 +290,21 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
 
 
 def test_no_block_outlives_its_row():
-    """A row's stream leaves nothing in the memo, also when its pair
-    function fails after the memo has walked some of its pairs."""
+    """A row's stream leaves nothing in the memo, also when a block of its
+    pairs fails after the memo has walked some of them."""
     ctx = get_context(6, 1.0)
     rec = BY_ID["su22-op-closure"]
     walked = []
 
+    def unreadable(k):
+        walked.append(len(ctx.space.memo._sids))
+        raise RuntimeError("a block fails in the middle of a row")
+
     def failing(ctx):
         for i, pair in enumerate(rec.pairs(ctx)):
             if i == 5:
-                ctx.space.memo.reads(pair)  # give the stream structure ids
-                walked.append(len(ctx.space.memo._sids))
-                raise RuntimeError("a pair function fails in the middle of a row")
+                leaf = SuperOp(ctx.space, rule=unreadable)
+                pair = (pair[0] @ leaf, pair[1])
             yield pair
 
     assert rec.evaluate(ctx, 0, rec.guard) is not None
@@ -272,7 +318,8 @@ def test_no_block_outlives_its_row():
 def test_structure_ids_match_equal_words_only():
     space = Space(2)
     a, b = space.lmul_a(1), space.rmul_a(2)
-    with space.memo.stream() as memo:
+    memo = space.memo
+    for _ in memo.stream([(a, b)], "words"):
         assert memo._sid(a @ b) == memo._sid(a @ b) != memo._sid(b @ a)
         assert memo._sid(a - b) == memo._sid(a - b) != memo._sid(a + b)
         assert memo._sid(2.0 * a) == memo._sid(2 * a) != memo._sid(2j * a)

@@ -36,6 +36,28 @@ def test_registry_ids_unique_and_mapped():
                              "monopole", "scaling"}
 
 
+def test_a_copied_record_builds_with_its_own_check():
+    """dataclasses.replace gives a record whose builder evaluates the copy,
+    while a wrapper passed as builder (a tracer's) is kept."""
+    calls = []
+
+    def spy(ctx, win):
+        calls.append(win.sector.kappa)
+        return 0.5, []
+
+    ctx = get_context(6, 1.0)
+    copy = dataclasses.replace(BY_ID["q-limit"], check=spy)
+    assert copy.builder(ctx, 1, 0) == (0.5, []) and calls == [1]
+    assert BY_ID["q-limit"].builder(ctx, 1, 0) != (0.5, []) and calls == [1]
+
+    def wrapper(*args):
+        return copy.builder(*args)
+
+    traced = dataclasses.replace(copy, builder=wrapper)
+    assert traced.builder is wrapper
+    assert dataclasses.replace(traced, id="renamed").builder is wrapper
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         records_for_suite("bogus")
@@ -640,7 +662,8 @@ def test_warnings_of_a_finished_run_reach_stderr():
 
 def test_op_closure_pairs_stream(monkeypatch):
     """Evaluating su22-op-closure keeps a shared block in the memo only
-    while the current or the next pair still reads it. Its 105 pairs live
+    while the current or the next pair still reads it, at each of the
+    stream's turns and reads. Its 105 pairs live
     for the batch, holding no block, and none outlives it."""
     from fuzzymono.liouville import BlockMemo
 
@@ -649,7 +672,7 @@ def test_op_closure_pairs_stream(monkeypatch):
     refs: list[weakref.ref] = []
     peak = 0
     checks = 0
-    turn, read = BlockMemo.turn, BlockMemo.read
+    turn, read = BlockMemo._turn, BlockMemo.read
 
     def held_for_current_or_next(memo):
         nonlocal checks
@@ -674,7 +697,7 @@ def test_op_closure_pairs_stream(monkeypatch):
             peak = max(peak, alive)
             yield lhs, rhs
 
-    monkeypatch.setattr(BlockMemo, "turn", checked_turn)
+    monkeypatch.setattr(BlockMemo, "_turn", checked_turn)
     monkeypatch.setattr(BlockMemo, "read", checked_read)
     out = dataclasses.replace(rec, pairs=counted).evaluate(ctx, 0, rec.guard)
     assert len(refs) == 2 * 105 and peak == 105 and checks > 106
