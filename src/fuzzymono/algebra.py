@@ -22,7 +22,7 @@ import numpy as np
 
 from .liouville import (RF_INV_R, RF_ONE, RF_R, RadialFunction, Space, SuperOp, cache_get,
                         commutator, linear_combination)
-from .ncspace import PAULI, nonzero_entries
+from .ncspace import nonzero_entries
 from .sector import Window, graded_residual
 from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
 
@@ -33,9 +33,6 @@ from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
 
 RF_R2 = RadialFunction("r^2", lambda w, lam: w * w)
 RF_INV_R2 = RadialFunction("1/r^2", lambda w, lam: 1.0 / (w * w), poles=(0.0,))
-RF_INV_R_MINUS_2L = RadialFunction(
-    "1/(r-2l)", lambda w, lam: 1.0 / (w - 2 * lam), poles=(2.0,)
-)
 # radial profile of the monopole field strength, 1/(r(r^2-l^2))
 RF_MONOPOLE = RadialFunction(
     "1/(r(r^2-l^2))",
@@ -176,25 +173,6 @@ class OperatorAlgebra:
         """Literal bilinear ordering (top-block defect retained); read once, not cached."""
         return self._bilinear(GAMMA)
 
-    # -- sigma-contracted one-sided words ------------------------------------
-
-    def _sigma_word(self, key: tuple, a: int, first, second) -> SuperOp:
-        """sigma^a_{al be} first(al) @ second(be); a = 4 is the trace."""
-        def build() -> SuperOp:
-            if a == 4:
-                return linear_combination(first(al) @ second(al) for al in (1, 2))
-            return contract(PAULI[a - 1], lambda al, be: first(al) @ second(be))
-
-        return self._get(key, build)
-
-    def raise_word(self, a: int) -> SuperOp:
-        """Left-create/right-annihilate bilinear; shifts every block up one."""
-        return self._sigma_word(("raise", a), a, self.space.lmul_adag, self.space.rmul_a)
-
-    def lower_word(self, a: int) -> SuperOp:
-        """Right-create/left-annihilate bilinear; shifts every block down one."""
-        return self._sigma_word(("lower", a), a, self.space.rmul_adag, self.space.lmul_a)
-
     # -- shift-calculus vectors ----------------------------------------------
 
     def zeta(self, a: int) -> SuperOp:
@@ -250,7 +228,6 @@ __all__ = [
     "RF_R2",
     "RF_INV_R",
     "RF_INV_R2",
-    "RF_INV_R_MINUS_2L",
     "RF_MONOPOLE",
     "RF_Q",
     "first_difference",

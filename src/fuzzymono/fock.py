@@ -34,13 +34,6 @@ class FockBasis:
         """Level n1 + n2 of every basis state, in basis order."""
         return np.array([n1 + n2 for n1, n2 in self.states], dtype=np.int64)
 
-    def level_slice(self, n: int) -> slice:
-        """Contiguous index range of the level-n block."""
-        if not 0 <= n <= self.n_max:
-            return slice(0, 0)
-        start = int(self.level_offsets[n])
-        return slice(start, start + n + 1)
-
 
 def build_basis(n_max: int) -> FockBasis:
     """Enumerate the truncated basis, level-major, n1 descending within a level."""

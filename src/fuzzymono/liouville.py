@@ -43,16 +43,17 @@ the only support fact a superoperator carries.
     radius once per space; identity(), radius_op() and radius_inv() are
     those of RF_ONE, RF_R and RF_INV_R.
   * Memoisation.  Each Space holds one operator cache and one block memo
-    (Space.memo, a BlockMemo) that every block read goes through.  Ladder
-    primitives, radial multipliers (keyed by RadialFunction.name) and the
-    named operators of OperatorAlgebra, VelocityFamily and the registry's
-    EngineContext enter the cache through cache_get, and the memo keeps
-    their blocks until EngineContext.sector moves it to another kappa.  An
-    operator that one identity reads once per sector is not cached; its
-    blocks are computed on each read, except while BlockMemo.stream walks
-    the pairs of one batch: the memo shares them by structure, each only as
-    long as the current or the next pair reads it, and keeps the order of
-    each batch for the later kappas.
+    (Space.memo, a BlockMemo) that every block read goes through, keyed by
+    sector and SuperOp.sid, a structure id fixed when the node is built.
+    Ladder primitives, radial multipliers (keyed by RadialFunction.name)
+    and the named operators of OperatorAlgebra, VelocityFamily and the
+    registry's EngineContext enter the cache through cache_get, and the
+    memo keeps their blocks until EngineContext.sector moves it to another
+    kappa.  An operator that one identity reads once per sector is not
+    cached; its blocks are computed on each read, except while
+    BlockMemo.stream walks the pairs of one batch: the memo shares the
+    blocks of equal sid, each only as long as the current or the next pair
+    reads it, and keeps the order of each batch for the later kappas.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -78,7 +79,7 @@ POLE_TOL = 1e-9
 
 BlockRule = Callable[[int], CSR]
 
-_SERIALS = itertools.count()  # node identities that, unlike id(), are never reused
+_FRESH_IDS = itertools.count()  # ids that match no other node, never reused
 
 
 class SuperOp:
@@ -93,9 +94,10 @@ class SuperOp:
 
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
+    sid : the structure id by which space.memo keys its blocks (BlockMemo).
     """
 
-    __slots__ = ("space", "grade", "kind", "args", "shifts", "scalar", "serial",
+    __slots__ = ("space", "grade", "kind", "args", "shifts", "scalar", "sid",
                  "kept", "_rule", "__weakref__")
 
     def __init__(self, space: "Space", grade: int = 0, *, rule: Optional[BlockRule] = None,
@@ -109,7 +111,7 @@ class SuperOp:
         self.shifts = ((args[1].grade, 0) if kind == "matmul" else
                        (-args[0].grade,) if kind == "adjoint" else (0,) * len(args))
         self.scalar = scalar
-        self.serial = next(_SERIALS)
+        self.sid = space.memo.structure_id(self)
         self.kept = False  # whether space.memo keeps its blocks (set by cache_get)
         self._rule = rule
 
@@ -181,28 +183,38 @@ class SuperOp:
 class BlockMemo:
     """Every block that a Space keeps: each raw_block read goes through read().
 
-    The blocks of a kept operator (cache_get keeps what it caches) stay,
-    keyed by (serial, sector), until at() moves the memo to another kappa.
-    A transient operator computes its blocks on each read, except while
-    stream() walks a batch of pairs, read at sector kappa: then they share
-    the blocks of equal structure.  Nodes match by structure: a leaf or a
-    kept operator by its serial, a composed node by its kind and operands,
-    and a scale node also by the bits of its scalar (0.0 and -0.0 differ,
-    NaN matches nothing).
+    Blocks are keyed by (SuperOp.sid, sector).  A node's sid is fixed when
+    it is built (structure_id) and when cache_get keeps it.  A leaf, a kept
+    operator and a scale node with a NaN scalar match no other node; a
+    composed node matches the nodes of equal kind and operands, and a scale
+    node also needs equal scalar bits (0.0 and -0.0 differ).  The structure
+    table lasts as long as the space.  A kept operator's blocks stay until
+    at() moves the memo to another kappa.  A transient operator computes its
+    blocks on each read, except while stream() walks a batch of pairs, read
+    at sector kappa: then the nodes of equal sid share them.
     """
 
     def __init__(self):
         self.kappa: Optional[int] = None
-        self.kept: dict[tuple[int, int], CSR] = {}  # (serial, sector) -> block of a kept operator
+        self.kept: dict[tuple[int, int], CSR] = {}  # (sid, sector) -> block of a kept operator
         self._orders: dict[tuple, list[int]] = {}  # (stream key, pair count) -> stream order
+        self._table: dict[tuple, int] = {}  # (kind, operand sids[, scalar bits]) -> sid
         self._drop_stream()
 
     def _drop_stream(self) -> None:
-        self.shared: dict[tuple[int, int], CSR] = {}  # (structure id, sector) -> block
-        self._sids: dict[int, int] = {}  # node serial -> structure id
-        self._table: dict[tuple, int] = {}  # (kind, operand ids[, scalar bits]) -> structure id
+        self.shared: dict[tuple[int, int], CSR] = {}  # (sid, sector) -> block
         self._reads: dict[tuple[int, int], int] = {}  # reads left in the current pair
         self._ahead: dict[tuple[int, int], int] = {}  # reads of the next pair
+
+    def structure_id(self, op: SuperOp) -> int:
+        """The sid of a node being built, from its kind, operands and scalar."""
+        kind, c = op.kind, op.scalar  # only a scale node has a scalar other than 1.0
+        if kind == "leaf" or c != c:
+            return next(_FRESH_IDS)
+        key = (kind, *(a.sid for a in op.args))
+        if kind == "scale":
+            key += (c.real.hex(), c.imag.hex())
+        return self._table.setdefault(key, -1 - len(self._table))
 
     def at(self, kappa: int) -> None:
         """Move to sector kappa: the kept blocks of another kappa go."""
@@ -233,31 +245,16 @@ class BlockMemo:
         finally:
             self._drop_stream()
 
-    def _sid(self, op: SuperOp) -> int:
-        sid = self._sids.get(op.serial)
-        if sid is None:
-            kind, c = op.kind, op.scalar  # only a scale node has a scalar other than 1.0
-            if kind == "leaf" or op.kept or c != c:
-                sid = op.serial
-            else:
-                key = (kind, *map(self._sid, op.args))
-                if kind == "scale":
-                    key += (c.real.hex(), c.imag.hex())
-                sid = self._table.setdefault(key, -1 - len(self._table))
-            self._sids[op.serial] = sid
-        return sid
-
     def _walk(self, ops: Iterable[SuperOp],
               held: Container[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
         """How often ops, read at sector kappa, read each transient
         (structure, sector); a read of a key in held finds its block and
         reads nothing below it."""
-        reads, sids = {}, self._sids
+        reads = {}
         todo = [(op, self.kappa) for op in ops if not op.kept]
         while todo:
             op, k = todo.pop()
-            sid = sids.get(op.serial)
-            key = (self._sid(op) if sid is None else sid, k)
+            key = (op.sid, k)
             reads[key] = reads.get(key, 0) + 1
             if reads[key] == 1 and key not in held:
                 todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if not a.kept]
@@ -274,19 +271,18 @@ class BlockMemo:
 
     def read(self, op: SuperOp, k: int) -> CSR:
         """op.raw_block(k)."""
+        key = (op.sid, k)
         if op.kept:
-            blk = self.kept.get((op.serial, k))
+            blk = self.kept.get(key)
             if blk is None:
-                blk = self.kept[op.serial, k] = op._compute(k)
+                blk = self.kept[key] = op._compute(k)
             return blk
-        sid = self._sids.get(op.serial)
-        if sid is None:  # outside a stream, or in no pair walked so far
-            return op._compute(k)
-        key = (sid, k)
-        self._reads[key] = left = self._reads.get(key, 0) - 1
+        left = self._reads.pop(key, 0) - 1
         blk = self.shared.pop(key, None)
         if blk is None:
             blk = op._compute(k)
+        if left > 0:
+            self._reads[key] = left
         if left > 0 or key in self._ahead:
             self.shared[key] = blk
         return blk
@@ -540,6 +536,7 @@ def cache_get(cache: dict, key, builder: Callable[[], object]):
         value = builder()
         if isinstance(value, SuperOp):
             value.kept = True
+            value.sid = next(_FRESH_IDS)  # a kept operator matches no other node
         cache[key] = value
     return cache[key]
 

@@ -47,11 +47,6 @@ class MonopoleSector:
     def dim(self) -> int:
         return int(self.block_offsets[-1])
 
-    @property
-    def mu(self) -> float:
-        """Monopole charge carried by the sector."""
-        return -self.kappa / 2.0
-
     def packed_weights(self) -> np.ndarray:
         """Radial weight per packed coefficient (read-only)."""
         return self._packed_weights
@@ -140,21 +135,6 @@ class SectorVector:
 
     sector: MonopoleSector
     data: np.ndarray
-
-    @classmethod
-    def zero(cls, sector: MonopoleSector) -> "SectorVector":
-        return cls(sector, np.zeros(sector.dim, dtype=np.complex128))
-
-    @classmethod
-    def basis_element(cls, sector: MonopoleSector, i: int) -> "SectorVector":
-        v = cls.zero(sector)
-        v.data[i] = 1.0
-        return v
-
-    @classmethod
-    def random(cls, sector: MonopoleSector, rng: np.random.Generator) -> "SectorVector":
-        z = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
-        return cls(sector, z)
 
 
 def inner_product(phi: SectorVector, psi: SectorVector) -> complex:

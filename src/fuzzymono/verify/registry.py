@@ -118,11 +118,11 @@ class EngineContext:
         self.space = get_space(n_max, lam)
         self.alg = OperatorAlgebra(self.space)
         self.vel = VelocityFamily(self.alg)
-        self._extra = self.space._cache
+        self._cache = self.space._cache
 
     def cached(self, key: tuple, builder: Callable[[], object]):
         """Whatever builder makes, kept in the space's operator cache."""
-        return cache_get(self._extra, key, builder)
+        return cache_get(self._cache, key, builder)
 
     def radial(self, f: RadialFunction) -> SuperOp:
         """The multiplier f(r_hat), cached on the space (RadialFunction.to_superop)."""

@@ -145,6 +145,9 @@ def _run_batch(batch: list[tuple]) -> tuple[list[tuple], list[tuple]]:
 
 
 def run_suite(config: RunConfig) -> VerificationReport:
+    twice = sorted({k for k in config.kappas if config.kappas.count(k) > 1})
+    if twice:  # each of their rows would be reported twice
+        raise ValueError(f"kappas repeat {', '.join(map(str, twice))}")
     records = records_for_suite(config.suite)
     records = sorted(records, key=lambda r: (_SUITE_ORDER[r.suite], r.id))
     rows: list[tuple] = []

@@ -11,7 +11,9 @@ functions are the matrix-level checks of the fock and coords suites written
 with scipy.sparse matrices, as scipy users would write them; the engine's
 residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
 with each pair compared on its own, no block shared between pairs, as
-IdentityRecord.evaluate computed it before its row memo.  src/ never
+IdentityRecord.evaluate computed it before its row memo.  The helpers in
+between (level slices, sector states, the sigma-contracted one-sided words
+and the 1/(r-2l) multiplier) are what only the tests read.  src/ never
 imports this module.
 """
 
@@ -20,8 +22,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
+from fuzzymono.algebra import RadialFunction, contract
 from fuzzymono.fock import FockBasis
-from fuzzymono.liouville import Space, SuperOp
+from fuzzymono.liouville import Space, SuperOp, linear_combination
 from fuzzymono.ncspace import EPS3, PAULI
 from fuzzymono.sector import MonopoleSector, SectorVector, graded_residual
 
@@ -33,7 +36,7 @@ def packed(space: Space, k: int) -> np.ndarray:
     d = space.basis.dim
     parts = [np.zeros(0, dtype=np.int64)]
     for n in space.sector_levels(k)[0]:
-        cols, rows = space.basis.level_slice(n), space.basis.level_slice(n + k)
+        cols, rows = level_slice(space.basis, n), level_slice(space.basis, n + k)
         parts.append((np.arange(rows.start, rows.stop)[None, :] * d
                       + np.arange(cols.start, cols.stop)[:, None]).ravel())
     return np.concatenate(parts)
@@ -81,6 +84,51 @@ def from_matrix(sector: MonopoleSector, psi: np.ndarray) -> SectorVector:
     """The sector state of the grade-kappa entries of a D x D matrix."""
     return SectorVector(sector, psi.reshape(-1)[packed(sector.space, sector.kappa)]
                         .astype(np.complex128))
+
+
+# ---------------------------------------------------------------------------
+# level slices, sector states, one-sided words and a shifted multiplier
+# ---------------------------------------------------------------------------
+
+def level_slice(basis: FockBasis, n: int) -> slice:
+    """Contiguous index range of the level-n block."""
+    if not 0 <= n <= basis.n_max:
+        return slice(0, 0)
+    start = int(basis.level_offsets[n])
+    return slice(start, start + n + 1)
+
+
+def basis_vector(sector: MonopoleSector, i: int) -> SectorVector:
+    v = SectorVector(sector, np.zeros(sector.dim, dtype=np.complex128))
+    v.data[i] = 1.0
+    return v
+
+
+def random_vector(sector: MonopoleSector, rng: np.random.Generator) -> SectorVector:
+    z = rng.standard_normal(sector.dim) + 1j * rng.standard_normal(sector.dim)
+    return SectorVector(sector, z)
+
+
+def _sigma_word(a: int, first, second) -> SuperOp:
+    """sigma^a_{al be} first(al) @ second(be); a = 4 is the trace."""
+    if a == 4:
+        return linear_combination(first(al) @ second(al) for al in (1, 2))
+    return contract(PAULI[a - 1], lambda al, be: first(al) @ second(be))
+
+
+def raise_word(space: Space, a: int) -> SuperOp:
+    """Left-create/right-annihilate bilinear; shifts every block up one."""
+    return _sigma_word(a, space.lmul_adag, space.rmul_a)
+
+
+def lower_word(space: Space, a: int) -> SuperOp:
+    """Right-create/left-annihilate bilinear; shifts every block down one."""
+    return _sigma_word(a, space.rmul_adag, space.lmul_a)
+
+
+RF_INV_R_MINUS_2L = RadialFunction(
+    "1/(r-2l)", lambda w, lam: 1.0 / (w - 2 * lam), poles=(2.0,)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +231,8 @@ def coords_residuals(basis: FockBasis, lam: float) -> dict:
 def evaluate_alone(rec, ctx, kappa: int, guard: int, floor: float = 1.0):
     """rec.evaluate(ctx, kappa, guard, floor) of a pair identity, with every
     pair built and compared alone, outside any stream of the block memo."""
-    assert not ctx.space.memo._sids  # no stream walked: transient blocks are computed
+    memo = ctx.space.memo
+    assert not (memo.shared or memo._reads or memo._ahead)  # no stream: blocks are computed
     win = ctx.sector(kappa).window(guard, rec.exclude_ws)
     if not win.block_mask.any():
         return None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dense import level_slice
 from fuzzymono.fock import (
     annihilator,
     build_basis,
@@ -37,7 +38,7 @@ def test_level_major_ordering():
     levels = basis.levels
     assert (np.diff(levels) >= 0).all()  # level-major
     for n in range(7):
-        block = basis.level_slice(n)
+        block = level_slice(basis, n)
         assert block.stop - block.start == n + 1
         assert all(sum(basis.states[i]) == n for i in range(block.start, block.stop))
         # first mode decreasing within a level

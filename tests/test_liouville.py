@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from dense import packed, pair_levels
+from dense import RF_INV_R_MINUS_2L, packed, pair_levels
 from fuzzymono import csr, liouville
-from fuzzymono.algebra import RF_INV_R_MINUS_2L, RF_MONOPOLE
+from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.csr import CSR
 from fuzzymono.fock import number_operator
 from fuzzymono.liouville import Space

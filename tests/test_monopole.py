@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from dense import packed, to_csr
+from dense import lower_word, packed, raise_word, to_csr
 from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.liouville import anticommutator, commutator
 from fuzzymono.monopole import (
@@ -62,7 +62,7 @@ def test_velocity_generator_map_and_factor(ctx9):
 
 def test_v4_reconstruction_from_words(ctx9):
     rinv = ctx9.space.radius_inv()
-    v4_direct = 0.5 * (rinv @ (ctx9.alg.raise_word(4) + ctx9.alg.lower_word(4)))
+    v4_direct = 0.5 * (rinv @ (raise_word(ctx9.space, 4) + lower_word(ctx9.space, 4)))
     assert res(ctx9, ctx9.vel.velocity(4), v4_direct, 0, 1) <= 1e-13
     u_route = 0.5 * (ctx9.vel.trace_u() + ctx9.vel.trace_u_dag())
     assert res(ctx9, ctx9.vel.velocity(4), u_route, 0, 1) <= 1e-13

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dense import coords_residuals, fock_residuals
+from dense import coords_residuals, fock_residuals, level_slice
 from fuzzymono.fock import build_basis
 from fuzzymono.ncspace import PAULI, build_coordinates, verify_coordinate_algebra
 from fuzzymono.verify.registry import BY_ID, get_context
@@ -45,7 +45,7 @@ def test_x3_on_level_one():
     basis = build_basis(2)
     lam = 1.3
     nc = build_coordinates(basis, lam)
-    block = basis.level_slice(1)
+    block = level_slice(basis, 1)
     x3 = nc.x[2].tocsr().toarray()[block, block]
     np.testing.assert_allclose(x3, np.diag([lam, -lam]), atol=1e-15)
 
@@ -66,7 +66,7 @@ def test_defining_relations(nc):
 def test_radius_eigenvalue_scaling():
     basis = build_basis(5)
     nc = build_coordinates(basis, lam=2.0)
-    block = basis.level_slice(3)
+    block = level_slice(basis, 3)
     np.testing.assert_allclose(nc.r.tocsr().toarray()[block, block], 8.0 * np.eye(4), atol=0)
 
 
@@ -75,7 +75,7 @@ def test_x_squared_spectrum(nc):
     x2 = (nc.x[0] @ nc.x[0] + nc.x[1] @ nc.x[1] + nc.x[2] @ nc.x[2]).tocsr().toarray()
     basis = build_basis(10)
     for n in range(11):
-        block = basis.level_slice(n)
+        block = level_slice(basis, n)
         eigs = np.linalg.eigvalsh(x2[block, block])
         np.testing.assert_allclose(eigs, n * (n + 2.0), atol=1e-12 * max(1, n * n))
 

@@ -18,7 +18,7 @@ import pytest
 
 from dense import evaluate_alone
 from fuzzymono import csr, liouville, sector
-from fuzzymono.liouville import BlockMemo, Space, SuperOp, stream_order
+from fuzzymono.liouville import BlockMemo, Space, SuperOp, cache_get, stream_order
 from fuzzymono.sector import graded_residual
 from fuzzymono.verify import registry
 from fuzzymono.verify.registry import (BY_ID, REGISTRY, compare_pairs, get_context,
@@ -31,7 +31,7 @@ PAIR_RECORDS = [r for r in REGISTRY if r.pairs is not None]
 def assert_no_stream(space):
     """The block memo of space keeps nothing of a stream."""
     memo = space.memo
-    assert not (memo.shared or memo._sids or memo._table or memo._reads or memo._ahead)
+    assert not (memo.shared or memo._reads or memo._ahead)
 
 
 @pytest.fixture()
@@ -183,7 +183,7 @@ def test_a_stream_left_early_keeps_nothing(fresh):
     pairs = list(BY_ID["su22-op-closure"].pairs(ctx))
     for pos in memo.stream(pairs, "op-closure"):
         graded_residual(*pairs[pos], ctx.sector(0), 2)
-        assert memo._sids and memo._ahead
+        assert memo._ahead
         break
     assert_no_stream(ctx.space)
     with pytest.raises(RuntimeError, match="between"):
@@ -195,21 +195,30 @@ def test_a_stream_left_early_keeps_nothing(fresh):
     assert_no_stream(ctx.space)
 
 
-def test_a_failing_batch_leaves_no_memo():
+def _counted_turns(monkeypatch) -> list[int]:
+    """A list that grows by one at each BlockMemo._turn."""
+    turns, turn = [], BlockMemo._turn
+    monkeypatch.setattr(BlockMemo, "_turn",
+                        lambda memo, ahead: turns.append(len(ahead)) or turn(memo, ahead))
+    return turns
+
+
+def test_a_failing_batch_leaves_no_memo(monkeypatch):
     """A pair function that raises while the batch is built, before the
     memo streams it, or a block that fails while the memo streams it,
     leaves nothing of the stream in the memo."""
     ctx = get_context(6, 1.0)
     rec = BY_ID["su22-op-closure"]
     others = [(r, r.guard) for r in records_for_suite("velocity") if r.pairs]
-    sids_at_failure = []
+    turns = _counted_turns(monkeypatch)
+    turns_at_failure = []
 
     def failing(ctx):
         yield from itertools.islice(rec.pairs(ctx), 5)
         raise RuntimeError("a pair function fails while the batch is built")
 
     def unreadable(k):
-        sids_at_failure.append(len(ctx.space.memo._sids))
+        turns_at_failure.append(len(turns))
         raise RuntimeError("a block fails while the batch is compared")
 
     def failing_block(ctx):
@@ -222,7 +231,7 @@ def test_a_failing_batch_leaves_no_memo():
             failing_rec = dataclasses.replace(rec, id="failing", pairs=pairs)
             compare_pairs(ctx, 0, others + [(failing_rec, rec.guard)])
         assert_no_stream(ctx.space)
-    assert sids_at_failure and sids_at_failure[0] > 0
+    assert turns_at_failure and turns_at_failure[0] > 0
 
 
 def test_a_pair_function_without_pairs_is_named():
@@ -260,11 +269,22 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
     block that neither it nor the next pair reads."""
     turns: list[int] = []  # turns so far of each stream
     computed = collections.defaultdict(list)  # (stream, structure, sector) -> turn
-    stream, turn, compute = BlockMemo.stream, BlockMemo._turn, SuperOp._compute
+    walked: set[int] = set()  # id() of each transient node the stream's walks reached
+    stream, turn, walk = BlockMemo.stream, BlockMemo._turn, BlockMemo._walk
+    compute = SuperOp._compute
 
     def numbered_stream(memo, pairs, key):
         turns.append(0)
+        walked.clear()
         yield from stream(memo, pairs, key)
+
+    def recorded_walk(memo, ops, held=()):
+        todo = [op for op in ops if not op.kept]
+        while todo:
+            op = todo.pop()
+            walked.add(id(op))
+            todo += [a for a in op.args if not a.kept]
+        return walk(memo, ops, held)
 
     def counted_turn(memo, ahead):
         turns[-1] += 1
@@ -272,13 +292,13 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
         assert set(memo.shared) <= set(memo._reads) | set(memo._ahead)
 
     def recorded_compute(op, k):
-        memo = op.space.memo
-        if not op.kept and op.serial in memo._sids:
-            computed[len(turns), memo._sids[op.serial], k].append(turns[-1])
+        if id(op) in walked:
+            computed[len(turns), op.sid, k].append(turns[-1])
         return compute(op, k)
 
     monkeypatch.setattr(BlockMemo, "stream", numbered_stream)
     monkeypatch.setattr(BlockMemo, "_turn", counted_turn)
+    monkeypatch.setattr(BlockMemo, "_walk", recorded_walk)
     monkeypatch.setattr(SuperOp, "_compute", recorded_compute)
     ctx = get_context(6, 1.0)
     for rec in records_for_suite("velocity") + [BY_ID["su22-op-closure"]]:
@@ -289,15 +309,16 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
         assert all(b - a > 1 for a, b in zip(at, at[1:])), (key, at)
 
 
-def test_no_block_outlives_its_row():
+def test_no_block_outlives_its_row(monkeypatch):
     """A row's stream leaves nothing in the memo, also when a block of its
     pairs fails after the memo has walked some of them."""
     ctx = get_context(6, 1.0)
     rec = BY_ID["su22-op-closure"]
+    turns = _counted_turns(monkeypatch)
     walked = []
 
     def unreadable(k):
-        walked.append(len(ctx.space.memo._sids))
+        walked.append(len(turns))
         raise RuntimeError("a block fails in the middle of a row")
 
     def failing(ctx):
@@ -318,17 +339,64 @@ def test_no_block_outlives_its_row():
 def test_structure_ids_match_equal_words_only():
     space = Space(2)
     a, b = space.lmul_a(1), space.rmul_a(2)
-    memo = space.memo
-    for _ in memo.stream([(a, b)], "words"):
-        assert memo._sid(a @ b) == memo._sid(a @ b) != memo._sid(b @ a)
-        assert memo._sid(a - b) == memo._sid(a - b) != memo._sid(a + b)
-        assert memo._sid(2.0 * a) == memo._sid(2 * a) != memo._sid(2j * a)
-        # equal floats with other bits, and NaN, never match
-        assert memo._sid(0.0 * a) != memo._sid(-0.0 * a)
-        nan = float("nan")
-        assert memo._sid(nan * a) != memo._sid(nan * a)
-        # a transient leaf is itself only, however it was built
-        assert memo._sid(space.identity()) == space.identity().serial
-        fresh = [space.radial_values(np.ones((3, 3))) for _ in range(2)]
-        assert memo._sid(fresh[0]) != memo._sid(fresh[1])
-    assert_no_stream(space)
+    assert (a @ b).sid == (a @ b).sid != (b @ a).sid
+    assert (a - b).sid == (a - b).sid != (a + b).sid
+    assert (2.0 * a).sid == (2 * a).sid != (2j * a).sid
+    assert a.plain_adjoint().sid == a.plain_adjoint().sid != b.plain_adjoint().sid
+    # equal floats with other bits, and NaN, never match
+    assert (0.0 * a).sid != (-0.0 * a).sid
+    nan = float("nan")
+    assert (nan * a).sid != (nan * a).sid
+    # a leaf is itself only, however it was built
+    fresh = [space.radial_values(np.ones((3, 3))) for _ in range(2)]
+    assert fresh[0].sid != fresh[1].sid
+    assert (fresh[0] @ a).sid != (fresh[1] @ a).sid
+
+
+def test_equal_words_of_two_streams_have_equal_ids(fresh):
+    """A word's id is fixed when it is built: the pairs built for a stream
+    at one kappa and again for a stream at another have equal ids, node for
+    node, and the memo's structure table stays."""
+    ctx = get_context(6, 1.0)
+    memo = ctx.space.memo
+    rec = BY_ID["su22-op-closure"]
+    built = []
+    for kappa in (1, -2):
+        ctx.sector(kappa)
+        pairs = list(rec.pairs(ctx))
+        for pos in memo.stream(pairs, "op-closure"):
+            graded_residual(*pairs[pos], ctx.sector(kappa), rec.guard)
+        assert_no_stream(ctx.space)
+        built.append(pairs)
+    first, second = built
+    assert len(first) == len(second) and memo._table
+    for p, q in zip(first, second):
+        assert [op.sid for op in p] == [op.sid for op in q]
+        assert all(x is not y or x.kept for x, y in zip(p, q))
+
+
+def test_a_kept_operator_matches_no_transient_word():
+    """cache_get gives the operator it keeps an id of its own, which no
+    word of equal structure shares; its blocks are kept by that id."""
+    space = Space(3)
+    def word():
+        return space.radius_inv() @ (space.lmul_adag(1) @ space.rmul_a(1))
+
+    kept = cache_get(space._cache, ("test-word",), word)
+    assert kept.kept and not word().kept
+    assert word().sid == word().sid != kept.sid
+    assert kept is cache_get(space._cache, ("test-word",), word)
+    space.memo.at(0)
+    kept.raw_block(0)
+    assert (kept.sid, 0) in space.memo.kept
+    assert (word().sid, 0) not in space.memo.kept
+
+
+def test_a_transient_block_read_outside_a_stream_keeps_nothing():
+    space = Space(3)
+    a, b = space.lmul_a(1), space.rmul_adag(2)
+    word = (a @ b - b @ a) @ (2.0 * a.plain_adjoint())
+    dims = space.sector_dims
+    for k in (0, 1, -1):
+        assert word.raw_block(k).shape == (dims[k + 1], dims[k])
+        assert_no_stream(space)

@@ -171,7 +171,7 @@ def test_per_block_checks_read_only_the_window():
 def test_one_operator_cache_per_space():
     ctx = get_context(5, 1.0)
     cache = ctx.space._cache
-    assert ctx.alg._cache is cache and ctx.vel._cache is cache and ctx._extra is cache
+    assert ctx.alg._cache is cache and ctx.vel._cache is cache and ctx._cache is cache
     # a radial multiplier is cached once, by name, whoever asks for it
     from fuzzymono.algebra import RF_MONOPOLE, RF_Q
     assert ctx.radial(RF_MONOPOLE) is RF_MONOPOLE.to_superop(ctx.space) \
@@ -313,11 +313,11 @@ def test_cached_blocks_are_computed_once_per_kappa_visit(monkeypatch):
     monkeypatch.setattr(liouville, "_SPACES", {})
     monkeypatch.setattr(sector, "_SECTORS", {})
     monkeypatch.setattr(registry, "_CONTEXTS", {})
-    computed: list[tuple[int, int]] = []  # (serial, sector) of every computed block
+    computed: list[tuple[int, int]] = []  # (sid, sector) of every computed block
     compute = SuperOp._compute
 
     def recorded(op, k):
-        computed.append((op.serial, k))
+        computed.append((op.sid, k))
         return compute(op, k)
 
     monkeypatch.setattr(SuperOp, "_compute", recorded)
@@ -330,7 +330,7 @@ def test_cached_blocks_are_computed_once_per_kappa_visit(monkeypatch):
         for part in (rows[0::2], rows[1::2]):  # as plan_batches' interleaved parts
             compare_pairs(ctx, kappa, part)
         assert charge.evaluate(ctx, kappa, charge.guard) is not None
-        cached = {op.serial for op in ctx.space._cache.values() if isinstance(op, SuperOp)}
+        cached = {op.sid for op in ctx.space._cache.values() if isinstance(op, SuperOp)}
         counts: dict[tuple[int, int], int] = {}
         for key in computed[start:]:
             if key[0] in cached:
@@ -805,3 +805,40 @@ def test_main_keeps_freed_memory_before_the_run(monkeypatch, capsys):
     assert main(["--suite", "fock", "--n-max", "2", "--jobs", "1"]) == 0
     assert order == ["keep", "run"]
     capsys.readouterr()
+
+
+def test_a_repeated_grade_is_refused_before_any_row_is_planned(monkeypatch):
+    """A grade named twice would give each of its rows twice: run_suite
+    refuses it, naming the grade, before it plans a batch."""
+    from fuzzymono.verify import runner
+
+    planned = []
+    monkeypatch.setattr(runner, "plan_batches", lambda *args: planned.append(args) or [])
+    for kappas, named in (((2, 2), "repeat 2$"), ((-1, 3, -1, 0, 3), "repeat -1, 3$")):
+        with pytest.raises(ValueError, match=named):
+            run_suite(RunConfig(suite="su22", kappas=kappas, n_max=4, jobs=1))
+    assert not planned
+
+
+def test_the_benchmark_tracer_fits_the_package(tmp_path):
+    """bench/tracing.py wraps named functions and methods of the package:
+    installed in a fresh process, it must find each of them, and a small
+    traced run must record calls in every layer it reports."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{os.path.join(root, 'bench')!r}, {os.path.join(root, 'src')!r}]\n"
+        "import tracing\n"
+        f"tracer = tracing.install({str(tmp_path)!r})\n"
+        "from fuzzymono.verify import cli\n"
+        "code = cli.main(['--suite', 'all', '--n-max', '5', '--kappa', '1', '--jobs', '1',\n"
+        f"                 '--out', {str(tmp_path / 'report.txt')!r}])\n"
+        "tracer.flush()\n"
+        f"_, details = tracing.layer_metrics(tracing.read_chunks({str(tmp_path)!r}))\n"
+        "print(json.dumps([code, details['layer_calls'], list(tracing.LAYERS)]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, calls, layers = json.loads(proc.stdout)
+    assert code == 0 and layers
+    assert all(calls[layer] > 0 for layer in layers), calls

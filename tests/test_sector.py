@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from dense import from_matrix, packed, pair_levels, to_csr, to_matrix
+from dense import (basis_vector, from_matrix, packed, pair_levels, random_vector, to_csr,
+                   to_matrix)
 from fuzzymono.csr import CSR
 from fuzzymono.fock import annihilator, build_basis, creator
 from fuzzymono.liouville import SuperOp, get_space
 from fuzzymono.sector import (
     MonopoleSector,
-    SectorVector,
     _window_norm,
     apply_superop,
     build_sector,
@@ -77,11 +77,6 @@ def test_empty_sector_flagged():
     assert sec.blocks == ()
 
 
-def test_monopole_charge_value():
-    assert build_sector(3, 5).mu == -1.5
-    assert build_sector(-4, 6).mu == 2.0
-
-
 def test_radius_eigenvalues_against_direct_symmetrization():
     """Oracle: apply (r Psi + Psi r)/2 built from left/right multiplication."""
     for kappa, lam in [(0, 1.0), (1, 0.5), (-2, 2.0)]:
@@ -92,7 +87,7 @@ def test_radius_eigenvalues_against_direct_symmetrization():
         direct = 0.5 * (sp.left_mul(r_mat, 0) + sp.right_mul(r_mat, 0))
         for pos, n in enumerate(sec.blocks):
             i = int(sec.block_offsets[pos])
-            psi = SectorVector.basis_element(sec, i)
+            psi = basis_vector(sec, i)
             out = apply_superop(direct, psi)
             np.testing.assert_allclose(
                 out.data, sec.r_hat_eigen[pos] * psi.data, atol=1e-14)
@@ -117,29 +112,29 @@ def test_grading_phase():
 def test_vacuum_norm():
     lam = 1.7
     sec = build_sector(0, 3, lam)
-    psi = SectorVector.basis_element(sec, 0)
+    psi = basis_vector(sec, 0)
     assert inner_product(psi, psi) == pytest.approx(4 * np.pi * lam**3)
 
 
 def test_basis_orthogonality():
     sec = build_sector(1, 4)
-    u = SectorVector.basis_element(sec, 0)
-    v = SectorVector.basis_element(sec, 3)
+    u = basis_vector(sec, 0)
+    v = basis_vector(sec, 3)
     assert inner_product(u, v) == 0.0
 
 
 def test_inner_product_conjugate_symmetric(rng):
     sec = build_sector(-1, 5)
-    u = SectorVector.random(sec, rng)
-    v = SectorVector.random(sec, rng)
+    u = random_vector(sec, rng)
+    v = random_vector(sec, rng)
     assert inner_product(u, v) == pytest.approx(np.conj(inner_product(v, u)))
     assert inner_product(u, u).real > 0
     assert abs(inner_product(u, u).imag) <= 1e-12 * inner_product(u, u).real
 
 
 def test_sector_mismatch_rejected(rng):
-    u = SectorVector.random(build_sector(0, 4), rng)
-    v = SectorVector.random(build_sector(1, 4), rng)
+    u = random_vector(build_sector(0, 4), rng)
+    v = random_vector(build_sector(1, 4), rng)
     with pytest.raises(ValueError):
         inner_product(u, v)
 
@@ -148,7 +143,7 @@ def test_full_gram_diagonal_positive():
     """Whole Gram matrix at a small truncation: diagonal with weights."""
     lam = 0.8
     sec = build_sector(1, 4, lam)
-    vecs = [SectorVector.basis_element(sec, i) for i in range(sec.dim)]
+    vecs = [basis_vector(sec, i) for i in range(sec.dim)]
     gram = np.array([[inner_product(u, v) for v in vecs] for u in vecs])
     expected = np.diag(4 * np.pi * lam**2 * sec.packed_weights())
     np.testing.assert_allclose(gram, expected, atol=1e-13)
@@ -157,7 +152,7 @@ def test_full_gram_diagonal_positive():
 
 def test_matrix_roundtrip(rng):
     sec = build_sector(2, 5)
-    v = SectorVector.random(sec, rng)
+    v = random_vector(sec, rng)
     again = from_matrix(sec, to_matrix(v))
     np.testing.assert_allclose(again.data, v.data, atol=0)
     # the dense matrix is supported exactly on the graded entries
@@ -172,7 +167,7 @@ def test_matrix_roundtrip(rng):
 def test_apply_shifts_grade(rng):
     sp = get_space(5, 1.0)
     sec = build_sector(0, 5)
-    psi = SectorVector.random(sec, rng)
+    psi = random_vector(sec, rng)
     out = apply_superop(sp.lmul_adag(1), psi)
     assert out.sector.kappa == 1
     # oracle: dense matrix multiplication
@@ -196,8 +191,8 @@ def test_weighted_adjoint_properties(rng):
     op2 = sp.radius_inv() @ (sp.lmul_adag(1) @ sp.rmul_a(1))
     adj = op2.weighted_adjoint()
     for _ in range(5):
-        u = SectorVector.random(sec, rng)
-        v = SectorVector.random(sec, rng)
+        u = random_vector(sec, rng)
+        v = random_vector(sec, rng)
         lhs = inner_product(u, apply_superop(op2, v))
         rhs = inner_product(apply_superop(adj, u), v)
         assert lhs == pytest.approx(rhs, rel=1e-11)
@@ -224,7 +219,7 @@ def test_materialized_matches_apply(rng):
         mat = sector_matrix(op, sec, dense=True)
         out_sec = build_sector(1 + op.grade, 6)
         for _ in range(100):
-            v = SectorVector.random(sec, rng)
+            v = random_vector(sec, rng)
             direct = apply_superop(op, v)
             product = mat @ v.data
             scale = max(1.0, np.linalg.norm(product))
@@ -443,7 +438,7 @@ def test_blocks_match_the_eager_formula(data, n_max, lam):
     # applying a block is multiplying by the full matrix
     kappa = data.draw(st.integers(-n_max, n_max))
     sec = build_sector(kappa, n_max, lam)
-    psi = SectorVector.random(sec, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    psi = random_vector(sec, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     got = apply_superop(op, psi)
     assert got.sector.kappa == kappa + op.grade
     want = full @ to_matrix(psi).reshape(-1)
@@ -503,7 +498,7 @@ def _gram_from_inner_products(ctx, sector, guard):
         lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
         picked.update({lo, (lo + hi) // 2, hi - 1})
     sample = sorted(picked)
-    vecs = [SectorVector.basis_element(sector, i) for i in sample]
+    vecs = [basis_vector(sector, i) for i in sample]
     gram = np.array([[inner_product(u, v) for v in vecs] for u in vecs])
     expected = np.diag(4.0 * np.pi * ctx.lam**2 * sector.packed_weights()[sample])
     rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
