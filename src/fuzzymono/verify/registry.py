@@ -15,10 +15,13 @@ An identity is one of two kinds:
     builds every pair of its rows and compares them in the order in which
     the space's block memo streams them (liouville.BlockMemo.stream), each
     on the guarded window of the requested sector without its record's
-    pole blocks. It is the only code that takes pair residuals.
+    pole blocks. It is the only code of a run that takes pair residuals:
+    canonical-pairing streams OperatorAlgebra.canonical_pairs(), and only
+    tests and the benchmark's tracer reach canonical_pairing_residual.
   * a scalar check, (ctx, win) -> outcome, for the identities that are not
     superoperator equalities (matrix-level Fock and coordinate relations,
-    fits, block-wise bounds, the scaling suite).
+    fits, block-wise bounds on the sector's radii and weights, the scaling
+    suite).
 
 Both give (residual, excluded_blocks); a check may give None when it has
 nothing to fit (reported as skipped). IdentityRecord.window is the one
@@ -47,6 +50,7 @@ from ..algebra import (
     RF_INV_R2,
     RF_MONOPOLE,
     RF_ONE,
+    RF_Q,
     RF_R,
     RF_R2,
     RadialFunction,
@@ -310,10 +314,6 @@ def _matrix_closure(ctx, win) -> Outcome:
     return matrix_closure_residual(), []
 
 
-def _canonical_pairing(ctx: EngineContext, win: Window) -> Outcome:
-    return ctx.alg.canonical_pairing_residual(win), list(win.excluded)
-
-
 def _cross_side(ctx: EngineContext) -> Iterator[Pair]:
     sp = ctx.space
     for al in (1, 2):
@@ -367,33 +367,17 @@ def _sector_grading(ctx: EngineContext, win: Window) -> Outcome:
 
 
 def _sector_gram(ctx: EngineContext, win: Window) -> Outcome:
-    """Gram matrix of a basis sample spanning the window's blocks: diagonal
-    and positive.
+    """The basis Gram matrix is diagonal and positive on the window.
 
-    Sample vector a is the basis element at packed index sample[a], so it
-    vanishes off the sample and coeffs[b, k] = u_b[sample[k]] holds every
-    vector.  The radius-weighted pairing (sector.inner_product)
-    <u_a, u_b> = 4 pi lam^2 sum_k conj(u_a[k]) w[k] u_b[k] then has one term
-    that can be nonzero, k = sample[a]: the terms this drops are exact zeros,
-    and the s x s Gram matrix costs O(s^2), not O(s^2 * dim).
-    """
-    sector = win.sector
-    sample: list[int] = []
-    for pos in np.flatnonzero(win.block_mask):
-        lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
-        sample.extend({lo, (lo + hi) // 2, hi - 1})
-    sample = sorted(set(sample))
-    w = sector.packed_weights()[sample]
-    coeffs = np.eye(len(sample), dtype=np.complex128)
-    gram = 4.0 * np.pi * ctx.lam**2 * (np.conj(coeffs.diagonal()) * w)[:, None] * coeffs.T
-    expected = np.diag(4.0 * np.pi * ctx.lam**2 * w)
+    The radius-weighted pairing (sector.inner_product) of basis elements j
+    and k is 4 pi lam^2 w[j] delta_jk, so the Gram matrix is diagonal by
+    construction and its eigenvalues are those pairings: the check reads
+    them for every column of the window, NaN when one overflows."""
+    gram = 4.0 * np.pi * ctx.lam**2 * win.sector.packed_weights()[win.column_mask]
     excluded = list(win.excluded)
     if not np.isfinite(gram).all():
-        return float("nan"), excluded  # an overflowed pairing has no eigenvalues
-    rel = float(np.linalg.norm(gram - expected) / np.linalg.norm(expected))
-    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-    positivity = max(0.0, -float(eigs.min()) / float(eigs.max()))
-    return max(rel, positivity), excluded
+        return float("nan"), excluded
+    return max(0.0, -float(gram.min()) / float(gram.max())), excluded
 
 
 def _radius_def(ctx: EngineContext) -> Iterator[Pair]:
@@ -444,7 +428,7 @@ def _radial_annihilator_blocks(ctx: EngineContext, win: Window) -> Outcome:
     the window (its default guard is 0: the check is per block)."""
     wv = win.sector.r_hat_eigen[win.block_mask]
     vals = radial_annihilator(RF_INV_R).fn(wv, ctx.lam)
-    scale = max(1.0, float(np.max(np.abs(1.0 / wv))))
+    scale = max(1.0, float(np.max(np.abs(RF_INV_R.fn(wv, ctx.lam)))))
     return float(np.max(np.abs(vals)) / scale), list(win.excluded)
 
 
@@ -554,8 +538,7 @@ def _q_order(ctx: EngineContext) -> Iterator[Pair]:
 def _q_limit(ctx: EngineContext, win: Window) -> Outcome:
     """Block-wise |Q - 1| <= 2*lam/r, the commutative-limit envelope."""
     wv = win.sector.r_hat_eigen[win.block_mask]
-    q = (wv - ctx.lam) / (wv + ctx.lam)
-    overshoot = np.abs(q - 1.0) - 2.0 * ctx.lam / wv
+    overshoot = np.abs(RF_Q.fn(wv, ctx.lam) - 1.0) - 2.0 * ctx.lam / wv
     return max(0.0, float(overshoot.max())), list(win.excluded)
 
 
@@ -878,7 +861,7 @@ REGISTRY: list[IdentityRecord] = [
     IdentityRecord("su22-matrix-closure", "su22", "[S_AB,S_CD] = i(eta.S - ...)",
                    check=_matrix_closure, tol=1e-15, per_kappa=False),
     IdentityRecord("canonical-pairing", "su22", "[A_a, Gamma_bc A+_c] = delta_ab",
-                   check=_canonical_pairing, guard=1, tol=1e-13),
+                   pairs=lambda ctx: ctx.alg.canonical_pairs(), guard=1, tol=1e-13),
     IdentityRecord("cross-side-comm", "su22", "left and right multiplications commute",
                    pairs=_cross_side, guard=0, tol=1e-15),
     IdentityRecord("su22-op-closure", "su22", "[S_AB,S_CD] = i(eta.S - ...) as superoperators",
@@ -1002,7 +985,7 @@ REGISTRY: list[IdentityRecord] = [
 
 # scaling suite assembled from homogeneous base identities
 _SCALING_BASES = ["coord-comm", "radius-s05", "u-closed-comm",
-                  "field-closed-spatial", "associator"]
+                  "field-closed-spatial", "g-exchange-mixed"]
 
 BY_ID: dict[str, IdentityRecord] = {r.id: r for r in REGISTRY}
 

@@ -114,8 +114,21 @@ def test_scaling_suite_is_exact():
     checked = [r for r in report.results if r.residual is not None]
     assert all(r.residual == 0.0 for r in checked), [(r.id, r.kappa, r.residual)
                                                       for r in checked]
-    assert (len(checked), len(report.results) - len(checked)) == (21, 16)
+    assert (len(checked), len(report.results) - len(checked)) == (25, 12)
     assert exit_code(report) == 0
+
+
+def test_every_scaling_base_checks_something():
+    """Under floor 0 a pair whose right side is 0 reads ||L|| / ||L|| = 1.0
+    for any L, so a scaling row over such a base compares 1.0 with 1.0 and
+    cannot fail. Each base has a checked row at n_max 6 whose floor-0
+    residual is far from that."""
+    ctx = get_context(6, 1.0)
+    for rec in records_for_suite("scaling"):
+        base = BY_ID[rec.id.removeprefix("scale:")]
+        outs = [base.evaluate(ctx, kappa, base.guard, floor=0.0)
+                for kappa in (range(-4, 5) if base.per_kappa else (None,))]
+        assert any(out is not None and out[0] < 0.5 for out in outs), base.id
 
 
 def test_failure_drives_exit_code():
@@ -625,7 +638,7 @@ def test_an_overflowed_side_fails(capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_an_overflowed_gram_fails_without_a_traceback(capsys):
     """At lam 1e140 the sector-gram pairings overflow to inf; the row fails
-    with a null residual instead of raising from eigvalsh."""
+    with a null residual instead of raising."""
     code = main(["--suite", "radial", "--n-max", "3", "--lambda", "1e140",
                  "--format", "json", "--jobs", "1"])
     assert code == 1

@@ -491,8 +491,9 @@ def test_window_norm_equals_the_abs_square_formula(m, n, data):
 
 
 def _gram_from_inner_products(ctx, sector, guard):
-    """The sector-gram residual of full-length basis vectors paired by
-    inner_product, as the check computed it before pairing on the sample."""
+    """The sector-gram residual of a sample of full-length basis vectors
+    paired by inner_product: the Gram matrix against its diagonal, and its
+    positivity."""
     picked = set()
     for pos in np.flatnonzero(sector.window(guard).block_mask):
         lo, hi = int(sector.block_offsets[pos]), int(sector.block_offsets[pos + 1])
@@ -508,8 +509,8 @@ def _gram_from_inner_products(ctx, sector, guard):
 
 @pytest.mark.parametrize("n_max, lam", [(1, 1.0), (5, 0.7), (12, 3.0)])
 def test_sector_gram_equals_the_inner_product_gram(n_max, lam):
-    """Pairing on the sample's support gives the residual of the full
-    pairings exactly: 0.0 on every sector and guard."""
+    """The weights the check reads give the residual of the full pairings
+    exactly: 0.0 on every sector and guard."""
     rec, ctx = BY_ID["sector-gram"], get_context(n_max, lam)
     for kappa in range(-4, 5):
         for guard in (0, 1, 2):
@@ -519,12 +520,25 @@ def test_sector_gram_equals_the_inner_product_gram(n_max, lam):
 
 
 def test_sector_gram_fails_on_a_negative_weight(monkeypatch):
-    """The check reads the sector's weights: one negative weight in the
-    sample makes the Gram matrix indefinite, and the row fails."""
+    """The check reads every weight of its window: one negative weight, at
+    the first entry of a block or at its second (an inner entry, neither
+    end nor middle), makes the Gram matrix indefinite, and the row fails."""
     rec, ctx = BY_ID["sector-gram"], get_context(6, 1.0)
     sector = ctx.sector(2)
-    bad = sector.packed_weights().copy()
-    bad[int(sector.block_offsets[3])] *= -1.0  # first entry of the fourth block, sampled
-    monkeypatch.setattr(MonopoleSector, "packed_weights", lambda self: bad)
-    residual, _ = rec.evaluate(ctx, 2, rec.guard)
-    assert residual > 0.1 > rec.tol
+    weights = sector.packed_weights()
+    lo, hi = int(sector.block_offsets[3]), int(sector.block_offsets[4])
+    assert hi - lo >= 4
+    for entry in (lo, lo + 1):
+        bad = weights.copy()
+        bad[entry] *= -1.0
+        monkeypatch.setattr(MonopoleSector, "packed_weights", lambda self: bad)
+        residual, _ = rec.evaluate(ctx, 2, rec.guard)
+        assert residual > 0.1 > rec.tol, entry
+
+
+def test_sector_gram_passes_on_tiny_pairings():
+    """At lam 1e-100 the pairings 4 pi lam^2 w are about 1e-199, positive
+    and finite, so the row passes: no norm of them (which would underflow
+    to 0 and read 0/0) enters the check."""
+    rec, ctx = BY_ID["sector-gram"], get_context(5, 1e-100)
+    assert all(rec.evaluate(ctx, kappa, rec.guard) == (0.0, []) for kappa in range(-4, 5))
