@@ -10,18 +10,21 @@ An identity is one of two kinds:
 
   * a pair function, ctx -> (lhs, rhs), ...: a generator of the
     superoperator pairs whose equality the identity states, built from the
-    context alone. compare_pairs evaluates the pair identities of one kappa
-    together, and IdentityRecord.evaluate of one is its one-row case: it
-    builds every pair of its rows and compares them in the order in which
-    the space's block memo streams them (liouville.BlockMemo.stream), each
-    on the guarded window of the requested sector without its record's
-    pole blocks. It is the only code of a run that takes pair residuals:
-    canonical-pairing streams OperatorAlgebra.canonical_pairs(), and only
-    tests and the benchmark's tracer reach canonical_pairing_residual.
+    context alone.
   * a scalar check, (ctx, win) -> outcome, for the identities that are not
     superoperator equalities (matrix-level Fock and coordinate relations,
     fits, block-wise bounds on the sector's radii and weights, the scaling
     suite).
+
+evaluate_batch evaluates every row of one batch (the rows of one kappa, or
+an interleaved part of them): each scalar check through its record's
+builder, then the pairs of all pair rows, compared in the order in which
+the space's block memo streams them (liouville.BlockMemo.stream), each on
+the guarded window of the requested sector without its record's pole
+blocks. IdentityRecord.evaluate of one pair identity is its one-row case.
+It is the only code of a run that takes pair residuals: canonical-pairing
+streams OperatorAlgebra.canonical_pairs(), and only tests and the
+benchmark's tracer reach canonical_pairing_residual.
 
 Both give (residual, excluded_blocks); a check may give None when it has
 nothing to fit (reported as skipped). IdentityRecord.window is the one
@@ -163,11 +166,11 @@ Check = Callable[[EngineContext, Window], Outcome]
 class IdentityRecord:
     """One identity: a pair function (pairs) or a scalar check (check).
 
-    builder(ctx, kappa, guard) is what the runner calls for a scalar check's
-    job; the runner evaluates the pair identities of a batch together
-    (compare_pairs). builder defaults to evaluate, also on a copy made by
-    dataclasses.replace; a tool that wraps each job (a tracer) passes its
-    wrapper through dataclasses.replace.
+    builder(ctx, kappa, guard) is what evaluate_batch calls for a scalar
+    check; it evaluates the pair identities of a batch together. builder
+    defaults to evaluate, also on a copy made by dataclasses.replace; a
+    tool that wraps each check (a tracer) passes its wrapper through
+    dataclasses.replace.
     """
 
     id: str
@@ -207,31 +210,40 @@ class IdentityRecord:
         """Outcome on sector kappa (None: a kappa-independent check), or None
         when the row's window is empty; floor is the residual denominator
         floor of a pair identity (graded_residual), unused by a scalar
-        check. A pair identity is the one-row case of compare_pairs."""
+        check. A pair identity is the one-row case of evaluate_batch."""
         if self.pairs is not None:
-            return compare_pairs(ctx, kappa, [(self, guard)], floor)[0][0]
+            return evaluate_batch(ctx, kappa, [(self, guard)], floor)[0][0]
         win = self.window(ctx, kappa, guard)
         return None if win is None else self.check(ctx, win)
 
 
-def compare_pairs(ctx: EngineContext, kappa: int, rows: list[tuple[IdentityRecord, int]],
-                  floor: float = 1.0) -> list[tuple[Outcome, float]]:
-    """The outcome of each (pair identity, guard) row on sector kappa, and
-    the seconds spent building and comparing its own pairs.
+def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
+                   rows: list[tuple[IdentityRecord, int]],
+                   floor: float = 1.0) -> list[tuple[Outcome, float]]:
+    """The outcome of each (record, guard) row of one batch on sector kappa
+    (None: a batch of kappa-independent checks), and the seconds it took.
 
-    A row whose window is empty is skipped (None) without calling its pair
-    function. The pairs of the other rows are all built first and compared
-    in the order that the space's block memo streams them (BlockMemo.stream),
-    so a row's seconds also count the memo's walk of the pair after each of
-    its own. A row's residual is the largest over its own pairs (np.max,
-    unlike max, keeps a NaN residual of any pair)."""
-    wins = [rec.window(ctx, kappa, guard) for rec, guard in rows]
-    live = [i for i, win in enumerate(wins) if win is not None]
+    The scalar checks run first, in row order, each through its record's
+    builder. Then the pairs of the pair rows are all built and compared in
+    the order that the space's block memo streams them (BlockMemo.stream),
+    so a pair row's seconds, those of building and comparing its own pairs,
+    also count the memo's walk of the pair after each of its own. A row
+    whose window is empty is skipped (None), and nothing of it is called.
+    A pair row's residual is the largest over its own pairs (np.max, unlike
+    max, keeps a NaN residual of any pair)."""
+    out: list[Outcome] = [None] * len(rows)
     seconds = [0.0] * len(rows)
-    residuals: dict[int, list[float]] = {i: [] for i in live}
+    for i, (rec, guard) in enumerate(rows):
+        if rec.pairs is None:
+            t0 = time.perf_counter()
+            out[i] = rec.builder(ctx, kappa, guard)
+            seconds[i] = time.perf_counter() - t0
+    wins = {i: rec.window(ctx, kappa, guard)
+            for i, (rec, guard) in enumerate(rows) if rec.pairs is not None}
+    residuals: dict[int, list[float]] = {i: [] for i, win in wins.items() if win is not None}
     pairs: list[Pair] = []
     owners: list[int] = []  # the row of each pair
-    for i in live:
+    for i in residuals:
         t0 = time.perf_counter()
         built = list(rows[i][0].pairs(ctx))
         seconds[i] += time.perf_counter() - t0
@@ -239,16 +251,18 @@ def compare_pairs(ctx: EngineContext, kappa: int, rows: list[tuple[IdentityRecor
             raise ValueError(f"{rows[i][0].id}: its pair function yields no pair")
         pairs += built
         owners += [i] * len(built)
-    t0 = time.perf_counter()
-    for pos in ctx.space.memo.stream(pairs, tuple(rows[i][0].id for i in live)):
-        i, win = owners[pos], wins[owners[pos]]
-        residuals[i].append(graded_residual(
-            *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])
-        t1 = time.perf_counter()
-        seconds[i] += t1 - t0
-        t0 = t1
-    return [((float(np.max(residuals[i])), list(wins[i].excluded)) if i in residuals else None,
-             seconds[i]) for i in range(len(rows))]
+    if pairs:
+        t0 = time.perf_counter()
+        for pos in ctx.space.memo.stream(pairs, tuple(rows[i][0].id for i in residuals)):
+            i, win = owners[pos], wins[owners[pos]]
+            residuals[i].append(graded_residual(
+                *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])
+            t1 = time.perf_counter()
+            seconds[i] += t1 - t0
+            t0 = t1
+    for i, vals in residuals.items():
+        out[i] = float(np.max(vals)), list(wins[i].excluded)
+    return list(zip(out, seconds))
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +386,13 @@ def _sector_gram(ctx: EngineContext, win: Window) -> Outcome:
     The radius-weighted pairing (sector.inner_product) of basis elements j
     and k is 4 pi lam^2 w[j] delta_jk, so the Gram matrix is diagonal by
     construction and its eigenvalues are those pairings: the check reads
-    them for every column of the window, NaN when one overflows."""
+    them for every column of the window, NaN when one overflows, otherwise
+    the most negative against the largest in magnitude."""
     gram = 4.0 * np.pi * ctx.lam**2 * win.sector.packed_weights()[win.column_mask]
     excluded = list(win.excluded)
     if not np.isfinite(gram).all():
         return float("nan"), excluded
-    return max(0.0, -float(gram.min()) / float(gram.max())), excluded
+    return max(0.0, -float(gram.min())) / float(np.abs(gram).max()), excluded
 
 
 def _radius_def(ctx: EngineContext) -> Iterator[Pair]:

@@ -13,12 +13,12 @@ and importing this module, load neither.
 
 Each row carries its guard, resolved once here: the record's guard, or
 the --guard override. IdentityRecord.window decides from it (and the
-record's pole blocks) whether the row has a window at all. A worker runs
-each scalar check of a batch as one job, and the batch's pair identities
-as one more, which registry.compare_pairs evaluates together: their pairs
-stream through the space's block memo in an order that the memo keeps
-for that set of rows, so a worker's later kappas reuse it.
-IdentityRecord.evaluate of one pair identity is the one-row case.
+record's pole blocks) whether the row has a window at all. A job is one
+batch, which registry.evaluate_batch evaluates in one call: its scalar
+checks, then its pair identities, whose pairs stream through the space's
+block memo in an order that the memo keeps for that set of rows, so a
+worker's later kappas reuse it. The runner only plans the batches and
+dispatches them; it does not look at what kind of identity a row is.
 
 The engine context moves its space's block memo (liouville.BlockMemo) to
 each kappa whose sector it reads (EngineContext.sector), so a pool worker,
@@ -43,7 +43,7 @@ import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .registry import BY_ID, SUITES, compare_pairs, get_context, records_for_suite
+from .registry import BY_ID, SUITES, evaluate_batch, get_context, records_for_suite
 from .report import IdentityResult, VerificationReport
 
 JOBS_ENV = "FUZZYMONO_JOBS"
@@ -82,21 +82,23 @@ def _eval_job(job: tuple) -> tuple[list[tuple[float | None, list[int], float]], 
     """The outcome (residual, excluded blocks, wall ms) of each row of a job,
     and the warnings it raised, as warn_explicit arguments.
 
-    A job is (record ids, kappa, n_max, lam, guards): one scalar check, or
-    the pair identities of a batch, which compare_pairs evaluates together.
+    A job is one batch, (record ids, kappa, n_max, lam, guards), which
+    registry.evaluate_batch evaluates.
     """
     ids, kappa, n_max, lam, guards = job
-    records = [BY_ID[record_id] for record_id in ids]
     with warnings.catch_warnings(record=True) as caught:
-        ctx = get_context(n_max, lam)
-        if records[0].pairs is None:
-            t0 = time.perf_counter()
-            timed = [(records[0].builder(ctx, kappa, guards[0]), time.perf_counter() - t0)]
-        else:
-            timed = compare_pairs(ctx, kappa, list(zip(records, guards)))
+        timed = evaluate_batch(get_context(n_max, lam), kappa,
+                               [(BY_ID[record_id], guard) for record_id, guard in zip(ids, guards)])
     raised = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
     return [(None, [], s * 1e3) if out is None else
              (float(out[0]), [int(b) for b in out[1]], s * 1e3) for out, s in timed], raised
+
+
+def _run_job(job: tuple) -> tuple[list[tuple], list[tuple]]:
+    """_eval_job(job), looked up as a module global when called, so that a
+    rebound _eval_job (a tracer's wrapper, a test's local function) runs
+    also in a pool worker, which receives this function pickled by name."""
+    return _eval_job(job)
 
 
 def plan_batches(kappas: Sequence[int | None], workers: int) -> list[list[int]]:
@@ -122,54 +124,30 @@ def plan_batches(kappas: Sequence[int | None], workers: int) -> list[list[int]]:
     return batches
 
 
-def _run_batch(batch: list[tuple]) -> tuple[list[tuple], list[tuple]]:
-    """The outcomes of one batch's rows (record id, kappa, n_max, lam,
-    guard), in order, and the warnings raised.
-
-    Each scalar check is one _eval_job call, and the pair identities of the
-    batch are one more. Calls _eval_job through the module global, which a
-    tracer may rebind.
-    """
-    kappa, n_max, lam = batch[0][1:4]
-    checks = [[i] for i, row in enumerate(batch) if BY_ID[row[0]].pairs is None]
-    pairs = [i for i, row in enumerate(batch) if BY_ID[row[0]].pairs is not None]
-    outcomes: list = [None] * len(batch)
-    raised: list[tuple] = []
-    for group in checks + ([pairs] if pairs else []):
-        group_outcomes, group_raised = _eval_job((tuple(batch[i][0] for i in group), kappa,
-                                                  n_max, lam, tuple(batch[i][4] for i in group)))
-        raised += group_raised
-        for i, outcome in zip(group, group_outcomes):
-            outcomes[i] = outcome
-    return outcomes, raised
-
-
 def run_suite(config: RunConfig) -> VerificationReport:
     twice = sorted({k for k in config.kappas if config.kappas.count(k) > 1})
     if twice:  # each of their rows would be reported twice
         raise ValueError(f"kappas repeat {', '.join(map(str, twice))}")
     records = records_for_suite(config.suite)
     records = sorted(records, key=lambda r: (_SUITE_ORDER[r.suite], r.id))
-    rows: list[tuple] = []
-    meta: list[tuple] = []  # (record, kappa, guard)
+    rows: list[tuple] = []  # (record, kappa, guard)
     for rec in records:
         kappas: tuple[int | None, ...] = config.kappas if rec.per_kappa else (None,)
         guard = rec.guard if config.guard is None else config.guard
-        for kappa in kappas:
-            rows.append((rec.id, kappa, config.n_max, config.lam, guard))
-            meta.append((rec, kappa, guard))
+        rows += [(rec, kappa, guard) for kappa in kappas]
 
     n_workers = min(config.resolved_jobs(), len(rows))
-    batches = plan_batches([kappa for _, kappa, _ in meta], n_workers)
-    work = [[rows[i] for i in batch] for batch in batches]
+    batches = plan_batches([kappa for _, kappa, _ in rows], n_workers)
+    jobs = [(tuple(rows[i][0].id for i in batch), rows[batch[0]][1], config.n_max,
+             config.lam, tuple(rows[i][2] for i in batch)) for batch in batches]
     n_workers = min(n_workers, len(batches))
     if n_workers <= 1:
-        done = [_run_batch(batch) for batch in work]
+        done = list(map(_run_job, jobs))
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for it
 
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            done = list(pool.map(_run_batch, work, chunksize=1))
+            done = list(pool.map(_run_job, jobs, chunksize=1))
     outcomes: list = [None] * len(rows)
     raised: list[tuple] = []
     for batch, (batch_outcomes, batch_raised) in zip(batches, done):
@@ -181,7 +159,7 @@ def run_suite(config: RunConfig) -> VerificationReport:
         warnings.warn_explicit(*w)
 
     report = VerificationReport(suite=config.suite, lam=config.lam, n_max=config.n_max)
-    for (rec, kappa, guard), (residual, excluded, wall_ms) in zip(meta, outcomes):
+    for (rec, kappa, guard), (residual, excluded, wall_ms) in zip(rows, outcomes):
         report.results.append(
             IdentityResult(
                 id=rec.id,

@@ -78,14 +78,14 @@ def test_canonical_pairing_row_is_the_helper(ctx9):
     """The canonical-pairing row, streamed with the other su22 pair
     identities, equals canonical_pairing_residual on its window bit for bit
     (an empty window is skipped)."""
-    from fuzzymono.verify.registry import compare_pairs, records_for_suite
+    from fuzzymono.verify.registry import evaluate_batch, records_for_suite
 
     su22 = [r for r in records_for_suite("su22") if r.pairs is not None]
     at = [r.id for r in su22].index("canonical-pairing")
     checked = 0
     for kappa in range(-4, 5):
         for guard in (0, 1, 2):
-            out = compare_pairs(ctx9, kappa, [(r, guard) for r in su22])[at][0]
+            out = evaluate_batch(ctx9, kappa, [(r, guard) for r in su22])[at][0]
             win = ctx9.sector(kappa).window(guard)
             if not win.block_mask.any():
                 assert out is None

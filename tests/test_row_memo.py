@@ -3,9 +3,9 @@ equal structure.
 
 Sharing must change no residual, must save sparse-kernel work, must compute
 no structure twice within a pair or over two consecutive pairs, and must
-keep nothing once the batch is done. A batch compares the pair identities
-of one kappa as one stream (registry.compare_pairs); a single row is its
-one-row case.
+keep nothing once the batch is done. A batch (registry.evaluate_batch)
+runs the scalar checks of one kappa and compares its pair identities as one
+stream; a single pair row is its one-row case.
 """
 
 import collections
@@ -21,7 +21,7 @@ from fuzzymono import csr, liouville, sector
 from fuzzymono.liouville import BlockMemo, Space, SuperOp, cache_get, stream_order
 from fuzzymono.sector import graded_residual
 from fuzzymono.verify import registry
-from fuzzymono.verify.registry import (BY_ID, REGISTRY, compare_pairs, get_context,
+from fuzzymono.verify.registry import (BY_ID, REGISTRY, evaluate_batch, get_context,
                                        records_for_suite)
 from fuzzymono.verify.runner import RunConfig, run_suite
 
@@ -52,15 +52,20 @@ def test_sharing_changes_no_residual(kappa):
         assert_no_stream(ctx.space)
 
 
-@pytest.mark.parametrize("kappa", range(-2, 3))
+@pytest.mark.parametrize("kappa", [*range(-2, 3), None])
 def test_a_batch_changes_no_residual(kappa):
-    """Every pair identity compared in one batch gives the outcome of its
-    pairs compared alone."""
+    """Every row of a whole batch gives the outcome it has alone: a pair
+    identity that of its pairs compared alone, a scalar check that of
+    IdentityRecord.evaluate, skips included. kappa None is the batch of
+    the kappa-independent checks."""
     ctx = get_context(6, 1.0)
-    outs = compare_pairs(ctx, kappa, [(rec, rec.guard) for rec in PAIR_RECORDS])
+    records = [rec for rec in records_for_suite("all") if rec.per_kappa == (kappa is not None)]
+    outs = evaluate_batch(ctx, kappa, [(rec, rec.guard) for rec in records])
     assert_no_stream(ctx.space)
-    for rec, (out, _) in zip(PAIR_RECORDS, outs):
-        assert repr(out) == repr(evaluate_alone(rec, ctx, kappa, rec.guard)), rec.id
+    for rec, (out, _) in zip(records, outs):
+        alone = (rec.evaluate(ctx, kappa, rec.guard) if rec.pairs is None
+                 else evaluate_alone(rec, ctx, kappa, rec.guard))
+        assert repr(out) == repr(alone), rec.id
 
 
 def test_sharing_changes_no_scaling_residual():
@@ -122,7 +127,7 @@ def test_sharing_saves_kernel_calls(monkeypatch):
 
 def test_a_batch_saves_kernel_calls_over_its_rows(monkeypatch):
     rows = _kernel_calls(monkeypatch, _each(lambda rec, *args: rec.evaluate(*args)))
-    batch = _kernel_calls(monkeypatch, lambda ctx, records: compare_pairs(
+    batch = _kernel_calls(monkeypatch, lambda ctx, records: evaluate_batch(
         ctx, 1, [(rec, rec.guard) for rec in records]))
     assert 0 < batch < rows
 
@@ -146,11 +151,11 @@ def test_the_stream_order_is_kept_per_space_and_key(monkeypatch, fresh):
     ctx = get_context(6, 1.0)
     rows = [(rec, rec.guard) for rec in records_for_suite("velocity") if rec.pairs]
     for kappa in (1, -1):
-        compare_pairs(ctx, kappa, rows)
+        evaluate_batch(ctx, kappa, rows)
     assert len(orders) == 1 and orders[0] > len(rows)
-    compare_pairs(ctx, 1, rows[1:])
+    evaluate_batch(ctx, 1, rows[1:])
     assert len(orders) == 2
-    compare_pairs(get_context(5, 1.0), 1, rows)
+    evaluate_batch(get_context(5, 1.0), 1, rows)
     assert len(orders) == 3
     pairs = list(BY_ID["radius-def"].pairs(ctx))
     for key in ("a", "b", "a"):
@@ -229,7 +234,7 @@ def test_a_failing_batch_leaves_no_memo(monkeypatch):
     for pairs, match in ((failing, "built"), (failing_block, "compared")):
         with pytest.raises(RuntimeError, match=match):
             failing_rec = dataclasses.replace(rec, id="failing", pairs=pairs)
-            compare_pairs(ctx, 0, others + [(failing_rec, rec.guard)])
+            evaluate_batch(ctx, 0, others + [(failing_rec, rec.guard)])
         assert_no_stream(ctx.space)
     assert turns_at_failure and turns_at_failure[0] > 0
 
@@ -253,7 +258,7 @@ def test_each_row_of_a_batch_is_timed_by_its_own_pairs():
     rows = [(rec, rec.guard) for rec in records_for_suite("velocity") if rec.pairs]
     rows = [(dataclasses.replace(rec, pairs=sleepy) if rec is slow else rec, guard)
             for rec, guard in rows]
-    outs = compare_pairs(ctx, 1, rows)
+    outs = evaluate_batch(ctx, 1, rows)
     assert all(out is not None for out, _ in outs)
     for (rec, _), (_, seconds) in zip(rows, outs):
         assert (seconds >= 0.05) if rec.id == slow.id else (0 < seconds < 0.05), rec.id

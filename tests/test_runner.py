@@ -321,7 +321,7 @@ def test_cached_blocks_are_computed_once_per_kappa_visit(monkeypatch):
     from fuzzymono import liouville, sector
     from fuzzymono.liouville import SuperOp
     from fuzzymono.verify import registry
-    from fuzzymono.verify.registry import compare_pairs
+    from fuzzymono.verify.registry import evaluate_batch
 
     monkeypatch.setattr(liouville, "_SPACES", {})
     monkeypatch.setattr(sector, "_SECTORS", {})
@@ -341,7 +341,7 @@ def test_cached_blocks_are_computed_once_per_kappa_visit(monkeypatch):
     def visit(kappa) -> dict[tuple[int, int], int]:
         start = len(computed)
         for part in (rows[0::2], rows[1::2]):  # as plan_batches' interleaved parts
-            compare_pairs(ctx, kappa, part)
+            evaluate_batch(ctx, kappa, part)
         assert charge.evaluate(ctx, kappa, charge.guard) is not None
         cached = {op.sid for op in ctx.space._cache.values() if isinstance(op, SuperOp)}
         counts: dict[tuple[int, int], int] = {}
@@ -378,8 +378,8 @@ def test_evaluate_alone_keeps_one_kappa_of_blocks(monkeypatch):
 
 def test_single_kappa_pool_run_uses_every_worker(monkeypatch, tmp_path):
     """Both workers, and not the main process, run rows of kappa 2; every
-    one of the 62 rows runs once. A job (job[1] its kappa) is one scalar
-    check or the pair identities of a batch, so rows are counted, not
+    one of the 62 rows runs once. A job (job[1] its kappa) is one batch, an
+    interleaved part of the kappa's rows, so rows are counted, not
     calls."""
     from fuzzymono.verify import runner
 

@@ -522,13 +522,14 @@ def test_sector_gram_equals_the_inner_product_gram(n_max, lam):
 def test_sector_gram_fails_on_a_negative_weight(monkeypatch):
     """The check reads every weight of its window: one negative weight, at
     the first entry of a block or at its second (an inner entry, neither
-    end nor middle), makes the Gram matrix indefinite, and the row fails."""
+    end nor middle), makes the Gram matrix indefinite, and the row fails;
+    so does a window whose weights are all negative."""
     rec, ctx = BY_ID["sector-gram"], get_context(6, 1.0)
     sector = ctx.sector(2)
     weights = sector.packed_weights()
     lo, hi = int(sector.block_offsets[3]), int(sector.block_offsets[4])
     assert hi - lo >= 4
-    for entry in (lo, lo + 1):
+    for entry in (lo, lo + 1, slice(None)):
         bad = weights.copy()
         bad[entry] *= -1.0
         monkeypatch.setattr(MonopoleSector, "packed_weights", lambda self: bad)
