@@ -51,9 +51,13 @@ the only support fact a superoperator carries.
     memo keeps their blocks until EngineContext.sector moves it to another
     kappa.  An operator that one identity reads once per sector is not
     cached; its blocks are computed on each read, except while
-    BlockMemo.stream walks the pairs of one batch: the memo shares the
+    BlockMemo.stream runs the pairs of one batch: the memo shares the
     blocks of equal sid, each only as long as the current or the next pair
-    reads it, and keeps the order of each batch for the later kappas.
+    reads it.  It keys them by their sector relative to kappa, so a
+    stream's plan (its order, and at each turn the reads of the next pair)
+    does not depend on kappa: the memo walks each list of words once and
+    replays its plan at the later kappas.  The registry builds each pair
+    function's words once per context.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -183,26 +187,29 @@ class SuperOp:
 class BlockMemo:
     """Every block that a Space keeps: each raw_block read goes through read().
 
-    Blocks are keyed by (SuperOp.sid, sector).  A node's sid is fixed when
+    Blocks are keyed by SuperOp.sid and sector.  A node's sid is fixed when
     it is built (structure_id) and when cache_get keeps it.  A leaf, a kept
     operator and a scale node with a NaN scalar match no other node; a
     composed node matches the nodes of equal kind and operands, and a scale
     node also needs equal scalar bits (0.0 and -0.0 differ).  The structure
-    table lasts as long as the space.  A kept operator's blocks stay until
-    at() moves the memo to another kappa.  A transient operator computes its
-    blocks on each read, except while stream() walks a batch of pairs, read
-    at sector kappa: then the nodes of equal sid share them.
+    table lasts as long as the space.  A kept operator's blocks, keyed by
+    (sid, sector), stay until at() moves the memo to another kappa.  A
+    transient operator computes its blocks on each read, except while
+    stream() runs a batch of pairs, read at sector kappa: then the nodes of
+    equal sid share them, keyed by (sid, sector - kappa), so that what a
+    stream reads does not depend on kappa.
     """
 
     def __init__(self):
-        self.kappa: Optional[int] = None
+        self.kappa = 0  # the sector the memo is at
         self.kept: dict[tuple[int, int], CSR] = {}  # (sid, sector) -> block of a kept operator
-        self._orders: dict[tuple, list[int]] = {}  # (stream key, pair count) -> stream order
+        # root sids of a stream's pairs -> (stream order, reads of the next pair at each turn)
+        self._plans: dict[tuple[int, ...], tuple[list[int], list[dict]]] = {}
         self._table: dict[tuple, int] = {}  # (kind, operand sids[, scalar bits]) -> sid
         self._drop_stream()
 
     def _drop_stream(self) -> None:
-        self.shared: dict[tuple[int, int], CSR] = {}  # (sid, sector) -> block
+        self.shared: dict[tuple[int, int], CSR] = {}  # (sid, sector - kappa) -> block
         self._reads: dict[tuple[int, int], int] = {}  # reads left in the current pair
         self._ahead: dict[tuple[int, int], int] = {}  # reads of the next pair
 
@@ -222,36 +229,42 @@ class BlockMemo:
             self.kept.clear()
             self.kappa = kappa
 
-    def stream(self, pairs: Sequence[tuple[SuperOp, ...]], key) -> Iterator[int]:
+    def stream(self, pairs: Sequence[tuple[SuperOp, ...]]) -> Iterator[int]:
         """Yield the position of each pair in stream order, once the memo
-        has walked the pair after it.
+        has counted the reads of the pair after it.
 
-        The order (stream_order) depends on the words alone: the memo
-        computes it on the first batch of each key and pair count and keeps
-        it.  A shared block stays while the current or the next pair reads
-        it.  Nothing of the stream is kept once it ends, also when the
-        caller or a block raises, or the caller stops iterating.
+        The first stream of a list of words (the root sids of the pairs)
+        walks the pairs: for the order (stream_order) and, at each turn, for
+        the reads of the next pair.  It keeps both, and a later stream of
+        the same words, at any kappa, replays them without a walk.  A
+        shared block stays while the current or the next pair reads it.
+        Nothing of the stream is kept once it ends, also when the caller or
+        a block raises, or the caller stops iterating.
         """
         try:
-            order = self._orders.get((key, len(pairs)))
-            if order is None:
-                order = self._orders[key, len(pairs)] = stream_order(
-                    [self._walk(pair).keys() for pair in pairs])
-            walks = [pairs[pos] for pos in order] + [()]
-            self._turn(walks[0])
-            for pos, ahead in zip(order, walks[1:]):
-                self._turn(ahead)
-                yield pos
+            words = tuple(op.sid for pair in pairs for op in pair)
+            plan = self._plans.get(words)
+            walking = plan is None
+            if walking:
+                plan = stream_order([self._walk(pair).keys() for pair in pairs]), []
+            order, steps = plan
+            for step, ahead in enumerate([pairs[pos] for pos in order] + [()]):
+                if walking:
+                    steps.append(self._walk(ahead, self._ahead.keys() | self.shared.keys()))
+                self._turn(steps[step])
+                if step:
+                    yield order[step - 1]
+            self._plans[words] = plan
         finally:
             self._drop_stream()
 
     def _walk(self, ops: Iterable[SuperOp],
               held: Container[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
         """How often ops, read at sector kappa, read each transient
-        (structure, sector); a read of a key in held finds its block and
-        reads nothing below it."""
+        (structure, sector - kappa); a read of a key in held finds its
+        block and reads nothing below it."""
         reads = {}
-        todo = [(op, self.kappa) for op in ops if not op.kept]
+        todo = [(op, 0) for op in ops if not op.kept]
         while todo:
             op, k = todo.pop()
             key = (op.sid, k)
@@ -260,23 +273,23 @@ class BlockMemo:
                 todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if not a.kept]
         return reads
 
-    def _turn(self, ahead: tuple[SuperOp, ...]) -> None:
-        """Start the pair that was ahead; ahead is the next one, () after
-        the last: count its reads, short of the blocks that the pair before
-        it computes, and drop each shared block that neither reads."""
-        self._reads = self._ahead
-        self._ahead = self._walk(ahead, self._reads.keys() | self.shared.keys())
+    def _turn(self, ahead: dict[tuple[int, int], int]) -> None:
+        """Start the pair that was ahead; ahead counts the reads of the
+        next one ({} after the last).  Drop each shared block that neither
+        reads."""
+        self._reads, self._ahead = dict(self._ahead), ahead
         self.shared = {key: blk for key, blk in self.shared.items()
-                       if key in self._ahead or key in self._reads}
+                       if key in ahead or key in self._reads}
 
     def read(self, op: SuperOp, k: int) -> CSR:
         """op.raw_block(k)."""
-        key = (op.sid, k)
         if op.kept:
+            key = (op.sid, k)
             blk = self.kept.get(key)
             if blk is None:
                 blk = self.kept[key] = op._compute(k)
             return blk
+        key = (op.sid, k - self.kappa)
         left = self._reads.pop(key, 0) - 1
         blk = self.shared.pop(key, None)
         if blk is None:
@@ -346,11 +359,14 @@ class Space:
 
     def sector_levels(self, kappa: int) -> tuple[np.ndarray, np.ndarray]:
         """Input levels of the grade-kappa sector, ascending, and the offsets
-        of their blocks in the packed order (one entry more than levels)."""
+        of their blocks in the packed order (one entry more than levels).
+        Every grade beyond +-n_max has the empty sector of n_max + 1, also
+        one too large for int64."""
         if kappa not in self._sectors:
-            n = np.arange(max(0, -kappa), min(self.n_max, self.n_max - kappa) + 1)
+            k = min(max(kappa, -self.n_max - 1), self.n_max + 1)
+            n = np.arange(max(0, -k), min(self.n_max, self.n_max - k) + 1)
             offsets = np.zeros(n.size + 1, dtype=np.int64)
-            np.cumsum((n + 1) * (n + kappa + 1), out=offsets[1:])
+            np.cumsum((n + 1) * (n + k + 1), out=offsets[1:])
             self._sectors[kappa] = (n, offsets)
         return self._sectors[kappa]
 
@@ -461,17 +477,16 @@ class Space:
         any comparison window by the caller (the registry tracks this).
         """
         w = self.level_w
-        mask = self.near_pole(poles)
+        mask = self.near_pole(poles, w)
         vals = np.zeros(w.shape, dtype=np.complex128)
         with np.errstate(divide="ignore", invalid="ignore"):
             vals[~mask] = fn(w[~mask])
         return self.radial_values(vals)
 
-    def near_pole(self, poles: Iterable[float], rows=slice(None), cols=slice(None)) -> np.ndarray:
-        """Whether the radius level_w[rows, cols] of each (row level, col
-        level) pair lies within POLE_TOL*lam of a pole (poles in units of
-        lam)."""
-        w_over_lam = self.level_w[rows, cols] / self.lam
+    def near_pole(self, poles: Iterable[float], w: np.ndarray) -> np.ndarray:
+        """Whether each radius of w (values of level_w) lies within
+        POLE_TOL*lam of a pole (poles in units of lam)."""
+        w_over_lam = w / self.lam
         hit = np.zeros(w_over_lam.shape, dtype=bool)
         for p in poles:
             hit |= np.abs(w_over_lam - p) < POLE_TOL

@@ -68,7 +68,7 @@ class MonopoleSector:
         if key not in self._windows:
             levels = np.array(self.blocks, dtype=np.int64)
             pos = np.arange(levels.size)
-            pole_hit = self.space.near_pole(key[1], levels + self.kappa, levels)
+            pole_hit = self.space.near_pole(key[1], self.r_hat_eigen)
             keep = (pos >= guard) & (pos < levels.size - guard) & ~pole_hit
             self._windows[key] = Window(self, guard, key[1], _read_only(keep),
                                         _read_only(keep[self.block_of]),
@@ -115,6 +115,8 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
         return _SECTORS[key]
     space = get_space(n_max, lam)
     levels, offsets = space.sector_levels(kappa)
+    # the output levels; an empty sector's grade may be too large for int64
+    out_levels = levels + kappa if levels.size else levels
     sector = MonopoleSector(
         kappa=kappa,
         n_max=n_max,
@@ -122,7 +124,7 @@ def build_sector(kappa: int, n_max: int, lam: float = 1.0) -> MonopoleSector:
         blocks=tuple(levels.tolist()),
         block_offsets=_read_only(offsets),
         block_of=_read_only(np.repeat(np.arange(levels.size, dtype=np.int64), np.diff(offsets))),
-        r_hat_eigen=_read_only(space.level_w[levels + kappa, levels]),
+        r_hat_eigen=_read_only(space.level_w[out_levels, levels]),
         space=space,
     )
     _SECTORS[key] = sector

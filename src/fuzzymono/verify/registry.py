@@ -18,8 +18,9 @@ An identity is one of two kinds:
 
 evaluate_batch evaluates every row of one batch (the rows of one kappa, or
 an interleaved part of them): each scalar check through its record's
-builder, then the pairs of all pair rows, compared in the order in which
-the space's block memo streams them (liouville.BlockMemo.stream), each on
+builder, then the pairs of all pair rows, built once per context and
+compared in the order in which the space's block memo streams them
+(liouville.BlockMemo.stream), each on
 the guarded window of the requested sector without its record's pole
 blocks. IdentityRecord.evaluate of one pair identity is its one-row case.
 It is the only code of a run that takes pair residuals: canonical-pairing
@@ -224,13 +225,16 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
     (None: a batch of kappa-independent checks), and the seconds it took.
 
     The scalar checks run first, in row order, each through its record's
-    builder. Then the pairs of the pair rows are all built and compared in
-    the order that the space's block memo streams them (BlockMemo.stream),
-    so a pair row's seconds, those of building and comparing its own pairs,
-    also count the memo's walk of the pair after each of its own. A row
-    whose window is empty is skipped (None), and nothing of it is called.
-    A pair row's residual is the largest over its own pairs (np.max, unlike
-    max, keeps a NaN residual of any pair)."""
+    builder. Then the pairs of the pair rows are compared in the order that
+    the space's block memo streams them (BlockMemo.stream). A pair function
+    runs once per context: its pairs, trees of lazy nodes that hold no
+    block, are kept in the context's cache under the function itself, so a
+    dataclasses.replace copy with pairs of its own builds its own. A pair
+    row's seconds are those of comparing its own pairs, with the memo's
+    count of the reads of the pair after each, and of building them when
+    the batch does. A row whose window is empty is skipped (None), and
+    nothing of it is called. A pair row's residual is the largest over its
+    own pairs (np.max, unlike max, keeps a NaN residual of any pair)."""
     out: list[Outcome] = [None] * len(rows)
     seconds = [0.0] * len(rows)
     for i, (rec, guard) in enumerate(rows):
@@ -244,8 +248,9 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
     pairs: list[Pair] = []
     owners: list[int] = []  # the row of each pair
     for i in residuals:
+        fn = rows[i][0].pairs
         t0 = time.perf_counter()
-        built = list(rows[i][0].pairs(ctx))
+        built = cache_get(ctx._cache, ("pairs", fn), lambda: list(fn(ctx)))
         seconds[i] += time.perf_counter() - t0
         if not built:
             raise ValueError(f"{rows[i][0].id}: its pair function yields no pair")
@@ -253,7 +258,7 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
         owners += [i] * len(built)
     if pairs:
         t0 = time.perf_counter()
-        for pos in ctx.space.memo.stream(pairs, tuple(rows[i][0].id for i in residuals)):
+        for pos in ctx.space.memo.stream(pairs):
             i, win = owners[pos], wins[owners[pos]]
             residuals[i].append(graded_residual(
                 *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])

@@ -142,9 +142,9 @@ def test_stream_order_follows_the_most_shared_keys():
 
 
 def test_the_stream_order_is_kept_per_space_and_key(monkeypatch, fresh):
-    """The order depends on the words alone: a second kappa reuses the
-    first one's, and other rows, another key or another space get an order
-    of their own."""
+    """The order depends on the words alone, which key it: a second kappa
+    reuses the first one's, and other rows, other words of the same row or
+    another space get an order of their own."""
     orders = []
     monkeypatch.setattr(liouville, "stream_order",
                         lambda reads: orders.append(len(reads)) or stream_order(reads))
@@ -158,24 +158,25 @@ def test_the_stream_order_is_kept_per_space_and_key(monkeypatch, fresh):
     evaluate_batch(get_context(5, 1.0), 1, rows)
     assert len(orders) == 3
     pairs = list(BY_ID["radius-def"].pairs(ctx))
-    for key in ("a", "b", "a"):
-        list(ctx.space.memo.stream(pairs, key))
+    again = list(BY_ID["radius-def"].pairs(ctx))  # leaves built afresh: other words
+    for words in (pairs, again, pairs):
+        list(ctx.space.memo.stream(words))
     assert len(orders) == 5
 
 
 def test_a_stream_yields_every_position_once(fresh):
     """The positions a stream yields are a permutation of the pairs', on
-    the first batch of a key, which orders them, and on a later one, which
-    reuses the order."""
+    the first stream of their words, which walks them, and on a later one,
+    which replays its plan."""
     ctx = get_context(6, 1.0)
     ctx.sector(1)
     pairs = [pair for rec in records_for_suite("velocity") if rec.pairs
              for pair in rec.pairs(ctx)]
     for _ in range(2):
-        positions = list(ctx.space.memo.stream(pairs, "velocity"))
+        positions = list(ctx.space.memo.stream(pairs))
         assert sorted(positions) == list(range(len(pairs))) and positions != sorted(positions)
         assert_no_stream(ctx.space)
-    assert list(ctx.space.memo.stream([], "none")) == []
+    assert list(ctx.space.memo.stream([])) == []
 
 
 def test_a_stream_left_early_keeps_nothing(fresh):
@@ -186,13 +187,13 @@ def test_a_stream_left_early_keeps_nothing(fresh):
     ctx.sector(0)
     memo = ctx.space.memo
     pairs = list(BY_ID["su22-op-closure"].pairs(ctx))
-    for pos in memo.stream(pairs, "op-closure"):
+    for pos in memo.stream(pairs):
         graded_residual(*pairs[pos], ctx.sector(0), 2)
         assert memo._ahead
         break
     assert_no_stream(ctx.space)
     with pytest.raises(RuntimeError, match="between"):
-        for n, pos in enumerate(memo.stream(pairs, "op-closure")):
+        for n, pos in enumerate(memo.stream(pairs)):
             graded_residual(*pairs[pos], ctx.sector(0), 2)
             if n == 3:
                 assert memo.shared
@@ -278,10 +279,10 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
     stream, turn, walk = BlockMemo.stream, BlockMemo._turn, BlockMemo._walk
     compute = SuperOp._compute
 
-    def numbered_stream(memo, pairs, key):
+    def numbered_stream(memo, pairs):
         turns.append(0)
         walked.clear()
-        yield from stream(memo, pairs, key)
+        yield from stream(memo, pairs)
 
     def recorded_walk(memo, ops, held=()):
         todo = [op for op in ops if not op.kept]
@@ -369,7 +370,7 @@ def test_equal_words_of_two_streams_have_equal_ids(fresh):
     for kappa in (1, -2):
         ctx.sector(kappa)
         pairs = list(rec.pairs(ctx))
-        for pos in memo.stream(pairs, "op-closure"):
+        for pos in memo.stream(pairs):
             graded_residual(*pairs[pos], ctx.sector(kappa), rec.guard)
         assert_no_stream(ctx.space)
         built.append(pairs)
@@ -405,3 +406,124 @@ def test_a_transient_block_read_outside_a_stream_keeps_nothing():
     for k in (0, 1, -1):
         assert word.raw_block(k).shape == (dims[k + 1], dims[k])
         assert_no_stream(space)
+
+
+def _live(ctx, kappa, rows) -> tuple[str, ...]:
+    """The ids of the rows whose window on sector kappa is not empty."""
+    return tuple(rec.id for rec, guard in rows if rec.window(ctx, kappa, guard) is not None)
+
+
+def test_a_stream_reads_the_same_blocks_at_every_kappa(monkeypatch, fresh):
+    """The shift claim that a replayed plan relies on. At n_max 6, the
+    stream of each kappa's pair rows of --suite all, walked afresh, walks
+    every pair alike and reads the same transient (structure, sector -
+    kappa) blocks in the same order at every kappa with the same live rows,
+    and each pair reads exactly what the walk counted for it."""
+    ctx = get_context(6, 1.0)
+    memo = ctx.space.memo
+    rows = [(rec, rec.guard) for rec in records_for_suite("all") if rec.pairs]
+    walks, reads = [], []
+    walk, read, turn = BlockMemo._walk, BlockMemo.read, BlockMemo._turn
+
+    def recorded_walk(memo, ops, held=()):
+        walks.append(walk(memo, ops, held))
+        return walks[-1]
+
+    def recorded_read(memo, op, k):
+        if not op.kept:
+            reads.append((op.sid, k - memo.kappa))
+        return read(memo, op, k)
+
+    def checked_turn(memo, ahead):
+        assert not memo._reads  # the pair that ends read all its walk counted
+        turn(memo, ahead)
+
+    monkeypatch.setattr(BlockMemo, "_walk", recorded_walk)
+    monkeypatch.setattr(BlockMemo, "read", recorded_read)
+    monkeypatch.setattr(BlockMemo, "_turn", checked_turn)
+    seen: dict[tuple[str, ...], tuple] = {}  # live rows -> (first kappa, walks, reads)
+    for kappa in range(-4, 5):
+        live = _live(ctx, kappa, rows)
+        memo._plans.clear()
+        walks.clear()
+        reads.clear()
+        evaluate_batch(ctx, kappa, rows)
+        first = seen.setdefault(live, (kappa, list(walks), list(reads)))
+        assert first[1:] == (walks, reads), (first[0], kappa)
+    assert reads and len(seen) < 9  # some kappas share their live rows
+
+
+def test_a_replayed_kappa_computes_what_a_fresh_walk_does(monkeypatch, fresh):
+    """At n_max 6, the pair rows of --suite all streamed at a kappa with
+    the plan kept from an earlier kappa of the same live rows walk nothing,
+    and compute the same (structure, sector - kappa) blocks, in the same
+    order and with the same outcomes, as a stream that walks that kappa
+    afresh."""
+    ctx = get_context(6, 1.0)
+    memo = ctx.space.memo
+    rows = [(rec, rec.guard) for rec in records_for_suite("all") if rec.pairs]
+    computed, walked = [], []
+    compute, walk = SuperOp._compute, BlockMemo._walk
+    monkeypatch.setattr(SuperOp, "_compute", lambda op, k: computed.append(
+        (op.sid, k - op.space.memo.kappa)) or compute(op, k))
+    monkeypatch.setattr(BlockMemo, "_walk", lambda memo, ops, held=(): walked.append(
+        len(ops)) or walk(memo, ops, held))
+
+    def run(kappa):
+        computed.clear()
+        walked.clear()
+        memo.kept.clear()  # each run computes the kept blocks of kappa anew
+        outs = evaluate_batch(ctx, kappa, rows)
+        return repr([out for out, _ in outs]), list(computed), bool(walked)
+
+    planned, replayed = set(), 0
+    for kappa in range(-4, 5):
+        live = _live(ctx, kappa, rows)
+        if live in planned:
+            replay = run(kappa)
+            plans = dict(memo._plans)
+            memo._plans.clear()
+            walked_afresh = run(kappa)
+            memo._plans.update(plans)
+            assert not replay[2] and walked_afresh[2], kappa
+            assert replay[:2] == walked_afresh[:2], kappa
+            replayed += 1
+        else:
+            run(kappa)
+            planned.add(live)
+    assert replayed >= 4
+
+
+def test_each_pair_function_runs_once_per_context(fresh):
+    """Over kappa -4..4 a pair function is called once per context: the
+    later kappas stream the pairs that the first one built."""
+    calls = collections.Counter()
+
+    def counted(rec):
+        def pairs(ctx):
+            calls[rec.id] += 1
+            return rec.pairs(ctx)
+
+        return dataclasses.replace(rec, pairs=pairs)
+
+    rows = [(counted(rec), rec.guard) for rec in records_for_suite("all") if rec.pairs]
+    for kappa in range(-4, 5):
+        evaluate_batch(get_context(6, 1.0), kappa, rows)
+    assert len(calls) == len(rows) and set(calls.values()) == {1}
+    other = get_context(5, 1.0)
+    for kappa in (1, -1):
+        evaluate_batch(other, kappa, rows)
+    live = set(_live(other, 1, rows)) | set(_live(other, -1, rows))
+    assert live and all(calls[rid] == 1 + (rid in live) for rid in calls)
+
+
+def test_the_structure_table_stops_growing_with_kappa_visits(fresh):
+    """The words of a run get their structure ids on the first kappa: after
+    --suite all at kappa 0, where every row is checked at n_max 6, a run
+    over kappa -4..4 adds no entry to the memo's structure table."""
+    report = run_suite(RunConfig(suite="all", n_max=6, kappas=(0,), jobs=1))
+    assert all(row.residual is not None for row in report.results if BY_ID[row.id].pairs)
+    table = liouville.get_space(6, 1.0).memo._table
+    size = len(table)
+    run_suite(RunConfig(suite="all", n_max=6, kappas=tuple(range(-4, 5)), jobs=1))
+    assert size > 0 and len(table) == size

@@ -58,6 +58,26 @@ def test_a_copied_record_builds_with_its_own_check():
     assert dataclasses.replace(traced, id="renamed").builder is wrapper
 
 
+def test_a_copied_record_evaluates_its_own_pairs():
+    """dataclasses.replace gives a pair record whose pairs are its own, not
+    those the original record built on the same context, and a later kappa
+    streams them without calling its pair function again."""
+    calls = []
+
+    def spy(ctx):
+        calls.append(ctx)
+        r = ctx.space.radius_op()
+        yield r, 2.0 * r  # residual |r - 2r| / |2r| = 0.5 exactly
+
+    ctx = get_context(6, 1.0)
+    rec = BY_ID["radius-def"]
+    assert rec.evaluate(ctx, 1, rec.guard)[0] < 1e-14
+    copy = dataclasses.replace(rec, pairs=spy)
+    assert copy.evaluate(ctx, 1, rec.guard) == (0.5, []) and calls == [ctx]
+    assert copy.evaluate(ctx, -2, rec.guard) == (0.5, []) and calls == [ctx]
+    assert rec.evaluate(ctx, -2, rec.guard)[0] < 1e-14
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         records_for_suite("bogus")
@@ -587,6 +607,21 @@ def test_all_skipped_warns_and_exits_0(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_grade_too_large_for_int64_is_an_empty_sector(capsys, jobs):
+    """A grade beyond int64, of either sign, is skipped as --kappa 40 is:
+    every row is skipped with the warning, and the run exits 0."""
+    huge = 10**20 - 1
+    assert main(["--suite", "velocity", "--n-max", "3", "--kappa", f"{huge},-{huge}",
+                 "--format", "json", "--jobs", jobs]) == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)["results"]
+    assert len(rows) == 2 * 24 and all(row["pass"] is None for row in rows)
+    assert {row["kappa"] for row in rows} == {huge, -huge}
+    assert captured.err.count("\n") == 1 and "all 48 rows were skipped" in captured.err
+    assert get_context(3, 1.0).sector(-2**70).dim == 0
+
+
 def test_identities_skipped_at_every_kappa_are_named(capsys):
     assert main(["--n-max", "4", "--jobs", "1"]) == 0
     err = capsys.readouterr().err
@@ -676,8 +711,9 @@ def test_warnings_of_a_finished_run_reach_stderr():
 def test_op_closure_pairs_stream(monkeypatch):
     """Evaluating su22-op-closure keeps a shared block in the memo only
     while the current or the next pair still reads it, at each of the
-    stream's turns and reads. Its 105 pairs live
-    for the batch, holding no block, and none outlives it."""
+    stream's turns and reads. Its 105 pairs are built once per context and
+    live with it, holding no block: another kappa streams them again
+    without building them, and no block of theirs outlives a stream."""
     from fuzzymono.liouville import BlockMemo
 
     rec = BY_ID["su22-op-closure"]
@@ -712,9 +748,13 @@ def test_op_closure_pairs_stream(monkeypatch):
 
     monkeypatch.setattr(BlockMemo, "_turn", checked_turn)
     monkeypatch.setattr(BlockMemo, "read", checked_read)
-    out = dataclasses.replace(rec, pairs=counted).evaluate(ctx, 0, rec.guard)
+    copy = dataclasses.replace(rec, pairs=counted)
+    out = copy.evaluate(ctx, 0, rec.guard)
     assert len(refs) == 2 * 105 and peak == 105 and checks > 106
-    assert all(ref() is None for ref in refs)
+    assert copy.evaluate(ctx, 1, rec.guard) is not None and len(refs) == 2 * 105
+    assert all(ref() is not None for ref in refs)
+    memo = ctx.space.memo
+    assert not (memo.shared or memo._reads or memo._ahead)
 
     # the same fold over a materialised list: equal outcome
     refs.clear()
