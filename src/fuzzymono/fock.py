@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csr import CSR
+from .csr import _INDEX_MAX, CSR
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,16 @@ class FockBasis:
         return np.array([n1 + n2 for n1, n2 in self.states], dtype=np.int64)
 
 
+def check_n_max(n_max: int) -> None:
+    """Refuse an n_max < 0, or > 65534: its dimension passes the int32 index limit."""
+    if n_max < 0 or (n_max + 1) * (n_max + 2) // 2 > _INDEX_MAX:
+        raise ValueError(f"n_max must be >= 0 and give a Fock dimension within the int32 "
+                         f"index limit {_INDEX_MAX}, got {n_max}")
+
+
 def build_basis(n_max: int) -> FockBasis:
     """Enumerate the truncated basis, level-major, n1 descending within a level."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    check_n_max(n_max)
     states: list[tuple[int, int]] = []
     offsets = np.zeros(n_max + 1, dtype=np.int64)
     for n in range(n_max + 1):

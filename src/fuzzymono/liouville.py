@@ -49,15 +49,12 @@ the only support fact a superoperator carries.
     and the named operators of OperatorAlgebra, VelocityFamily and the
     registry's EngineContext enter the cache through cache_get, and the
     memo keeps their blocks until EngineContext.sector moves it to another
-    kappa.  An operator that one identity reads once per sector is not
-    cached; its blocks are computed on each read, except while
-    BlockMemo.stream runs the pairs of one batch: the memo shares the
-    blocks of equal sid, each only as long as the current or the next pair
-    reads it.  It keys them by their sector relative to kappa, so a
-    stream's plan (its order, and at each turn the reads of the next pair)
-    does not depend on kappa: the memo walks each list of words once and
-    replays its plan at the later kappas.  The registry builds each pair
-    function's words once per context.
+    kappa.  Any other operator computes its blocks on each read, except
+    while BlockMemo.stream replays the stream_plan of a batch of pairs:
+    then the nodes of equal sid share each block while the current or the
+    next pair reads it.  A plan does not depend on kappa (shared blocks are
+    keyed by sector - kappa), so the registry makes it, as it builds the
+    batch's pairs, once per context.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -82,6 +79,7 @@ POLE_TOL = 1e-9
 
 
 BlockRule = Callable[[int], CSR]
+StreamPlan = tuple[list[int], list[dict]]  # order, and reads of the next pair at each turn
 
 _FRESH_IDS = itertools.count()  # ids that match no other node, never reused
 
@@ -195,16 +193,14 @@ class BlockMemo:
     table lasts as long as the space.  A kept operator's blocks, keyed by
     (sid, sector), stay until at() moves the memo to another kappa.  A
     transient operator computes its blocks on each read, except while
-    stream() runs a batch of pairs, read at sector kappa: then the nodes of
-    equal sid share them, keyed by (sid, sector - kappa), so that what a
-    stream reads does not depend on kappa.
+    stream() replays the plan of a batch of pairs, read at sector kappa:
+    then the nodes of equal sid share them, keyed by (sid, sector - kappa),
+    so that no plan depends on kappa.  The caller keeps the plans.
     """
 
     def __init__(self):
         self.kappa = 0  # the sector the memo is at
         self.kept: dict[tuple[int, int], CSR] = {}  # (sid, sector) -> block of a kept operator
-        # root sids of a stream's pairs -> (stream order, reads of the next pair at each turn)
-        self._plans: dict[tuple[int, ...], tuple[list[int], list[dict]]] = {}
         self._table: dict[tuple, int] = {}  # (kind, operand sids[, scalar bits]) -> sid
         self._drop_stream()
 
@@ -229,49 +225,20 @@ class BlockMemo:
             self.kept.clear()
             self.kappa = kappa
 
-    def stream(self, pairs: Sequence[tuple[SuperOp, ...]]) -> Iterator[int]:
-        """Yield the position of each pair in stream order, once the memo
-        has counted the reads of the pair after it.
-
-        The first stream of a list of words (the root sids of the pairs)
-        walks the pairs: for the order (stream_order) and, at each turn, for
-        the reads of the next pair.  It keeps both, and a later stream of
-        the same words, at any kappa, replays them without a walk.  A
-        shared block stays while the current or the next pair reads it.
-        Nothing of the stream is kept once it ends, also when the caller or
-        a block raises, or the caller stops iterating.
-        """
+    def stream(self, plan: StreamPlan) -> Iterator[int]:
+        """Replay plan (stream_plan): yield the position of each pair in
+        its order, once the memo has counted the reads of the pair after
+        it.  A shared block stays while the current or the next pair reads
+        it, and nothing once the stream ends, also when the caller or a
+        block raises, or the caller stops iterating."""
+        order, steps = plan
         try:
-            words = tuple(op.sid for pair in pairs for op in pair)
-            plan = self._plans.get(words)
-            walking = plan is None
-            if walking:
-                plan = stream_order([self._walk(pair).keys() for pair in pairs]), []
-            order, steps = plan
-            for step, ahead in enumerate([pairs[pos] for pos in order] + [()]):
-                if walking:
-                    steps.append(self._walk(ahead, self._ahead.keys() | self.shared.keys()))
-                self._turn(steps[step])
-                if step:
-                    yield order[step - 1]
-            self._plans[words] = plan
+            self._turn(steps[0])
+            for pos, ahead in zip(order, steps[1:]):
+                self._turn(ahead)
+                yield pos
         finally:
             self._drop_stream()
-
-    def _walk(self, ops: Iterable[SuperOp],
-              held: Container[tuple[int, int]] = ()) -> dict[tuple[int, int], int]:
-        """How often ops, read at sector kappa, read each transient
-        (structure, sector - kappa); a read of a key in held finds its
-        block and reads nothing below it."""
-        reads = {}
-        todo = [(op, 0) for op in ops if not op.kept]
-        while todo:
-            op, k = todo.pop()
-            key = (op.sid, k)
-            reads[key] = reads.get(key, 0) + 1
-            if reads[key] == 1 and key not in held:
-                todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if not a.kept]
-        return reads
 
     def _turn(self, ahead: dict[tuple[int, int], int]) -> None:
         """Start the pair that was ahead; ahead counts the reads of the
@@ -309,24 +276,44 @@ def stream_order(reads: list[Collection]) -> list[int]:
     for i, keys in enumerate(reads):
         for key in keys:
             holders.setdefault(key, set()).add(i)
-    n = len(reads)
-    order, visited, first, cur = [], [False] * n, 0, 0
-    while len(order) < n:
+    order, unvisited, cur = [], dict.fromkeys(range(len(reads))), 0  # in index order
+    while unvisited:
         order.append(cur)
-        visited[cur] = True
-        shared: dict[int, int] = {}
+        del unvisited[cur]
+        shared: dict[int, int] = {}  # unvisited pair -> keys it shares with cur
         for key in reads[cur]:
-            others = holders[key]
-            others.discard(cur)
-            for j in others:
+            holders[key].discard(cur)
+            for j in holders[key]:
                 shared[j] = shared.get(j, 0) + 1
-        if shared:
-            cur = min(shared, key=lambda j: (-shared[j], j))
-        else:
-            while first < n and visited[first]:
-                first += 1
-            cur = first
+        cur = min(shared, key=lambda j: (-shared[j], j)) if shared else next(iter(unvisited), 0)
     return order
+
+
+def _walk(ops: Iterable[SuperOp], held: Container = ()) -> dict[tuple[int, int], int]:
+    """How often ops, read at sector kappa, read each transient (structure,
+    sector - kappa); a read of a key in held finds its block and reads
+    nothing below it."""
+    reads = {}
+    todo = [(op, 0) for op in ops if not op.kept]
+    while todo:
+        op, k = todo.pop()
+        key = (op.sid, k)
+        reads[key] = reads.get(key, 0) + 1
+        if reads[key] == 1 and key not in held:
+            todo += [(a, k + d) for a, d in zip(op.args, op.shifts) if not a.kept]
+    return reads
+
+
+def stream_plan(pairs: Sequence[tuple[SuperOp, ...]]) -> StreamPlan:
+    """The plan that BlockMemo.stream replays for pairs, at any kappa: the
+    stream_order of the pairs' full walks, and the reads of each pair in
+    that order, walked with the blocks of the pair before it held, then {}
+    for the turn after the last.  It computes no block."""
+    order = stream_order([_walk(pair).keys() for pair in pairs])
+    steps = [{}]
+    for pair in [pairs[pos] for pos in order] + [()]:
+        steps.append(_walk(pair, steps[-1]))
+    return order, steps[1:]
 
 
 class Space:

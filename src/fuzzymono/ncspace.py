@@ -87,7 +87,10 @@ def relative_norm(delta: CSR, *sides: CSR) -> float:
 
 
 def verify_coordinate_algebra(nc: NcCoordinates) -> dict[str, float]:
-    """Max-norm residuals of the three defining relations.
+    """Residuals of the three defining relations: the Frobenius norm of
+    each difference over max(1, the Frobenius norm of each side)
+    (relative_norm), the largest over i, j for coord-comm and over i for
+    coord-radius.
 
     All three operators are level-preserving, so the relations hold on the
     whole truncated space with no guard.

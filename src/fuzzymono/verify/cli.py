@@ -28,6 +28,7 @@ import ctypes
 import math
 import sys
 
+from ..fock import check_n_max
 from .registry import SUITES
 from .runner import RunConfig, exit_code, run_suite
 
@@ -125,10 +126,9 @@ def main(argv: list[str] | None = None) -> int:
         list(sys.argv[1:]) if argv is None else list(argv)))
     try:
         kappas = parse_kappas(args.kappa)
+        check_n_max(args.n_max)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
-    if args.n_max < 0:
-        parser.error(f"--n-max must be >= 0, got {args.n_max}")
     if not (math.isfinite(args.lam) and args.lam > 0):
         parser.error(f"--lambda must be a positive finite number, got {args.lam}")
     if args.guard is not None and args.guard < 0:

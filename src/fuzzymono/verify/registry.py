@@ -18,12 +18,12 @@ An identity is one of two kinds:
 
 evaluate_batch evaluates every row of one batch (the rows of one kappa, or
 an interleaved part of them): each scalar check through its record's
-builder, then the pairs of all pair rows, built once per context and
-compared in the order in which the space's block memo streams them
-(liouville.BlockMemo.stream), each on
-the guarded window of the requested sector without its record's pole
-blocks. IdentityRecord.evaluate of one pair identity is its one-row case.
-It is the only code of a run that takes pair residuals: canonical-pairing
+builder, then the pairs of all pair rows, built and planned once per
+context (liouville.stream_plan) and compared in the order in which the
+space's block memo streams them (liouville.BlockMemo.stream), each on the
+guarded window of the requested sector without its record's pole blocks.
+IdentityRecord.evaluate of one pair identity is its one-row case. It is
+the only code of a run that takes pair residuals: canonical-pairing
 streams OperatorAlgebra.canonical_pairs(), and only tests and the
 benchmark's tracer reach canonical_pairing_residual.
 
@@ -73,6 +73,7 @@ from ..liouville import (
     commutator,
     get_space,
     linear_combination,
+    stream_plan,
 )
 from ..monopole import (
     VelocityFamily,
@@ -229,12 +230,14 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
     the space's block memo streams them (BlockMemo.stream). A pair function
     runs once per context: its pairs, trees of lazy nodes that hold no
     block, are kept in the context's cache under the function itself, so a
-    dataclasses.replace copy with pairs of its own builds its own. A pair
-    row's seconds are those of comparing its own pairs, with the memo's
-    count of the reads of the pair after each, and of building them when
-    the batch does. A row whose window is empty is skipped (None), and
-    nothing of it is called. A pair row's residual is the largest over its
-    own pairs (np.max, unlike max, keeps a NaN residual of any pair)."""
+    dataclasses.replace copy with pairs of its own builds its own. The
+    batch's stream_plan is kept there under the pair functions of its live
+    rows, those with a window. A pair row's seconds are those of building
+    (when the batch does) and comparing its own pairs; the row compared
+    first also gets the planning. A row whose window is empty is skipped
+    (None), and nothing of it is called. A pair row's residual is the
+    largest over its own pairs (np.max, unlike max, keeps a NaN residual of
+    any pair)."""
     out: list[Outcome] = [None] * len(rows)
     seconds = [0.0] * len(rows)
     for i, (rec, guard) in enumerate(rows):
@@ -258,7 +261,9 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
         owners += [i] * len(built)
     if pairs:
         t0 = time.perf_counter()
-        for pos in ctx.space.memo.stream(pairs):
+        plan = cache_get(ctx._cache, ("plan", *(rows[i][0].pairs for i in residuals)),
+                         lambda: stream_plan(pairs))
+        for pos in ctx.space.memo.stream(plan):
             i, win = owners[pos], wins[owners[pos]]
             residuals[i].append(graded_residual(
                 *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])

@@ -16,8 +16,8 @@ the --guard override. IdentityRecord.window decides from it (and the
 record's pole blocks) whether the row has a window at all. A job is one
 batch, which registry.evaluate_batch evaluates in one call: its scalar
 checks, then its pair identities. A process builds each identity's pairs
-once and streams them through the space's block memo, which walks each
-batch's words once and replays that plan at a worker's later kappas. The
+and each batch's stream plan once, and its space's block memo replays
+that plan at each later kappa with the same live pair rows. The
 runner only plans the batches and dispatches them; it does not look at
 what kind of identity a row is.
 
@@ -27,10 +27,8 @@ like a serial run, keeps the blocks of one kappa at a time.
 Results are placed back in a deterministic (suite, id, kappa) order
 regardless of completion order, so repeated runs emit byte-identical
 reports (wall times aside), however the rows of a kappa are split. A pair
-row's wall time is that of comparing its own pairs, with the memo's count
-of the reads of the pair after each, plus, on the first kappa at which a
-process checks the row, building its pairs: at its later kappas the row's
-seconds no longer include building them.
+row's wall time is that of comparing its own pairs, plus building them on
+the first kappa at which a process checks the row (evaluate_batch).
 
 Each job records the warnings it raises instead of printing them, in a pool
 worker as in the main process. run_suite re-issues them, each distinct one

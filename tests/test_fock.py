@@ -5,6 +5,7 @@ from dense import level_slice
 from fuzzymono.fock import (
     annihilator,
     build_basis,
+    check_n_max,
     creator,
     interior_projector,
     ladder,
@@ -49,6 +50,15 @@ def test_level_major_ordering():
 def test_negative_n_max_rejected():
     with pytest.raises(ValueError):
         build_basis(-1)
+
+
+def test_an_n_max_past_the_index_limit_is_refused_before_any_state():
+    """n_max 65534 is the largest whose dimension (n+1)(n+2)/2 fits int32
+    indices; a larger one is refused at once, naming the limit."""
+    check_n_max(65534)
+    for n_max in (65535, 99999999999999999999):
+        with pytest.raises(ValueError, match="int32 index limit 2147483647"):
+            build_basis(n_max)
 
 
 def test_ladder_matrix_elements():

@@ -18,7 +18,7 @@ import pytest
 
 from dense import evaluate_alone
 from fuzzymono import csr, liouville, sector
-from fuzzymono.liouville import BlockMemo, Space, SuperOp, cache_get, stream_order
+from fuzzymono.liouville import BlockMemo, Space, SuperOp, cache_get, stream_order, stream_plan
 from fuzzymono.sector import graded_residual
 from fuzzymono.verify import registry
 from fuzzymono.verify.registry import (BY_ID, REGISTRY, evaluate_batch, get_context,
@@ -141,10 +141,16 @@ def test_stream_order_follows_the_most_shared_keys():
     assert stream_order([]) == []
 
 
+def _plan_keys(ctx) -> list[tuple]:
+    """The keys of the stream plans that the context's cache keeps."""
+    return [key for key in ctx._cache if key[0] == "plan"]
+
+
 def test_the_stream_order_is_kept_per_space_and_key(monkeypatch, fresh):
-    """The order depends on the words alone, which key it: a second kappa
-    reuses the first one's, and other rows, other words of the same row or
-    another space get an order of their own."""
+    """evaluate_batch keeps one stream plan per context and per tuple of
+    live pair functions: a second kappa with the same live rows reuses the
+    first one's, and other rows, a row with a pair function of its own or
+    another space get a plan of their own."""
     orders = []
     monkeypatch.setattr(liouville, "stream_order",
                         lambda reads: orders.append(len(reads)) or stream_order(reads))
@@ -157,26 +163,30 @@ def test_the_stream_order_is_kept_per_space_and_key(monkeypatch, fresh):
     assert len(orders) == 2
     evaluate_batch(get_context(5, 1.0), 1, rows)
     assert len(orders) == 3
-    pairs = list(BY_ID["radius-def"].pairs(ctx))
-    again = list(BY_ID["radius-def"].pairs(ctx))  # leaves built afresh: other words
-    for words in (pairs, again, pairs):
-        list(ctx.space.memo.stream(words))
+    rec = BY_ID["radius-def"]
+    same = dataclasses.replace(rec, id="same-pairs")
+    own = dataclasses.replace(rec, id="own-pairs", pairs=lambda ctx: rec.pairs(ctx))
+    for copy in (rec, same, own, rec):
+        evaluate_batch(ctx, 1, [(copy, rec.guard)])
     assert len(orders) == 5
+    assert _plan_keys(ctx) == [("plan", *(r.pairs for r, _ in rows)),
+                               ("plan", *(r.pairs for r, _ in rows[1:])),
+                               ("plan", rec.pairs), ("plan", own.pairs)]
 
 
 def test_a_stream_yields_every_position_once(fresh):
     """The positions a stream yields are a permutation of the pairs', on
-    the first stream of their words, which walks them, and on a later one,
-    which replays its plan."""
+    the first stream of their plan and on a replay of it."""
     ctx = get_context(6, 1.0)
     ctx.sector(1)
     pairs = [pair for rec in records_for_suite("velocity") if rec.pairs
              for pair in rec.pairs(ctx)]
+    plan = stream_plan(pairs)
     for _ in range(2):
-        positions = list(ctx.space.memo.stream(pairs))
+        positions = list(ctx.space.memo.stream(plan))
         assert sorted(positions) == list(range(len(pairs))) and positions != sorted(positions)
         assert_no_stream(ctx.space)
-    assert list(ctx.space.memo.stream([])) == []
+    assert list(ctx.space.memo.stream(stream_plan([]))) == []
 
 
 def test_a_stream_left_early_keeps_nothing(fresh):
@@ -187,13 +197,14 @@ def test_a_stream_left_early_keeps_nothing(fresh):
     ctx.sector(0)
     memo = ctx.space.memo
     pairs = list(BY_ID["su22-op-closure"].pairs(ctx))
-    for pos in memo.stream(pairs):
+    plan = stream_plan(pairs)
+    for pos in memo.stream(plan):
         graded_residual(*pairs[pos], ctx.sector(0), 2)
         assert memo._ahead
         break
     assert_no_stream(ctx.space)
     with pytest.raises(RuntimeError, match="between"):
-        for n, pos in enumerate(memo.stream(pairs)):
+        for n, pos in enumerate(memo.stream(plan)):
             graded_residual(*pairs[pos], ctx.sector(0), 2)
             if n == 3:
                 assert memo.shared
@@ -275,22 +286,21 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
     block that neither it nor the next pair reads."""
     turns: list[int] = []  # turns so far of each stream
     computed = collections.defaultdict(list)  # (stream, structure, sector) -> turn
-    walked: set[int] = set()  # id() of each transient node the stream's walks reached
-    stream, turn, walk = BlockMemo.stream, BlockMemo._turn, BlockMemo._walk
+    walked: set[int] = set()  # id() of each transient node the plans' walks reached
+    stream, turn, walk = BlockMemo.stream, BlockMemo._turn, liouville._walk
     compute = SuperOp._compute
 
-    def numbered_stream(memo, pairs):
+    def numbered_stream(memo, plan):
         turns.append(0)
-        walked.clear()
-        yield from stream(memo, pairs)
+        yield from stream(memo, plan)
 
-    def recorded_walk(memo, ops, held=()):
+    def recorded_walk(ops, held=()):
         todo = [op for op in ops if not op.kept]
         while todo:
             op = todo.pop()
             walked.add(id(op))
             todo += [a for a in op.args if not a.kept]
-        return walk(memo, ops, held)
+        return walk(ops, held)
 
     def counted_turn(memo, ahead):
         turns[-1] += 1
@@ -304,7 +314,7 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
 
     monkeypatch.setattr(BlockMemo, "stream", numbered_stream)
     monkeypatch.setattr(BlockMemo, "_turn", counted_turn)
-    monkeypatch.setattr(BlockMemo, "_walk", recorded_walk)
+    monkeypatch.setattr(liouville, "_walk", recorded_walk)
     monkeypatch.setattr(SuperOp, "_compute", recorded_compute)
     ctx = get_context(6, 1.0)
     for rec in records_for_suite("velocity") + [BY_ID["su22-op-closure"]]:
@@ -370,7 +380,7 @@ def test_equal_words_of_two_streams_have_equal_ids(fresh):
     for kappa in (1, -2):
         ctx.sector(kappa)
         pairs = list(rec.pairs(ctx))
-        for pos in memo.stream(pairs):
+        for pos in memo.stream(stream_plan(pairs)):
             graded_residual(*pairs[pos], ctx.sector(kappa), rec.guard)
         assert_no_stream(ctx.space)
         built.append(pairs)
@@ -420,13 +430,12 @@ def test_a_stream_reads_the_same_blocks_at_every_kappa(monkeypatch, fresh):
     kappa) blocks in the same order at every kappa with the same live rows,
     and each pair reads exactly what the walk counted for it."""
     ctx = get_context(6, 1.0)
-    memo = ctx.space.memo
     rows = [(rec, rec.guard) for rec in records_for_suite("all") if rec.pairs]
     walks, reads = [], []
-    walk, read, turn = BlockMemo._walk, BlockMemo.read, BlockMemo._turn
+    walk, read, turn = liouville._walk, BlockMemo.read, BlockMemo._turn
 
-    def recorded_walk(memo, ops, held=()):
-        walks.append(walk(memo, ops, held))
+    def recorded_walk(ops, held=()):
+        walks.append(walk(ops, held))
         return walks[-1]
 
     def recorded_read(memo, op, k):
@@ -438,13 +447,14 @@ def test_a_stream_reads_the_same_blocks_at_every_kappa(monkeypatch, fresh):
         assert not memo._reads  # the pair that ends read all its walk counted
         turn(memo, ahead)
 
-    monkeypatch.setattr(BlockMemo, "_walk", recorded_walk)
+    monkeypatch.setattr(liouville, "_walk", recorded_walk)
     monkeypatch.setattr(BlockMemo, "read", recorded_read)
     monkeypatch.setattr(BlockMemo, "_turn", checked_turn)
     seen: dict[tuple[str, ...], tuple] = {}  # live rows -> (first kappa, walks, reads)
     for kappa in range(-4, 5):
         live = _live(ctx, kappa, rows)
-        memo._plans.clear()
+        for key in _plan_keys(ctx):
+            del ctx._cache[key]
         walks.clear()
         reads.clear()
         evaluate_batch(ctx, kappa, rows)
@@ -463,11 +473,11 @@ def test_a_replayed_kappa_computes_what_a_fresh_walk_does(monkeypatch, fresh):
     memo = ctx.space.memo
     rows = [(rec, rec.guard) for rec in records_for_suite("all") if rec.pairs]
     computed, walked = [], []
-    compute, walk = SuperOp._compute, BlockMemo._walk
+    compute, walk = SuperOp._compute, liouville._walk
     monkeypatch.setattr(SuperOp, "_compute", lambda op, k: computed.append(
         (op.sid, k - op.space.memo.kappa)) or compute(op, k))
-    monkeypatch.setattr(BlockMemo, "_walk", lambda memo, ops, held=(): walked.append(
-        len(ops)) or walk(memo, ops, held))
+    monkeypatch.setattr(liouville, "_walk", lambda ops, held=(): walked.append(
+        len(ops)) or walk(ops, held))
 
     def run(kappa):
         computed.clear()
@@ -481,10 +491,9 @@ def test_a_replayed_kappa_computes_what_a_fresh_walk_does(monkeypatch, fresh):
         live = _live(ctx, kappa, rows)
         if live in planned:
             replay = run(kappa)
-            plans = dict(memo._plans)
-            memo._plans.clear()
+            plans = {key: ctx._cache.pop(key) for key in _plan_keys(ctx)}
             walked_afresh = run(kappa)
-            memo._plans.update(plans)
+            ctx._cache.update(plans)
             assert not replay[2] and walked_afresh[2], kappa
             assert replay[:2] == walked_afresh[:2], kappa
             replayed += 1
@@ -492,6 +501,51 @@ def test_a_replayed_kappa_computes_what_a_fresh_walk_does(monkeypatch, fresh):
             run(kappa)
             planned.add(live)
     assert replayed >= 4
+
+
+def test_a_plan_made_ahead_holds_what_the_walking_stream_held(monkeypatch, fresh):
+    """What stream_plan rests on. It walks each pair with the keys of the
+    pair before it held, where a stream that walked while it read held the
+    keys of its next pair and its shared blocks. The two agree because, in
+    every batch of --suite all at n_max 6 over kappa -2..2, each turn finds
+    the pair before it read in full (no reads left) and every shared block
+    among the next pair's keys."""
+    turns, turn = [], BlockMemo._turn
+
+    def checked_turn(memo, ahead):
+        assert not memo._reads and memo.shared.keys() <= memo._ahead.keys()
+        turns.append(len(memo.shared))
+        turn(memo, ahead)
+
+    monkeypatch.setattr(BlockMemo, "_turn", checked_turn)
+    report = run_suite(RunConfig(suite="all", n_max=6, kappas=tuple(range(-2, 3)), jobs=1))
+    assert report.results and len(turns) > 100 and max(turns) > 0
+
+
+def test_a_plan_computes_and_drops_no_block(monkeypatch, fresh):
+    """stream_plan, called in the middle of a stream, computes no block and
+    leaves the memo's kept and shared blocks as they are."""
+    ctx = get_context(6, 1.0)
+    memo = ctx.space.memo
+    pairs = list(BY_ID["su22-op-closure"].pairs(ctx))
+    plan = stream_plan(pairs)
+    compute = SuperOp._compute
+
+    def no_compute(op, k):
+        raise AssertionError("stream_plan computed a block")
+
+    for n, pos in enumerate(memo.stream(plan)):
+        graded_residual(*pairs[pos], ctx.sector(0), 2)
+        if n == 3:
+            kept, shared = dict(memo.kept), dict(memo.shared)
+            assert kept and shared
+            monkeypatch.setattr(SuperOp, "_compute", no_compute)
+            assert stream_plan(pairs) == plan
+            monkeypatch.setattr(SuperOp, "_compute", compute)
+            for before, after in ((kept, memo.kept), (shared, memo.shared)):
+                assert before.keys() == after.keys()
+                assert all(after[key] is blk for key, blk in before.items())
+    assert_no_stream(ctx.space)
 
 
 def test_each_pair_function_runs_once_per_context(fresh):

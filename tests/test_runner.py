@@ -513,9 +513,12 @@ def test_cli_usage_errors_exit_2(capsys, monkeypatch):
         assert exc.value.code == 2, value
         err = capsys.readouterr().err
         assert "--kappa" in err and named in err and "base 10" not in err, (value, err)
-    with pytest.raises(SystemExit) as exc:
-        main(["--n-max", "-3"])
-    assert exc.value.code == 2
+    # a negative n_max, and one whose Fock dimension passes the int32 index
+    # limit (refused before its basis is built)
+    for n_max in ("-3", "99999999999999999999"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--n-max", n_max, "--suite", "fock"])
+        assert exc.value.code == 2, n_max
     with pytest.raises(SystemExit) as exc:
         main(["--lambda", "0"])
     assert exc.value.code == 2
