@@ -43,6 +43,14 @@ drifting between scipy releases.  Indices stay int32, as scipy picks them
 at these sizes; a dimension or a result size past the int32 limit raises
 ValueError instead of overflowing.
 
+@, + and - allocate their output and call their kernel in the operator's
+own frame, so the Python around a kernel call is a few attribute reads and
+three np.empty calls.  The kernels are looked up on the module at each
+call, so a caller that wraps _sparsetools sees every call.  A product with
+a diagonal factor (is_diagonal, set by diags) skips csr_matmat_maxnnz: it
+has at most the other factor's entries, and csr_matmat fills the same
+first entries of the larger arrays.
+
 The kernels live in the compiled module scipy/sparse/_sparsetools, which
 is loaded here by its file path, so that the scipy.sparse package itself
 is never imported; importlib.util.find_spec finds the scipy folder
@@ -95,6 +103,7 @@ _sparsetools = _load_sparsetools()
 
 # Largest dimension or stored-entry count the int32 indices can hold.
 _INDEX_MAX = int(np.iinfo(np.int32).max)
+_F64 = np.dtype(np.float64)
 
 
 def _check_index(n: int) -> None:
@@ -122,49 +131,39 @@ def split(values: np.ndarray) -> tuple[np.ndarray, int]:
     return values, 0
 
 
-def _run_kernel(kernel, dims: tuple[int, int], operands: tuple, shape: tuple[int, int],
-                maxnnz: int, phase: int = 0) -> "CSR":
-    """kernel(*dims, *operands, indptr, indices, data) into fresh arrays.
-
-    The data array has the dtype of the operands' data.  The arrays are
-    sized for maxnnz entries, as csr_matrix sizes them, and trimmed
-    (_trimmed).
-    """
-    _check_index(maxnnz)
-    indptr = np.empty(shape[0] + 1, dtype=np.int32)
-    indices = np.empty(maxnnz, dtype=np.int32)
-    data = np.empty(maxnnz, dtype=operands[-1].dtype)
-    kernel(*dims, *operands, indptr, indices, data)
-    return _trimmed(indptr, indices, data, maxnnz, shape, phase)
-
-
-def _trimmed(indptr, indices, data, size: int, shape: tuple[int, int], phase: int) -> "CSR":
+def _trimmed(indptr, indices, data, size: int, shape: tuple[int, int], phase: int,
+             is_diagonal: bool = False) -> "CSR":
     """The CSR of the first indptr[-1] entries of arrays of size entries,
     trimmed as csr_matrix.prune trims them: the slice is copied when it is
-    under half of the array.  Complex results are split again, so a matrix
-    stays float64 whenever its values allow."""
+    under half of the array, and a full array is kept whole.  Complex
+    results are split again, so a matrix stays float64 whenever its values
+    allow."""
     nnz = int(indptr[-1])
-    indices, data = indices[:nnz], data[:nnz]
-    if nnz < size // 2:
-        indices, data = indices.copy(), data.copy()
-    if data.dtype == np.complex128:
+    if nnz < size:
+        indices, data = indices[:nnz], data[:nnz]
+        if nnz < size // 2:
+            indices, data = indices.copy(), data.copy()
+    if data.dtype.kind == "c":
         data, phase = split(data)
-    return CSR(indptr, indices, data, shape, phase)
+    return CSR(indptr, indices, data, shape, phase, is_diagonal)
 
 
 class CSR:
     """A sparse matrix, 1j**phase times its data; its arrays are never
-    mutated."""
+    mutated.  is_diagonal marks a square matrix whose stored entries all
+    lie on the main diagonal (set by diags and kept by scale, the
+    transposes and products of two such matrices); False claims nothing."""
 
-    __slots__ = ("indptr", "indices", "data", "shape", "phase")
+    __slots__ = ("indptr", "indices", "data", "shape", "phase", "is_diagonal")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                 shape: tuple[int, int], phase: int = 0):
+                 shape: tuple[int, int], phase: int = 0, is_diagonal: bool = False):
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self.shape = shape
         self.phase = phase
+        self.is_diagonal = is_diagonal
 
     @classmethod
     def from_coo(cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray,
@@ -196,7 +195,7 @@ class CSR:
         keep = data != 0
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(keep, out=indptr[1:])
-        return cls(indptr, np.flatnonzero(keep).astype(np.int32), data[keep], (n, n), phase)
+        return cls(indptr, np.flatnonzero(keep).astype(np.int32), data[keep], (n, n), phase, True)
 
     @classmethod
     def identity(cls, n: int) -> "CSR":
@@ -223,12 +222,9 @@ class CSR:
             return self.data * _UNITS[self.phase]
         return self.data.copy()
 
-    def _arrays(self) -> tuple:
-        return self.indptr, self.indices, self.data
-
-    def _complex_arrays(self) -> tuple:
-        """_arrays() with complex128 values, for the complex kernels."""
-        return self.indptr, self.indices, self.values() if self.is_float else self.data
+    def _complex_data(self) -> np.ndarray:
+        """The data as complex128 values, for the complex kernels."""
+        return self.values() if self.is_float else self.data
 
     def tocsr(self):
         """A scipy csr_matrix copy with complex128 values, free for the
@@ -242,7 +238,7 @@ class CSR:
         """The complex128 main diagonal, as csr_matrix.diagonal() gives it."""
         m, n = self.shape
         out = np.empty(min(m, n), dtype=np.complex128)
-        _sparsetools.csr_diagonal(0, m, n, *self._complex_arrays(), out)
+        _sparsetools.csr_diagonal(0, m, n, self.indptr, self.indices, self._complex_data(), out)
         return out
 
     def canonical(self) -> "CSR":
@@ -252,36 +248,66 @@ class CSR:
         m = self.shape[0]
         if _sparsetools.csr_has_canonical_format(m, self.indptr, self.indices):
             return self
-        indptr, indices, data = (a.copy() for a in self._arrays())
+        indptr, indices, data = self.indptr.copy(), self.indices.copy(), self.data.copy()
         if not _sparsetools.csr_has_sorted_indices(m, indptr, indices):
             _sparsetools.csr_sort_indices(m, indptr, indices, data)
         _sparsetools.csr_sum_duplicates(m, self.shape[1], indptr, indices, data)
         return _trimmed(indptr, indices, data, data.size, self.shape, self.phase)
 
+    # @, + and - allocate and call their kernel in their own frame: a run
+    # makes tens of thousands of them, so every Python call around a kernel
+    # shows in its time.
+    # A float64 operand is told by dtype identity (_F64); an array whose
+    # float64 dtype is another instance only takes the complex kernels.
+
     def __matmul__(self, other: "CSR") -> "CSR":
         (m, inner), (inner_b, n) = self.shape, other.shape
         if inner != inner_b:
             raise ValueError(f"block shapes {self.shape} and {other.shape} do not chain")
-        maxnnz = _sparsetools.csr_matmat_maxnnz(m, n, self.indptr, self.indices,
-                                                other.indptr, other.indices)
-        if self.is_float and other.is_float:
-            operands, phase = self._arrays() + other._arrays(), self.phase + other.phase
+        a, b = self.data, other.data
+        if a.dtype is _F64 and b.dtype is _F64:
+            phase = (self.phase + other.phase) % 4
         else:
-            operands, phase = self._complex_arrays() + other._complex_arrays(), 0
-        return _run_kernel(_sparsetools.csr_matmat, (m, n), operands, (m, n), maxnnz, phase % 4)
+            a, b, phase = self._complex_data(), other._complex_data(), 0
+        # a diagonal factor scales the other one's rows or columns: the
+        # product has at most the other factor's entries
+        if self.is_diagonal:
+            maxnnz = int(other.indptr[-1])
+        elif other.is_diagonal:
+            maxnnz = int(self.indptr[-1])
+        else:
+            maxnnz = _sparsetools.csr_matmat_maxnnz(m, n, self.indptr, self.indices,
+                                                    other.indptr, other.indices)
+        _check_index(maxnnz)
+        indptr = np.empty(m + 1, dtype=np.int32)
+        indices = np.empty(maxnnz, dtype=np.int32)
+        data = np.empty(maxnnz, dtype=b.dtype)
+        _sparsetools.csr_matmat(m, n, self.indptr, self.indices, a, other.indptr, other.indices,
+                                b, indptr, indices, data)
+        return _trimmed(indptr, indices, data, maxnnz, (m, n), phase,
+                        self.is_diagonal and other.is_diagonal)
 
     def _binop(self, other: "CSR", minus: bool) -> "CSR":
-        if self.shape != other.shape:
-            raise ValueError(f"block shapes {self.shape} and {other.shape} differ")
+        shape = self.shape
+        if shape != other.shape:
+            raise ValueError(f"block shapes {shape} and {other.shape} differ")
         shift = (other.phase - self.phase) % 4
-        if self.is_float and other.is_float and shift % 2 == 0:
+        a, b = self.data, other.data
+        if a.dtype is _F64 and b.dtype is _F64 and shift % 2 == 0:
             # at a shift of 2, other is -1 times its data relative to self
-            operands, phase = self._arrays() + other._arrays(), self.phase
+            phase = self.phase
             minus ^= shift == 2
         else:
-            operands, phase = self._complex_arrays() + other._complex_arrays(), 0
+            a, b, phase = self._complex_data(), other._complex_data(), 0
+        size = int(self.indptr[-1]) + int(other.indptr[-1])
+        _check_index(size)
+        indptr = np.empty(shape[0] + 1, dtype=np.int32)
+        indices = np.empty(size, dtype=np.int32)
+        data = np.empty(size, dtype=b.dtype)
         kernel = _sparsetools.csr_minus_csr if minus else _sparsetools.csr_plus_csr
-        return _run_kernel(kernel, self.shape, operands, self.shape, self.nnz + other.nnz, phase)
+        kernel(shape[0], shape[1], self.indptr, self.indices, a, other.indptr, other.indices, b,
+               indptr, indices, data)
+        return _trimmed(indptr, indices, data, size, shape, phase)
 
     def __add__(self, other: "CSR") -> "CSR":
         return self._binop(other, minus=False)
@@ -299,9 +325,10 @@ class CSR:
             if factor < 0:
                 turn, factor = turn + 2, -factor
             data = self.data if factor == 1.0 else self.data * factor
-            return CSR(self.indptr, self.indices, data, self.shape, (self.phase + turn) % 4)
+            return CSR(self.indptr, self.indices, data, self.shape, (self.phase + turn) % 4,
+                       self.is_diagonal)
         data, phase = split(self.values() * c)
-        return CSR(self.indptr, self.indices, data, self.shape, phase)
+        return CSR(self.indptr, self.indices, data, self.shape, phase, self.is_diagonal)
 
     def transpose(self) -> "CSR":
         return self._transposed(self.data, self.phase)
@@ -316,5 +343,9 @@ class CSR:
     def _transposed(self, data: np.ndarray, phase: int) -> "CSR":
         """The transpose of the matrix with these data, 1j**phase times them."""
         m, n = self.shape
-        return _run_kernel(_sparsetools.csr_tocsc, (m, n), (self.indptr, self.indices, data),
-                           (n, m), self.nnz, phase)
+        nnz = self.nnz
+        indptr = np.empty(n + 1, dtype=np.int32)
+        indices = np.empty(nnz, dtype=np.int32)
+        out = np.empty(nnz, dtype=data.dtype)
+        _sparsetools.csr_tocsc(m, n, self.indptr, self.indices, data, indptr, indices, out)
+        return _trimmed(indptr, indices, out, nnz, (n, m), phase, self.is_diagonal)

@@ -133,22 +133,25 @@ class SuperOp:
         return self.space.memo.read(self, k)
 
     def _compute(self, k: int) -> CSR:
-        """block(k), from the leaf rule or from the operands' blocks."""
-        kind, args = self.kind, self.args
+        """block(k), from the leaf rule or from the operands' blocks.
+
+        Only a leaf's block is checked to map sector k into sector
+        k + grade: a composed node's block then has that shape too."""
+        kind, args, read = self.kind, self.args, self.space.memo.read
         if kind == "leaf":
             blk = self._rule(k)
-        elif kind == "scale":
-            blk = args[0].raw_block(k).scale(self.scalar)
-        elif kind == "adjoint":
-            blk = args[0].raw_block(k + self.shifts[0]).adjoint()
-        else:  # the second operand of @, + and - is read at sector k
-            a, b = args[0].raw_block(k + self.shifts[0]), args[1].raw_block(k)
-            blk = a @ b if kind == "matmul" else a + b if kind == "add" else a - b
-        dims = self.space.sector_dims
-        if blk.shape != (dims.get(k + self.grade, 0), dims.get(k, 0)):
-            raise ValueError(f"a {blk.shape} block does not map sector {k} into sector "
-                             f"{k + self.grade}: its support has another grade")
-        return blk
+            dims = self.space.sector_dims
+            if blk.shape != (dims.get(k + self.grade, 0), dims.get(k, 0)):
+                raise ValueError(f"a {blk.shape} block does not map sector {k} into sector "
+                                 f"{k + self.grade}: its support has another grade")
+            return blk
+        if kind == "scale":
+            return read(args[0], k).scale(self.scalar)
+        if kind == "adjoint":
+            return read(args[0], k + self.shifts[0]).adjoint()
+        # the second operand of @, + and - is read at sector k
+        a, b = read(args[0], k + self.shifts[0]), read(args[1], k)
+        return a @ b if kind == "matmul" else a + b if kind == "add" else a - b
 
     # -- composition ----------------------------------------------------------
 
@@ -376,7 +379,11 @@ class Space:
 
         factor maps level L to level L + shift.  It acts on the rows of the
         block (left multiplication, factor = mat) or on its columns (right
-        multiplication, factor = mat^T).
+        multiplication, factor = mat^T).  The rule builds a block's entries
+        in one set of array operations over all its input levels, in the
+        order of a level-by-level kron: input level by input level, copy by
+        copy of the level slice, and within a copy in the slice's row-major
+        order.  That order is the stored order of each row's entries.
         """
         f = factor.canonical()  # row-major, ascending columns within a row
         keep = f.data != 0
@@ -385,40 +392,49 @@ class Space:
         lo, li = self.level[f_row], self.level[f_col]
         if np.any(lo - li != shift):
             raise ValueError(f"the matrix has entries that do not shift the level by {shift}")
+        # the entries by input level, row-major within a level, and where
+        # the entries of each level start
+        order = np.argsort(li, kind="stable")
+        f_row, f_col, lo, li, fdata = (a[order] for a in (f_row, f_col, lo, li, fdata))
         offs = self.basis.level_offsets
         out_rel, in_rel = f_row - offs[lo], f_col - offs[li]
-        # the entries of each input level, in row-major order
-        order = np.argsort(li, kind="stable")
-        bounds = np.searchsorted(li[order], np.arange(self.n_max + 2))
-        slices = [order[bounds[lvl]:bounds[lvl + 1]] for lvl in range(self.n_max + 1)]
+        bounds = np.searchsorted(li, np.arange(self.n_max + 2))
         grade = shift if rows else -shift
-        empty = np.zeros(0, dtype=np.int64)
 
         def rule(k: int) -> CSR:
             ns, in_offs = self.sector_levels(k)
             out_ns, out_offs = self.sector_levels(k + grade)
-            parts = [(empty, empty, empty)]
-            for pos, n in enumerate(ns.tolist()):
-                # the level the factor reads, and the output block's input level
-                lvl, out_n = (n + k, n) if rows else (n, n + shift)
-                if not 0 <= lvl + shift <= self.n_max:
-                    continue
-                # kron(I_{n+1}, slice) on the rows of the block: slice entries
-                # step 1, copies step by the slice's size; kron(slice,
-                # I_{n+k+1}) on its columns: entries step n+k+1, copies 1.
-                # Each output row gets the entries of one copy, in order.
-                if rows:
-                    step, copies, out_copy, in_copy = 1, n + 1, lvl + shift + 1, lvl + 1
-                else:
-                    step = copies = n + k + 1
-                    out_copy = in_copy = 1
-                e, i = slices[lvl], np.arange(copies)[:, None]
-                parts.append((out_offs[out_n - out_ns[0]] + out_rel[e] * step + i * out_copy,
-                              in_offs[pos] + in_rel[e] * step + i * in_copy,
-                              np.broadcast_to(fdata[e], (copies, e.size))))
-            return CSR.from_coo(*(np.concatenate([a.ravel() for a in arrays])
-                                     for arrays in zip(*parts)),
-                                   (int(out_offs[-1]), int(in_offs[-1])), phase)
+            shape = (int(out_offs[-1]), int(in_offs[-1]))
+            if not (ns.size and out_ns.size):  # no entry; k may be too large for int64
+                return CSR.from_coo(ns[:0], ns[:0], fdata[:0], shape, phase)
+            # the input-level blocks whose level slice of the factor is not
+            # cut off by the truncation, the level the slice reads, and the
+            # input level of the output block
+            lvl = ns + k if rows else ns
+            pos = np.flatnonzero((lvl + shift >= 0) & (lvl + shift <= self.n_max))
+            n, lvl = ns[pos], lvl[pos]
+            # kron(I_{n+1}, slice) on the rows of the block: slice entries
+            # step 1, copies step by the slice's size; kron(slice, I_{n+k+1})
+            # on its columns: entries step n+k+1, copies 1.  Each block's
+            # entries run copy by copy, each copy's in slice order, so each
+            # output row gets the entries of one copy, in order.
+            one = np.ones_like(n)
+            if rows:
+                out_n, step, copies, out_copy, in_copy = n, one, n + 1, lvl + shift + 1, lvl + 1
+            else:
+                out_n, step, copies, out_copy, in_copy = n + shift, n + k + 1, n + k + 1, one, one
+            per_copy = bounds[lvl + 1] - bounds[lvl]
+            sizes = copies * per_copy
+            # the block, the copy and the slice entry of every entry
+            blk = np.repeat(np.arange(n.size), sizes)
+            copy, e = np.divmod(np.arange(blk.size) - (np.cumsum(sizes) - sizes)[blk],
+                                per_copy[blk])
+            e += bounds[lvl][blk]
+            step = step[blk]
+            return CSR.from_coo(out_offs[out_n - out_ns[0]][blk] + out_rel[e] * step
+                                + copy * out_copy[blk],
+                                in_offs[pos][blk] + in_rel[e] * step + copy * in_copy[blk],
+                                fdata[e], shape, phase)
 
         return SuperOp(self, grade=grade, rule=rule)
 

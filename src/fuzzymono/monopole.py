@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q, contract
 from .liouville import Space, SuperOp, cache_get, commutator
 from .ncspace import PAULI
-from .sector import Window, graded_residual, window_inner
+from .sector import Window, block_entries, graded_residual, window_inner
 
 
 class VelocityFamily:
@@ -150,8 +150,8 @@ def charge_fit(vel: VelocityFamily, win: Window) -> float | None:
     poles of the monopole profile.  None when the closed form vanishes on
     the window, as it reads when its norm underflows."""
     kappa = win.sector.kappa
-    lhs = commutator(vel.velocity(1), vel.velocity(2)).raw_block(kappa)
-    k = monopole_profile_op(vel, (3, 4)).raw_block(kappa)
+    lhs = block_entries(commutator(vel.velocity(1), vel.velocity(2)).raw_block(kappa))
+    k = block_entries(monopole_profile_op(vel, (3, 4)).raw_block(kappa))
     denom = window_inner(k, k, win.column_mask)
     if denom == 0:
         return None

@@ -164,29 +164,42 @@ def sector_matrix(op: SuperOp, sector: MonopoleSector, dense: bool = False):
 def _window_norm(mat: CSR, in_window: np.ndarray) -> float:
     """Frobenius norm of the columns of a CSR block that in_window marks.
 
-    Float64 data (a real or imaginary block) are squared in place in their
-    compressed copy, so the norm makes no further temporary; the result is
-    bit for bit sqrt(sum(abs(x) ** 2)), the formula complex data keep.
+    The window's entries are gathered by take and compress, which skip
+    the dispatch of fancy indexing into the same compressed copy.  Float64
+    data (a real or imaginary block) are squared in place in that copy, so
+    the norm makes no further temporary; the result is bit for bit
+    sqrt(sum(abs(x) ** 2)), the formula complex data keep.
     """
-    x = mat.data[in_window[mat.indices]]
+    x = mat.data.compress(in_window.take(mat.indices))
     if x.dtype != np.float64:
         return float(np.sqrt(np.sum(np.abs(x) ** 2)))
     np.square(x, out=x)
     return math.sqrt(np.add.reduce(x))
 
 
-def window_inner(a: CSR, b: CSR, in_window: np.ndarray) -> complex:
-    """Sum of conj(a[i, j]) * b[i, j] over the columns j of two equally
-    shaped blocks that in_window marks."""
-    def entries(mat: CSR) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
-        keep = in_window[mat.indices]
-        return rows[keep] * mat.shape[1] + mat.indices[keep], mat.values()[keep]
+def block_entries(mat: CSR) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of a block, for window_inner: their keys
+    row * n_cols + col in ascending order, their columns and their complex
+    values.  No CSR operation makes two entries at one position, so the
+    keys are unique.  A check that pairs one block with several windows
+    builds its entries once."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    keys = rows * mat.shape[1] + mat.indices
+    order = np.argsort(keys)
+    return keys[order], mat.indices[order], mat.values()[order]
 
-    (ka, va), (kb, vb) = entries(a), entries(b)
-    # no CSR operation makes two entries at one position: the keys are unique
-    _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
-    return complex(np.sum(np.conj(va[ia]) * vb[ib]))
+
+def window_inner(a: tuple, b: tuple, in_window: np.ndarray) -> complex:
+    """Sum of conj(a[i, j]) * b[i, j] over the columns j that in_window
+    marks, of two equally shaped blocks given by their block_entries; the
+    terms are summed in ascending order of their key."""
+    (ka, ca, va), (kb, cb, vb) = a, b
+    keep_a, keep_b = in_window[ca], in_window[cb]
+    ka, va, kb, vb = ka[keep_a], va[keep_a], kb[keep_b], vb[keep_b]
+    pos = np.searchsorted(kb, ka)  # where each key of a would sit among those of b
+    common = pos < kb.size
+    common[common] = kb[pos[common]] == ka[common]
+    return complex(np.sum(np.conj(va[common]) * vb[pos[common]]))
 
 
 def graded_residual(

@@ -89,7 +89,8 @@ from ..ncspace import (
     relative_norm,
     verify_coordinate_algebra,
 )
-from ..sector import MonopoleSector, Window, build_sector, graded_residual, window_inner
+from ..sector import (MonopoleSector, Window, block_entries, build_sector, graded_residual,
+                      window_inner)
 from ..su22 import (
     PAIRS,
     matrix_closure_residual,
@@ -824,8 +825,9 @@ def _field_trend(ctx: EngineContext, win: Window) -> Outcome:
     sector = win.sector
     if sector.kappa == 0:
         return None  # no field to fit
-    lhs = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)).raw_block(sector.kappa)
-    gen = ctx.alg.generator(3, 4).raw_block(sector.kappa)
+    lhs = block_entries(commutator(ctx.vel.velocity(1), ctx.vel.velocity(2))
+                        .raw_block(sector.kappa))
+    gen = block_entries(ctx.alg.generator(3, 4).raw_block(sector.kappa))
     ws, cs = [], []
     for pos, n in enumerate(sector.blocks):
         if not win.block_mask[pos] or n < ctx.n_max / 2:
@@ -993,9 +995,15 @@ REGISTRY: list[IdentityRecord] = [
                    pairs=_sigma_contract("right"), guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
     IdentityRecord("field-from-center", "monopole", "eps_ijk[V_i,V_j] = -i lam rho S_k4 (C+2)",
                    pairs=_field_from_center, guard=2, exclude_ws=(0.0, 1.0)),
-    IdentityRecord("associator", "monopole", "eps_ijk[V_i,[V_j,V_k]] = 0",
+    IdentityRecord("associator", "monopole",
+                   "eps_ijk[V_i,[V_j,V_k]] = 0 (the Jacobi identity of the engine's "
+                   "commutators, true of any matrices: round-off only, not the model's "
+                   "nonassociativity)",
                    pairs=_associator, guard=3),
-    IdentityRecord("associator-baseline", "monopole", "eps_ijk[S_0i,[S_0j,S_0k]] = 0",
+    IdentityRecord("associator-baseline", "monopole",
+                   "eps_ijk[S_0i,[S_0j,S_0k]] = 0 (the Jacobi identity of the engine's "
+                   "commutators, true of any matrices: round-off only, not the model's "
+                   "nonassociativity)",
                    pairs=_associator_baseline, guard=3, tol=1e-12),
     IdentityRecord("radial-shift-piece", "monopole", "sum_i [V_i, rho] S_i4 = 3i rho V_4",
                    pairs=_radial_shift_piece, guard=2, exclude_ws=(0.0, 1.0, 2.0)),

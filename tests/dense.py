@@ -12,9 +12,9 @@ with scipy.sparse matrices, as scipy users would write them; the engine's
 residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
 with each pair compared on its own, no block shared between pairs, as
 IdentityRecord.evaluate computed it before its row memo.  The helpers in
-between (level slices, sector states, the sigma-contracted one-sided words
-and the 1/(r-2l) multiplier) are what only the tests read.  src/ never
-imports this module.
+between (level slices, sector states, a ladder leaf's block built level by
+level, the sigma-contracted one-sided words and the 1/(r-2l) multiplier)
+are what only the tests read.  src/ never imports this module.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from fuzzymono.algebra import RadialFunction, contract
+from fuzzymono.csr import CSR
 from fuzzymono.fock import FockBasis
 from fuzzymono.liouville import Space, SuperOp, linear_combination
 from fuzzymono.ncspace import EPS3, PAULI
@@ -87,7 +88,8 @@ def from_matrix(sector: MonopoleSector, psi: np.ndarray) -> SectorVector:
 
 
 # ---------------------------------------------------------------------------
-# level slices, sector states, one-sided words and a shifted multiplier
+# level slices, sector states, leaf blocks, one-sided words and a shifted
+# multiplier
 # ---------------------------------------------------------------------------
 
 def level_slice(basis: FockBasis, n: int) -> slice:
@@ -124,6 +126,42 @@ def raise_word(space: Space, a: int) -> SuperOp:
 def lower_word(space: Space, a: int) -> SuperOp:
     """Right-create/left-annihilate bilinear; shifts every block down one."""
     return _sigma_word(a, space.rmul_adag, space.lmul_a)
+
+
+def kron_leaf_block(space: Space, factor: CSR, shift: int, rows: bool, k: int) -> CSR:
+    """Block k of Space._fock_leaf(factor, shift, rows), built level by
+    level: on each input-level block n a kron of the level slice of factor
+    with an identity, entries appended in the order of the block's copies
+    and, within a copy, in the slice's row-major order.  The entry order
+    sets the stored order of the block's rows, and with it the summation
+    order of every later product."""
+    f = factor.canonical()
+    keep = f.data != 0
+    f_row = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))[keep]
+    f_col, fdata = f.indices[keep], f.data[keep]
+    lo, li = space.level[f_row], space.level[f_col]
+    offs = space.basis.level_offsets
+    out_rel, in_rel = f_row - offs[lo], f_col - offs[li]
+    grade = shift if rows else -shift
+    ns, in_offs = space.sector_levels(k)
+    out_ns, out_offs = space.sector_levels(k + grade)
+    empty = np.zeros(0, dtype=np.int64)
+    parts = [(empty, empty, empty)]
+    for pos, n in enumerate(ns.tolist()):
+        lvl, out_n = (n + k, n) if rows else (n, n + shift)
+        if not 0 <= lvl + shift <= space.n_max:
+            continue
+        if rows:  # kron(I_{n+1}, slice) on the rows of the block
+            step, copies, out_copy, in_copy = 1, n + 1, lvl + shift + 1, lvl + 1
+        else:  # kron(slice, I_{n+k+1}) on its columns
+            step = copies = n + k + 1
+            out_copy = in_copy = 1
+        e, i = np.flatnonzero(li == lvl), np.arange(copies)[:, None]
+        parts.append((out_offs[out_n - out_ns[0]] + out_rel[e] * step + i * out_copy,
+                      in_offs[pos] + in_rel[e] * step + i * in_copy,
+                      np.broadcast_to(fdata[e], (copies, e.size))))
+    return CSR.from_coo(*(np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts)),
+                        (int(out_offs[-1]), int(in_offs[-1])), f.phase)
 
 
 RF_INV_R_MINUS_2L = RadialFunction(

@@ -5,13 +5,15 @@ scipy expression it stands for, on matrices with unsorted indices, explicit
 zeros, empty rows, zero-size shapes and no nonzero entry at all.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from dense import RF_INV_R_MINUS_2L, packed, pair_levels
+from dense import RF_INV_R_MINUS_2L, kron_leaf_block, packed, pair_levels
 from fuzzymono import csr, liouville
 from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.csr import CSR
@@ -173,6 +175,83 @@ def test_block_shapes_must_agree():
         blk + other
 
 
+@pytest.mark.parametrize("n_max", range(8))
+def test_a_ladder_leaf_block_keeps_the_level_by_level_entry_order(n_max):
+    """Each leaf block has the indptr, indices, data and phase of the kron
+    built level by level, at every grade, empty sectors and a grade beyond
+    int64 included: the stored order of each row's entries sets the
+    summation order of every later product.  A ladder matrix has one entry
+    per row; the full matrices from each level to the next, to the one
+    before and to itself put several into a row of a block."""
+    sp = Space(n_max)
+    leaves = []
+    for alpha in (1, 2):
+        a, adag = sp._a[alpha - 1], sp._adag[alpha - 1]
+        leaves += [(sp.lmul_a(alpha), a, -1, True), (sp.lmul_adag(alpha), adag, 1, True),
+                   (sp.rmul_a(alpha), a.transpose(), 1, False),
+                   (sp.rmul_adag(alpha), adag.transpose(), -1, False)]
+    i, j = np.divmod(np.arange(sp.basis.dim ** 2), sp.basis.dim)
+    for shift in (-1, 0, 1):
+        hit = sp.level[i] - sp.level[j] == shift
+        full = CSR.from_coo(i[hit], j[hit], 1.0 + np.arange(hit.sum()) * 1j,
+                            (sp.basis.dim,) * 2)  # complex entries, all distinct
+        leaves += [(sp.left_mul(full, shift), full, shift, True),
+                   (sp.right_mul(full, -shift), full.transpose(), -shift, False)]
+    for op, factor, shift, rows in leaves:
+        for k in [*range(-n_max - 2, n_max + 3), 2**70, -2**70]:
+            got, want = op.raw_block(k), kron_leaf_block(sp, factor, shift, rows, k)
+            assert got.shape == want.shape and got.phase == want.phase
+            for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (k, x, y)
+
+
+def test_only_a_leaf_of_the_wrong_grade_is_refused():
+    """A leaf's block is checked against the sectors of its grade; a
+    composed node's block has the shape of its operands'."""
+    sp = Space(3)
+    wrong = liouville.SuperOp(sp, grade=1, rule=lambda k: sp.identity().raw_block(k))
+    with pytest.raises(ValueError, match="another grade"):
+        wrong.raw_block(0)
+    with pytest.raises(ValueError, match="another grade"):
+        (sp.lmul_a(1) @ wrong).raw_block(0)
+    assert (sp.lmul_a(1) @ sp.lmul_adag(1)).raw_block(0).shape == (30, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=_DIMS, m=_DIMS)
+def test_a_product_with_a_diagonal_factor_matches_scipy(data, n, m):
+    """A diags factor is marked diagonal, and a product with it, sized by
+    the other factor's entries instead of csr_matmat_maxnnz, still gives
+    scipy's arrays; the mark stays through scale, the transposes and a
+    product of two diagonal factors, and holds."""
+    values = np.array(data.draw(st.lists(_VALUES, min_size=n, max_size=n)), dtype=np.complex128)
+    diag, dblk = sparse.diags(values, format="csr"), CSR.diags(values)
+    a, ablk = data.draw(_csr((n, m)))
+    b, bblk = data.draw(_csr((m, n)))
+    _same(dblk @ ablk, diag @ a)
+    _same(bblk @ dblk, b @ diag)
+    other = CSR.diags(values[::-1])
+    for blk in (dblk, dblk.scale(data.draw(_SCALARS)), dblk.transpose(), dblk.adjoint(),
+                dblk @ other):
+        assert blk.is_diagonal
+        assert np.array_equal(blk.indices, np.repeat(np.arange(n), np.diff(blk.indptr)))
+    assert not (dblk @ ablk).is_diagonal and not (dblk + other).is_diagonal
+
+
+def test_float_data_of_another_dtype_instance_give_the_same_blocks():
+    """@, + and - tell float64 data by dtype identity; an unpickled array's
+    float64 dtype is another instance, and its operations (through the
+    complex kernels) still give scipy's arrays."""
+    rows, cols = np.divmod(np.arange(9), 3)
+    a = CSR.from_coo(rows, cols, np.arange(1.0, 10.0), (3, 3), 1)
+    b = CSR(*(pickle.loads(pickle.dumps(x)) for x in (a.indptr, a.indices, a.data)), a.shape, 1)
+    assert b.data.dtype is not np.dtype(np.float64) and b.is_float
+    for got, want in ((b @ a, a.tocsr() @ a.tocsr()), (a @ b, a.tocsr() @ a.tocsr()),
+                      (b + a, 2 * a.tocsr()), (a - b, a.tocsr() - a.tocsr())):
+        _same(got, want)
+
+
 def test_int32_guard(monkeypatch):
     """Sizes past the index limit raise instead of wrapping around."""
     sp = Space(3)
@@ -185,6 +264,8 @@ def test_int32_guard(monkeypatch):
         CSR.diags(np.ones(10, dtype=np.complex128))
     with pytest.raises(ValueError, match="int32"):
         ones + full  # 3 + 9 stored entries
+    with pytest.raises(ValueError, match="int32"):
+        full - ones
     monkeypatch.setattr(csr, "_INDEX_MAX", 5)
     with pytest.raises(ValueError, match="int32"):
         full @ ones  # maxnnz 9

@@ -14,6 +14,7 @@ from fuzzymono.sector import (
     MonopoleSector,
     _window_norm,
     apply_superop,
+    block_entries,
     build_sector,
     graded_residual,
     inner_product,
@@ -455,7 +456,8 @@ def test_blocks_match_the_eager_formula(data, n_max, lam):
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 6), n=st.integers(0, 6))
 def test_window_inner_is_the_masked_elementwise_sum(seed, m, n):
     """window_inner(a, b, mask) is scipy's (a[:, mask].conj().multiply(b[:, mask])).sum()
-    on real, imaginary and complex blocks."""
+    on real, imaginary and complex blocks, and by repr the sum of the
+    products over the common windowed keys in ascending order."""
     rng = np.random.default_rng(seed)
     mask = rng.random(n) < 0.6
     mats = [sparse.random(m, n, density=0.5, format="coo", random_state=rng) * unit
@@ -463,9 +465,20 @@ def test_window_inner_is_the_masked_elementwise_sum(seed, m, n):
     for a in mats:
         for b in mats:
             want = (a.tocsr()[:, mask].conj().multiply(b.tocsr()[:, mask])).sum()
-            got = window_inner(*(CSR.from_coo(x.row, x.col, x.data, x.shape) for x in (a, b)),
-                               mask)
+            blks = [CSR.from_coo(x.row, x.col, x.data, x.shape) for x in (a, b)]
+            got = window_inner(*map(block_entries, blks), mask)
             assert np.isclose(got, want, rtol=1e-13, atol=0), (got, want)
+            (ka, va), (kb, vb) = map(_window_keys_and_values, blks, (mask, mask))
+            _, ia, ib = np.intersect1d(ka, kb, assume_unique=True, return_indices=True)
+            assert repr(got) == repr(complex(np.sum(np.conj(va[ia]) * vb[ib])))
+
+
+def _window_keys_and_values(mat, in_window):
+    """The keys row * n_cols + col and the values of the entries of a CSR
+    in the columns that in_window marks, in stored order."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    keep = in_window[mat.indices]
+    return rows[keep] * mat.shape[1] + mat.indices[keep], mat.values()[keep]
 
 
 _ENTRY = st.floats(-1e160, 1e160, allow_nan=False, allow_infinity=False)
