@@ -2,7 +2,7 @@
 
     python .github/check_report.py [--exit 0,1] [--rows N] [--max-rss-mb MB]
                                    [--zero-residuals] [--same-as-jobs N]
-                                   -- FUZZYMONO-ARGS...
+                                   [--reference PATH] -- FUZZYMONO-ARGS...
 
 runs `fuzzymono FUZZYMONO-ARGS... --format json` and exits 1 with a message
 unless
@@ -16,16 +16,25 @@ unless
     residual is exactly 0.0 (the scaling suite);
   * with --same-as-jobs N, a second run with `--jobs N` appended gives an
     equal report, wall times aside (results do not depend on how the runner
-    splits the rows of a kappa).
+    splits the rows of a kappa);
+  * with --reference PATH, every row has the guard, tolerance,
+    excluded_blocks and status (pass, fail or skip) that the committed
+    benchmark reference at PATH gives it, and no row is missing or
+    unexpected.  The comparison is bench/reference.py's read_rows and
+    check, plus the status of each row.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import subprocess
 import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+import reference  # noqa: E402  (bench/reference.py)
 
 
 def run(args: list[str], allowed: set[int]) -> tuple[int, dict]:
@@ -44,6 +53,20 @@ def without_wall_times(report: dict) -> dict:
     return {**report, "results": [{**row, "wall_time_ms": None} for row in report["results"]]}
 
 
+def reference_departures(report: dict, path: str) -> list[str]:
+    """How the rows of report depart from the benchmark reference at path."""
+    with open(path, encoding="utf-8") as fh:
+        ref = json.load(fh)
+    rows = reference.read_rows([report])
+    check = reference.check(ref, rows, complete=True)
+    departures = list(check.errors)
+    for n_max, rid, kappa, *_, ref_status in ref["rows"]:
+        now = check.statuses[repr((n_max, rid, kappa))]
+        if now not in ("lost", ref_status):
+            departures.append(f"row {(n_max, rid, kappa)}: {now} != reference {ref_status}")
+    return departures
+
+
 def main(argv: list[str]) -> None:
     if "--" not in argv:
         raise SystemExit("usage: check_report.py [options] -- FUZZYMONO-ARGS...")
@@ -54,6 +77,7 @@ def main(argv: list[str]) -> None:
     p.add_argument("--max-rss-mb", type=float, default=None)
     p.add_argument("--zero-residuals", action="store_true")
     p.add_argument("--same-as-jobs", type=int, default=None)
+    p.add_argument("--reference", default=None, help="a committed bench/reference/*.json")
     opts = p.parse_args(argv[:split])
     args = argv[split + 1:]
 
@@ -80,6 +104,10 @@ def main(argv: list[str]) -> None:
         _, other = run([*args, "--jobs", jobs], allowed)
         assert without_wall_times(other) == without_wall_times(report), f"--jobs {jobs} differs"
         print(f"the report at --jobs {jobs} is the same, wall times aside")
+    if opts.reference is not None:
+        departures = reference_departures(report, opts.reference)
+        assert not departures, "\n".join(departures[:20])
+        print(f"every row matches {opts.reference}")
 
 
 if __name__ == "__main__":

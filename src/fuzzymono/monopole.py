@@ -141,17 +141,17 @@ def monopole_profile_op(vel: VelocityFamily, k4: tuple[int, int]) -> SuperOp:
     return -1j * sp.lam * (RF_MONOPOLE.to_superop(sp) @ vel.alg.generator(*k4))
 
 
-def charge_fit(vel: VelocityFamily, win: Window) -> float | None:
-    """Least-squares coefficient of [V_1, V_2] against the unit-charge
-    closed form with S_34 on a window of the sector; equals kappa/2 in the
-    frozen conventions.
+def charge_fit(win: Window, lhs: SuperOp, profile: SuperOp) -> float | None:
+    """Least-squares coefficient of lhs against profile on a window of the
+    sector: of [V_1, V_2] against monopole_profile_op(vel, (3, 4)), the
+    unit-charge closed form with S_34, it equals kappa/2 in the frozen
+    conventions.  It reads each word's block once (a reducer's rule).
 
     The window of the monopole-charge row leaves out the blocks at the
     poles of the monopole profile.  None when the closed form vanishes on
     the window, as it reads when its norm underflows."""
     kappa = win.sector.kappa
-    lhs = block_entries(commutator(vel.velocity(1), vel.velocity(2)).raw_block(kappa))
-    k = block_entries(monopole_profile_op(vel, (3, 4)).raw_block(kappa))
+    lhs, k = block_entries(lhs.raw_block(kappa)), block_entries(profile.raw_block(kappa))
     denom = window_inner(k, k, win.column_mask)
     if denom == 0:
         return None

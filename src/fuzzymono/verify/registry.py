@@ -10,11 +10,12 @@ An identity is one of two kinds:
 
   * a pair function, ctx -> (lhs, rhs), ...: a generator of the
     superoperator pairs whose equality the identity states, built from the
-    context alone.
-  * a scalar check, (ctx, win) -> outcome, for the identities that are not
-    superoperator equalities (matrix-level Fock and coordinate relations,
-    fits, block-wise bounds on the sector's radii and weights, the scaling
-    suite).
+    context alone, or of tuples of words that the record's reducer,
+    reduce(win, *words) -> value or None, reduces instead of comparing.
+  * a scalar check, (ctx, win) -> outcome, which reads no block itself:
+    matrix-level Fock and coordinate relations, table-level bounds on the
+    sector's radii and weights, and the scaling suite, which evaluates
+    its base row.
 
 evaluate_batch evaluates every row of one batch (the rows of one kappa, or
 an interleaved part of them): each scalar check through its record's
@@ -22,16 +23,16 @@ builder, then the pairs of all pair rows, built and planned once per
 context (liouville.stream_plan) and compared in the order in which the
 space's block memo streams them (liouville.BlockMemo.stream), each on the
 guarded window of the requested sector without its record's pole blocks.
-IdentityRecord.evaluate of one pair identity is its one-row case. It is
-the only code of a run that takes pair residuals: canonical-pairing
-streams OperatorAlgebra.canonical_pairs(), and only tests and the
-benchmark's tracer reach canonical_pairing_residual.
+IdentityRecord.evaluate of one pair identity is its one-row case. That
+stream is the only code of a run that reads a superoperator block:
+canonical-pairing streams OperatorAlgebra.canonical_pairs(), and only
+tests and the benchmark's tracer reach canonical_pairing_residual.
 
-Both give (residual, excluded_blocks); a check may give None when it has
-nothing to fit (reported as skipped). IdentityRecord.window is the one
-place that decides a row's window (sector.Window): for a per-kappa identity
-the guarded window of sector kappa, with the guard of the row (the
-record's, or the run's --guard override) and without the blocks at
+Both give (residual, excluded_blocks); a check or a reducer may give None
+when it has nothing to fit (reported as skipped). IdentityRecord.window is
+the one place that decides a row's window (sector.Window): for a per-kappa
+identity the guarded window of sector kappa, with the guard of the row
+(the record's, or the run's --guard override) and without the blocks at
 exclude_ws; for a kappa-independent one Window(sector=None, guard=...).
 When a sector's window is empty the identity is skipped without calling
 it, so no pair function or check sees an empty window, and every per-block
@@ -101,6 +102,7 @@ Outcome = Optional[tuple[float, list[int]]]
 Pair = tuple[SuperOp, SuperOp]
 
 U_INDEX = [(1, 1), (1, 2), (2, 1), (2, 2)]
+_TWIST_TAUS = (np.pi / 7, 1.0, 2.5)  # the angles of sector-grading's twists
 
 # radial coefficients of the [U, U+] rewrites
 RF_INV_R2ML = RadialFunction(
@@ -167,7 +169,8 @@ Check = Callable[[EngineContext, Window], Outcome]
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One identity: a pair function (pairs) or a scalar check (check).
+    """One identity: a pair function (pairs), whose words a reducer may
+    reduce (reduce), or a scalar check (check), which reads no block.
 
     builder(ctx, kappa, guard) is what evaluate_batch calls for a scalar
     check; it evaluates the pair identities of a batch together. builder
@@ -181,6 +184,7 @@ class IdentityRecord:
     formula: str  # relation in engine notation, or "plumbing"
     pairs: Optional[PairFunction] = field(default=None, compare=False)
     check: Optional[Check] = field(default=None, compare=False)
+    reduce: Optional[Callable[..., Optional[float]]] = field(default=None, compare=False)
     guard: int = 0
     tol: Optional[float] = None  # None: use the run's global tolerance
     exclude_ws: tuple[float, ...] = ()
@@ -189,8 +193,8 @@ class IdentityRecord:
         default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if (self.pairs is None) == (self.check is None):
-            raise ValueError(f"{self.id}: give exactly one of pairs and check")
+        if (self.pairs is None) == (self.check is None) or (self.reduce and self.check):
+            raise ValueError(f"{self.id}: give exactly one of pairs and check, reduce with pairs")
         # a copy (dataclasses.replace) evaluates itself, not the record it copies
         if (self.builder is None
                 or getattr(self.builder, "__func__", None) is IdentityRecord.evaluate):
@@ -227,8 +231,10 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
     (None: a batch of kappa-independent checks), and the seconds it took.
 
     The scalar checks run first, in row order, each through its record's
-    builder. Then the pairs of the pair rows are compared in the order that
-    the space's block memo streams them (BlockMemo.stream). A pair function
+    builder; they read no block. Then the pairs of the pair rows are
+    compared in the order that the space's block memo streams them
+    (BlockMemo.stream): by graded_residual, or by the row's reducer, which
+    reads every block of its words before it returns. A pair function
     runs once per context: its pairs, trees of lazy nodes that hold no
     block, are kept in the context's cache under the function itself, so a
     dataclasses.replace copy with pairs of its own builds its own. The
@@ -238,7 +244,7 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
     first also gets the planning. A row whose window is empty is skipped
     (None), and nothing of it is called. A pair row's residual is the
     largest over its own pairs (np.max, unlike max, keeps a NaN residual of
-    any pair)."""
+    any pair), or None when its reducer gives None."""
     out: list[Outcome] = [None] * len(rows)
     seconds = [0.0] * len(rows)
     for i, (rec, guard) in enumerate(rows):
@@ -249,7 +255,7 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
     wins = {i: rec.window(ctx, kappa, guard)
             for i, (rec, guard) in enumerate(rows) if rec.pairs is not None}
     residuals: dict[int, list[float]] = {i: [] for i, win in wins.items() if win is not None}
-    pairs: list[Pair] = []
+    pairs: list[tuple[SuperOp, ...]] = []
     owners: list[int] = []  # the row of each pair
     for i in residuals:
         fn = rows[i][0].pairs
@@ -266,13 +272,14 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
                          lambda: stream_plan(pairs))
         for pos in ctx.space.memo.stream(plan):
             i, win = owners[pos], wins[owners[pos]]
-            residuals[i].append(graded_residual(
+            reduce = rows[i][0].reduce
+            residuals[i].append(reduce(win, *pairs[pos]) if reduce else graded_residual(
                 *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])
             t1 = time.perf_counter()
             seconds[i] += t1 - t0
             t0 = t1
     for i, vals in residuals.items():
-        out[i] = float(np.max(vals)), list(wins[i].excluded)
+        out[i] = None if None in vals else (float(np.max(vals)), list(wins[i].excluded))
     return list(zip(out, seconds))
 
 
@@ -382,13 +389,13 @@ def _radius_s05_ordered(ctx: EngineContext) -> Iterator[Pair]:
 # radial suite: sector structure and shift calculus
 # ---------------------------------------------------------------------------
 
-def _sector_grading(ctx: EngineContext, win: Window) -> Outcome:
+def _sector_grading(win: Window, *twists: SuperOp) -> float:
     kappa = win.sector.kappa
     worst = 0.0
-    for tau in (np.pi / 7, 1.0, 2.5):
-        vals = ctx.space.grading_twist(tau).raw_block(kappa).diagonal()[win.column_mask]
+    for tau, twist in zip(_TWIST_TAUS, twists):
+        vals = twist.raw_block(kappa).diagonal()[win.column_mask]
         worst = max(worst, float(np.max(np.abs(vals - np.exp(-1j * tau * kappa)))))
-    return worst, list(win.excluded)
+    return worst
 
 
 def _sector_gram(ctx: EngineContext, win: Window) -> Outcome:
@@ -725,12 +732,11 @@ def _field_so4(ctx: EngineContext) -> Iterator[Pair]:
         yield lhs, rhs
 
 
-def _monopole_charge(ctx: EngineContext, win: Window) -> Outcome:
+def _monopole_charge(win: Window, lhs: SuperOp, profile: SuperOp) -> float:
     """|fit - kappa/2|; NaN, a failure, when the closed form reads zero on
     the nonempty window (its norm underflowed), so the fit is unchecked."""
-    fit = charge_fit(ctx.vel, win)
-    residual = float("nan") if fit is None else abs(fit - win.sector.kappa / 2.0)
-    return residual, list(win.excluded)
+    fit = charge_fit(win, lhs, profile)
+    return float("nan") if fit is None else abs(fit - win.sector.kappa / 2.0)
 
 
 def _g_symmetric_spatial(ctx: EngineContext) -> Iterator[Pair]:
@@ -820,17 +826,16 @@ def _fierz(ctx, win) -> Outcome:
     return float(worst), []
 
 
-def _field_trend(ctx: EngineContext, win: Window) -> Outcome:
-    """Fitted radial profile of the spatial field decays like 1/r^3."""
+def _field_trend(win: Window, lhs: SuperOp, gen: SuperOp) -> Optional[float]:
+    """Fitted radial profile of the spatial field lhs against gen decays like 1/r^3."""
     sector = win.sector
+    # both blocks are read, also at kappa 0, as the stream's walk counted them
+    lhs, gen = (block_entries(op.raw_block(sector.kappa)) for op in (lhs, gen))
     if sector.kappa == 0:
         return None  # no field to fit
-    lhs = block_entries(commutator(ctx.vel.velocity(1), ctx.vel.velocity(2))
-                        .raw_block(sector.kappa))
-    gen = block_entries(ctx.alg.generator(3, 4).raw_block(sector.kappa))
     ws, cs = [], []
     for pos, n in enumerate(sector.blocks):
-        if not win.block_mask[pos] or n < ctx.n_max / 2:
+        if not win.block_mask[pos] or n < sector.n_max / 2:
             continue
         cols = sector.block_of == pos
         den = window_inner(gen, gen, cols)
@@ -844,7 +849,7 @@ def _field_trend(ctx: EngineContext, win: Window) -> Outcome:
     if len(ws) < 3:
         return None
     slope = float(np.polyfit(np.log(ws), np.log(cs), 1)[0])
-    return abs(slope + 3.0), []
+    return abs(slope + 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -903,7 +908,8 @@ REGISTRY: list[IdentityRecord] = [
                    pairs=_radius_s05_ordered, guard=0, tol=1e-13),
     # radial
     IdentityRecord("sector-grading", "radial", "Psi(e^{-it}a+, e^{it}a) = e^{-it*kappa} Psi",
-                   check=_sector_grading, guard=0, tol=1e-13),
+                   pairs=lambda ctx: [tuple(map(ctx.space.grading_twist, _TWIST_TAUS))],
+                   reduce=_sector_grading, guard=0, tol=1e-13),
     IdentityRecord("sector-gram", "radial", "basis Gram is diagonal positive",
                    check=_sector_gram, guard=0, tol=1e-13),
     IdentityRecord("radius-def", "radial", "r_hat Psi = (r Psi + Psi r)/2",
@@ -982,7 +988,9 @@ REGISTRY: list[IdentityRecord] = [
     IdentityRecord("field-so4", "monopole", "[V_a,V_b] = -(i lam (C+2)/4) rho eps_abcd S_cd",
                    pairs=_field_so4, guard=2, tol=1e-11, exclude_ws=(0.0, 1.0)),
     IdentityRecord("monopole-charge", "monopole", "fitted field coefficient equals kappa/2",
-                   check=_monopole_charge, guard=2, tol=1e-8, exclude_ws=(0.0, 1.0)),
+                   pairs=lambda ctx: [(commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)),
+                                       monopole_profile_op(ctx.vel, (3, 4)))],
+                   reduce=_monopole_charge, guard=2, tol=1e-8, exclude_ws=(0.0, 1.0)),
     IdentityRecord("g-symmetric-spatial", "monopole", "G_ij = G_ji on the spatial block",
                    pairs=_g_symmetric_spatial, guard=2, tol=1e-11),
     IdentityRecord("g-exchange-mixed", "monopole", "[V_k,Vt_4] = [Vt_k,V_4]",
@@ -1013,7 +1021,9 @@ REGISTRY: list[IdentityRecord] = [
                    "eps_ijk s^i_ab s^j_dg = i(s^k_ag d_db - s^k_db d_ag)",
                    check=_fierz, tol=1e-15, per_kappa=False),
     IdentityRecord("field-trend", "monopole", "fitted field profile decays as 1/r^3",
-                   check=_field_trend, guard=2, tol=0.1),
+                   pairs=lambda ctx: [(commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)),
+                                       ctx.alg.generator(3, 4))],
+                   reduce=_field_trend, guard=2, tol=0.1),
 ]
 
 # scaling suite assembled from homogeneous base identities

@@ -10,7 +10,8 @@ The engine computes with its own CSR type (fuzzymono.csr).  The last
 functions are the matrix-level checks of the fock and coords suites written
 with scipy.sparse matrices, as scipy users would write them; the engine's
 residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
-with each pair compared on its own, no block shared between pairs, as
+with each pair compared on its own (or each tuple of words reduced on its
+own by the record's reducer), no block shared between pairs, as
 IdentityRecord.evaluate computed it before its row memo.  The helpers in
 between (level slices, sector states, a ladder leaf's block built level by
 level, the sigma-contracted one-sided words and the 1/(r-2l) multiplier)
@@ -268,12 +269,18 @@ def coords_residuals(basis: FockBasis, lam: float) -> dict:
 
 def evaluate_alone(rec, ctx, kappa: int, guard: int, floor: float = 1.0):
     """rec.evaluate(ctx, kappa, guard, floor) of a pair identity, with every
-    pair built and compared alone, outside any stream of the block memo."""
+    pair built and compared alone (or every tuple of words built and given
+    to the record's reducer alone), outside any stream of the block memo."""
     memo = ctx.space.memo
     assert not (memo.shared or memo._reads or memo._ahead)  # no stream: blocks are computed
     win = ctx.sector(kappa).window(guard, rec.exclude_ws)
     if not win.block_mask.any():
         return None
-    residuals = [graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]
-                 for lhs, rhs in rec.pairs(ctx)]
+    if rec.reduce is not None:
+        residuals = [rec.reduce(win, *words) for words in rec.pairs(ctx)]
+    else:
+        residuals = [graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]
+                     for lhs, rhs in rec.pairs(ctx)]
+    if None in residuals:
+        return None
     return float(np.max(residuals)), list(win.excluded)

@@ -17,7 +17,7 @@ import pytest
 from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.fock import build_basis
 from fuzzymono.liouville import commutator
-from fuzzymono.monopole import charge_fit
+from fuzzymono.monopole import charge_fit, monopole_profile_op
 from fuzzymono.ncspace import build_coordinates, verify_coordinate_algebra
 from fuzzymono.sector import graded_residual, sector_matrix
 from fuzzymono.su22 import matrix_closure_residual, matrix_gamma_residual
@@ -139,7 +139,9 @@ def test_criterion_08_monopole_charge(full_runs):
     rep, _, _ = full_runs
     worst = worst_residual(rep, ["monopole-charge"])
     ctx = get_context(N_MAX, 1.0)
-    fits = {kappa: charge_fit(ctx.vel, ctx.sector(kappa).window(2, RF_MONOPOLE.poles))
+    field = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2))
+    profile = monopole_profile_op(ctx.vel, (3, 4))
+    fits = {kappa: charge_fit(ctx.sector(kappa).window(2, RF_MONOPOLE.poles), field, profile)
             for kappa in KAPPAS}
     slope, intercept = np.polyfit(list(fits.keys()), list(fits.values()), 1)
     slope_dev = abs(abs(slope) - 0.5)

@@ -246,9 +246,15 @@ def test_field_closed_form_and_zero_charge(ctx9):
     assert out is not None and out[0] <= 1e-11
 
 
+def fit_charge(ctx, win):
+    """charge_fit of [V_1, V_2] against the unit-charge closed form with S_34."""
+    return charge_fit(win, commutator(ctx.vel.velocity(1), ctx.vel.velocity(2)),
+                      monopole_profile_op(ctx.vel, (3, 4)))
+
+
 @pytest.mark.parametrize("kappa", [-4, -2, 0, 1, 2, 4])
 def test_charge_fit(ctx9, kappa):
-    fit = charge_fit(ctx9.vel, ctx9.sector(kappa).window(2, RF_MONOPOLE.poles))
+    fit = fit_charge(ctx9, ctx9.sector(kappa).window(2, RF_MONOPOLE.poles))
     assert fit is not None
     assert fit == pytest.approx(kappa / 2.0, abs=1e-9)
 
@@ -257,7 +263,7 @@ def test_charge_fit_on_an_empty_window_is_none(ctx9):
     """At guard 9 no block of sector 1 at n_max 9 is left to fit."""
     win = ctx9.sector(1).window(9, RF_MONOPOLE.poles)
     assert not win.block_mask.any()
-    assert charge_fit(ctx9.vel, win) is None
+    assert fit_charge(ctx9, win) is None
 
 
 def test_so4_extension_coefficient_is_quarter(ctx9):

@@ -18,7 +18,8 @@ import pytest
 
 from dense import evaluate_alone
 from fuzzymono import csr, liouville, sector
-from fuzzymono.liouville import BlockMemo, Space, SuperOp, cache_get, stream_order, stream_plan
+from fuzzymono.liouville import (BlockMemo, Space, SuperOp, cache_get, commutator, stream_order,
+                                 stream_plan)
 from fuzzymono.sector import graded_residual
 from fuzzymono.verify import registry
 from fuzzymono.verify.registry import (BY_ID, REGISTRY, evaluate_batch, get_context,
@@ -255,6 +256,19 @@ def test_a_pair_function_without_pairs_is_named():
     rec = dataclasses.replace(BY_ID["radius-def"], id="no-pairs", pairs=lambda ctx: iter(()))
     with pytest.raises(ValueError, match="no-pairs"):
         rec.evaluate(get_context(6, 1.0), 0, rec.guard)
+
+
+def test_a_record_has_pairs_or_a_check_and_a_reducer_only_with_pairs():
+    """A record gives exactly one of pairs and check, and a reducer reduces
+    the words of its pairs: a check with a reducer, or a reducer alone, is
+    refused by name."""
+    charge, gram = BY_ID["monopole-charge"], BY_ID["sector-gram"]
+    with pytest.raises(ValueError, match="both: give exactly one of pairs and check"):
+        dataclasses.replace(charge, id="both", check=gram.check)
+    with pytest.raises(ValueError, match="neither: give exactly one of pairs and check"):
+        dataclasses.replace(charge, id="neither", pairs=None)
+    with pytest.raises(ValueError, match="check-reducer: .* reduce with pairs"):
+        dataclasses.replace(gram, id="check-reducer", reduce=charge.reduce)
 
 
 def test_each_row_of_a_batch_is_timed_by_its_own_pairs():
@@ -573,11 +587,70 @@ def test_each_pair_function_runs_once_per_context(fresh):
 
 def test_the_structure_table_stops_growing_with_kappa_visits(fresh):
     """The words of a run get their structure ids on the first kappa: after
-    --suite all at kappa 0, where every row is checked at n_max 6, a run
-    over kappa -4..4 adds no entry to the memo's structure table."""
+    --suite all at kappa 0, where every pair row has a window at n_max 6
+    (so its words are built and streamed; field-trend then reads its blocks
+    and skips, as kappa 0 has no field), a run over kappa -4..4 adds no
+    entry to the memo's structure table."""
     report = run_suite(RunConfig(suite="all", n_max=6, kappas=(0,), jobs=1))
-    assert all(row.residual is not None for row in report.results if BY_ID[row.id].pairs)
-    table = liouville.get_space(6, 1.0).memo._table
+    ctx = get_context(6, 1.0)
+    assert all(BY_ID[row.id].window(ctx, 0, row.guard) is not None
+               for row in report.results if BY_ID[row.id].pairs)
+    table = ctx.space.memo._table
     size = len(table)
     run_suite(RunConfig(suite="all", n_max=6, kappas=tuple(range(-4, 5)), jobs=1))
     assert size > 0 and len(table) == size
+
+
+def test_no_scalar_check_reads_a_block(monkeypatch, fresh):
+    """The batch's stream is the only reader of blocks: over --suite all
+    at n_max 6, kappa -2..2 and the kappa-independent batch, no scalar
+    check reads a block while evaluate_batch runs it, and the pair rows,
+    the three reducer rows among them, do."""
+    read, in_check, reads = BlockMemo.read, [], []
+
+    def guarded_read(memo, op, k):
+        if in_check:
+            raise AssertionError(f"the scalar check {in_check[-1]} reads a block")
+        reads.append(op.sid)
+        return read(memo, op, k)
+
+    def guarded(rec):
+        def builder(*args):
+            in_check.append(rec.id)
+            try:
+                return rec.builder(*args)
+            finally:
+                in_check.pop()
+
+        return dataclasses.replace(rec, builder=builder)
+
+    monkeypatch.setattr(BlockMemo, "read", guarded_read)
+    ctx = get_context(6, 1.0)
+    records = [rec if rec.pairs else guarded(rec) for rec in records_for_suite("all")]
+    checked = set()
+    for kappa in [*range(-2, 3), None]:
+        rows = [(rec, rec.guard) for rec in records if rec.per_kappa == (kappa is not None)]
+        for (rec, _), (out, _) in zip(rows, evaluate_batch(ctx, kappa, rows)):
+            if out is not None:
+                checked.add(rec.id)
+    reducers = {"monopole-charge", "field-trend", "sector-grading"}
+    assert {rec.id for rec in REGISTRY if rec.reduce} == reducers
+    assert reads and not in_check
+    # field-trend has too few blocks to fit at n_max 6; it reads them and skips
+    assert {rec.id for rec in records if rec.check} | reducers - {"field-trend"} <= checked
+
+
+def test_a_batch_computes_the_field_commutator_at_most_four_times(monkeypatch, fresh):
+    """One evaluate_batch of every per-kappa row at n_max 12, kappa 2
+    computes the block of [V_1, V_2] at most 4 times: monopole-charge and
+    field-trend read it in the stream, which shares it with the pairs
+    next to theirs, instead of computing it once more each outside it."""
+    ctx = get_context(12, 1.0)
+    field = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2))
+    compute, computed = SuperOp._compute, []
+    monkeypatch.setattr(SuperOp, "_compute", lambda op, k: computed.append(
+        (op.sid, k)) or compute(op, k))
+    rows = [(rec, rec.guard) for rec in records_for_suite("all") if rec.per_kappa]
+    outs = evaluate_batch(ctx, 2, rows)
+    assert all(out is not None for out, _ in outs)
+    assert 0 < computed.count((field.sid, 2)) <= 4

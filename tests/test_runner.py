@@ -13,7 +13,8 @@ import pytest
 
 from fuzzymono.verify import cli
 from fuzzymono.verify.cli import keep_freed_memory, main, parse_kappas
-from fuzzymono.monopole import charge_fit
+from fuzzymono.liouville import commutator
+from fuzzymono.monopole import charge_fit, monopole_profile_op
 from fuzzymono.sector import _window_norm, graded_residual
 from fuzzymono.verify.registry import BY_ID, REGISTRY, get_context, records_for_suite
 from fuzzymono.verify.runner import RunConfig, exit_code, plan_batches, run_suite
@@ -698,7 +699,9 @@ def test_an_underflowed_charge_fit_fails(capsys):
                                     for r in charge)
     ctx, rec = get_context(8, 1e90), BY_ID["monopole-charge"]
     win = ctx.sector(2).window(rec.guard, rec.exclude_ws)
-    assert win.block_mask.any() and charge_fit(ctx.vel, win) is None
+    field = commutator(ctx.vel.velocity(1), ctx.vel.velocity(2))
+    assert win.block_mask.any()
+    assert charge_fit(win, field, monopole_profile_op(ctx.vel, (3, 4))) is None
 
 
 def test_warnings_of_a_finished_run_reach_stderr():
