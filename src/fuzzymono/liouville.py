@@ -23,22 +23,23 @@ ever held as a D^2 x D^2 matrix, and no state as a D^2 vector; the grade is
 the only support fact a superoperator carries.
 
   * Leaves.  In the fuzzy space the radius is a function of the Fock level,
-    so no leaf needs anything D^2 long.  A radial multiplier (and the
-    identity) is constant on each (row level, col level) block of pairs: it
-    keeps an (n_max+1) x (n_max+1) table, and block(k) repeats table[n+k, n]
-    over the (n+1)(n+k+1) pairs of input-level block n.  Left or right
-    multiplication keeps its D x D Fock matrix M, which must shift the level
-    by a fixed step, and block(k) is a kron of its level slices on each
-    input-level block n: left multiplication acts on the rows of the block,
-    kron(I_{n+1}, M[level n+k+drow, level n+k]) into block n of sector
-    k+drow; right multiplication on its columns,
+    so no leaf needs anything D^2 long; a leaf is data of one of two kinds.
+    A "radial" leaf (a radial multiplier, and the identity) is constant on
+    each (row level, col level) block of pairs: it keeps an (n_max+1) x
+    (n_max+1) table, and block(k) repeats table[n+k, n] over the
+    (n+1)(n+k+1) pairs of input-level block n.  A "fock" leaf (left or
+    right multiplication) keeps its D x D Fock factor M, which must shift
+    the level by a fixed step, and block(k) is a kron of its level slices
+    on each input-level block n: left multiplication acts on the rows of
+    the block, kron(I_{n+1}, M[level n+k+drow, level n+k]) into block n of
+    sector k+drow; right multiplication on its columns,
     kron(M[level n, level n+dcol]^T, I_{n+k+1}) into block n+dcol of sector
-    k-dcol.
+    k-dcol.  So each kind gets its block shapes from its sectors.
   * Composed nodes.  @, +, -, scalar * and plain_adjoint build a node that
-    keeps its expression (SuperOp.kind, args, scalar), from which raw_block
-    computes its blocks on demand: (A @ B).block(k) = A.block(k + B.grade)
-    @ B.block(k).  weighted_adjoint is radius_inv() @ plain_adjoint() @
-    radius_op().
+    keeps its expression (SuperOp.kind, args, scalar).  SuperOp._compute,
+    the one interpreter of every kind, computes blocks on demand:
+    (A @ B).block(k) = A.block(k + B.grade) @ B.block(k).  weighted_adjoint
+    is radius_inv() @ plain_adjoint() @ radius_op().
   * Radial multipliers.  RadialFunction.to_superop builds a function of the
     radius once per space; identity(), radius_op() and radius_inv() are
     those of RF_ONE, RF_R and RF_INV_R.
@@ -47,14 +48,14 @@ the only support fact a superoperator carries.
     sector and SuperOp.sid, a structure id fixed when the node is built.
     Ladder primitives, radial multipliers (keyed by RadialFunction.name)
     and the named operators of OperatorAlgebra, VelocityFamily and the
-    registry's EngineContext enter the cache through cache_get, and the
-    memo keeps their blocks until EngineContext.sector moves it to another
-    kappa.  Any other operator computes its blocks on each read, except
-    while BlockMemo.stream replays the stream_plan of a batch of pairs:
-    then the nodes of equal sid share each block while the current or the
-    next pair reads it.  A plan does not depend on kappa (shared blocks are
-    keyed by sector - kappa), so the registry makes it, as it builds the
-    batch's pairs, once per context.
+    registry's EngineContext enter the cache through cache_get, named by
+    their keys in str(op), and the memo keeps their blocks until
+    EngineContext.sector moves it to another kappa.  Any other operator
+    computes its blocks on each read, except while BlockMemo.stream replays
+    the stream_plan of a batch of pairs: then the nodes of equal sid share
+    each block while the current or the next pair reads it.  A plan does
+    not depend on kappa (shared blocks are keyed by sector - kappa), so the
+    registry makes it, as it builds the batch's pairs, once per context.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -78,34 +79,38 @@ from .fock import FockBasis, annihilator, build_basis, creator
 POLE_TOL = 1e-9
 
 
-BlockRule = Callable[[int], CSR]
 StreamPlan = tuple[list[int], list[dict]]  # order, and reads of the next pair at each turn
+_FORMS = {"matmul": "({} @ {})", "add": "({} + {})", "sub": "({} - {})",  # str of each kind
+          "scale": "({c} * {})", "adjoint": "{}^H"}
 
 _FRESH_IDS = itertools.count()  # ids that match no other node, never reused
 
 
 class SuperOp:
-    """A grade-homogeneous linear map on operator-valued states.
+    """A grade-homogeneous linear map on operator-valued states, held as data.
 
-    SuperOp(space, grade, rule=rule) is a leaf: it reads block(k) as
-    rule(k), which must map sector k into sector k + grade.  Leaves come
-    from Space and compositions from the operators below, never by hand.
-    A composed node's kind is "matmul", "add", "sub", "scale" (by scalar)
-    or "adjoint" (plain_adjoint); it reads its operands args at the sectors
-    k + shifts.
+    A leaf has no operands, only data: a "fock" leaf (Space.left_mul,
+    right_mul) keeps (factor, shift, rows, out_rel, in_rel, fdata, bounds)
+    and a "radial" leaf (Space.radial_values) keeps (table, phase).  A
+    composed node's kind is "matmul", "add", "sub", "scale" (by scalar) or
+    "adjoint" (plain_adjoint); it reads its operands args at the sectors
+    k + shifts.  _compute is the one interpreter that turns any node into
+    a block.  Nodes come from Space and from the operators below, never by
+    hand.
 
     grade : net change of (row level - col level); shifts which graded
         subspace the output lives in.  All sums must be grade-homogeneous.
     sid : the structure id by which space.memo keys its blocks (BlockMemo).
+    name : the key under which cache_get keeps it, else None.
     """
 
-    __slots__ = ("space", "grade", "kind", "args", "shifts", "scalar", "sid",
-                 "kept", "_rule", "__weakref__")
+    __slots__ = ("space", "grade", "kind", "args", "shifts", "scalar", "data", "sid",
+                 "kept", "name", "__weakref__")
 
-    def __init__(self, space: "Space", grade: int = 0, *, rule: Optional[BlockRule] = None,
-                 kind: str = "leaf", args: tuple["SuperOp", ...] = (), scalar: complex = 1.0):
-        if (rule is None) == (kind == "leaf"):
-            raise TypeError("a leaf needs a rule, and a composed node has none")
+    def __init__(self, space: "Space", grade: int = 0, *, kind: str,
+                 args: tuple["SuperOp", ...] = (), scalar: complex = 1.0, data: tuple = ()):
+        if (kind in ("fock", "radial")) != bool(data) or bool(data) == bool(args):
+            raise TypeError(f"a leaf has data and no operands, a composed node the reverse: {kind}")
         self.space = space
         self.grade = grade
         self.kind = kind
@@ -113,9 +118,19 @@ class SuperOp:
         self.shifts = ((args[1].grade, 0) if kind == "matmul" else
                        (-args[0].grade,) if kind == "adjoint" else (0,) * len(args))
         self.scalar = scalar
+        self.data = data
         self.sid = space.memo.structure_id(self)
         self.kept = False  # whether space.memo keeps its blocks (set by cache_get)
-        self._rule = rule
+        self.name = None
+
+    def __str__(self) -> str:
+        """The node's word: a kept operator's cache key, a leaf's kind, or
+        a composed node's expression."""
+        if self.kept:
+            head, *rest = self.name
+            return head + (f"({', '.join(map(str, rest))})" if rest else "")
+        c = self.scalar.real if not self.scalar.imag else self.scalar
+        return _FORMS[self.kind].format(*self.args, c=c) if self.args else self.kind
 
     def _check_space(self, other: "SuperOp") -> None:
         if self.space is not other.space:
@@ -133,18 +148,48 @@ class SuperOp:
         return self.space.memo.read(self, k)
 
     def _compute(self, k: int) -> CSR:
-        """block(k), from the leaf rule or from the operands' blocks.
-
-        Only a leaf's block is checked to map sector k into sector
-        k + grade: a composed node's block then has that shape too."""
+        """block(k): a leaf's from its data, a composed node's from its
+        operands' blocks."""
         kind, args, read = self.kind, self.args, self.space.memo.read
-        if kind == "leaf":
-            blk = self._rule(k)
-            dims = self.space.sector_dims
-            if blk.shape != (dims.get(k + self.grade, 0), dims.get(k, 0)):
-                raise ValueError(f"a {blk.shape} block does not map sector {k} into sector "
-                                 f"{k + self.grade}: its support has another grade")
-            return blk
+        if kind == "fock":  # entries in the order that Space._fock_leaf states
+            factor, shift, rows, out_rel, in_rel, fdata, bounds = self.data
+            ns, in_offs = self.space.sector_levels(k)
+            out_ns, out_offs = self.space.sector_levels(k + self.grade)
+            shape = (int(out_offs[-1]), int(in_offs[-1]))
+            if not (ns.size and out_ns.size):  # no entry; k may be too large for int64
+                return CSR.from_coo(ns[:0], ns[:0], fdata[:0], shape, factor.phase)
+            # the input-level blocks whose level slice of the factor is not
+            # cut off by the truncation, the level the slice reads, and the
+            # input level of the output block
+            lvl = ns + k if rows else ns
+            pos = np.flatnonzero((lvl + shift >= 0) & (lvl + shift <= self.space.n_max))
+            n, lvl = ns[pos], lvl[pos]
+            # kron(I_{n+1}, slice) on the rows of the block: slice entries
+            # step 1, copies step by the slice's size; kron(slice, I_{n+k+1})
+            # on its columns: entries step n+k+1, copies 1.  Each block's
+            # entries run copy by copy, each copy's in slice order, so each
+            # output row gets the entries of one copy, in order.
+            one = np.ones_like(n)
+            if rows:
+                out_n, step, copies, out_copy, in_copy = n, one, n + 1, lvl + shift + 1, lvl + 1
+            else:
+                out_n, step, copies, out_copy, in_copy = n + shift, n + k + 1, n + k + 1, one, one
+            per_copy = bounds[lvl + 1] - bounds[lvl]
+            sizes = copies * per_copy
+            # the block, the copy and the slice entry of every entry
+            blk = np.repeat(np.arange(n.size), sizes)
+            copy, e = np.divmod(np.arange(blk.size) - (np.cumsum(sizes) - sizes)[blk],
+                                per_copy[blk])
+            e += bounds[lvl][blk]
+            step = step[blk]
+            return CSR.from_coo(out_offs[out_n - out_ns[0]][blk] + out_rel[e] * step
+                                + copy * out_copy[blk],
+                                in_offs[pos][blk] + in_rel[e] * step + copy * in_copy[blk],
+                                fdata[e], shape, factor.phase)
+        if kind == "radial":  # table[n + k, n] on every pair of input-level block n
+            table, phase = self.data
+            ns, offsets = self.space.sector_levels(k)
+            return CSR.diags(np.repeat(table[ns + k, ns], np.diff(offsets)), phase)
         if kind == "scale":
             return read(args[0], k).scale(self.scalar)
         if kind == "adjoint":
@@ -215,7 +260,7 @@ class BlockMemo:
     def structure_id(self, op: SuperOp) -> int:
         """The sid of a node being built, from its kind, operands and scalar."""
         kind, c = op.kind, op.scalar  # only a scale node has a scalar other than 1.0
-        if kind == "leaf" or c != c:
+        if not op.args or c != c:  # a leaf, or a NaN scale
             return next(_FRESH_IDS)
         key = (kind, *(a.sid for a in op.args))
         if kind == "scale":
@@ -341,9 +386,6 @@ class Space:
         self._cache: dict[tuple, object] = {}
         self.memo = BlockMemo()  # every block this space keeps
         self._sectors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # dimension of every nonempty sector
-        self.sector_dims = {k: int(self.sector_levels(k)[1][-1])
-                            for k in range(-n_max, n_max + 1)}
 
     # -- sectors --------------------------------------------------------------
 
@@ -379,64 +421,26 @@ class Space:
 
         factor maps level L to level L + shift.  It acts on the rows of the
         block (left multiplication, factor = mat) or on its columns (right
-        multiplication, factor = mat^T).  The rule builds a block's entries
-        in one set of array operations over all its input levels, in the
-        order of a level-by-level kron: input level by input level, copy by
-        copy of the level slice, and within a copy in the slice's row-major
-        order.  That order is the stored order of each row's entries.
+        multiplication, factor = mat^T).  The leaf keeps factor's entries
+        by input level, row-major within a level, and where each level's
+        start.  From them SuperOp._compute builds a block's entries in one
+        set of array operations over all its input levels, in the order of
+        a level-by-level kron: input level by input level, copy by copy of
+        the level slice, and within a copy in the slice's row-major order.
+        That order is the stored order of each row's entries.
         """
         f = factor.canonical()  # row-major, ascending columns within a row
         keep = f.data != 0
         f_row = np.repeat(np.arange(f.shape[0]), np.diff(f.indptr))[keep]
-        f_col, fdata, phase = f.indices[keep], f.data[keep], f.phase
+        f_col, fdata = f.indices[keep], f.data[keep]
         lo, li = self.level[f_row], self.level[f_col]
         if np.any(lo - li != shift):
             raise ValueError(f"the matrix has entries that do not shift the level by {shift}")
-        # the entries by input level, row-major within a level, and where
-        # the entries of each level start
         order = np.argsort(li, kind="stable")
         f_row, f_col, lo, li, fdata = (a[order] for a in (f_row, f_col, lo, li, fdata))
-        offs = self.basis.level_offsets
-        out_rel, in_rel = f_row - offs[lo], f_col - offs[li]
-        bounds = np.searchsorted(li, np.arange(self.n_max + 2))
-        grade = shift if rows else -shift
-
-        def rule(k: int) -> CSR:
-            ns, in_offs = self.sector_levels(k)
-            out_ns, out_offs = self.sector_levels(k + grade)
-            shape = (int(out_offs[-1]), int(in_offs[-1]))
-            if not (ns.size and out_ns.size):  # no entry; k may be too large for int64
-                return CSR.from_coo(ns[:0], ns[:0], fdata[:0], shape, phase)
-            # the input-level blocks whose level slice of the factor is not
-            # cut off by the truncation, the level the slice reads, and the
-            # input level of the output block
-            lvl = ns + k if rows else ns
-            pos = np.flatnonzero((lvl + shift >= 0) & (lvl + shift <= self.n_max))
-            n, lvl = ns[pos], lvl[pos]
-            # kron(I_{n+1}, slice) on the rows of the block: slice entries
-            # step 1, copies step by the slice's size; kron(slice, I_{n+k+1})
-            # on its columns: entries step n+k+1, copies 1.  Each block's
-            # entries run copy by copy, each copy's in slice order, so each
-            # output row gets the entries of one copy, in order.
-            one = np.ones_like(n)
-            if rows:
-                out_n, step, copies, out_copy, in_copy = n, one, n + 1, lvl + shift + 1, lvl + 1
-            else:
-                out_n, step, copies, out_copy, in_copy = n + shift, n + k + 1, n + k + 1, one, one
-            per_copy = bounds[lvl + 1] - bounds[lvl]
-            sizes = copies * per_copy
-            # the block, the copy and the slice entry of every entry
-            blk = np.repeat(np.arange(n.size), sizes)
-            copy, e = np.divmod(np.arange(blk.size) - (np.cumsum(sizes) - sizes)[blk],
-                                per_copy[blk])
-            e += bounds[lvl][blk]
-            step = step[blk]
-            return CSR.from_coo(out_offs[out_n - out_ns[0]][blk] + out_rel[e] * step
-                                + copy * out_copy[blk],
-                                in_offs[pos][blk] + in_rel[e] * step + copy * in_copy[blk],
-                                fdata[e], shape, phase)
-
-        return SuperOp(self, grade=grade, rule=rule)
+        offs, bounds = self.basis.level_offsets, np.searchsorted(li, np.arange(self.n_max + 2))
+        return SuperOp(self, shift if rows else -shift, kind="fock", data=(
+            factor, shift, rows, f_row - offs[lo], f_col - offs[li], fdata, bounds))
 
     def lmul_a(self, alpha: int) -> SuperOp:
         """Left multiplication by a_alpha (grade -1)."""
@@ -465,12 +469,7 @@ class Space:
         table, phase = split(np.array(table))
         if table.shape != self.level_w.shape:
             raise ValueError(f"a radial table has shape {self.level_w.shape}, not {table.shape}")
-
-        def rule(k: int) -> CSR:
-            ns, offsets = self.sector_levels(k)
-            return CSR.diags(np.repeat(table[ns + k, ns], np.diff(offsets)), phase)
-
-        return SuperOp(self, rule=rule)
+        return SuperOp(self, kind="radial", data=(table, phase))
 
     def radial(self, fn: Callable[[np.ndarray], np.ndarray],
                poles: tuple[float, ...] = ()) -> SuperOp:
@@ -548,12 +547,14 @@ def cache_get(cache: dict, key, builder: Callable[[], object]):
     """cache[key], built on first use.
 
     A superoperator that enters a cache is kept: its space's memo keeps
-    its blocks (BlockMemo); this is the only place that keeps an operator.
+    its blocks (BlockMemo), and its key, a tuple (name, *args), names it;
+    this is the only place that keeps an operator.
     """
     if key not in cache:
         value = builder()
         if isinstance(value, SuperOp):
             value.kept = True
+            value.name = key  # what str(value) prints
             value.sid = next(_FRESH_IDS)  # a kept operator matches no other node
         cache[key] = value
     return cache[key]

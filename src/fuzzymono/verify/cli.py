@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes; 0 (the default) takes FUZZYMONO_JOBS when it is "
-                        "set and positive, else the cpu count")
+                        "set and positive, else the CPUs this process may run on")
     return p
 
 

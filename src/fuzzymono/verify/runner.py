@@ -59,7 +59,7 @@ class RunConfig:
     lam: float = 1.0
     tol: float = 1e-10
     guard: int | None = None  # None: per-identity default (its word length)
-    jobs: int = 0  # 0: FUZZYMONO_JOBS env var if positive, then cpu count
+    jobs: int = 0  # 0: FUZZYMONO_JOBS env var if positive, then the usable CPUs
 
     def resolved_jobs(self) -> int:
         if self.jobs < 0:
@@ -76,6 +76,8 @@ class RunConfig:
                 raise ValueError(f"{JOBS_ENV} must be >= 0, got {env!r}")
             if jobs > 0:
                 return jobs
+        if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
 

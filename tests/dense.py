@@ -13,8 +13,9 @@ residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
 with each pair compared on its own (or each tuple of words reduced on its
 own by the record's reducer), no block shared between pairs, as
 IdentityRecord.evaluate computed it before its row memo.  The helpers in
-between (level slices, sector states, a ladder leaf's block built level by
-level, the sigma-contracted one-sided words and the 1/(r-2l) multiplier)
+between (level slices, sector states, a ladder or radial leaf's block
+built level by level from the leaf's data, a leaf that injects arbitrary
+blocks, the sigma-contracted one-sided words and the 1/(r-2l) multiplier)
 are what only the tests read.  src/ never imports this module.
 """
 
@@ -163,6 +164,30 @@ def kron_leaf_block(space: Space, factor: CSR, shift: int, rows: bool, k: int) -
                       np.broadcast_to(fdata[e], (copies, e.size))))
     return CSR.from_coo(*(np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*parts)),
                         (int(out_offs[-1]), int(in_offs[-1])), f.phase)
+
+
+def radial_leaf_block(space: Space, table: np.ndarray, phase: int, k: int) -> CSR:
+    """Block k of a radial leaf's (table, phase): the diagonal that holds
+    table[n + k, n] on each of the (n+1)(n+k+1) pairs of input-level block
+    n, block by block."""
+    ns = space.sector_levels(k)[0].tolist()
+    values = [np.full((n + 1) * (n + k + 1), table[n + k, n]) for n in ns]
+    return CSR.diags(np.concatenate([np.zeros(0, dtype=table.dtype), *values]), phase)
+
+
+class Injected(SuperOp):
+    """A leaf whose block(k) is rule(k), whatever rule returns or raises:
+    entries that no leaf kind makes, or a read that fails.  It is a leaf
+    as far as the engine knows; only its _compute differs."""
+
+    __slots__ = ()
+
+    def __init__(self, space: Space, rule, grade: int = 0):
+        super().__init__(space, grade, kind="radial", data=(rule,))
+        self.kind = "injected"
+
+    def _compute(self, k: int) -> CSR:
+        return self.data[0](k)
 
 
 RF_INV_R_MINUS_2L = RadialFunction(

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from dense import RF_INV_R_MINUS_2L, kron_leaf_block, packed, pair_levels
+from dense import (RF_INV_R_MINUS_2L, Injected, kron_leaf_block, packed, pair_levels,
+                   radial_leaf_block)
 from fuzzymono import csr, liouville
 from fuzzymono.algebra import RF_MONOPOLE
 from fuzzymono.csr import CSR
@@ -110,12 +111,23 @@ def test_block_sum_difference_scale_adjoint_match_scipy(data, m, n):
     _same(CSR.diags(left) @ ablk.adjoint() @ CSR.diags(right), want)
 
 
-def test_a_leaf_needs_a_rule_and_a_composed_node_has_none():
-    space = Space(1)
-    with pytest.raises(TypeError, match="rule"):
-        liouville.SuperOp(space, 0)
-    with pytest.raises(TypeError, match="rule"):
-        liouville.SuperOp(space, 0, rule=lambda k: None, kind="scale", args=(space.identity(),))
+def test_a_leaf_needs_data_and_a_composed_node_has_none():
+    """A leaf is a node of a leaf kind with data and no operands; a composed
+    node has operands and no data.  Each kind's blocks map sector k into
+    sector k + grade by construction."""
+    space = Space(3)
+    one = space.identity()
+    for kind in ("fock", "radial"):
+        with pytest.raises(TypeError, match="data"):
+            liouville.SuperOp(space, 0, kind=kind)
+        with pytest.raises(TypeError, match="data"):
+            liouville.SuperOp(space, 0, kind=kind, args=(one,), data=one.data)
+    with pytest.raises(TypeError, match="data"):
+        liouville.SuperOp(space, 0, kind="scale", args=(one,), data=one.data)
+    with pytest.raises(TypeError, match="data"):
+        liouville.SuperOp(space, 0, kind="matmul", data=one.data)
+    assert (space.lmul_a(1).kind, one.kind, (one @ one).data) == ("fock", "radial", ())
+    assert (space.lmul_a(1) @ space.lmul_adag(1)).raw_block(0).shape == (30, 30)
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,11 +137,11 @@ def test_difference_node_matches_sum_of_negated_node(data):
     in indptr, indices and values."""
     space = Space(1)
     k = data.draw(st.sampled_from([-1, 0, 1]))
-    dim = space.sector_dims[k]
+    dim = int(space.sector_levels(k)[1][-1])
     _, ablk = data.draw(_csr((dim, dim)))
     _, bblk = data.draw(_csr((dim, dim)))
-    a = liouville.SuperOp(space, rule=lambda s: ablk)
-    b = liouville.SuperOp(space, rule=lambda s: bblk)
+    a = Injected(space, lambda s: ablk)
+    b = Injected(space, lambda s: bblk)
     diff = a - b
     assert diff.kind == "sub" and diff.args == (a, b)
     got, want = diff.raw_block(k), (a + (-1.0) * b).raw_block(k)
@@ -204,18 +216,6 @@ def test_a_ladder_leaf_block_keeps_the_level_by_level_entry_order(n_max):
             for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
                          (got.data, want.data)):
                 assert x.dtype == y.dtype and np.array_equal(x, y), (k, x, y)
-
-
-def test_only_a_leaf_of_the_wrong_grade_is_refused():
-    """A leaf's block is checked against the sectors of its grade; a
-    composed node's block has the shape of its operands'."""
-    sp = Space(3)
-    wrong = liouville.SuperOp(sp, grade=1, rule=lambda k: sp.identity().raw_block(k))
-    with pytest.raises(ValueError, match="another grade"):
-        wrong.raw_block(0)
-    with pytest.raises(ValueError, match="another grade"):
-        (sp.lmul_a(1) @ wrong).raw_block(0)
-    assert (sp.lmul_a(1) @ sp.lmul_adag(1)).raw_block(0).shape == (30, 30)
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,3 +363,53 @@ def test_identity_and_radius_are_the_radial_multipliers():
     assert sp.radius_op() is RF_R.to_superop(sp)
     assert sp.radius_inv() is RF_INV_R.to_superop(sp)
     assert set(sp._cache) == {("rf", f.name) for f in (RF_ONE, RF_R, RF_INV_R)}
+
+
+def test_a_leaf_is_rebuilt_from_its_data():
+    """Every leaf of the pair trees of --suite all at n_max 5 is a fock or
+    a radial node, and its data alone give its blocks bit for bit: a fock
+    leaf's (factor, shift, rows) through the level-by-level kron, a radial
+    leaf's (table, phase) through the table repeated over each input-level
+    block."""
+    from fuzzymono.verify.registry import get_context, records_for_suite
+
+    ctx = get_context(5, 1.0)
+    sp = ctx.space
+    todo = [op for rec in records_for_suite("all") if rec.pairs
+            for pair in rec.pairs(ctx) for op in pair]
+    leaves, seen = {}, set()
+    while todo:
+        op = todo.pop()
+        if id(op) not in seen:
+            seen.add(id(op))
+            todo += op.args
+            if not op.args:
+                leaves[id(op)] = op
+    assert {op.kind for op in leaves.values()} == {"fock", "radial"}
+    for op in leaves.values():
+        for k in range(-5, 6):
+            got = op.raw_block(k)
+            if op.kind == "fock":
+                want = kron_leaf_block(sp, *op.data[:3], k)
+            else:
+                want = radial_leaf_block(sp, *op.data, k)
+            assert got.shape == want.shape and got.phase == want.phase, (op, k)
+            for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (op, k)
+
+
+def test_an_operator_prints_as_its_word():
+    """A kept operator prints as its cache key, a leaf as its kind and a
+    composed node as its expression."""
+    from fuzzymono.verify.registry import get_context
+
+    ctx = get_context(4, 1.0)
+    v1, v2 = ctx.vel.velocity(1), ctx.vel.velocity(2)
+    assert str(liouville.commutator(v1, v2)) == "((v(1) @ v(2)) - (v(2) @ v(1)))"
+    assert str(v1.weighted_adjoint()) == "((rf(1/r) @ v(1)^H) @ rf(r))"
+    assert str(ctx.alg.center()) == "center"
+    sp = ctx.space
+    assert str(sp.radial_phase(0.5)) == "radial"
+    assert str(sp.left_mul(sp._a[0], -1)) == "fock"
+    assert str(0.5j * (2 * sp.lmul_a(1) + sp.rmul_a(2))) == "(0.5j * ((2.0 * la(1)) + ra(2)))"

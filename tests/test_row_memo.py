@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from dense import evaluate_alone
+from dense import Injected, evaluate_alone
 from fuzzymono import csr, liouville, sector
 from fuzzymono.liouville import (BlockMemo, Space, SuperOp, cache_get, commutator, stream_order,
                                  stream_plan)
@@ -241,7 +241,7 @@ def test_a_failing_batch_leaves_no_memo(monkeypatch):
 
     def failing_block(ctx):
         yield from rec.pairs(ctx)
-        leaf = SuperOp(ctx.space, rule=unreadable)
+        leaf = Injected(ctx.space, unreadable)
         yield leaf, leaf
 
     for pairs, match in ((failing, "built"), (failing_block, "compared")):
@@ -354,7 +354,7 @@ def test_no_block_outlives_its_row(monkeypatch):
     def failing(ctx):
         for i, pair in enumerate(rec.pairs(ctx)):
             if i == 5:
-                leaf = SuperOp(ctx.space, rule=unreadable)
+                leaf = Injected(ctx.space, unreadable)
                 pair = (pair[0] @ leaf, pair[1])
             yield pair
 
@@ -426,7 +426,7 @@ def test_a_transient_block_read_outside_a_stream_keeps_nothing():
     space = Space(3)
     a, b = space.lmul_a(1), space.rmul_adag(2)
     word = (a @ b - b @ a) @ (2.0 * a.plain_adjoint())
-    dims = space.sector_dims
+    dims = {k: space.sector_levels(k)[1][-1] for k in (-1, 0, 1, 2)}
     for k in (0, 1, -1):
         assert word.raw_block(k).shape == (dims[k + 1], dims[k])
         assert_no_stream(space)

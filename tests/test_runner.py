@@ -452,11 +452,20 @@ def test_jobs_resolution(monkeypatch):
     monkeypatch.setenv("FUZZYMONO_JOBS", "7")
     assert RunConfig(jobs=3).resolved_jobs() == 3  # --jobs wins over the variable
     monkeypatch.delenv("FUZZYMONO_JOBS")
-    assert cfg.resolved_jobs() == (os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    assert cfg.resolved_jobs() == usable
     # a 0 in the variable means the default, as --jobs 0 does
     for zero in ("0", " 0 "):
         monkeypatch.setenv("FUZZYMONO_JOBS", zero)
-        assert cfg.resolved_jobs() == (os.cpu_count() or 1)
+        assert cfg.resolved_jobs() == usable
+    # the default counts the CPUs the process may run on, not the host's
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cfg.resolved_jobs() == 1
+    # without an affinity call, the CPU count, and 1 when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cfg.resolved_jobs() == 64
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cfg.resolved_jobs() == 1
 

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from dense import (basis_vector, from_matrix, packed, pair_levels, random_vector, to_csr,
-                   to_matrix)
+from dense import (Injected, basis_vector, from_matrix, packed, pair_levels, random_vector,
+                   to_csr, to_matrix)
 from fuzzymono.csr import CSR
 from fuzzymono.fock import annihilator, build_basis, creator
-from fuzzymono.liouville import SuperOp, get_space
+from fuzzymono.liouville import get_space
 from fuzzymono.sector import (
     MonopoleSector,
     _window_norm,
@@ -56,7 +56,7 @@ def test_reference_packing_is_the_sector_order(n_max):
     for k in range(-n_max, n_max + 1):
         idx = packed(sp, k)
         assert np.all(row[idx] - col[idx] == k)
-        assert idx.size == sp.sector_dims[k] == build_sector(k, n_max).block_offsets[-1]
+        assert idx.size == sp.sector_levels(k)[1][-1] == build_sector(k, n_max).block_offsets[-1]
         brute = [r * d + c for n in range(n_max + 1)
                  for c in range(d) if level[c] == n
                  for r in range(d) if level[r] == n + k]
@@ -273,7 +273,7 @@ def _injected(sp, full, grade):
         return CSR(sub.indptr.astype(np.int32), sub.indices.astype(np.int32),
                       sub.data.astype(np.complex128), sub.shape)
 
-    return SuperOp(sp, grade, rule=rule)
+    return Injected(sp, rule, grade)
 
 
 @settings(max_examples=150, deadline=None)
@@ -320,20 +320,10 @@ def test_masked_residual_matches_sliced_columns(seed, n_max, kappa, grade, guard
 
 
 def test_superop_refuses_support_of_another_grade():
-    """A block must map sector k into sector k + grade.
-
-    The check reads the block's shape, so it misses a grade whose target
-    sector has the same dimension (sectors k and -k do).
-    """
+    """A sum must be grade-homogeneous."""
     sp = get_space(3, 1.0)
-    raising = sp.lmul_adag(1)
-    assert SuperOp(sp, 1, rule=raising.raw_block).block(0).shape == raising.block(0).shape
     with pytest.raises(ValueError, match="grade"):
-        SuperOp(sp, 0, rule=raising.raw_block).block(0)
-    with pytest.raises(ValueError, match="grade"):
-        SuperOp(sp, 2, rule=raising.raw_block).block(-1)
-    with pytest.raises(ValueError, match="grade"):
-        raising + sp.lmul_a(1)
+        sp.lmul_adag(1) + sp.lmul_a(1)
 
 
 def test_fock_leaves_refuse_another_level_shift():
