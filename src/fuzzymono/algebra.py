@@ -23,7 +23,7 @@ import numpy as np
 from .liouville import (RF_INV_R, RF_ONE, RF_R, RadialFunction, Space, SuperOp, cache_get,
                         commutator, linear_combination)
 from .ncspace import nonzero_entries
-from .sector import Window, graded_residual
+from .sector import Window, pair_residual
 from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
 
 
@@ -208,8 +208,7 @@ class OperatorAlgebra:
         A run compares canonical_pairs() in the pair stream, as the
         registry's canonical-pairing identity; only tests call this helper,
         and the benchmark's tracer (bench/tracing.py) wraps it."""
-        return float(np.max([graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws)[0]
-                             for lhs, rhs in self.canonical_pairs()]))
+        return float(np.max([pair_residual(win, *pair) for pair in self.canonical_pairs()]))
 
 
 def su22_bracket_rhs(alg: OperatorAlgebra, a: int, b: int, c: int, d: int) -> SuperOp:

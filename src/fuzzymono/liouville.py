@@ -49,13 +49,14 @@ the only support fact a superoperator carries.
     Ladder primitives, radial multipliers (keyed by RadialFunction.name)
     and the named operators of OperatorAlgebra, VelocityFamily and the
     registry's EngineContext enter the cache through cache_get, named by
-    their keys in str(op), and the memo keeps their blocks until
-    EngineContext.sector moves it to another kappa.  Any other operator
-    computes its blocks on each read, except while BlockMemo.stream replays
-    the stream_plan of a batch of pairs: then the nodes of equal sid share
-    each block while the current or the next pair reads it.  A plan does
-    not depend on kappa (shared blocks are keyed by sector - kappa), so the
-    registry makes it, as it builds the batch's pairs, once per context.
+    their keys in str(op), and the memo keeps their blocks until a stream
+    at another kappa starts; reading a sector or a window leaves the memo
+    as it is.  Any other operator computes its blocks on each read, except
+    while BlockMemo.stream replays the stream_plan of a batch of pairs: then
+    the nodes of equal sid share each block while the current or the next
+    pair reads it.  A plan does not depend on kappa (shared blocks are
+    keyed by sector - kappa), so the registry makes it, as it builds the
+    batch's pairs, once per context.
 
 Inside the engine a block is a CSR (the csr module): CSR arrays whose
 data stand for 1j**phase * data, float64 whenever the values are all real
@@ -239,11 +240,12 @@ class BlockMemo:
     composed node matches the nodes of equal kind and operands, and a scale
     node also needs equal scalar bits (0.0 and -0.0 differ).  The structure
     table lasts as long as the space.  A kept operator's blocks, keyed by
-    (sid, sector), stay until at() moves the memo to another kappa.  A
-    transient operator computes its blocks on each read, except while
-    stream() replays the plan of a batch of pairs, read at sector kappa:
-    then the nodes of equal sid share them, keyed by (sid, sector - kappa),
-    so that no plan depends on kappa.  The caller keeps the plans.
+    (sid, sector), stay until stream() starts at another kappa, so the
+    streams of several parts of one kappa reuse them.  A transient operator
+    computes its blocks on each read, except while stream() replays the
+    plan of a batch of pairs, read at sector kappa: then the nodes of equal
+    sid share them, keyed by (sid, sector - kappa), so that no plan depends
+    on kappa.  The caller keeps the plans.
     """
 
     def __init__(self):
@@ -267,18 +269,16 @@ class BlockMemo:
             key += (c.real.hex(), c.imag.hex())
         return self._table.setdefault(key, -1 - len(self._table))
 
-    def at(self, kappa: int) -> None:
-        """Move to sector kappa: the kept blocks of another kappa go."""
-        if kappa != self.kappa:
-            self.kept.clear()
-            self.kappa = kappa
-
-    def stream(self, plan: StreamPlan) -> Iterator[int]:
-        """Replay plan (stream_plan): yield the position of each pair in
+    def stream(self, plan: StreamPlan, kappa: int) -> Iterator[int]:
+        """Replay plan (stream_plan) at sector kappa, first dropping the
+        kept blocks of another kappa: yield the position of each pair in
         its order, once the memo has counted the reads of the pair after
         it.  A shared block stays while the current or the next pair reads
         it, and nothing once the stream ends, also when the caller or a
         block raises, or the caller stops iterating."""
+        if kappa != self.kappa:
+            self.kept.clear()
+            self.kappa = kappa
         order, steps = plan
         try:
             self._turn(steps[0])

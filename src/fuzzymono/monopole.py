@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q, contract
 from .liouville import Space, SuperOp, cache_get, commutator
 from .ncspace import PAULI
-from .sector import Window, block_entries, graded_residual, window_inner
+from .sector import Window, block_entries, pair_residual, window_inner
 
 
 class VelocityFamily:
@@ -101,8 +101,7 @@ def rotation_flow_pairs(vel: VelocityFamily, omega: float) -> Iterator[tuple[Sup
 def rotation_flow_residual(vel: VelocityFamily, win: Window, omega: float) -> float:
     """Residual of the compact-rotation flow of the velocity 4-vector on a
     nonempty window."""
-    return float(np.max([graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws)[0]
-                         for lhs, rhs in rotation_flow_pairs(vel, omega)]))
+    return float(np.max([pair_residual(win, *pair) for pair in rotation_flow_pairs(vel, omega)]))
 
 
 @dataclass

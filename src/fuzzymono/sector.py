@@ -239,3 +239,8 @@ def graded_residual(
     if den == 0.0:
         return (0.0 if nd == 0.0 else float("inf")), excluded
     return nd / den, excluded
+
+
+def pair_residual(win: Window, lhs: SuperOp, rhs: SuperOp, floor: float = 1.0) -> float:
+    """A pair row's default reducer: graded_residual on its nonempty window."""
+    return graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]

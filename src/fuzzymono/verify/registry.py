@@ -8,10 +8,10 @@ override for round-off-exact relations.
 
 An identity is one of two kinds:
 
-  * a pair function, ctx -> (lhs, rhs), ...: a generator of the
-    superoperator pairs whose equality the identity states, built from the
-    context alone, or of tuples of words that the record's reducer,
-    reduce(win, *words) -> value or None, reduces instead of comparing.
+  * a pair function, ctx -> (lhs, rhs), ...: a generator of the pairs
+    whose equality the identity states, or of other tuples of words, built
+    from the context alone. Pair rows always reduce: reduce(win, *words)
+    turns each tuple into a number or None (default sector.pair_residual).
   * a scalar check, (ctx, win) -> outcome, which reads no block itself:
     matrix-level Fock and coordinate relations, table-level bounds on the
     sector's radii and weights, and the scaling suite, which evaluates
@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -90,7 +91,7 @@ from ..ncspace import (
     relative_norm,
     verify_coordinate_algebra,
 )
-from ..sector import (MonopoleSector, Window, block_entries, build_sector, graded_residual,
+from ..sector import (MonopoleSector, Window, block_entries, build_sector, pair_residual,
                       window_inner)
 from ..su22 import (
     PAIRS,
@@ -141,9 +142,7 @@ class EngineContext:
         return f.to_superop(self.space)
 
     def sector(self, kappa: int) -> MonopoleSector:
-        """Sector kappa. The space's block memo moves to kappa first
-        (BlockMemo.at), so it keeps the blocks of one kappa at a time."""
-        self.space.memo.at(kappa)
+        """Sector kappa; the space's block memo is left as it is."""
         return build_sector(kappa, self.n_max, self.lam)
 
     def one_sided_sigma(self, k: int, side: str) -> SuperOp:
@@ -169,8 +168,8 @@ Check = Callable[[EngineContext, Window], Outcome]
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """One identity: a pair function (pairs), whose words a reducer may
-    reduce (reduce), or a scalar check (check), which reads no block.
+    """One identity: a pair function (pairs) with its reducer (reduce, by
+    default pair_residual), or a scalar check (check), which reads no block.
 
     builder(ctx, kappa, guard) is what evaluate_batch calls for a scalar
     check; it evaluates the pair identities of a batch together. builder
@@ -195,6 +194,8 @@ class IdentityRecord:
     def __post_init__(self):
         if (self.pairs is None) == (self.check is None) or (self.reduce and self.check):
             raise ValueError(f"{self.id}: give exactly one of pairs and check, reduce with pairs")
+        if self.pairs is not None and self.reduce is None:
+            object.__setattr__(self, "reduce", pair_residual)
         # a copy (dataclasses.replace) evaluates itself, not the record it copies
         if (self.builder is None
                 or getattr(self.builder, "__func__", None) is IdentityRecord.evaluate):
@@ -205,45 +206,41 @@ class IdentityRecord:
         without the blocks at exclude_ws), or None when it is empty; for a
         kappa-independent check (kappa None) Window(sector=None, guard).
 
-        This is the one place that decides a row's Window; the pair
-        residuals and the check read it and never derive it again."""
+        This is the one place that decides a row's Window; the reducers
+        and the checks read it."""
         if kappa is None:
             return Window(sector=None, guard=guard)
         win = ctx.sector(kappa).window(guard, self.exclude_ws)
         return win if win.block_mask.any() else None
 
-    def evaluate(self, ctx: EngineContext, kappa: Optional[int], guard: int,
-                 floor: float = 1.0) -> Outcome:
+    def evaluate(self, ctx: EngineContext, kappa: Optional[int], guard: int) -> Outcome:
         """Outcome on sector kappa (None: a kappa-independent check), or None
-        when the row's window is empty; floor is the residual denominator
-        floor of a pair identity (graded_residual), unused by a scalar
-        check. A pair identity is the one-row case of evaluate_batch."""
+        when the row's window is empty. A pair identity is the one-row case
+        of evaluate_batch."""
         if self.pairs is not None:
-            return evaluate_batch(ctx, kappa, [(self, guard)], floor)[0][0]
+            return evaluate_batch(ctx, kappa, [(self, guard)])[0][0]
         win = self.window(ctx, kappa, guard)
         return None if win is None else self.check(ctx, win)
 
 
 def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
-                   rows: list[tuple[IdentityRecord, int]],
-                   floor: float = 1.0) -> list[tuple[Outcome, float]]:
+                   rows: list[tuple[IdentityRecord, int]]) -> list[tuple[Outcome, float]]:
     """The outcome of each (record, guard) row of one batch on sector kappa
     (None: a batch of kappa-independent checks), and the seconds it took.
 
     The scalar checks run first, in row order, each through its record's
-    builder; they read no block. Then the pairs of the pair rows are
-    compared in the order that the space's block memo streams them
-    (BlockMemo.stream): by graded_residual, or by the row's reducer, which
-    reads every block of its words before it returns. A pair function
-    runs once per context: its pairs, trees of lazy nodes that hold no
-    block, are kept in the context's cache under the function itself, so a
-    dataclasses.replace copy with pairs of its own builds its own. The
-    batch's stream_plan is kept there under the pair functions of its live
-    rows, those with a window. A pair row's seconds are those of building
-    (when the batch does) and comparing its own pairs; the row compared
-    first also gets the planning. A row whose window is empty is skipped
-    (None), and nothing of it is called. A pair row's residual is the
-    largest over its own pairs (np.max, unlike max, keeps a NaN residual of
+    builder; they read no block. Then the pairs of the pair rows are compared
+    in the order that the space's block memo streams them at kappa
+    (BlockMemo.stream), each by its row's reducer, which reads every block of
+    its words before it returns. A pair function runs once per context: its
+    pairs, trees of lazy nodes that hold no block, are kept in the context's
+    cache under the function itself, so a dataclasses.replace copy with pairs
+    of its own builds its own. The batch's stream_plan is kept there under the
+    pair functions of its live rows, those with a window. A pair row's seconds
+    are those of building (when the batch does) and comparing its own pairs;
+    the row compared first also gets the planning. A row whose window is empty
+    is skipped (None), and nothing of it is called. A pair row's residual is
+    the largest over its own pairs (np.max, unlike max, keeps a NaN residual of
     any pair), or None when its reducer gives None."""
     out: list[Outcome] = [None] * len(rows)
     seconds = [0.0] * len(rows)
@@ -270,11 +267,9 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
         t0 = time.perf_counter()
         plan = cache_get(ctx._cache, ("plan", *(rows[i][0].pairs for i in residuals)),
                          lambda: stream_plan(pairs))
-        for pos in ctx.space.memo.stream(plan):
-            i, win = owners[pos], wins[owners[pos]]
-            reduce = rows[i][0].reduce
-            residuals[i].append(reduce(win, *pairs[pos]) if reduce else graded_residual(
-                *pairs[pos], win.sector, win.guard, win.exclude_ws, floor)[0])
+        for pos in ctx.space.memo.stream(plan, kappa):
+            i = owners[pos]
+            residuals[i].append(rows[i][0].reduce(wins[i], *pairs[pos]))
             t1 = time.perf_counter()
             seconds[i] += t1 - t0
             t0 = t1
@@ -858,12 +853,14 @@ def _field_trend(win: Window, lhs: SuperOp, gen: SuperOp) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 def _scaling(base: IdentityRecord) -> Check:
+    # floor 0 for a pair base: the purely relative metric, exact under 2^k rescaling
+    base = replace(base, reduce=partial(pair_residual, floor=0.0)) if base.pairs else base
+
     def check(ctx: EngineContext, win: Window) -> Outcome:
         kappa = None if win.sector is None else win.sector.kappa
         vals = []
         for lam in (0.5, 1.0, 2.0):
-            # floor 0: the purely relative metric, exact under 2^k rescaling
-            out = base.evaluate(get_context(ctx.n_max, lam), kappa, win.guard, floor=0.0)
+            out = base.evaluate(get_context(ctx.n_max, lam), kappa, win.guard)
             if out is None:
                 return None
             vals.append(out[0])

@@ -21,9 +21,9 @@ that plan at each later kappa with the same live pair rows. The
 runner only plans the batches and dispatches them; it does not look at
 what kind of identity a row is.
 
-The engine context moves its space's block memo (liouville.BlockMemo) to
-each kappa whose sector it reads (EngineContext.sector), so a pool worker,
-like a serial run, keeps the blocks of one kappa at a time.
+Each batch's stream moves its space's block memo (liouville.BlockMemo) to
+the batch's kappa (BlockMemo.stream), so a pool worker, like a serial run,
+keeps the blocks of one kappa at a time.
 Results are placed back in a deterministic (suite, id, kappa) order
 regardless of completion order, so repeated runs emit byte-identical
 reports (wall times aside), however the rows of a kappa are split. A pair

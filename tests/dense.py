@@ -10,16 +10,20 @@ The engine computes with its own CSR type (fuzzymono.csr).  The last
 functions are the matrix-level checks of the fock and coords suites written
 with scipy.sparse matrices, as scipy users would write them; the engine's
 residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
-with each pair compared on its own (or each tuple of words reduced on its
-own by the record's reducer), no block shared between pairs, as
-IdentityRecord.evaluate computed it before its row memo.  The helpers in
-between (level slices, sector states, a ladder or radial leaf's block
-built level by level from the leaf's data, a leaf that injects arbitrary
-blocks, the sigma-contracted one-sided words and the 1/(r-2l) multiplier)
-are what only the tests read.  src/ never imports this module.
+with each tuple of words reduced on its own by the record's reducer, no
+block shared between pairs, as IdentityRecord.evaluate computed it before
+its row memo, and floor_zero(rec) the record as the scaling suite evaluates
+it.  The helpers in between (level slices, sector states, a ladder or
+radial leaf's block built level by level from the leaf's data, a leaf that
+injects arbitrary blocks, the sigma-contracted one-sided words and the
+1/(r-2l) multiplier) are what only the tests read.  src/ never imports
+this module.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
 
 import numpy as np
 from scipy import sparse
@@ -29,7 +33,7 @@ from fuzzymono.csr import CSR
 from fuzzymono.fock import FockBasis
 from fuzzymono.liouville import Space, SuperOp, linear_combination
 from fuzzymono.ncspace import EPS3, PAULI
-from fuzzymono.sector import MonopoleSector, SectorVector, graded_residual
+from fuzzymono.sector import MonopoleSector, SectorVector, pair_residual
 
 
 def packed(space: Space, k: int) -> np.ndarray:
@@ -292,20 +296,25 @@ def coords_residuals(basis: FockBasis, lam: float) -> dict:
     return {"coord-comm": comm, "coord-radius-comm": radius, "coord-radius-square": square}
 
 
-def evaluate_alone(rec, ctx, kappa: int, guard: int, floor: float = 1.0):
-    """rec.evaluate(ctx, kappa, guard, floor) of a pair identity, with every
-    pair built and compared alone (or every tuple of words built and given
-    to the record's reducer alone), outside any stream of the block memo."""
+def floor_zero(rec):
+    """rec as the scaling suite evaluates it: a pair record's copy whose
+    pairs read the purely relative residual (graded_residual with floor 0),
+    a scalar check as it is."""
+    if rec.pairs is None:
+        return rec
+    return dataclasses.replace(rec, reduce=functools.partial(pair_residual, floor=0.0))
+
+
+def evaluate_alone(rec, ctx, kappa: int, guard: int):
+    """rec.evaluate(ctx, kappa, guard) of a pair identity, with every tuple
+    of words built and given to the record's reducer alone, outside any
+    stream of the block memo."""
     memo = ctx.space.memo
     assert not (memo.shared or memo._reads or memo._ahead)  # no stream: blocks are computed
     win = ctx.sector(kappa).window(guard, rec.exclude_ws)
     if not win.block_mask.any():
         return None
-    if rec.reduce is not None:
-        residuals = [rec.reduce(win, *words) for words in rec.pairs(ctx)]
-    else:
-        residuals = [graded_residual(lhs, rhs, win.sector, win.guard, win.exclude_ws, floor)[0]
-                     for lhs, rhs in rec.pairs(ctx)]
+    residuals = [rec.reduce(win, *words) for words in rec.pairs(ctx)]
     if None in residuals:
         return None
     return float(np.max(residuals)), list(win.excluded)

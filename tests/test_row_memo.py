@@ -16,11 +16,11 @@ import time
 import numpy as np
 import pytest
 
-from dense import Injected, evaluate_alone
+from dense import Injected, evaluate_alone, floor_zero
 from fuzzymono import csr, liouville, sector
 from fuzzymono.liouville import (BlockMemo, Space, SuperOp, cache_get, commutator, stream_order,
                                  stream_plan)
-from fuzzymono.sector import graded_residual
+from fuzzymono.sector import build_sector, graded_residual, pair_residual
 from fuzzymono.verify import registry
 from fuzzymono.verify.registry import (BY_ID, REGISTRY, evaluate_batch, get_context,
                                        records_for_suite)
@@ -74,7 +74,7 @@ def test_sharing_changes_no_scaling_residual():
     for rec in (r for r in REGISTRY if r.suite == "scaling" and r.per_kappa):
         base = BY_ID[rec.id.removeprefix("scale:")]
         for kappa in range(-2, 3):
-            outs = [evaluate_alone(base, get_context(6, lam), kappa, base.guard, floor=0.0)
+            outs = [evaluate_alone(floor_zero(base), get_context(6, lam), kappa, base.guard)
                     for lam in (0.5, 1.0, 2.0)]
             vals = [out[0] for out in outs if out is not None]
             want = (max(vals) - min(vals), []) if len(vals) == 3 else None
@@ -179,15 +179,14 @@ def test_a_stream_yields_every_position_once(fresh):
     """The positions a stream yields are a permutation of the pairs', on
     the first stream of their plan and on a replay of it."""
     ctx = get_context(6, 1.0)
-    ctx.sector(1)
     pairs = [pair for rec in records_for_suite("velocity") if rec.pairs
              for pair in rec.pairs(ctx)]
     plan = stream_plan(pairs)
     for _ in range(2):
-        positions = list(ctx.space.memo.stream(plan))
+        positions = list(ctx.space.memo.stream(plan, 1))
         assert sorted(positions) == list(range(len(pairs))) and positions != sorted(positions)
         assert_no_stream(ctx.space)
-    assert list(ctx.space.memo.stream(stream_plan([]))) == []
+    assert list(ctx.space.memo.stream(stream_plan([]), 1)) == []
 
 
 def test_a_stream_left_early_keeps_nothing(fresh):
@@ -195,17 +194,16 @@ def test_a_stream_left_early_keeps_nothing(fresh):
     between two positions while every block reads, leaves nothing of the
     stream in the memo."""
     ctx = get_context(6, 1.0)
-    ctx.sector(0)
     memo = ctx.space.memo
     pairs = list(BY_ID["su22-op-closure"].pairs(ctx))
     plan = stream_plan(pairs)
-    for pos in memo.stream(plan):
+    for pos in memo.stream(plan, 0):
         graded_residual(*pairs[pos], ctx.sector(0), 2)
         assert memo._ahead
         break
     assert_no_stream(ctx.space)
     with pytest.raises(RuntimeError, match="between"):
-        for n, pos in enumerate(memo.stream(plan)):
+        for n, pos in enumerate(memo.stream(plan, 0)):
             graded_residual(*pairs[pos], ctx.sector(0), 2)
             if n == 3:
                 assert memo.shared
@@ -271,6 +269,20 @@ def test_a_record_has_pairs_or_a_check_and_a_reducer_only_with_pairs():
         dataclasses.replace(gram, id="check-reducer", reduce=charge.reduce)
 
 
+def test_a_pair_row_without_a_named_reducer_reduces_by_pair_residual():
+    """Every pair row reduces its words: by its named reducer, or else by
+    sector.pair_residual, also on a dataclasses.replace copy. A scalar
+    check has no reducer."""
+    named = {"monopole-charge", "field-trend", "sector-grading"}
+    for rec in REGISTRY:
+        if rec.pairs is None:
+            assert rec.reduce is None, rec.id
+        else:
+            assert (rec.reduce is pair_residual) == (rec.id not in named), rec.id
+    copy = dataclasses.replace(BY_ID["monopole-charge"], id="copy", reduce=None)
+    assert copy.reduce is pair_residual
+
+
 def test_each_row_of_a_batch_is_timed_by_its_own_pairs():
     """A row's seconds are those of building and comparing its own pairs:
     a row whose pair function sleeps gets the sleep, no other row does."""
@@ -304,9 +316,9 @@ def test_no_structure_computed_twice_in_a_pair_or_the_next(monkeypatch, fresh):
     stream, turn, walk = BlockMemo.stream, BlockMemo._turn, liouville._walk
     compute = SuperOp._compute
 
-    def numbered_stream(memo, plan):
+    def numbered_stream(memo, plan, kappa):
         turns.append(0)
-        yield from stream(memo, plan)
+        yield from stream(memo, plan, kappa)
 
     def recorded_walk(ops, held=()):
         todo = [op for op in ops if not op.kept]
@@ -392,9 +404,8 @@ def test_equal_words_of_two_streams_have_equal_ids(fresh):
     rec = BY_ID["su22-op-closure"]
     built = []
     for kappa in (1, -2):
-        ctx.sector(kappa)
         pairs = list(rec.pairs(ctx))
-        for pos in memo.stream(stream_plan(pairs)):
+        for pos in memo.stream(stream_plan(pairs), kappa):
             graded_residual(*pairs[pos], ctx.sector(kappa), rec.guard)
         assert_no_stream(ctx.space)
         built.append(pairs)
@@ -403,6 +414,25 @@ def test_equal_words_of_two_streams_have_equal_ids(fresh):
     for p, q in zip(first, second):
         assert [op.sid for op in p] == [op.sid for op in q]
         assert all(x is not y or x.kept for x, y in zip(p, q))
+
+
+def test_only_a_stream_at_another_kappa_drops_the_kept_blocks(fresh):
+    """After a stream at kappa 1, looking up sector 2, a row's window on it
+    or the sector itself leaves the memo's kept blocks as they are; a
+    stream at kappa 2 then drops every one of them."""
+    ctx = get_context(6, 1.0)
+    memo = ctx.space.memo
+    rec = BY_ID["su22-op-closure"]
+    assert rec.evaluate(ctx, 1, rec.guard) is not None
+    kept = dict(memo.kept)
+    assert kept
+    ctx.sector(2)
+    assert rec.window(ctx, 2, rec.guard) is not None
+    build_sector(2, 6, 1.0)
+    assert memo.kept.keys() == kept.keys()
+    assert all(memo.kept[key] is blk for key, blk in kept.items())
+    assert rec.evaluate(ctx, 2, rec.guard) is not None
+    assert memo.kept and all(memo.kept.get(key) is not blk for key, blk in kept.items())
 
 
 def test_a_kept_operator_matches_no_transient_word():
@@ -416,7 +446,6 @@ def test_a_kept_operator_matches_no_transient_word():
     assert kept.kept and not word().kept
     assert word().sid == word().sid != kept.sid
     assert kept is cache_get(space._cache, ("test-word",), word)
-    space.memo.at(0)
     kept.raw_block(0)
     assert (kept.sid, 0) in space.memo.kept
     assert (word().sid, 0) not in space.memo.kept
@@ -548,7 +577,7 @@ def test_a_plan_computes_and_drops_no_block(monkeypatch, fresh):
     def no_compute(op, k):
         raise AssertionError("stream_plan computed a block")
 
-    for n, pos in enumerate(memo.stream(plan)):
+    for n, pos in enumerate(memo.stream(plan, 0)):
         graded_residual(*pairs[pos], ctx.sector(0), 2)
         if n == 3:
             kept, shared = dict(memo.kept), dict(memo.shared)
@@ -634,7 +663,7 @@ def test_no_scalar_check_reads_a_block(monkeypatch, fresh):
             if out is not None:
                 checked.add(rec.id)
     reducers = {"monopole-charge", "field-trend", "sector-grading"}
-    assert {rec.id for rec in REGISTRY if rec.reduce} == reducers
+    assert {rec.id for rec in REGISTRY if rec.reduce not in (None, pair_residual)} == reducers
     assert reads and not in_check
     # field-trend has too few blocks to fit at n_max 6; it reads them and skips
     assert {rec.id for rec in records if rec.check} | reducers - {"field-trend"} <= checked

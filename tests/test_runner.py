@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from dense import floor_zero
 from fuzzymono.verify import cli
 from fuzzymono.verify.cli import keep_freed_memory, main, parse_kappas
 from fuzzymono.liouville import commutator
@@ -147,7 +148,7 @@ def test_every_scaling_base_checks_something():
     ctx = get_context(6, 1.0)
     for rec in records_for_suite("scaling"):
         base = BY_ID[rec.id.removeprefix("scale:")]
-        outs = [base.evaluate(ctx, kappa, base.guard, floor=0.0)
+        outs = [floor_zero(base).evaluate(ctx, kappa, base.guard)
                 for kappa in (range(-4, 5) if base.per_kappa else (None,))]
         assert any(out is not None and out[0] < 0.5 for out in outs), base.id
 
@@ -594,6 +595,21 @@ def test_excluded_blocks_are_the_record_pole_window():
         assert row.excluded_blocks == expected, (row.id, row.kappa)
         checked += bool(expected)
     assert checked > 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a pole's 1/0 is the point
+@pytest.mark.parametrize("rid", ["w-shift-comm", "zeta-shift-comm", "radial-annihilator"])
+def test_a_row_fails_without_its_pole_exclusion(rid):
+    """Negative controls for the pole exclusions that matter: at n_max 6,
+    kappa 0, each of these rows passes as registered and fails with
+    exclude_ws=() (the two shift twins read about 0.32, the annihilator
+    NaN, which fails), so its exclusion is not redundant."""
+    ctx, rec = get_context(6, 1.0), BY_ID[rid]
+    residual, excluded = rec.evaluate(ctx, 0, rec.guard)
+    assert residual <= rec.tol and excluded
+    bare, _ = dataclasses.replace(rec, exclude_ws=()).evaluate(ctx, 0, rec.guard)
+    assert not bare <= rec.tol
+    assert math.isnan(bare) if rid == "radial-annihilator" else bare > 0.3
 
 
 def test_cli_unwritable_output(tmp_path):
