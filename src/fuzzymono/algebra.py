@@ -10,8 +10,9 @@ Radial multipliers move through level-shifting words by lam-shifts of their
 argument; the second/first difference operators built from those shifts
 replace radial derivatives everywhere in the commutator formulas.
 
-contract(tensor, term) is the one Pauli, epsilon or sigma-sigma contraction
-of superoperator terms, folded over the tensor's nonzero entries.
+Every Pauli, epsilon, Gamma or bracket sum of superoperators here is a fold
+of ncspace.contract or ncspace.linear_combination; a fold that can be empty
+is given the zero superoperator 0.0 * space.identity().
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .liouville import (RF_INV_R, RF_ONE, RF_R, RadialFunction, Space, SuperOp, cache_get,
-                        commutator, linear_combination)
-from .ncspace import nonzero_entries
+from .liouville import RF_INV_R, RF_ONE, RF_R, RadialFunction, Space, SuperOp, cache_get, commutator
+from .ncspace import contract
 from .sector import Window, pair_residual
-from .su22 import GAMMA, PAIRS, bracket_terms, generator_matrix
+from .su22 import GAMMA, PAIRS, bracket_rhs, generator_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +80,6 @@ def radial_annihilator(f: RadialFunction) -> RadialFunction:
 # ---------------------------------------------------------------------------
 # word builders
 # ---------------------------------------------------------------------------
-
-def contract(tensor: np.ndarray, term: Callable[..., SuperOp]) -> SuperOp:
-    """Sum of c * term(i + 1, j + 1, ...) over the nonzero entries c at
-    (i, j, ...) of tensor, in row-major order (term takes 1-based indices)."""
-    return linear_combination(complex(c) * term(*(i + 1 for i in idx))
-                              for idx, c in nonzero_entries(tensor))
-
 
 Letter = tuple[int, str]  # (mode, "create" | "annihilate")
 
@@ -146,9 +139,8 @@ class OperatorAlgebra:
         return self._get(("gen", A, B), lambda: self._bilinear(GAMMA @ generator_matrix(A, B)))
 
     def _bilinear(self, m: np.ndarray) -> SuperOp:
-        return linear_combination(
-            (complex(c) * (self.avec_dag(a) @ self.avec(b)) for (a, b), c in nonzero_entries(m)),
-            self.space)
+        return contract(m, lambda a, b: self.avec_dag(a - 1) @ self.avec(b - 1),
+                        0.0 * self.space.identity())
 
     def center(self) -> SuperOp:
         """Central element, in the ordering exact on every admissible block.
@@ -198,8 +190,7 @@ class OperatorAlgebra:
         ident = self.space.identity()
         for a in range(4):
             for b in range(4):
-                twisted = linear_combination(complex(g) * self.avec_dag(c)
-                                             for (c,), g in nonzero_entries(GAMMA[b]))
+                twisted = contract(GAMMA[b], lambda c: self.avec_dag(c - 1))
                 yield commutator(self.avec(a), twisted), (1.0 if a == b else 0.0) * ident
 
     def canonical_pairing_residual(self, win: Window) -> float:
@@ -213,15 +204,11 @@ class OperatorAlgebra:
 
 def su22_bracket_rhs(alg: OperatorAlgebra, a: int, b: int, c: int, d: int) -> SuperOp:
     """Operator-level bracket target i*(eta.S - ...) for [S_AB, S_CD]."""
-    return linear_combination(
-        (complex(1j * coeff) * alg.generator(x, y) for coeff, (x, y) in bracket_terms(a, b, c, d)
-         if coeff != 0 and x != y),
-        alg.space)
+    return bracket_rhs(a, b, c, d, alg.generator, 0.0 * alg.space.identity())
 
 
 __all__ = [
     "OperatorAlgebra",
-    "contract",
     "left_action",
     "right_action",
     "RadialFunction",

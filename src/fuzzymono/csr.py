@@ -330,6 +330,8 @@ class CSR:
         data, phase = split(self.values() * c)
         return CSR(self.indptr, self.indices, data, self.shape, phase, self.is_diagonal)
 
+    __rmul__ = scale  # scalar * matrix, as ncspace.contract builds its terms
+
     def transpose(self) -> "CSR":
         return self._transposed(self.data, self.phase)
 

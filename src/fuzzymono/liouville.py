@@ -50,7 +50,8 @@ the only support fact a superoperator carries.
     and the named operators of OperatorAlgebra, VelocityFamily and the
     registry's EngineContext enter the cache through cache_get, named by
     their keys in str(op), and the memo keeps their blocks until a stream
-    at another kappa starts; reading a sector or a window leaves the memo
+    at another kappa starts, or the next stream once a read outside a
+    stream has kept a block; reading a sector or a window leaves the memo
     as it is.  Any other operator computes its blocks on each read, except
     while BlockMemo.stream replays the stream_plan of a batch of pairs: then
     the nodes of equal sid share each block while the current or the next
@@ -68,7 +69,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,11 +242,12 @@ class BlockMemo:
     node also needs equal scalar bits (0.0 and -0.0 differ).  The structure
     table lasts as long as the space.  A kept operator's blocks, keyed by
     (sid, sector), stay until stream() starts at another kappa, so the
-    streams of several parts of one kappa reuse them.  A transient operator
-    computes its blocks on each read, except while stream() replays the
-    plan of a batch of pairs, read at sector kappa: then the nodes of equal
-    sid share them, keyed by (sid, sector - kappa), so that no plan depends
-    on kappa.  The caller keeps the plans.
+    streams of several parts of one kappa reuse them; once a read outside a
+    stream has kept a block, the next stream starts with none.  A transient
+    operator computes its blocks on each read, except while stream()
+    replays the plan of a batch of pairs, read at sector kappa: then the
+    nodes of equal sid share them, keyed by (sid, sector - kappa), so that
+    no plan depends on kappa.  The caller keeps the plans.
     """
 
     def __init__(self):
@@ -255,6 +257,7 @@ class BlockMemo:
         self._drop_stream()
 
     def _drop_stream(self) -> None:
+        self._kept_after = len(self.kept)  # kept blocks once no stream runs; only reads add more
         self.shared: dict[tuple[int, int], CSR] = {}  # (sid, sector - kappa) -> block
         self._reads: dict[tuple[int, int], int] = {}  # reads left in the current pair
         self._ahead: dict[tuple[int, int], int] = {}  # reads of the next pair
@@ -271,12 +274,13 @@ class BlockMemo:
 
     def stream(self, plan: StreamPlan, kappa: int) -> Iterator[int]:
         """Replay plan (stream_plan) at sector kappa, first dropping the
-        kept blocks of another kappa: yield the position of each pair in
+        kept blocks of another kappa, or all of them once a read outside a
+        stream has kept one: yield the position of each pair in
         its order, once the memo has counted the reads of the pair after
         it.  A shared block stays while the current or the next pair reads
         it, and nothing once the stream ends, also when the caller or a
         block raises, or the caller stops iterating."""
-        if kappa != self.kappa:
+        if kappa != self.kappa or len(self.kept) != self._kept_after:
             self.kept.clear()
             self.kappa = kappa
         order, steps = plan
@@ -365,7 +369,8 @@ def stream_plan(pairs: Sequence[tuple[SuperOp, ...]]) -> StreamPlan:
 
 
 class Space:
-    """Shared context: Fock basis, primitive superoperators, radial calculus."""
+    """Shared context of one truncation: Fock basis, its one copy of the
+    ladder matrices a and adag, primitive superoperators, radial calculus."""
 
     def __init__(self, n_max: int, lam: float = 1.0):
         if not 0 < lam < np.inf:  # NaN fails both comparisons
@@ -380,8 +385,8 @@ class Space:
         self.level_w = self.lam * (n[:, None] + n[None, :] + 2) / 2.0
         self.level_grade = n[:, None] - n[None, :]
 
-        self._a = [annihilator(self.basis, 1), annihilator(self.basis, 2)]
-        self._adag = [creator(self.basis, 1), creator(self.basis, 2)]
+        self.a = [annihilator(self.basis, 1), annihilator(self.basis, 2)]
+        self.adag = [creator(self.basis, 1), creator(self.basis, 2)]
         # the one operator cache of this truncation (see Memoisation above)
         self._cache: dict[tuple, object] = {}
         self.memo = BlockMemo()  # every block this space keeps
@@ -444,19 +449,19 @@ class Space:
 
     def lmul_a(self, alpha: int) -> SuperOp:
         """Left multiplication by a_alpha (grade -1)."""
-        return self._cached(("la", alpha), lambda: self.left_mul(self._a[alpha - 1], drow=-1))
+        return self._cached(("la", alpha), lambda: self.left_mul(self.a[alpha - 1], drow=-1))
 
     def lmul_adag(self, alpha: int) -> SuperOp:
         """Left multiplication by a+_alpha (grade +1)."""
-        return self._cached(("lad", alpha), lambda: self.left_mul(self._adag[alpha - 1], drow=+1))
+        return self._cached(("lad", alpha), lambda: self.left_mul(self.adag[alpha - 1], drow=+1))
 
     def rmul_a(self, alpha: int) -> SuperOp:
         """Right multiplication by a_alpha (grade -1, col level +1)."""
-        return self._cached(("ra", alpha), lambda: self.right_mul(self._a[alpha - 1], dcol=+1))
+        return self._cached(("ra", alpha), lambda: self.right_mul(self.a[alpha - 1], dcol=+1))
 
     def rmul_adag(self, alpha: int) -> SuperOp:
         """Right multiplication by a+_alpha (grade +1, col level -1)."""
-        return self._cached(("rad", alpha), lambda: self.right_mul(self._adag[alpha - 1], dcol=-1))
+        return self._cached(("rad", alpha), lambda: self.right_mul(self.adag[alpha - 1], dcol=-1))
 
     def _cached(self, key: tuple, builder: Callable[[], SuperOp]) -> SuperOp:
         return cache_get(self._cache, key, builder)
@@ -566,23 +571,6 @@ def commutator(a: SuperOp, b: SuperOp) -> SuperOp:
 
 def anticommutator(a: SuperOp, b: SuperOp) -> SuperOp:
     return a @ b + b @ a
-
-
-def linear_combination(terms: Iterable[SuperOp], space: Optional[Space] = None) -> SuperOp:
-    """Sum of grade-homogeneous terms, folded left to right with +.
-
-    An empty sum is the zero superoperator on space; without a space it is
-    an error.
-    """
-    it = iter(terms)
-    total = next(it, None)
-    if total is None:
-        if space is None:
-            raise ValueError("empty linear combination needs a space")
-        return 0.0 * space.identity()
-    for t in it:
-        total = total + t
-    return total
 
 
 _SPACES: dict[tuple[int, float], Space] = {}

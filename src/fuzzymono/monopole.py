@@ -18,9 +18,9 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q, contract
+from .algebra import OperatorAlgebra, RF_MONOPOLE, RF_Q
 from .liouville import Space, SuperOp, cache_get, commutator
-from .ncspace import PAULI
+from .ncspace import PAULI, contract
 from .sector import Window, block_entries, pair_residual, window_inner
 
 

@@ -1,4 +1,6 @@
-"""Fuzzy coordinates of the noncommutative 3-space.
+"""Fuzzy coordinates of the noncommutative 3-space, and the one fold of
+every Pauli, epsilon, Gamma and bracket sum (linear_combination, contract)
+over any terms with + and complex * term: superoperators, matrices, numbers.
 
 Coordinates are the Pauli-contracted one-body bilinears x_i = lam * sigma^i_{ab} a+_a a_b
 together with the radius r = lam * (a+_a a_a + 1).  The radius uses the
@@ -10,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .csr import CSR
-from .fock import FockBasis, annihilator, creator
 
 # sigma^1, sigma^2, sigma^3 with sigma^3 = diag(1, -1)
 PAULI = np.array(
@@ -46,6 +48,26 @@ def nonzero_entries(t: np.ndarray):
         yield idx, t[idx]
 
 
+def linear_combination(terms: Iterable, zero=None):
+    """Sum of terms, folded left to right with +.  An empty sum is zero;
+    with no zero it is an error."""
+    it = iter(terms)
+    total = next(it, zero)
+    if total is None:
+        raise ValueError("an empty linear combination needs a zero")
+    for t in it:
+        total = total + t
+    return total
+
+
+def contract(tensor: np.ndarray, term: Callable, zero=None):
+    """Sum of c * term(i + 1, j + 1, ...) over the nonzero entries c at
+    (i, j, ...) of tensor, in row-major order (term takes 1-based indices);
+    an empty sum is zero, as in linear_combination."""
+    return linear_combination((complex(c) * term(*(i + 1 for i in idx))
+                               for idx, c in nonzero_entries(tensor)), zero)
+
+
 @dataclass(frozen=True)
 class NcCoordinates:
     """The three fuzzy coordinates and the radius on a truncated Fock basis."""
@@ -55,22 +77,11 @@ class NcCoordinates:
     r: CSR
 
 
-def build_coordinates(basis: FockBasis, lam: float) -> NcCoordinates:
-    if not 0 < lam < np.inf:  # NaN fails both comparisons
-        raise ValueError(f"lam must be a positive finite number, got {lam}")
-    a = [annihilator(basis, 1), annihilator(basis, 2)]
-    adag = [creator(basis, 1), creator(basis, 2)]
-    xs = []
-    for k in range(3):
-        xk = CSR.zeros((basis.dim, basis.dim))
-        for al in range(2):
-            for be in range(2):
-                c = PAULI[k, al, be]
-                if c != 0:
-                    xk = xk + (adag[al] @ a[be]).scale(c)
-        xs.append(xk.scale(lam))
-    r = CSR.diags(lam * (basis.levels + 1))
-    return NcCoordinates(lam=lam, x=(xs[0], xs[1], xs[2]), r=r)
+def build_coordinates(space) -> NcCoordinates:
+    """The coordinates on a liouville.Space, from its ladder matrices."""
+    a, adag, lam = space.a, space.adag, space.lam
+    x = tuple(lam * contract(PAULI[k], lambda al, be: adag[al - 1] @ a[be - 1]) for k in range(3))
+    return NcCoordinates(lam=lam, x=x, r=CSR.diags(lam * (space.level + 1)))
 
 
 def frobenius_norm(mat: CSR) -> float:
@@ -97,15 +108,11 @@ def verify_coordinate_algebra(nc: NcCoordinates) -> dict[str, float]:
     """
     x, r, lam = nc.x, nc.r, nc.lam
 
-    res_comm = 0.0
-    for i in range(3):
-        for j in range(3):
-            lhs = x[i] @ x[j] - x[j] @ x[i]
-            rhs = CSR.zeros(x[0].shape)
-            for k in range(3):
-                if EPS3[i, j, k] != 0:
-                    rhs = rhs + x[k].scale(2j * lam * EPS3[i, j, k])
-            res_comm = max(res_comm, relative_norm(lhs - rhs, lhs, rhs))
+    res_comm = 0.0  # the rows i = j read exactly 0
+    for i, j in itertools.permutations(range(3), 2):
+        lhs = x[i] @ x[j] - x[j] @ x[i]
+        rhs = contract(2j * lam * EPS3[i, j], lambda k: x[k - 1])
+        res_comm = max(res_comm, relative_norm(lhs - rhs, lhs, rhs))
 
     res_radius = max(relative_norm(x[i] @ r - r @ x[i], x[i] @ r) for i in range(3))
 

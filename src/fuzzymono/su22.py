@@ -16,15 +16,18 @@ fixed once by self-consistency and frozen here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ncspace import EPS3, PAULI
+from .ncspace import EPS3, PAULI, contract, linear_combination
 
 GAMMA = np.diag([1.0, 1.0, -1.0, -1.0]).astype(np.complex128)
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
 GAMMA_ADJOINT_SIGN = +1.0
+_ZERO = np.zeros((4, 4), dtype=np.complex128)
+_ZERO.flags.writeable = False  # the empty bracket, returned to every caller
 
 
 def _block(tl, tr, bl, br) -> np.ndarray:
@@ -35,13 +38,9 @@ def _build_upper() -> dict[tuple[int, int], np.ndarray]:
     z = np.zeros((2, 2), dtype=np.complex128)
     e = np.eye(2, dtype=np.complex128)
     s: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = np.zeros((4, 4), dtype=np.complex128)
-            for k in range(3):
-                if EPS3[i, j, k] != 0:
-                    m += 0.5 * EPS3[i, j, k] * _block(PAULI[k], z, z, PAULI[k])
-            s[(i + 1, j + 1)] = m
+    for i, j in itertools.combinations(range(3), 2):
+        s[(i + 1, j + 1)] = contract(0.5 * EPS3[i, j],
+                                     lambda k: _block(PAULI[k - 1], z, z, PAULI[k - 1]))
     for k in range(3):
         s[(k + 1, 4)] = 0.5 * _block(PAULI[k], z, z, -PAULI[k])
         s[(0, k + 1)] = 0.5j * _block(z, PAULI[k], PAULI[k], z)
@@ -85,12 +84,13 @@ def bracket_terms(a: int, b: int, c: int, d: int) -> tuple[tuple[float, tuple[in
     return ((ETA[a, c], (b, d)), (-ETA[b, c], (a, d)), (-ETA[a, d], (b, c)), (ETA[b, d], (a, c)))
 
 
-def bracket_rhs(a: int, b: int, c: int, d: int) -> np.ndarray:
-    """i*(eta_AC S_BD - eta_BC S_AD - eta_AD S_BC + eta_BD S_AC)."""
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for coeff, (x, y) in bracket_terms(a, b, c, d):
-        out += coeff * generator_matrix(x, y)
-    return 1j * out
+def bracket_rhs(a: int, b: int, c: int, d: int, generator=generator_matrix, zero=_ZERO):
+    """i*(eta_AC S_BD - eta_BC S_AD - eta_AD S_BC + eta_BD S_AC), S_xy =
+    generator(x, y): 4x4 matrices, or superoperators (algebra.su22_bracket_rhs).
+    Zero terms are skipped; a bracket with none left is zero."""
+    return linear_combination((complex(1j * coeff) * generator(x, y)
+                               for coeff, (x, y) in bracket_terms(a, b, c, d)
+                               if coeff != 0 and x != y), zero)
 
 
 def matrix_gamma_residual() -> float:

@@ -60,21 +60,19 @@ from ..algebra import (
     RF_R,
     RF_R2,
     RadialFunction,
-    contract,
     first_difference,
     radial_annihilator,
     second_difference,
     su22_bracket_rhs,
 )
 from ..csr import CSR
-from ..fock import annihilator, creator, interior_projector, number_operator
+from ..fock import interior_projector, number_operator
 from ..liouville import (
     SuperOp,
     anticommutator,
     cache_get,
     commutator,
     get_space,
-    linear_combination,
     stream_plan,
 )
 from ..monopole import (
@@ -87,7 +85,9 @@ from ..ncspace import (
     EPS3,
     PAULI,
     build_coordinates,
+    contract,
     levi_civita,
+    linear_combination,
     relative_norm,
     verify_coordinate_algebra,
 )
@@ -283,9 +283,7 @@ def evaluate_batch(ctx: EngineContext, kappa: Optional[int],
 # ---------------------------------------------------------------------------
 
 def _fock_null_comm(ctx: EngineContext, win: Window) -> Outcome:
-    basis = ctx.space.basis
-    a = [annihilator(basis, 1), annihilator(basis, 2)]
-    ad = [creator(basis, 1), creator(basis, 2)]
+    a, ad = ctx.space.a, ctx.space.adag
     worst = 0.0
     for x, y in itertools.combinations_with_replacement(range(2), 2):
         worst = max(worst, relative_norm(a[x] @ a[y] - a[y] @ a[x]))
@@ -301,8 +299,7 @@ def _fock_canonical(ctx: EngineContext, win: Window) -> Outcome:
         return None
     proj = interior_projector(basis, guard)
     eye = CSR.identity(basis.dim)
-    a = [annihilator(basis, 1), annihilator(basis, 2)]
-    ad = [creator(basis, 1), creator(basis, 2)]
+    a, ad = ctx.space.a, ctx.space.adag
     worst = 0.0
     for x in range(2):
         for y in range(2):
@@ -313,17 +310,15 @@ def _fock_canonical(ctx: EngineContext, win: Window) -> Outcome:
 
 
 def _fock_number(ctx: EngineContext, win: Window) -> Outcome:
-    basis = ctx.space.basis
-    total = creator(basis, 1) @ annihilator(basis, 1) + creator(basis, 2) @ annihilator(basis, 2)
-    return relative_norm(total - number_operator(basis), total), []
+    a, ad = ctx.space.a, ctx.space.adag
+    total = ad[0] @ a[0] + ad[1] @ a[1]
+    return relative_norm(total - number_operator(ctx.space.basis), total), []
 
 
 def _coords(which: str) -> Check:
     def check(ctx: EngineContext, win: Window) -> Outcome:
-        res = ctx.cached(
-            ("coords",),
-            lambda: verify_coordinate_algebra(build_coordinates(ctx.space.basis, ctx.lam)),
-        )
+        res = ctx.cached(("coords",),
+                         lambda: verify_coordinate_algebra(build_coordinates(ctx.space)))
         return res[which], []
 
     return check
@@ -512,6 +507,7 @@ def _ladder_quads(ctx: EngineContext) -> Iterator[tuple[SuperOp, ...]]:
     a+_al (.) a_be and a_ga (.) a+_de, the part X of their commutator that
     survives (-[raise, lower] = X), and U_{al be}, U+_{ga de}."""
     sp, vel = ctx.space, ctx.vel
+    zero = 0.0 * sp.identity()
     for al, be, ga, de in itertools.product((1, 2), repeat=4):
         raise_w = sp.lmul_adag(al) @ sp.rmul_a(be)
         lower_w = sp.rmul_adag(de) @ sp.lmul_a(ga)
@@ -520,7 +516,7 @@ def _ladder_quads(ctx: EngineContext) -> Iterator[tuple[SuperOp, ...]]:
             x.append(sp.lmul_adag(al) @ sp.lmul_a(ga))
         if ga == al:
             x.append(sp.rmul_adag(de) @ sp.rmul_a(be))
-        yield raise_w, lower_w, linear_combination(x, sp), vel.u(al, be), vel.u_dag(ga, de)
+        yield raise_w, lower_w, linear_combination(x, zero), vel.u(al, be), vel.u_dag(ga, de)
 
 
 def _u_ladder_comm(ctx: EngineContext) -> Iterator[Pair]:
@@ -811,10 +807,7 @@ def _fierz(ctx, win) -> Outcome:
     worst = 0.0
     for k in range(3):
         for al, be, de, ga in itertools.product(range(2), repeat=4):
-            lhs = sum(
-                EPS3[i, j, k] * PAULI[i, al, be] * PAULI[j, de, ga]
-                for i in range(3) for j in range(3)
-            )
+            lhs = contract(EPS3[:, :, k], lambda i, j: PAULI[i - 1, al, be] * PAULI[j - 1, de, ga])
             rhs = 1j * (PAULI[k, al, ga] * (1.0 if de == be else 0.0)
                         - PAULI[k, de, be] * (1.0 if al == ga else 0.0))
             worst = max(worst, abs(lhs - rhs))

@@ -97,27 +97,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        raw = json.loads(text)
-        rep = cls(suite=raw["suite"], lam=raw["lambda"], n_max=raw["n_max"])
-        for row in raw["results"]:
-            rep.results.append(
-                IdentityResult(
-                    id=row["id"],
-                    paper_ref=row["paper_ref"],
-                    kappa=row["kappa"],
-                    guard=row["guard"],
-                    # null with pass false: a residual that was not finite
-                    residual=(math.nan if row["residual"] is None and row["pass"] is False
-                              else row["residual"]),
-                    tolerance=row["tolerance"],
-                    excluded_blocks=list(row["excluded_blocks"]),
-                    wall_time_ms=row["wall_time_ms"],
-                )
-            )
-        return rep
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

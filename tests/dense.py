@@ -12,9 +12,10 @@ with scipy.sparse matrices, as scipy users would write them; the engine's
 residuals must equal theirs bit for bit.  evaluate_alone is a row's outcome
 with each tuple of words reduced on its own by the record's reducer, no
 block shared between pairs, as IdentityRecord.evaluate computed it before
-its row memo, and floor_zero(rec) the record as the scaling suite evaluates
-it.  The helpers in between (level slices, sector states, a ladder or
-radial leaf's block built level by level from the leaf's data, a leaf that
+its row memo, floor_zero(rec) the record as the scaling suite evaluates
+it, and report_from_json(text) the report that to_json() wrote as text.
+The helpers in between (level slices, sector states, a ladder or radial
+leaf's block built level by level from the leaf's data, a leaf that
 injects arbitrary blocks, the sigma-contracted one-sided words and the
 1/(r-2l) multiplier) are what only the tests read.  src/ never imports
 this module.
@@ -24,16 +25,19 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
+import math
 
 import numpy as np
 from scipy import sparse
 
-from fuzzymono.algebra import RadialFunction, contract
+from fuzzymono.algebra import RadialFunction
 from fuzzymono.csr import CSR
 from fuzzymono.fock import FockBasis
-from fuzzymono.liouville import Space, SuperOp, linear_combination
-from fuzzymono.ncspace import EPS3, PAULI
+from fuzzymono.liouville import Space, SuperOp
+from fuzzymono.ncspace import EPS3, PAULI, contract, linear_combination
 from fuzzymono.sector import MonopoleSector, SectorVector, pair_residual
+from fuzzymono.verify.report import IdentityResult, VerificationReport
 
 
 def packed(space: Space, k: int) -> np.ndarray:
@@ -318,3 +322,18 @@ def evaluate_alone(rec, ctx, kappa: int, guard: int):
     if None in residuals:
         return None
     return float(np.max(residuals)), list(win.excluded)
+
+
+def report_from_json(text: str) -> VerificationReport:
+    """The report whose to_json() gives text."""
+    raw = json.loads(text)
+    rep = VerificationReport(suite=raw["suite"], lam=raw["lambda"], n_max=raw["n_max"])
+    for row in raw["results"]:
+        rep.results.append(IdentityResult(
+            id=row["id"], paper_ref=row["paper_ref"], kappa=row["kappa"], guard=row["guard"],
+            # null with pass false: a residual that was not finite
+            residual=(math.nan if row["residual"] is None and row["pass"] is False
+                      else row["residual"]),
+            tolerance=row["tolerance"], excluded_blocks=list(row["excluded_blocks"]),
+            wall_time_ms=row["wall_time_ms"]))
+    return rep

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from fuzzymono.algebra import RF_MONOPOLE
-from fuzzymono.fock import build_basis
-from fuzzymono.liouville import commutator
+from fuzzymono.liouville import Space, commutator
 from fuzzymono.monopole import charge_fit, monopole_profile_op
 from fuzzymono.ncspace import build_coordinates, verify_coordinate_algebra
 from fuzzymono.sector import graded_residual, sector_matrix
@@ -61,7 +60,7 @@ def worst_residual(report, idents):
 
 def test_criterion_01_coordinate_algebra():
     t0 = time.perf_counter()
-    nc = build_coordinates(build_basis(15), lam=1.0)
+    nc = build_coordinates(Space(15, 1.0))
     res = verify_coordinate_algebra(nc)
     elapsed = time.perf_counter() - t0
     worst = max(res.values())

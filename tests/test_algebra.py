@@ -350,8 +350,10 @@ def test_grade_mismatch_rejected(ctx9):
 
 
 def test_linear_combination_is_the_pairwise_fold(ctx9):
-    """Bit for bit the + fold, also of a sum started from the zero operator."""
-    from fuzzymono.liouville import linear_combination
+    """Bit for bit the + fold, also of a sum started from the zero operator,
+    for superoperator, CSR-matrix, 4x4-array and scalar terms; an empty sum
+    is its zero, and an error without one."""
+    from fuzzymono.ncspace import PAULI, linear_combination
 
     sp = ctx9.space
     terms = [(1 - 2j) * (sp.lmul_adag(1) @ sp.rmul_a(2)), sp.lmul_adag(2) @ sp.rmul_a(1),
@@ -363,20 +365,39 @@ def test_linear_combination_is_the_pairwise_fold(ctx9):
             np.testing.assert_array_equal(getattr(to_csr(got), attr),
                                           getattr(to_csr(expected), attr))
     assert linear_combination([terms[1]]) is terms[1]
-    assert to_csr(linear_combination([], sp)).count_nonzero() == 0
-    with pytest.raises(ValueError):
+    zero = 0.0 * sp.identity()
+    assert linear_combination([], zero) is zero
+    assert to_csr(zero).count_nonzero() == 0
+    with pytest.raises(ValueError, match="needs a zero"):
         linear_combination([])
     with pytest.raises(ValueError):
         linear_combination([terms[0], sp.lmul_a(1)])
+
+    mats = [(0.25 - 1j) * (sp.adag[0] @ sp.a[1]), sp.adag[1] @ sp.a[0],
+            3.0 * (sp.a[0] @ sp.adag[0])]
+    got = linear_combination(mats)
+    want = mats[0] + mats[1] + mats[2]
+    assert got.phase == want.phase
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    blocks = [PAULI[0], 1j * PAULI[1], PAULI[2] @ PAULI[0]]
+    np.testing.assert_array_equal(linear_combination(blocks), blocks[0] + blocks[1] + blocks[2])
+    assert linear_combination([1, 2.5j, -3.0]) == 1 + 2.5j - 3.0
+    assert linear_combination((), 0.0) == 0.0
+    for empty in ((), iter([])):
+        with pytest.raises(ValueError):
+            linear_combination(empty)
 
 
 def test_contract_is_the_hand_fold():
     """contract gives, block for block, the indptr, indices, data and phase
     of the 1-based fold c * term(i + 1, ...) it replaces, scaled tensors
-    included."""
-    from fuzzymono.algebra import contract
-    from fuzzymono.liouville import linear_combination
-    from fuzzymono.ncspace import EPS3, PAULI, levi_civita, nonzero_entries
+    included; on CSR matrices, 4x4 arrays and scalars it gives the hand
+    sum, and on an all-zero tensor its zero."""
+    from fuzzymono.csr import CSR
+    from fuzzymono.ncspace import (EPS3, PAULI, contract, levi_civita, linear_combination,
+                                   nonzero_entries)
+    from fuzzymono.su22 import GAMMA
     from fuzzymono.verify.registry import get_context
 
     ctx = get_context(4, 1.0)
@@ -407,6 +428,22 @@ def test_contract_is_the_hand_fold():
             assert g.phase == w.phase and g.data.dtype == w.data.dtype
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(g, attr), getattr(w, attr))
+
+    a, adag = sp.a, sp.adag
+    got = contract(PAULI[1], lambda al, be: adag[al - 1] @ a[be - 1])
+    want = (adag[0] @ a[1]).scale(-1j) + (adag[1] @ a[0]).scale(1j)
+    assert isinstance(got, CSR) and got.phase == want.phase
+    for attr in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+    np.testing.assert_array_equal(contract(GAMMA[2], lambda c: PAULI[c - 2]),
+                                  -PAULI[1])
+    np.testing.assert_array_equal(contract(EPS3[0], lambda j, k: PAULI[j - 1] @ PAULI[k - 1]),
+                                  PAULI[1] @ PAULI[2] - PAULI[2] @ PAULI[1])
+    assert contract(EPS3[:, :, 0], lambda i, j: 10 * i + j) == 23 - 32
+    zero = np.zeros((4, 4))
+    assert contract(EPS3[0, 0], lambda k: np.eye(4), zero) is zero
+    with pytest.raises(ValueError):
+        contract(EPS3[0, 0], lambda k: np.eye(4))
 
 
 def test_word_actions(ctx9, rng):

@@ -198,7 +198,7 @@ def test_a_ladder_leaf_block_keeps_the_level_by_level_entry_order(n_max):
     sp = Space(n_max)
     leaves = []
     for alpha in (1, 2):
-        a, adag = sp._a[alpha - 1], sp._adag[alpha - 1]
+        a, adag = sp.a[alpha - 1], sp.adag[alpha - 1]
         leaves += [(sp.lmul_a(alpha), a, -1, True), (sp.lmul_adag(alpha), adag, 1, True),
                    (sp.rmul_a(alpha), a.transpose(), 1, False),
                    (sp.rmul_adag(alpha), adag.transpose(), -1, False)]
@@ -286,7 +286,7 @@ def _reference_leaves(sp):
     r_mat = CSR.diags(sp.lam * (sp.level + 1))
     out = []
     for alpha in (1, 2):
-        a, adag = sp._a[alpha - 1].tocsr(), sp._adag[alpha - 1].tocsr()
+        a, adag = sp.a[alpha - 1].tocsr(), sp.adag[alpha - 1].tocsr()
         out += [(f"la{alpha}", sp.lmul_a(alpha), sparse.kron(a, eye, format="csr")),
                 (f"lad{alpha}", sp.lmul_adag(alpha), sparse.kron(adag, eye, format="csr")),
                 (f"ra{alpha}", sp.rmul_a(alpha), sparse.kron(eye, a.T, format="csr")),
@@ -411,5 +411,5 @@ def test_an_operator_prints_as_its_word():
     assert str(ctx.alg.center()) == "center"
     sp = ctx.space
     assert str(sp.radial_phase(0.5)) == "radial"
-    assert str(sp.left_mul(sp._a[0], -1)) == "fock"
+    assert str(sp.left_mul(sp.a[0], -1)) == "fock"
     assert str(0.5j * (2 * sp.lmul_a(1) + sp.rmul_a(2))) == "(0.5j * ((2.0 * la(1)) + ra(2)))"

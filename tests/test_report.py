@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dense import report_from_json
 from fuzzymono.verify.report import IdentityResult, VerificationReport
 
 SCHEMA_ROW_KEYS = {"id", "paper_ref", "kappa", "guard", "residual",
@@ -55,7 +56,7 @@ def test_empty_results_json():
 
 def test_json_round_trip_exact():
     rep = sample_report()
-    again = VerificationReport.from_json(rep.to_json())
+    again = report_from_json(rep.to_json())
     assert again == rep
     assert again.to_json() == rep.to_json()
 
@@ -112,7 +113,7 @@ def test_nonfinite_residual_round_trip():
     assert [(row["residual"], row["pass"]) for row in raw["results"][3:]] == [(None, False)] * 2
     assert raw["results"][1]["residual"] is None and raw["results"][1]["pass"] is None
 
-    again = VerificationReport.from_json(text)
+    again = report_from_json(text)
     assert [r.passed for r in again.results] == [True, None, False, False, False]
     assert all(math.isnan(r.residual) for r in again.results[3:])
     assert again.counts == (1, 3, 1) and not again.all_passed

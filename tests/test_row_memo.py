@@ -435,6 +435,28 @@ def test_only_a_stream_at_another_kappa_drops_the_kept_blocks(fresh):
     assert memo.kept and all(memo.kept.get(key) is not blk for key, blk in kept.items())
 
 
+def test_kept_blocks_read_outside_a_stream_leave_the_next_stream(fresh):
+    """Reads outside any stream fill the kept blocks of sectors -4..4; the
+    next stream, even at the memo's own kappa 0, starts with none of them
+    and keeps what it keeps on a fresh context: 37 blocks of sectors -1..1
+    at n_max 8."""
+    rec = BY_ID["vv-spatial"]
+    kept = []
+    for outside in (False, True):
+        for cache in (liouville._SPACES, sector._SECTORS, registry._CONTEXTS):
+            cache.clear()  # the fixture's empty caches: a fresh context each time
+        ctx = get_context(8, 0.75)
+        if outside:
+            for k in range(-3, 4):
+                for lhs, rhs in rec.pairs(ctx):
+                    graded_residual(lhs, rhs, ctx.sector(k), rec.guard)
+            assert {s for _, s in ctx.space.memo.kept} == set(range(-4, 5))
+        assert rec.evaluate(ctx, 0, rec.guard) is not None
+        kept.append(sorted(s for _, s in ctx.space.memo.kept))
+    assert kept[0] == kept[1]
+    assert len(kept[0]) == 37 and set(kept[0]) == {-1, 0, 1}
+
+
 def test_a_kept_operator_matches_no_transient_word():
     """cache_get gives the operator it keeps an id of its own, which no
     word of equal structure shares; its blocks are kept by that id."""
